@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .matrix import PolyMatrix
-from .poly import Poly
+from .poly import Poly, as_poly
 from .report import Report
 
 __all__ = [
@@ -29,16 +29,6 @@ __all__ = [
     "restrict_char_poly",
     "cayley_hamilton_check",
 ]
-
-
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, str):
-        from .poly import parse_poly
-
-        return parse_poly(x)
-    return Poly.const(x)
 
 
 class FreeAlgebra:
@@ -77,7 +67,7 @@ class FreeAlgebra:
         if self.degrees is not None and len(self.degrees) != d:
             raise InputError("need one degree per basis element")
         self.table = [
-            [[_as_poly(c) for c in table[i][j]] for j in range(d)] for i in range(d)
+            [[as_poly(c) for c in table[i][j]] for j in range(d)] for i in range(d)
         ]
         for i in range(d):
             for j in range(d):
@@ -86,7 +76,7 @@ class FreeAlgebra:
         if unit is None:
             unit_coords = [Poly.const(1)] + [Poly.zero()] * (d - 1)
         else:
-            unit_coords = [_as_poly(c) for c in unit]
+            unit_coords = [as_poly(c) for c in unit]
             if len(unit_coords) != d:
                 raise InputError("unit coordinate vector must have length rank")
         self.unit = unit_coords
@@ -182,7 +172,7 @@ class FreeAlgebra:
     def element_rep(self, coords) -> PolyMatrix:
         """Matrix of multiplication by sum(coords[i] * gamma_i) in the basis."""
         d = self.rank
-        coords = [_as_poly(c) for c in coords]
+        coords = [as_poly(c) for c in coords]
         rows = []
         for k in range(d):
             row = []
@@ -212,7 +202,7 @@ class FreeAlgebra:
         new_unit = [c.substitute(bindings) for c in self.unit]
         new_base = set(self.base_vars) - keys
         for b in bindings.values():
-            new_base.update(_as_poly(b).vars)
+            new_base.update(as_poly(b).vars)
         return FreeAlgebra(
             self.basis_names,
             new_table,
@@ -282,7 +272,7 @@ class CharPoly:
         if banned:
             raise InputError(f"cannot bind dual variables or {self.tvar!r}: {sorted(banned)}")
         for v in bindings.values():
-            vp = _as_poly(v)
+            vp = as_poly(v)
             if set(vp.vars) & (set(self.dual_names) | {self.tvar}):
                 raise InputError("binding values may not involve dual variables or t")
         return CharPoly(self.rank, self.poly.substitute(bindings), self.tvar, self.dual_names)
@@ -406,7 +396,7 @@ def split_algebra(d: int, *, base_vars=(), dual_names=None, tvar="t") -> FreeAlg
 
 def monogenic_algebra(p: Poly, var: str, *, dual_names=None, tvar="t") -> FreeAlgebra:
     """R[z]/(p(z)) for p monic in var; basis 1, z, ..., z^(d-1)."""
-    p = _as_poly(p)
+    p = as_poly(p)
     if var not in p.vars:
         raise InputError(f"defining polynomial does not involve {var!r}")
     d = p.degree_in(var)

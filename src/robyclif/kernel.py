@@ -1,15 +1,11 @@
-"""Pure-Python term-map kernel.
+"""Term-map kernel: the hot loops of polynomial and matrix arithmetic.
 
 A term map is a dict from exponent tuples to nonzero coefficients (Fraction
-or CycScalar).  These functions are the hot loops of polynomial and matrix
-arithmetic; ``_termops_cy`` is the compiled twin with identical semantics.
-Coefficients live in a field, so a product of nonzeros is nonzero and only
-accumulation can cancel.
+or CycScalar).  Coefficients live in a field, so a product of nonzeros is
+nonzero and only accumulation can cancel.
 """
 
 from __future__ import annotations
-
-BACKEND_NAME = "python"
 
 
 def add_terms(a: dict, b: dict) -> dict:

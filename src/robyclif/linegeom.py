@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .matrix import PolyMatrix
-from .poly import Poly, parse_poly
+from .poly import Poly, as_poly
 from .roby import CharMorphism
 
 __all__ = [
@@ -26,14 +26,6 @@ __all__ = [
     "splitting_type",
     "underlying_line_module",
 ]
-
-
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, str):
-        return parse_poly(x)
-    return Poly.const(x)
 
 
 @dataclass(frozen=True)
@@ -319,7 +311,7 @@ def restrict_to_line(cm: CharMorphism, bindings, *, line_vars=("x", "y")) -> Cha
     lvars = set(line_vars)
     if len(lvars) != 2:
         raise InputError("a line has exactly two coordinate variables")
-    bindings = {k: _as_poly(v) for k, v in dict(bindings).items()}
+    bindings = {k: as_poly(v) for k, v in dict(bindings).items()}
     touched = sorted(set(bindings) & lvars)
     if touched:
         raise InputError(f"bindings may not touch the line variables {touched}")

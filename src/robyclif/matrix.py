@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import kernel
 from .errors import InputError
-from .poly import Poly, Scalar, parse_poly
+from .poly import Poly, Scalar, _coerce_coeff, as_poly
 
 __all__ = ["PolyMatrix", "matpoly_pow", "is_scalar_multiple_of_identity"]
 
@@ -38,7 +38,7 @@ class PolyMatrix:
         """Build from nested lists of Poly / scalar / polynomial strings."""
         grid = []
         for row in rows:
-            grid.append([cls._entry_poly(x) for x in row])
+            grid.append([as_poly(x) for x in row])
         nrows = len(grid)
         ncols = len(grid[0]) if grid else 0
         if any(len(r) != ncols for r in grid):
@@ -50,16 +50,6 @@ class PolyMatrix:
         vars = tuple(sorted(vs))
         data = [p.aligned(vars) for row in grid for p in row]
         return cls(nrows, ncols, vars, data, _canonical=True)
-
-    @staticmethod
-    def _entry_poly(x) -> Poly:
-        if isinstance(x, Poly):
-            return x
-        if isinstance(x, str):
-            return parse_poly(x)
-        if isinstance(x, Scalar):
-            return Poly.const(x)
-        raise InputError(f"cannot interpret {type(x).__name__} as a matrix entry")
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
@@ -73,7 +63,7 @@ class PolyMatrix:
 
     @classmethod
     def diagonal(cls, entries) -> "PolyMatrix":
-        polys = [cls._entry_poly(x) for x in entries]
+        polys = [as_poly(x) for x in entries]
         n = len(polys)
         vs = tuple(sorted({v for p in polys for v in p.vars}))
         data = [
@@ -152,9 +142,10 @@ class PolyMatrix:
     def scaled(self, c) -> "PolyMatrix":
         """Multiply every entry by a Poly or scalar."""
         if isinstance(c, Scalar):
-            data = [kernel.scale_terms(t, c if not isinstance(c, int) else Fraction(c)) for t in self.data]
+            c = _coerce_coeff(c)
+            data = [kernel.scale_terms(t, c) for t in self.data]
             return PolyMatrix(self.nrows, self.ncols, self.vars, data, _canonical=True)
-        p = self._entry_poly(c)
+        p = as_poly(c)
         vs = tuple(sorted(set(self.vars) | set(p.vars)))
         pt = p.aligned(vs)
         data = [kernel.mul_terms(t, pt) for t in self.aligned_data(vs)]

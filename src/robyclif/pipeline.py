@@ -21,7 +21,7 @@ from .errors import InputError, VerificationError
 from .freealg import CharPoly, FreeAlgebra, char_poly, restrict_char_poly
 from .linegeom import restrict_to_line
 from .matrix import PolyMatrix
-from .poly import Poly, parse_poly
+from .poly import Poly, as_poly
 from .report import Report
 from .roby import (
     CharMorphism,
@@ -45,14 +45,6 @@ __all__ = [
     "deviation_monomials",
     "run_pipeline",
 ]
-
-
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, str):
-        return parse_poly(x)
-    return Poly.const(x)
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,7 @@ class PipelineSpec:
             )
         bound = {}
         for v, value in self.line.items():
-            p = _as_poly(value)
+            p = as_poly(value)
             if p:
                 raise InputError(
                     f"the pipeline restricts along a coordinate line: "

@@ -24,6 +24,7 @@ from .scalars import CycScalar, make_root
 __all__ = [
     "Poly",
     "HomForm",
+    "as_poly",
     "poly_arith",
     "substitute",
     "parse_poly",
@@ -153,14 +154,6 @@ class Poly:
         return Poly(vs, terms, _canonical=True)
 
     # -- arithmetic -----------------------------------------------------------
-
-    @staticmethod
-    def _as_poly(x) -> "Poly":
-        if isinstance(x, Poly):
-            return x
-        if isinstance(x, Scalar):
-            return Poly.const(x)
-        raise InputError(f"cannot interpret {type(x).__name__} as a polynomial")
 
     def __add__(self, other):
         if isinstance(other, Scalar):
@@ -294,11 +287,15 @@ class Poly:
         }
 
     def substitute(self, bindings) -> "Poly":
-        """Simultaneous substitution var -> Poly or scalar; a ring morphism."""
+        """Simultaneous substitution var -> value; a ring morphism.
+
+        Each value is anything ``as_poly`` accepts: a Poly, a polynomial
+        string, or a scalar.
+        """
         vals = {}
         for v, b in bindings.items():
             if v in self.vars:
-                vals[v] = self._as_poly(b)
+                vals[v] = as_poly(b)
         if not vals:
             return self
         keep = tuple(v for v in self.vars if v not in vals)
@@ -445,6 +442,10 @@ class HomForm:
 
 # -- parsing -----------------------------------------------------------------
 
+# Parentheses plus unary signs; each level costs the parser at most four
+# stack frames, which keeps it far below Python's recursion limit.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>[0-9]+(?:\s*/\s*[0-9]+)?)|(?P<name>[a-zA-Z][a-zA-Z0-9_]*)"
     r"|(?P<op>[-+*^()]))"
@@ -474,6 +475,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -482,6 +484,11 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def enter(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise InputError("polynomial nested too deeply")
 
     def expect_op(self, op):
         kind, val = self.take()
@@ -513,7 +520,9 @@ class _Parser:
         kind, val = self.peek()
         if kind == "op" and val in "+-":
             self.take()
+            self.enter()
             inner = self.parse_factor()
+            self.depth -= 1
             return inner if val == "+" else -inner
         base = self.parse_atom()
         kind, val = self.peek()
@@ -535,8 +544,10 @@ class _Parser:
                 return Poly.const(make_root(int(m.group(1))))
             return Poly.variable(val)
         if kind == "op" and val == "(":
+            self.enter()
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise InputError(f"unexpected token in polynomial: {val!r}")
 
@@ -551,6 +562,17 @@ def parse_poly(text: str) -> Poly:
     if kind != "end":
         raise InputError(f"trailing input in polynomial: {val!r}")
     return result
+
+
+def as_poly(x) -> Poly:
+    """A Poly, polynomial string or scalar as a Poly; InputError otherwise."""
+    if isinstance(x, Poly):
+        return x
+    if isinstance(x, str):
+        return parse_poly(x)
+    if isinstance(x, Scalar):
+        return Poly.const(x)
+    raise InputError(f"cannot interpret {type(x).__name__} as a polynomial")
 
 
 # -- contract-named entry points ----------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import InputError, VerificationError
 from .freealg import CharPoly, FreeAlgebra, char_poly, split_algebra
 from .matrix import PolyMatrix
-from .poly import HomForm, Poly, parse_poly
+from .poly import HomForm, Poly, as_poly
 from .report import Report
 from .scalars import CycScalar, is_primitive_root
 
@@ -53,14 +53,6 @@ def fresh_names(prefix: str, count: int, avoid) -> list:
         taken.add(name)
         out.append(name)
     return out
-
-
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, str):
-        return parse_poly(x)
-    return Poly.const(x)
 
 
 class GradedRobyModule:
@@ -214,7 +206,7 @@ class MonomialSpec:
     dual_indices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(_as_poly(c) for c in self.factors))
+        object.__setattr__(self, "factors", tuple(as_poly(c) for c in self.factors))
         object.__setattr__(self, "dual_indices", tuple(int(k) for k in self.dual_indices))
         if self.d < 2:
             raise InputError("monomial specs need algebra rank >= 2")
@@ -280,7 +272,7 @@ def monomial_roby(form: HomForm, factors=None) -> GradedRobyModule:
         for v in form.arg_vars:
             seq.extend([v] * arg_exps.get(v, 0))
         factors = [(coeff if j == 0 else Poly.const(1), v) for j, v in enumerate(seq)]
-    factors = [(_as_poly(c), v) for c, v in factors]
+    factors = [(as_poly(c), v) for c, v in factors]
     if len(factors) != e:
         raise InputError(f"need exactly {e} factors for a degree-{e} form")
     check = Poly.const(1)
@@ -767,7 +759,7 @@ class AlgebraEmbedding:
 
     def __post_init__(self):
         comps = tuple(
-            tuple(tuple(_as_poly(c) for c in vec) for vec in row)
+            tuple(tuple(as_poly(c) for c in vec) for vec in row)
             for row in self.components
         )
         object.__setattr__(self, "components", comps)

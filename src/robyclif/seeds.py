@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import InputError
 from .freealg import FreeAlgebra, char_poly, monogenic_algebra
 from .matrix import PolyMatrix
-from .poly import Poly, parse_poly
+from .poly import Poly, as_poly
 from .roby import GradedRobyModule
 from .scalars import make_root
 
@@ -25,21 +25,13 @@ __all__ = [
 ]
 
 
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, str):
-        return parse_poly(x)
-    return Poly.const(x)
-
-
 def companion_matrix(p, var: str) -> PolyMatrix:
     """Multiplication by ``var`` on R[var]/(p), for p monic in ``var``.
 
     This is the canonical matrix root of p: its image satisfies p(Z) = 0,
     so for p = var^d - q it gives Z^d = q*I on d dimensions.
     """
-    p = _as_poly(p)
+    p = as_poly(p)
     if var not in p.vars:
         raise InputError(f"polynomial does not involve {var!r}")
     coeffs = p.coefficient_map(var)
@@ -153,8 +145,8 @@ def mf_seed(f, g, *, var: str = "z", dual_names=None, tvar: str = "t") -> Graded
     [[0, f], [g, 0]] squares to f*g * identity, so the cover construction
     applies with d = 2 and produces a 4-dimensional module.
     """
-    f = _as_poly(f)
-    g = _as_poly(g)
+    f = as_poly(f)
+    g = as_poly(g)
     if not f or not g:
         raise InputError("both factors must be nonzero")
     zmat = PolyMatrix.from_rows([[Poly.zero(), f], [g, Poly.zero()]])
@@ -173,7 +165,7 @@ def perturbed_split_algebra(h, *, dual_names=("x1", "x2"), tvar: str = "t") -> F
     useful as the smallest input whose deviation from its own restriction is
     nontrivial.
     """
-    h = _as_poly(h)
+    h = as_poly(h)
     one = Poly.const(1)
     table = [
         [[one - h, -h], [h, h]],

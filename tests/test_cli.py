@@ -59,6 +59,15 @@ class TestCharpoly:
         assert main(["charpoly", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_deep_nesting_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.algebra"
+        deep = "(" * 3000 + "z^2 - x*y" + ")" * 3000
+        path.write_text(f"[algebra]\nmonogenic = {deep}\nvar = z\n")
+        assert main(["charpoly", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
 
 class TestRoby:
     def test_build_then_verify(self, tmp_path, capsys):

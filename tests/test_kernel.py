@@ -1,0 +1,144 @@
+"""The term-map kernel, checked against a plain evaluator that never calls it.
+
+Each kernel result is evaluated at random rational points and compared with
+the same arithmetic done on the evaluated inputs.  Exact values that agree at
+several random points make a wrong term map vanishingly unlikely
+(Schwartz-Zippel), and the exact cases below pin the rest.
+"""
+
+import random
+from fractions import Fraction
+
+from robyclif import kernel
+from robyclif.scalars import make_root
+
+WIDTH = 3
+POINTS = 3
+
+
+def random_terms(rng, *, size=6, cyclotomic=False):
+    out = {}
+    for _ in range(size):
+        exp = tuple(rng.randrange(0, 4) for _ in range(WIDTH))
+        c = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        if cyclotomic and rng.random() < 0.5:
+            c = make_root(4) * c + rng.randrange(-2, 3)
+        if c:
+            out[exp] = c
+    return out
+
+
+def random_points(rng):
+    return [
+        tuple(Fraction(rng.randrange(-7, 8), rng.randrange(1, 5)) for _ in range(WIDTH))
+        for _ in range(POINTS)
+    ]
+
+
+def evaluate(terms, point):
+    total = Fraction(0)
+    for exp, c in terms.items():
+        value = c
+        for x, e in zip(point, exp):
+            value = value * x**e
+        total = total + value
+    return total
+
+
+def assert_no_zeros(terms):
+    assert all(terms.values()), "a zero coefficient slipped into a term map"
+
+
+def test_add_sub_mul_match_the_evaluator():
+    rng = random.Random(11)
+    for trial in range(40):
+        cyc = trial % 3 == 0
+        a = random_terms(rng, cyclotomic=cyc)
+        b = random_terms(rng, cyclotomic=cyc)
+        a_copy, b_copy = dict(a), dict(b)
+        got = {
+            "add": kernel.add_terms(a, b),
+            "sub": kernel.sub_terms(a, b),
+            "mul": kernel.mul_terms(a, b),
+        }
+        assert (a, b) == (a_copy, b_copy), "an input term map was mutated"
+        for terms in got.values():
+            assert_no_zeros(terms)
+        for p in random_points(rng):
+            va, vb = evaluate(a, p), evaluate(b, p)
+            assert evaluate(got["add"], p) == va + vb, f"add_terms, trial {trial}"
+            assert evaluate(got["sub"], p) == va - vb, f"sub_terms, trial {trial}"
+            assert evaluate(got["mul"], p) == va * vb, f"mul_terms, trial {trial}"
+
+
+def test_neg_and_scale_match_the_evaluator():
+    rng = random.Random(12)
+    for trial in range(20):
+        a = random_terms(rng, cyclotomic=trial % 2 == 0)
+        c = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+        if trial % 4 == 1:
+            c = make_root(4) * c + 1
+        neg, scaled = kernel.neg_terms(a), kernel.scale_terms(a, c)
+        assert_no_zeros(neg)
+        assert_no_zeros(scaled)
+        for p in random_points(rng):
+            assert evaluate(neg, p) == -evaluate(a, p)
+            assert evaluate(scaled, p) == evaluate(a, p) * c
+    assert kernel.scale_terms(a, 0) == {}
+    assert kernel.scale_terms(a, Fraction(0)) == {}
+
+
+def test_mul_into_accumulates():
+    rng = random.Random(13)
+    for trial in range(20):
+        cyc = trial % 3 == 0
+        acc = random_terms(rng, cyclotomic=cyc)
+        before = dict(acc)
+        a = random_terms(rng, cyclotomic=cyc)
+        b = random_terms(rng)
+        kernel.mul_into(acc, a, b)
+        assert_no_zeros(acc)
+        for p in random_points(rng):
+            assert evaluate(acc, p) == evaluate(before, p) + evaluate(a, p) * evaluate(b, p)
+
+
+def test_matmul_matches_naive_triple_loop():
+    rng = random.Random(14)
+    for trial in range(10):
+        n, k, m = rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(1, 4)
+        # size 0 leaves some entries empty, as in sparse assembly matrices
+        a = [random_terms(rng, size=rng.randrange(0, 4), cyclotomic=trial % 2 == 0)
+             for _ in range(n * k)]
+        b = [random_terms(rng, size=rng.randrange(0, 4)) for _ in range(k * m)]
+        out = kernel.matmul_terms(a, b, n, k, m)
+        assert len(out) == n * m
+        for entry in out:
+            assert_no_zeros(entry)
+        for p in random_points(rng):
+            va = [evaluate(t, p) for t in a]
+            vb = [evaluate(t, p) for t in b]
+            for i in range(n):
+                for j in range(m):
+                    want = Fraction(0)
+                    for s in range(k):
+                        want = want + va[i * k + s] * vb[s * m + j]
+                    assert evaluate(out[i * m + j], p) == want, f"entry ({i}, {j}), trial {trial}"
+
+
+def test_matmul_empty_inner():
+    assert kernel.matmul_terms([], [], 2, 0, 2) == [{}] * 4
+
+
+def test_cancellation_prunes():
+    a = {(1, 0): Fraction(3)}
+    b = {(1, 0): Fraction(-3), (0, 1): Fraction(2)}
+    assert kernel.add_terms(a, b) == {(0, 1): Fraction(2)}
+    assert kernel.sub_terms(a, a) == {}
+    prod = kernel.mul_terms(
+        {(1,): Fraction(1), (0,): Fraction(1)},
+        {(1,): Fraction(1), (0,): Fraction(-1)},
+    )
+    assert prod == {(2,): Fraction(1), (0,): Fraction(-1)}
+    acc = {(2,): Fraction(-1)}
+    kernel.mul_into(acc, {(1,): Fraction(1)}, {(1,): Fraction(1)})
+    assert acc == {}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from robyclif.errors import InputError
-from robyclif.poly import HomForm, Poly, parse_poly, poly_arith, substitute
+from robyclif.poly import MAX_NESTING, HomForm, Poly, parse_poly, poly_arith, substitute
 from robyclif.scalars import make_root
 
 
@@ -168,6 +168,18 @@ class TestTextFormat:
     def test_implicit_products_are_rejected(self):
         with pytest.raises(InputError):
             parse_poly("3x")
+
+    @pytest.mark.parametrize(
+        "text", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"], ids=["parens", "signs"]
+    )
+    def test_deep_nesting_is_input_error(self, text):
+        with pytest.raises(InputError, match="nested too deeply"):
+            parse_poly(text)
+
+    def test_nesting_up_to_the_cap_parses(self):
+        depth = MAX_NESTING // 2
+        assert parse_poly("(" * depth + "-x" + ")" * depth) == -x
+        assert parse_poly("-" * MAX_NESTING + "x") == x
 
 
 class TestHomForm:
