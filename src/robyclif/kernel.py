@@ -2,7 +2,8 @@
 
 A term map is a dict from exponent tuples to nonzero coefficients (Fraction
 or CycScalar).  Coefficients live in a field, so a product of nonzeros is
-nonzero and only accumulation can cancel.
+nonzero and only accumulation can cancel.  No function here mutates its
+inputs; ``mul_into`` mutates only its accumulator.
 """
 
 from __future__ import annotations
@@ -92,17 +93,28 @@ def mul_into(acc: dict, a: dict, b: dict) -> None:
 
 
 def matmul_terms(a: list, b: list, n: int, k: int, m: int) -> list:
-    """Row-major (n x k) @ (k x m) over term maps."""
-    out = []
+    """Row-major (n x k) @ (k x m) over term maps.
+
+    Cost: one pass over the k*m slots of ``b`` to list each row's nonzeros,
+    one pass over the n*k slots of ``a``, one ``mul_into`` per triple
+    (i, s, j) with a[i, s] and b[s, j] both nonzero, and the n*m output list.
+    No work is spent on a pair with an empty factor.  For each output entry
+    s still runs in ascending order, so every entry gets its terms in the
+    same insertion order as the plain triple loop.  Entries that receive no
+    product are one shared empty map, so callers must treat entries as
+    read-only.
+    """
+    b_rows = [[(j, t) for j, t in enumerate(b[s * m : (s + 1) * m]) if t] for s in range(k)]
+    empty: dict = {}
+    out: list = []
     for i in range(n):
-        row = a[i * k : (i + 1) * k]
-        for j in range(m):
-            acc: dict = {}
-            for s in range(k):
-                left = row[s]
-                if left:
-                    right = b[s * m + j]
-                    if right:
-                        mul_into(acc, left, right)
-            out.append(acc)
+        row = [empty] * m
+        for s, left in enumerate(a[i * k : (i + 1) * k]):
+            if left:
+                for j, right in b_rows[s]:
+                    acc = row[j]
+                    if acc is empty:
+                        acc = row[j] = {}
+                    mul_into(acc, left, right)
+        out += row
     return out

@@ -1,9 +1,14 @@
-"""Dense matrices over sparse polynomials.
+"""Matrices over sparse polynomials.
 
-Every entry of a ``PolyMatrix`` shares one variable context, so products run
-straight through the kernel term-map routines without per-entry alignment.
-Dimensions in this package stay small (at most a few thousand rows) while
-entries carry the real weight, hence dense storage of sparse entries.
+A ``PolyMatrix`` stores its entries as a flat row-major list of term maps,
+all aligned to one variable context, so products run straight through the
+kernel term-map routines without per-entry alignment.  The matrices this
+package builds are mostly empty (assembly actions are 1-5% nonzero), so
+every pass -- product, Kronecker product, sum, scaling, substitution,
+realignment -- spends work only on nonzero entries, plus the cost of
+writing the output list.  Entries are read-only: matrices share term maps
+with each other (``submatrix``, ``transpose``, sums with an empty side) and
+an empty slot may be one shared empty map.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from fractions import Fraction
 
 from . import kernel
 from .errors import InputError
-from .poly import Poly, Scalar, _coerce_coeff, as_poly
+from .poly import Poly, Scalar, _align_terms, _coerce_coeff, as_poly
 
 __all__ = ["PolyMatrix", "matpoly_pow", "is_scalar_multiple_of_identity"]
 
@@ -54,21 +59,23 @@ class PolyMatrix:
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
         one = Fraction(1)
-        data = [({(): one} if i == j else {}) for i in range(n) for j in range(n)]
+        data = [{}] * (n * n)
+        for i in range(n):
+            data[i * n + i] = {(): one}
         return cls(n, n, (), data, _canonical=True)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "PolyMatrix":
-        return cls(nrows, ncols, (), [{} for _ in range(nrows * ncols)], _canonical=True)
+        return cls(nrows, ncols, (), [{}] * (nrows * ncols), _canonical=True)
 
     @classmethod
     def diagonal(cls, entries) -> "PolyMatrix":
         polys = [as_poly(x) for x in entries]
         n = len(polys)
         vs = tuple(sorted({v for p in polys for v in p.vars}))
-        data = [
-            (polys[i].aligned(vs) if i == j else {}) for i in range(n) for j in range(n)
-        ]
+        data = [{}] * (n * n)
+        for i, p in enumerate(polys):
+            data[i * n + i] = p.aligned(vs)
         return cls(n, n, vs, data, _canonical=True)
 
     # -- context -----------------------------------------------------------------
@@ -76,9 +83,8 @@ class PolyMatrix:
     def aligned_data(self, vars: tuple) -> list:
         if vars == self.vars:
             return self.data
-        return [
-            Poly(self.vars, t, _canonical=True).aligned(vars) for t in self.data
-        ]
+        old = self.vars
+        return [_align_terms(t, old, vars) if t else t for t in self.data]
 
     def _common(self, other: "PolyMatrix"):
         if self.vars == other.vars:
@@ -121,7 +127,7 @@ class PolyMatrix:
         if self.shape != other.shape:
             raise InputError(f"shape mismatch: {self.shape} + {other.shape}")
         vs, a, b = self._common(other)
-        data = [kernel.add_terms(x, y) for x, y in zip(a, b)]
+        data = [kernel.add_terms(x, y) if x and y else x or y for x, y in zip(a, b)]
         return PolyMatrix(self.nrows, self.ncols, vs, data, _canonical=True)
 
     def __sub__(self, other):
@@ -130,25 +136,26 @@ class PolyMatrix:
         if self.shape != other.shape:
             raise InputError(f"shape mismatch: {self.shape} - {other.shape}")
         vs, a, b = self._common(other)
-        data = [kernel.sub_terms(x, y) for x, y in zip(a, b)]
+        data = [
+            (kernel.sub_terms(x, y) if x else kernel.neg_terms(y)) if y else x
+            for x, y in zip(a, b)
+        ]
         return PolyMatrix(self.nrows, self.ncols, vs, data, _canonical=True)
 
     def __neg__(self):
-        return PolyMatrix(
-            self.nrows, self.ncols, self.vars, [kernel.neg_terms(t) for t in self.data],
-            _canonical=True,
-        )
+        data = [kernel.neg_terms(t) if t else t for t in self.data]
+        return PolyMatrix(self.nrows, self.ncols, self.vars, data, _canonical=True)
 
     def scaled(self, c) -> "PolyMatrix":
         """Multiply every entry by a Poly or scalar."""
         if isinstance(c, Scalar):
             c = _coerce_coeff(c)
-            data = [kernel.scale_terms(t, c) for t in self.data]
+            data = [kernel.scale_terms(t, c) if t else t for t in self.data]
             return PolyMatrix(self.nrows, self.ncols, self.vars, data, _canonical=True)
         p = as_poly(c)
         vs = tuple(sorted(set(self.vars) | set(p.vars)))
         pt = p.aligned(vs)
-        data = [kernel.mul_terms(t, pt) for t in self.aligned_data(vs)]
+        data = [kernel.mul_terms(t, pt) if t else t for t in self.aligned_data(vs)]
         return PolyMatrix(self.nrows, self.ncols, vs, data, _canonical=True)
 
     def __mul__(self, other):
@@ -185,24 +192,28 @@ class PolyMatrix:
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product; left factor indexes the outer blocks."""
         vs, a, b = self._common(other)
-        n, m = self.nrows * other.nrows, self.ncols * other.ncols
-        data = [None] * (n * m)
+        p, q = other.nrows, other.ncols
+        n, m = self.nrows * p, self.ncols * q
+        right = [(k * m + l, t) for k in range(p) for l in range(q) if (t := b[k * q + l])]
+        data = [{}] * (n * m)
         for i in range(self.nrows):
             for j in range(self.ncols):
                 block = a[i * self.ncols + j]
-                for k in range(other.nrows):
-                    for l in range(other.ncols):
-                        data[(i * other.nrows + k) * m + (j * other.ncols + l)] = (
-                            kernel.mul_terms(block, b[k * other.ncols + l]) if block else {}
-                        )
+                if block:
+                    corner = i * p * m + j * q
+                    for offset, t in right:
+                        data[corner + offset] = kernel.mul_terms(block, t)
         return PolyMatrix(n, m, vs, data, _canonical=True)
 
     def substitute(self, bindings) -> "PolyMatrix":
-        rows = [
-            [self.entry(i, j).substitute(bindings) for j in range(self.ncols)]
-            for i in range(self.nrows)
+        polys = [
+            Poly(self.vars, t, _canonical=True).pruned().substitute(bindings) if t else None
+            for t in self.data
         ]
-        return PolyMatrix.from_rows(rows) if self.data else PolyMatrix.zeros(self.nrows, self.ncols)
+        vs = tuple(sorted({v for p in polys if p is not None for v in p.vars}))
+        empty: dict = {}
+        data = [p.aligned(vs) if p is not None else empty for p in polys]
+        return PolyMatrix(self.nrows, self.ncols, vs, data, _canonical=True)
 
     # -- queries --------------------------------------------------------------------------
 

@@ -44,7 +44,13 @@ __all__ = [
     "PipelineResult",
     "deviation_monomials",
     "run_pipeline",
+    "MAX_ASSEMBLY_DIM",
 ]
+
+# Largest assembly (seed dim * d^monomials) a pipeline will build: the n = 8
+# rung of the multi-branch quadric family.  Each further monomial multiplies
+# the dimension by d and the slots of every action matrix by d^2.
+MAX_ASSEMBLY_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -221,8 +227,9 @@ def run_pipeline(spec: PipelineSpec, *, order_cap: int | None = None) -> Pipelin
     """Validate the seed, assemble, extract, restrict, verify.
 
     The order is fixed: seed target and Roby identity first (bad seeds are
-    user errors and must fail before any tensor work), then decomposition,
-    assembly, morphism extraction, and the filtered checks on the line.
+    user errors and must fail before any tensor work), then decomposition and
+    the bound on the assembly's dimension (``MAX_ASSEMBLY_DIM``), assembly,
+    morphism extraction, and the filtered checks on the line.
     ``order_cap`` overrides the default bound on the twist root's order.
     """
     t0 = time.monotonic()
@@ -246,6 +253,13 @@ def run_pipeline(spec: PipelineSpec, *, order_cap: int | None = None) -> Pipelin
     _merge(report, verify_roby(seed), "seed_")
 
     monomials = deviation_monomials(chi, chi_line, algebra, spec.ideal_vars)
+    predicted = seed.dim * d ** len(monomials)
+    if predicted > MAX_ASSEMBLY_DIM:
+        raise InputError(
+            f"the assembly would have dimension {predicted} (seed dim {seed.dim} "
+            f"times {d}^{len(monomials)} for {len(monomials)} deviation monomials), "
+            f"above the cap {MAX_ASSEMBLY_DIM}"
+        )
     covered = Poly.zero()
     for m in monomials:
         covered = covered + m.value(algebra.dual_names, algebra.tvar)

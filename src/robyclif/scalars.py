@@ -28,7 +28,8 @@ __all__ = [
     "scalar_to_string",
 ]
 
-# Largest cyclotomic order the lcm lift will construct implicitly.
+# Largest cyclotomic order the lcm lift will construct implicitly, and the
+# largest that parse_scalar will read.
 ORDER_CAP = 128
 
 _ZERO = Fraction(0)
@@ -380,6 +381,8 @@ def parse_scalar(s: str):
             coeffs = [Fraction(part.strip()) for part in tail.split(",")] if tail.strip() else []
         except ValueError as exc:
             raise InputError(f"malformed cyclotomic literal: {s!r}") from exc
+        if order > ORDER_CAP:
+            raise InputError(f"cyclotomic order {order} exceeds the cap {ORDER_CAP}")
         return CycScalar(order, coeffs)
     try:
         return Fraction(s)

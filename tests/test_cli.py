@@ -166,6 +166,17 @@ class TestPipeline:
         assert "FAIL seed_target" in captured.out
         assert "error:" in captured.err
 
+    def test_assembly_above_the_cap_is_input_error(self, tmp_path, capsys):
+        zs = [f"z{i}" for i in range(2, 11)]
+        text = QUADRIC_PIPELINE.replace("z2 -> 0", ", ".join(f"{v} -> 0" for v in zs))
+        text = text.replace("- z2^2", "- " + " - ".join(f"{v}^2" for v in zs))
+        path = tmp_path / "wide.pipeline"
+        path.write_text(text)
+        assert main(["pipeline", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "dimension 2048" in err and "cap 1024" in err
+        assert "Traceback" not in err
+
     def test_seed_file_relative_to_spec(self, tmp_path, capsys):
         (tmp_path / "seed.roby").write_text(render_roby_module(mf_seed("x", "y")))
         text = QUADRIC_PIPELINE.replace("mf(x, y)", "seed.roby")

@@ -142,3 +142,66 @@ def test_cancellation_prunes():
     acc = {(2,): Fraction(-1)}
     kernel.mul_into(acc, {(1,): Fraction(1)}, {(1,): Fraction(1)})
     assert acc == {}
+
+
+# -- the sparse product against a plain triple loop ------------------------------
+
+DENSITIES = (0.0, 0.02, 0.3, 1.0)
+
+
+def random_flat_matrix(rng, rows, cols, density):
+    """Flat row-major term maps; each slot is nonzero with probability density."""
+    out = []
+    for _ in range(rows * cols):
+        terms = random_terms(rng, size=rng.randrange(1, 3)) if rng.random() < density else {}
+        out.append(terms)
+    return out
+
+
+def naive_mul_into(acc, a, b):
+    # term by term, the shorter factor outermost (the left one on a tie): the
+    # order in which the kernel documents its products, so the resulting key
+    # order is the one reports have always printed
+    if len(a) > len(b):
+        a, b = b, a
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            total = acc.get(exp, 0) + ca * cb
+            if total:
+                acc[exp] = total
+            else:
+                acc.pop(exp, None)
+
+
+def naive_matmul(a, b, n, k, m):
+    out = []
+    for i in range(n):
+        for j in range(m):
+            acc = {}
+            for s in range(k):
+                naive_mul_into(acc, a[i * k + s], b[s * m + j])
+            out.append(acc)
+    return out
+
+
+def sparse_shapes():
+    yield 3, 5, 2
+    yield 3, 0, 4
+    yield 0, 3, 2
+    for size in range(1, 18):
+        yield size, size, size
+
+
+def test_sparse_matmul_equals_the_triple_loop_key_for_key():
+    rng = random.Random(15)
+    for n, k, m in sparse_shapes():
+        for density in DENSITIES:
+            a = random_flat_matrix(rng, n, k, density)
+            b = random_flat_matrix(rng, k, m, density)
+            got = kernel.matmul_terms(a, b, n, k, m)
+            want = naive_matmul(a, b, n, k, m)
+            where = f"{n}x{k} @ {k}x{m} at density {density}"
+            assert got == want, where
+            # equal dicts may still print differently: pin the key order too
+            assert [list(t.items()) for t in got] == [list(t.items()) for t in want], where

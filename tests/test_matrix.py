@@ -1,10 +1,13 @@
 """Matrices over sparse polynomials: powering, Kronecker products, scalar tests."""
 
+import copy
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from robyclif import kernel
 from robyclif.errors import InputError
 from robyclif.matrix import PolyMatrix, is_scalar_multiple_of_identity, matpoly_pow
 from robyclif.poly import Poly, parse_poly
@@ -139,3 +142,169 @@ def test_string_entries_parse_in_literals():
 def test_display_is_row_major_nested_lists():
     m = PolyMatrix.from_rows([[x, 0], [1, y]])
     assert str(m) == "[[x, 0], [1, y]]"
+
+
+# -- sparse passes: independent oracles, work counts, no mutation ----------------
+
+VARS = ("x", "y", "z")
+DENSITIES = (0.0, 0.02, 0.3, 1.0)
+
+
+def random_matrix(rng, rows, cols, density, vars=VARS):
+    """Flat term maps over vars; each slot is nonzero with probability density."""
+    data = []
+    for _ in range(rows * cols):
+        terms = {}
+        if rng.random() < density:
+            for _ in range(rng.randrange(1, 3)):
+                exp = tuple(rng.randrange(0, 3) for _ in vars)
+                terms[exp] = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 9), rng.randrange(1, 4))
+        data.append(terms)
+    return PolyMatrix(rows, cols, vars, data)
+
+
+def term_product(a, b):
+    # the shorter factor outermost (the left one on a tie), as the kernel
+    # orders its products, so key order can be compared as well as values
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(u + v for u, v in zip(ea, eb))
+            total = out.get(exp, 0) + ca * cb
+            if total:
+                out[exp] = total
+            else:
+                out.pop(exp, None)
+    return out
+
+
+def items(m):
+    return [list(t.items()) for t in m.data]
+
+
+def nnz(m):
+    return sum(1 for t in m.data if t)
+
+
+def test_kron_equals_the_block_formula_key_for_key():
+    rng = random.Random(41)
+    shapes = [((2, 3), (3, 2)), ((0, 2), (2, 2)), ((2, 2), (0, 3)), ((4, 4), (5, 5)), ((1, 6), (6, 1))]
+    for (r, c), (p, q) in shapes:
+        for density in DENSITIES:
+            a = random_matrix(rng, r, c, density)
+            b = random_matrix(rng, p, q, density)
+            want = [None] * (r * p * c * q)
+            for i in range(r):
+                for j in range(c):
+                    for k in range(p):
+                        for l in range(q):
+                            want[(i * p + k) * (c * q) + j * q + l] = term_product(
+                                a.data[i * c + j], b.data[k * q + l]
+                            )
+            got = a.kron(b)
+            where = f"{r}x{c} kron {p}x{q} at density {density}"
+            assert got.shape == (r * p, c * q), where
+            assert got.data == want, where
+            assert items(got) == [list(t.items()) for t in want], where
+
+
+def test_sparse_passes_across_variable_contexts():
+    rng = random.Random(42)
+    for density in DENSITIES:
+        a = random_matrix(rng, 5, 5, density)
+        b = random_matrix(rng, 5, 5, density, vars=("w", "y"))
+        eye = PolyMatrix.identity(5)
+        # the same sums and products computed entry by entry through Poly
+        pa = [list(row) for row in a.rows()]
+        pb = [list(row) for row in b.rows()]
+        assert a + b == PolyMatrix.from_rows(
+            [[pa[i][j] + pb[i][j] for j in range(5)] for i in range(5)]
+        )
+        assert a - b == PolyMatrix.from_rows(
+            [[pa[i][j] - pb[i][j] for j in range(5)] for i in range(5)]
+        )
+        assert a * b == PolyMatrix.from_rows(
+            [[sum((pa[i][s] * pb[s][j] for s in range(5)), Poly.zero()) for j in range(5)]
+             for i in range(5)]
+        )
+        assert a * eye == a and eye * b == b
+        assert (a - a).is_zero() and (a + b) - b == a
+        w = Poly.variable("w")
+        assert a.scaled(w + 1) == PolyMatrix.from_rows([[e * (w + 1) for e in row] for row in pa])
+        assert a.substitute({"y": "w - x"}) == PolyMatrix.from_rows(
+            [[e.substitute({"y": "w - x"}) for e in row] for row in pa]
+        )
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = Counter()
+    for name in ("mul_terms", "add_terms", "mul_into"):
+        fn = getattr(kernel, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(kernel, name, counted)
+    return calls
+
+
+def test_kernel_work_scales_with_nonzeros(kernel_calls):
+    rng = random.Random(43)
+    a = random_matrix(rng, 12, 12, 0.08)
+    b = random_matrix(rng, 4, 4, 0.3)
+    c = random_matrix(rng, 12, 12, 0.3)
+    assert 0 < nnz(a) < 144 and 0 < nnz(b) < 16
+
+    kernel_calls.clear()
+    a.kron(b)
+    assert kernel_calls["mul_terms"] == nnz(a) * nnz(b)
+
+    kernel_calls.clear()
+    a.scaled(x + y)
+    assert kernel_calls["mul_terms"] == nnz(a)
+
+    kernel_calls.clear()
+    a + c
+    both = sum(1 for s, t in zip(a.data, c.data) if s and t)
+    assert 0 < both < nnz(c)
+    assert kernel_calls["add_terms"] == both
+
+    kernel_calls.clear()
+    a * c
+    pairs = sum(
+        1
+        for i in range(12)
+        for s in range(12)
+        for j in range(12)
+        if a.data[i * 12 + s] and c.data[s * 12 + j]
+    )
+    assert pairs > 0
+    assert kernel_calls["mul_into"] == pairs
+
+
+def test_no_operation_mutates_its_operands():
+    rng = random.Random(44)
+    a = random_matrix(rng, 4, 4, 0.4)
+    b = random_matrix(rng, 4, 4, 0.4, vars=("w", "x"))
+    ops = {
+        "+": lambda: a + b,
+        "-": lambda: a - b,
+        "*": lambda: a * b,
+        "kron": lambda: a.kron(b),
+        "scaled": lambda: (a.scaled(x + 1), a.scaled(Fraction(2, 3))),
+        "pow": lambda: a.pow(3),
+        "substitute": lambda: a.substitute({"x": "y + 1"}),
+        "aligned_data": lambda: a.aligned_data(("w", "x", "y", "z")),
+        "==": lambda: a == b,
+    }
+    for name, op in ops.items():
+        before = [(m.vars, copy.deepcopy(m.data)) for m in (a, b)]
+        op()
+        for m, (vars, data) in zip((a, b), before):
+            assert m.vars == vars, name
+            assert m.data == data, name
+            assert items(m) == [list(t.items()) for t in data], name

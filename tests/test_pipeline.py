@@ -1,11 +1,18 @@
 """End-to-end pipeline runs on small covers, with hand-checked quotients."""
 
+from math import comb
+
 import pytest
 
 from robyclif.errors import InputError, VerificationError
 from robyclif.freealg import char_poly, monogenic_algebra, restrict_char_poly
 from robyclif.matrix import PolyMatrix
-from robyclif.pipeline import PipelineSpec, deviation_monomials, run_pipeline
+from robyclif.pipeline import (
+    MAX_ASSEMBLY_DIM,
+    PipelineSpec,
+    deviation_monomials,
+    run_pipeline,
+)
 from robyclif.poly import Poly, parse_poly
 from robyclif.roby import (
     GradedRobyModule,
@@ -193,6 +200,19 @@ class TestMultiMonomialPipeline:
         assert result.assembly.dim == 256
         assert result.report.meta["quotient_dims"] == [4, 24, 60, 80, 60, 24, 4]
         assert result.filtration.levels == tuple(range(7))
+
+    @pytest.mark.slow
+    def test_seven_branch_variables(self):
+        result = run_pipeline(multi_branch_spec(7))
+        assert result.report.ok
+        assert result.assembly.dim == 512
+        assert result.report.meta["quotient_dims"] == [4 * comb(7, k) for k in range(8)]
+        assert result.filtration.levels == tuple(range(8))
+
+    def test_assembly_above_the_cap_is_rejected_before_tensor_work(self):
+        # 4 * 2^9 = 2048 > MAX_ASSEMBLY_DIM
+        with pytest.raises(InputError, match=f"dimension 2048 .* above the cap {MAX_ASSEMBLY_DIM}"):
+            run_pipeline(multi_branch_spec(9))
 
 
 class TestUngradedPipeline:

@@ -7,6 +7,7 @@ import pytest
 
 from robyclif.errors import InputError
 from robyclif.scalars import (
+    ORDER_CAP,
     CycScalar,
     cyc_arith,
     cyclotomic_polynomial,
@@ -183,3 +184,11 @@ def test_parse_scalar_rejects_garbage():
     for bad in ("", "x", "poly(4)", "poly(a; 1)", "1/0x", "poly(4; zeta)"):
         with pytest.raises(InputError):
             parse_scalar(bad)
+
+
+def test_parse_scalar_caps_the_field_order():
+    assert parse_scalar(f"poly({ORDER_CAP}; 0, 1)") == make_root(ORDER_CAP)
+    with pytest.raises(InputError, match=f"order 5000 exceeds the cap {ORDER_CAP}"):
+        parse_scalar("poly(5000; 0, 1)")
+    with pytest.raises(InputError, match="exceeds the cap"):
+        parse_scalar(f"poly({ORDER_CAP + 1}; 1)")
