@@ -156,7 +156,7 @@ def _cmd_pipeline(args, config: Config) -> int:
     spec = parse_pipeline(
         _read(args.spec), base_dir=Path(args.spec).resolve().parent
     )
-    result = run_pipeline(spec, order_cap=config.field_order_cap)
+    result = run_pipeline(spec)
     stype = splitting_type(
         underlying_line_module(result.restricted, line_vars=spec.line_vars),
         window_pad=config.degree_window_pad,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .matrix import PolyMatrix
+from .matrix import PolyMatrix, check_vanishes
 from .poly import Poly, as_poly
 from .report import Report
 
@@ -472,11 +472,6 @@ def cayley_hamilton_check(algebra: FreeAlgebra, chi: CharPoly | None = None) -> 
         raise InputError("characteristic polynomial does not match the algebra's shape")
     rho = algebra.regular_representation()
     value = chi.evaluate_matrix(rho, [Poly.variable(g) for g in algebra.dual_names])
-    offender = value.first_nonzero()
-    report.add(
-        "cayley_hamilton",
-        offender is None,
-        detail="" if offender is None else f"entry ({offender[0]},{offender[1]}): {offender[2]}",
-    )
+    check_vanishes(report, "cayley_hamilton", value)
     report.meta["rank"] = algebra.rank
     return report

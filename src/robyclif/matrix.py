@@ -6,9 +6,10 @@ kernel term-map routines without per-entry alignment.  The matrices this
 package builds are mostly empty (assembly actions are 1-5% nonzero), so
 every pass -- product, Kronecker product, sum, scaling, substitution,
 realignment -- spends work only on nonzero entries, plus the cost of
-writing the output list.  Entries are read-only: matrices share term maps
-with each other (``submatrix``, ``transpose``, sums with an empty side) and
-an empty slot may be one shared empty map.
+writing the output list.  A linear combination sum c_i * M_i is one
+``combination`` call, which reads each matrix once.  Entries are read-only:
+matrices share term maps with each other (``submatrix``, ``transpose``,
+sums with an empty side) and an empty slot may be one shared empty map.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import kernel
 from .errors import InputError
 from .poly import Poly, Scalar, _align_terms, _coerce_coeff, as_poly
 
-__all__ = ["PolyMatrix", "matpoly_pow", "is_scalar_multiple_of_identity"]
+__all__ = ["PolyMatrix", "matpoly_pow", "is_scalar_multiple_of_identity", "check_vanishes"]
 
 
 class PolyMatrix:
@@ -76,6 +77,32 @@ class PolyMatrix:
         data = [{}] * (n * n)
         for i, p in enumerate(polys):
             data[i * n + i] = p.aligned(vs)
+        return cls(n, n, vs, data, _canonical=True)
+
+    @classmethod
+    def combination(cls, pairs, n: int) -> "PolyMatrix":
+        """Sum of c * M over (coefficient, n x n matrix) pairs.
+
+        Coefficients are Polys, polynomial strings or scalars; zero ones are
+        skipped.  Each slot accumulates in pair order through ``mul_terms``
+        and ``add_terms``, so the term maps, their key order and ``vars``
+        equal those of the running sum ``zeros(n, n) + M_1.scaled(c_1) + ...``.
+        """
+        terms = []
+        for c, m in pairs:
+            if m.shape != (n, n):
+                raise InputError(f"shape mismatch: {m.shape} in a combination of {n}x{n} matrices")
+            p = as_poly(c)
+            if p:
+                terms.append((p, m))
+        vs = tuple(sorted({v for p, m in terms for v in p.vars + m.vars}))
+        data = [{}] * (n * n)
+        for p, m in terms:
+            pt = p.aligned(vs)
+            for k, t in enumerate(m.aligned_data(vs)):
+                if t:
+                    t = kernel.mul_terms(t, pt)
+                    data[k] = kernel.add_terms(data[k], t) if data[k] else t
         return cls(n, n, vs, data, _canonical=True)
 
     # -- context -----------------------------------------------------------------
@@ -262,6 +289,16 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.nrows}x{self.ncols})"
+
+
+def check_vanishes(report, name: str, m: PolyMatrix) -> None:
+    """Add the check ``name`` to report: m is zero, else its first nonzero entry."""
+    offender = m.first_nonzero()
+    report.add(
+        name,
+        offender is None,
+        detail="" if offender is None else f"entry ({offender[0]},{offender[1]}): {offender[2]}",
+    )
 
 
 def matpoly_pow(m: PolyMatrix, n: int) -> PolyMatrix:

@@ -223,14 +223,13 @@ def _quotients_match(
     return True, ""
 
 
-def run_pipeline(spec: PipelineSpec, *, order_cap: int | None = None) -> PipelineResult:
+def run_pipeline(spec: PipelineSpec) -> PipelineResult:
     """Validate the seed, assemble, extract, restrict, verify.
 
     The order is fixed: seed target and Roby identity first (bad seeds are
     user errors and must fail before any tensor work), then decomposition and
     the bound on the assembly's dimension (``MAX_ASSEMBLY_DIM``), assembly,
     morphism extraction, and the filtered checks on the line.
-    ``order_cap`` overrides the default bound on the twist root's order.
     """
     t0 = time.monotonic()
     algebra = spec.algebra
@@ -283,7 +282,7 @@ def run_pipeline(spec: PipelineSpec, *, order_cap: int | None = None) -> Pipelin
     assembly = seed
     labels = [0] * seed.dim
     if monomials:
-        xi = make_root(d, order_cap=order_cap)
+        xi = make_root(d)
         for m in monomials:
             assembly = twisted_tensor(assembly, monomial_charpoly_roby(m, algebra), xi)
             labels = [a + r for a in labels for r in range(d - 1, -1, -1)]

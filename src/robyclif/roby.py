@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError, VerificationError
 from .freealg import CharPoly, FreeAlgebra, char_poly, split_algebra
-from .matrix import PolyMatrix
+from .matrix import PolyMatrix, check_vanishes
 from .poly import HomForm, Poly, as_poly
 from .report import Report
 from .scalars import CycScalar, is_primitive_root
@@ -168,14 +168,12 @@ class GradedRobyModule:
         """Sum coeff_i * action_i (+ t * T) with the given variable names."""
         if len(coeff_names) != len(self.actions):
             raise InputError("need one coefficient name per action")
-        acc = PolyMatrix.zeros(self.dim, self.dim)
-        for name, m in zip(coeff_names, self.actions):
-            acc = acc + m.scaled(Poly.variable(name))
+        pairs = [(Poly.variable(name), m) for name, m in zip(coeff_names, self.actions)]
         if self.tslot is not None:
             if t_name is None:
                 raise InputError("this module carries a T-slot; pass its coefficient name")
-            acc = acc + self.tslot.scaled(Poly.variable(t_name))
-        return acc
+            pairs.append((Poly.variable(t_name), self.tslot))
+        return PolyMatrix.combination(pairs, self.dim)
 
     def all_vars(self):
         vs = set(self.target_poly.vars)
@@ -482,10 +480,9 @@ class CharMorphism:
         return self.matrices[0].nrows
 
     def generic_matrix(self, coeff_names) -> PolyMatrix:
-        acc = PolyMatrix.zeros(self.dim, self.dim)
-        for name, m in zip(coeff_names, self.matrices):
-            acc = acc + m.scaled(Poly.variable(name))
-        return acc
+        return PolyMatrix.combination(
+            [(Poly.variable(name), m) for name, m in zip(coeff_names, self.matrices)], self.dim
+        )
 
     def substitute_base(self, bindings) -> "CharMorphism":
         """Restrict along base-ring substitution (e.g. onto a line)."""
@@ -564,15 +561,7 @@ def verify_roby(module: GradedRobyModule) -> Report:
     generic = module.generic_matrix(coeffs, t_name)
     power = generic.pow(module.degree)
     value = module.target_poly.substitute(bindings)
-    diff = power - PolyMatrix.identity(module.dim).scaled(value)
-    offender = diff.first_nonzero()
-    report.add(
-        "power_identity",
-        offender is None,
-        detail=""
-        if offender is None
-        else f"entry ({offender[0]},{offender[1]}): {offender[2]}",
-    )
+    check_vanishes(report, "power_identity", power - PolyMatrix.identity(module.dim).scaled(value))
     report.meta["dim"] = module.dim
     report.meta["degree"] = module.degree
     report.meta["actions"] = list(module.action_names)
@@ -597,45 +586,39 @@ def verify_char_morphism(cm: CharMorphism, chi: CharPoly | None = None) -> Repor
     coeffs = fresh_names("a", chi.rank, avoid)
     generic = cm.generic_matrix(coeffs)
     value = chi.evaluate_matrix(generic, [Poly.variable(a) for a in coeffs])
-    offender = value.first_nonzero()
-    report.add(
-        "cayley_hamilton",
-        offender is None,
-        detail=""
-        if offender is None
-        else f"entry ({offender[0]},{offender[1]}): {offender[2]}",
-    )
-    unit_image = PolyMatrix.zeros(cm.dim, cm.dim)
-    for coeff, m in zip(algebra.unit, cm.matrices):
-        unit_image = unit_image + m.scaled(coeff)
-    report.add(
-        "unit",
-        unit_image == PolyMatrix.identity(cm.dim),
-        required=False,
-    )
-    mult_ok, mult_detail = _multiplicativity(algebra, cm.matrices)
-    report.add("multiplicativity", mult_ok, required=False, detail=mult_detail)
+    check_vanishes(report, "cayley_hamilton", value)
+    unit_ok, pair = _action_laws(algebra, cm.matrices)
+    report.add("unit", unit_ok, required=False)
+    detail = _product_detail(algebra, pair)
+    report.add("multiplicativity", pair is None, required=False, detail=detail)
     report.meta["rank"] = chi.rank
     report.meta["dim"] = cm.dim
     return report
 
 
-def _multiplicativity(algebra: FreeAlgebra, matrices) -> tuple:
-    d = algebra.rank
+def _action_laws(algebra: FreeAlgebra, matrices) -> tuple:
+    """The algebra-action laws of gamma_i -> matrices[i], checked exactly.
+
+    Returns (unit_ok, pair): unit_ok says the unit maps to the identity, and
+    pair is the first (i, j) with i <= j where C(gamma_i) C(gamma_j) differs
+    from the image of gamma_i * gamma_j, or None when all products agree.
+    """
     n = matrices[0].nrows
-    for i in range(d):
-        for j in range(i, d):
-            rhs = PolyMatrix.zeros(n, n)
-            for k in range(d):
-                c = algebra.table[i][j][k]
-                if c:
-                    rhs = rhs + matrices[k].scaled(c)
-            if matrices[i] * matrices[j] != rhs:
-                return False, (
-                    f"C({algebra.basis_names[i]})*C({algebra.basis_names[j]}) "
-                    f"is not the image of the product"
-                )
-    return True, ""
+    unit_ok = PolyMatrix.combination(zip(algebra.unit, matrices), n) == PolyMatrix.identity(n)
+    for i in range(algebra.rank):
+        for j in range(i, algebra.rank):
+            image = PolyMatrix.combination(zip(algebra.table[i][j], matrices), n)
+            if matrices[i] * matrices[j] != image:
+                return unit_ok, (i, j)
+    return unit_ok, None
+
+
+def _product_detail(algebra: FreeAlgebra, pair) -> str:
+    if pair is None:
+        return ""
+    i, j = pair
+    names = algebra.basis_names
+    return f"C({names[i]})*C({names[j]}) is not the image of the product"
 
 
 @dataclass(frozen=True)
@@ -701,44 +684,41 @@ def verify_filtered_pseudo(cm: CharMorphism, filtration: Filtration) -> Report:
     report = Report(
         title=f"filtered pseudomorphism: dim {cm.dim}, {len(filtration.flags)} flags"
     )
-    ok = True
+    quotients = filtration.quotients()
+    # entry (r, c) leaves a flag iff some flag holds c but not r; the first
+    # such flag is the one that first holds c
+    first = [0] * cm.dim
+    for k, (_, idx) in enumerate(quotients):
+        for i in idx:
+            first[i] = k
     detail = ""
     for name, m in zip(algebra.basis_names, cm.matrices):
-        for f in filtration.flags:
-            for c in sorted(f):
-                for r in range(cm.dim):
-                    if r not in f and m.data[r * m.ncols + c]:
-                        ok = False
-                        detail = f"C({name}) entry ({r},{c}) leaves a flag"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
+        n = m.ncols
+        leak = min(
+            (
+                (first[k % n], k % n, k // n)
+                for k, t in enumerate(m.data)
+                if t and first[k // n] > first[k % n]
+            ),
+            default=None,
+        )
+        if leak is not None:
+            detail = f"C({name}) entry ({leak[2]},{leak[1]}) leaves a flag"
             break
+    ok = not detail
     report.add("flags_preserved", ok, detail=detail)
-    unit_ok, mult_ok = True, True
     unit_detail, mult_detail = "", ""
     if ok:
-        for level, idx in filtration.quotients():
-            blocks = [m.submatrix(idx, idx) for m in cm.matrices]
-            n = len(idx)
-            unit_image = PolyMatrix.zeros(n, n)
-            for coeff, b in zip(algebra.unit, blocks):
-                unit_image = unit_image + b.scaled(coeff)
-            if unit_ok and unit_image != PolyMatrix.identity(n):
-                unit_ok = False
+        for level, idx in quotients:
+            unit_ok, pair = _action_laws(algebra, [m.submatrix(idx, idx) for m in cm.matrices])
+            if not unit_ok and not unit_detail:
                 unit_detail = f"quotient at level {level} misses the unit"
-            if mult_ok:
-                good, why = _multiplicativity(algebra, blocks)
-                if not good:
-                    mult_ok = False
-                    mult_detail = f"level {level}: {why}"
-    report.add("quotient_unit", ok and unit_ok, detail=unit_detail)
-    report.add("quotient_multiplicativity", ok and mult_ok, detail=mult_detail)
-    report.meta["levels"] = [level for level, _ in filtration.quotients()]
-    report.meta["quotient_dims"] = [len(idx) for _, idx in filtration.quotients()]
+            if pair is not None and not mult_detail:
+                mult_detail = f"level {level}: {_product_detail(algebra, pair)}"
+    report.add("quotient_unit", ok and not unit_detail, detail=unit_detail)
+    report.add("quotient_multiplicativity", ok and not mult_detail, detail=mult_detail)
+    report.meta["levels"] = [level for level, _ in quotients]
+    report.meta["quotient_dims"] = [len(idx) for _, idx in quotients]
     return report
 
 
@@ -776,28 +756,18 @@ class AlgebraEmbedding:
             for vec in row:
                 if len(vec) != b.rank:
                     raise InputError("coordinate vectors must have the target's rank")
+        # B acts faithfully on itself, so the laws hold on the coordinate
+        # vectors exactly when they hold on their multiplication matrices
         for m in range(self_n):
-            unit_image = [Poly.zero() for _ in range(b.rank)]
-            for p in range(a.rank):
-                if a.unit[p]:
-                    for i in range(b.rank):
-                        unit_image[i] = unit_image[i] + a.unit[p] * comps[p][m][i]
-            if any(unit_image[i] != b.unit[i] for i in range(b.rank)):
+            unit_ok, pair = _action_laws(a, [b.element_rep(row[m]) for row in comps])
+            if not unit_ok:
                 raise InputError(f"component {m + 1} does not preserve the unit")
-            for p in range(a.rank):
-                for q in range(p, a.rank):
-                    left = b.product(list(comps[p][m]), list(comps[q][m]))
-                    right = [Poly.zero() for _ in range(b.rank)]
-                    for k in range(a.rank):
-                        c = a.table[p][q][k]
-                        if c:
-                            for i in range(b.rank):
-                                right[i] = right[i] + c * comps[k][m][i]
-                    if any(left[i] != right[i] for i in range(b.rank)):
-                        raise InputError(
-                            f"component {m + 1} is not multiplicative on "
-                            f"({a.basis_names[p]}, {a.basis_names[q]})"
-                        )
+            if pair is not None:
+                p, q = pair
+                raise InputError(
+                    f"component {m + 1} is not multiplicative on "
+                    f"({a.basis_names[p]}, {a.basis_names[q]})"
+                )
 
     @property
     def ncomponents(self) -> int:
@@ -836,39 +806,26 @@ def induce_roby(
     if len(sizes) != 1:
         raise InputError("module action matrices must be square, equal size")
     w = sizes.pop()
-    unit_action = PolyMatrix.zeros(w, w)
-    for coeff, m in zip(b.unit, actions_b):
-        unit_action = unit_action + m.scaled(coeff)
-    if unit_action != PolyMatrix.identity(w):
+    unit_ok, pair = _action_laws(b, actions_b)
+    if not unit_ok:
         raise InputError("module action does not send the unit of B to the identity")
-    for i in range(b.rank):
-        for j in range(i, b.rank):
-            rhs = PolyMatrix.zeros(w, w)
-            for k in range(b.rank):
-                c = b.table[i][j][k]
-                if c:
-                    rhs = rhs + actions_b[k].scaled(c)
-            if actions_b[i] * actions_b[j] != rhs:
-                raise InputError(
-                    f"module action breaks on ({b.basis_names[i]}, {b.basis_names[j]})"
-                )
+    if pair is not None:
+        i, j = pair
+        raise InputError(f"module action breaks on ({b.basis_names[i]}, {b.basis_names[j]})")
 
-    def rho(coords) -> PolyMatrix:
-        acc = PolyMatrix.zeros(w, w)
-        for c, m in zip(coords, actions_b):
-            if c:
-                acc = acc + m.scaled(c)
-        return acc
-
-    eye_w = PolyMatrix.identity(w)
-    new_actions = []
-    for p in range(a.rank):
-        acc = PolyMatrix.zeros(d * w, d * w)
-        for m in range(d):
-            block = rho(embedding.components[p][m])
-            acc = acc + split_module.actions[m].kron(block)
-        new_actions.append(acc)
-    new_tslot = split_module.tslot.kron(eye_w)
+    # gamma_p acts by sum_m slot_m (x) rho(component m of gamma_p), where rho
+    # sends B-coordinates to the module action
+    new_actions = [
+        PolyMatrix.combination(
+            [
+                (1, slot.kron(PolyMatrix.combination(zip(coords, actions_b), w)))
+                for slot, coords in zip(split_module.actions, row)
+            ],
+            d * w,
+        )
+        for row in embedding.components
+    ]
+    new_tslot = split_module.tslot.kron(PolyMatrix.identity(w))
     grading = [g for g in split_module.grading for _ in range(w)]
     module = GradedRobyModule(
         d,

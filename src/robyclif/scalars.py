@@ -7,8 +7,9 @@ graded tensor product, where primitivity is load-bearing; callers can check it
 with :func:`is_primitive_root` instead of trusting the construction.
 
 Rationals embed in Q(zeta_e) for every e.  Two cyclotomics of different
-orders are lifted to the lcm order before combining; the lift is capped to
-keep a typo from silently allocating a degree-ten-thousand field.
+orders are lifted to the lcm order before combining.  Every field is built
+through the ``CycScalar`` constructor, which caps the order before computing
+Phi_e, so a typo cannot silently allocate a degree-ten-thousand field.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ __all__ = [
     "scalar_to_string",
 ]
 
-# Largest cyclotomic order the lcm lift will construct implicitly, and the
-# largest that parse_scalar will read.
+# Largest cyclotomic order any CycScalar may have: roots, literals, lcm lifts.
 ORDER_CAP = 128
 
 _ZERO = Fraction(0)
@@ -141,6 +141,8 @@ class CycScalar:
     def __init__(self, order: int, coeffs) -> None:
         if not isinstance(order, int) or order < 1:
             raise InputError(f"cyclotomic order must be a positive integer, got {order!r}")
+        if order > ORDER_CAP:
+            raise InputError(f"cyclotomic order {order} exceeds the cap {ORDER_CAP}")
         self.order = order
         cs = [Fraction(c) for c in coeffs]
         self.coeffs = _reduce_mod_phi(cs, order)
@@ -185,11 +187,6 @@ class CycScalar:
         if other.order == self.order:
             return self, other
         common = self.order * other.order // gcd(self.order, other.order)
-        if common > ORDER_CAP:
-            raise InputError(
-                f"combining orders {self.order} and {other.order} needs order "
-                f"{common}, above the cap {ORDER_CAP}"
-            )
         return self.lift(common), other.lift(common)
 
     # -- arithmetic -------------------------------------------------------
@@ -312,13 +309,10 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _poly_trim(out)
 
 
-def make_root(e: int, *, order_cap: int | None = None) -> CycScalar:
+def make_root(e: int) -> CycScalar:
     """A primitive e-th root of unity zeta_e as a CycScalar of order e."""
-    cap = ORDER_CAP if order_cap is None else order_cap
     if not isinstance(e, int) or e < 1:
         raise InputError(f"root order must be a positive integer, got {e!r}")
-    if e > cap:
-        raise InputError(f"root order {e} exceeds the configured cap {cap}")
     if e == 1:
         return CycScalar(1, [_ONE])
     cs = [_ZERO, _ONE]
@@ -381,8 +375,6 @@ def parse_scalar(s: str):
             coeffs = [Fraction(part.strip()) for part in tail.split(",")] if tail.strip() else []
         except ValueError as exc:
             raise InputError(f"malformed cyclotomic literal: {s!r}") from exc
-        if order > ORDER_CAP:
-            raise InputError(f"cyclotomic order {order} exceeds the cap {ORDER_CAP}")
         return CycScalar(order, coeffs)
     try:
         return Fraction(s)

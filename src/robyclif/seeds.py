@@ -58,10 +58,10 @@ def form_element_matrix(module: GradedRobyModule) -> PolyMatrix:
     """
     if module.has_tslot:
         raise InputError("only form modules have a form element")
-    acc = PolyMatrix.zeros(module.dim, module.dim)
-    for name in module.action_names:
-        acc = acc + module.action(name).scaled(Poly.variable(name))
-    return acc
+    return PolyMatrix.combination(
+        [(Poly.variable(name), m) for name, m in zip(module.action_names, module.actions)],
+        module.dim,
+    )
 
 
 def _block_shift(blocks, w: int) -> PolyMatrix:

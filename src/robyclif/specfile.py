@@ -434,7 +434,6 @@ def parse_pipeline(text: str, *, base_dir=None) -> PipelineSpec:
 class Config:
     """Optional knobs shared by the CLI; environment variables are never read."""
 
-    field_order_cap: int | None = None
     degree_window_pad: int = 0
     out_dir: str | None = None
 
@@ -443,15 +442,8 @@ def parse_config(text: str) -> Config:
     sections = _parse_sections(text)
     if len(sections) != 1 or sections[0].name != "config":
         raise InputError("a config file holds exactly one [config] section")
-    m = _pairs_map(
-        sections[0], allowed={"field_order_cap", "degree_window_pad", "out_dir"}
-    )
+    m = _pairs_map(sections[0], allowed={"degree_window_pad", "out_dir"})
     return Config(
-        field_order_cap=(
-            _int(m["field_order_cap"], "field_order_cap")
-            if "field_order_cap" in m
-            else None
-        ),
         degree_window_pad=(
             _int(m["degree_window_pad"], "degree_window_pad")
             if "degree_window_pad" in m

@@ -279,12 +279,14 @@ class TestConfig:
                      "--out", "chi.txt"]) == 0
         assert (tmp_path / "box" / "chi.txt").exists()
 
-    def test_field_order_cap_reaches_pipeline(self, quadric_pipeline_file,
-                                              tmp_path, capsys):
+    def test_field_order_cap_is_not_a_config_key(self, quadric_pipeline_file,
+                                                 tmp_path, capsys):
         conf = tmp_path / "conf"
-        conf.write_text("[config]\nfield_order_cap = 1\n")
+        conf.write_text("[config]\nfield_order_cap = 12\n")
         assert main(["--config", str(conf), "pipeline", quadric_pipeline_file]) == 2
-        assert "cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "does not take a key 'field_order_cap'" in err
+        assert "Traceback" not in err
 
     def test_bad_config_file(self, quadric_algebra_file, tmp_path, capsys):
         conf = tmp_path / "conf"

@@ -10,7 +10,8 @@ import pytest
 from robyclif import kernel
 from robyclif.errors import InputError
 from robyclif.matrix import PolyMatrix, is_scalar_multiple_of_identity, matpoly_pow
-from robyclif.poly import Poly, parse_poly
+from robyclif.poly import Poly, as_poly, parse_poly
+from robyclif.scalars import make_root
 
 x = Poly.variable("x")
 y = Poly.variable("y")
@@ -238,6 +239,55 @@ def test_sparse_passes_across_variable_contexts():
         )
 
 
+def running_sum(pairs, n):
+    """Sum c * M the way callers wrote it before ``combination``: one full pass per term."""
+    acc = PolyMatrix.zeros(n, n)
+    for c, m in pairs:
+        if as_poly(c):
+            acc = acc + m.scaled(c)
+    return acc
+
+
+def test_combination_equals_the_running_sum_key_for_key():
+    rng = random.Random(45)
+    contexts = [VARS, ("w", "y"), (), ("a",), ("v", "x")]
+    coefficients = [
+        lambda: 0,
+        lambda: Fraction(0),
+        lambda: "0",
+        lambda: Poly.zero(),
+        lambda: rng.randrange(-3, 4),
+        lambda: Fraction(rng.randrange(-5, 6), rng.randrange(1, 5)),
+        lambda: rng.choice(("x", "w - 2*y", "a^2 + 1/3", "x*y*z")),
+        lambda: Poly.variable(rng.choice(("x", "v", "a"))) + rng.randrange(0, 3),
+        lambda: make_root(3),
+    ]
+    for trial in range(120):
+        n = rng.randrange(0, 7)
+        pairs = [
+            (
+                rng.choice(coefficients)(),
+                random_matrix(rng, n, n, rng.choice(DENSITIES), vars=rng.choice(contexts)),
+            )
+            for _ in range(rng.randrange(0, 6))
+        ]
+        got = PolyMatrix.combination(pairs, n)
+        want = running_sum(pairs, n)
+        where = f"trial {trial}: n={n}, coefficients {[c for c, _ in pairs]!r}"
+        assert got.shape == (n, n), where
+        assert got.vars == want.vars, where
+        assert got.data == want.data, where
+        assert items(got) == items(want), where
+
+
+def test_combination_checks_shapes():
+    with pytest.raises(InputError, match="shape mismatch"):
+        PolyMatrix.combination([(1, PolyMatrix.identity(2)), (x, PolyMatrix.zeros(2, 3))], 2)
+    with pytest.raises(InputError, match="shape mismatch"):
+        PolyMatrix.combination([(0, PolyMatrix.identity(3))], 2)
+    assert PolyMatrix.combination([], 3) == PolyMatrix.zeros(3, 3)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     calls = Counter()
@@ -285,6 +335,12 @@ def test_kernel_work_scales_with_nonzeros(kernel_calls):
     assert pairs > 0
     assert kernel_calls["mul_into"] == pairs
 
+    terms = [(x, a), (0, c), (y + 1, c)]
+    kernel_calls.clear()
+    PolyMatrix.combination(terms, 12)
+    assert kernel_calls["mul_terms"] == nnz(a) + nnz(c)
+    assert kernel_calls["add_terms"] == both
+
 
 def test_no_operation_mutates_its_operands():
     rng = random.Random(44)
@@ -299,6 +355,7 @@ def test_no_operation_mutates_its_operands():
         "pow": lambda: a.pow(3),
         "substitute": lambda: a.substitute({"x": "y + 1"}),
         "aligned_data": lambda: a.aligned_data(("w", "x", "y", "z")),
+        "combination": lambda: PolyMatrix.combination([(x + 1, a), (2, b), (Fraction(1, 3), a)], 4),
         "==": lambda: a == b,
     }
     for name, op in ops.items():

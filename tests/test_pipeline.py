@@ -1,8 +1,13 @@
 """End-to-end pipeline runs on small covers, with hand-checked quotients."""
 
+import json
+from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
+
+from robyclif.cli import main
 
 from robyclif.errors import InputError, VerificationError
 from robyclif.freealg import char_poly, monogenic_algebra, restrict_char_poly
@@ -21,6 +26,9 @@ from robyclif.roby import (
     verify_filtered_pseudo,
 )
 from robyclif.seeds import mf_seed, perturbed_split_algebra
+from robyclif.specfile import parse_pipeline, render_roby_module
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def quadric_algebra():
@@ -293,3 +301,41 @@ class TestPipelineErrors:
         alg = monogenic_algebra(parse_poly("z^3 - x^3 - y^3"), "z")
         with pytest.raises(InputError, match="seed degree 2"):
             PipelineSpec(alg, {}, mf_seed("x", "y"))
+
+
+def float_paths(obj, path="", seen=None):
+    """Where floats hide in obj: containers, dict keys, slots and attributes."""
+    if isinstance(obj, float):
+        return [path]
+    seen = set() if seen is None else seen
+    if obj is None or isinstance(obj, (bool, int, str, Fraction)) or id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        children = [(f"{path}[{k!r}]", v) for k, v in obj.items()]
+        children += [(f"{path} key {k!r}", k) for k in obj]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
+    else:
+        names = [n for cls in type(obj).__mro__ for n in getattr(cls, "__slots__", ())]
+        names += list(getattr(obj, "__dict__", {}))
+        children = [(f"{path}.{n}", getattr(obj, n)) for n in names if hasattr(obj, n)]
+    return [p for child_path, child in children for p in float_paths(child, child_path, seen)]
+
+
+def test_no_float_in_results_or_json_output(tmp_path, capsys):
+    assert float_paths(PolyMatrix(1, 1, (), [{(): 0.5}])) == [".data[0][()]"]
+    demos = sorted((ROOT / "demo").glob("*.pipeline"))
+    assert len(demos) == 2
+    results = {"multi_branch_spec(3)": run_pipeline(multi_branch_spec(3))}
+    for path in demos:
+        results[path.name] = run_pipeline(parse_pipeline(path.read_text(), base_dir=path.parent))
+    for name, result in results.items():
+        assert float_paths(result) == [], name
+    seed = tmp_path / "seed.roby"
+    seed.write_text(render_roby_module(mf_seed("x", "y")))
+    commands = [["pipeline", str(p)] for p in demos]
+    commands += [["charmor", str(seed)], ["charpoly", str(ROOT / "demo" / "quadric.algebra")]]
+    for argv in commands:
+        assert main(argv + ["--json"]) == 0, argv
+        assert float_paths(json.loads(capsys.readouterr().out)) == [], argv

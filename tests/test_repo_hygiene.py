@@ -1,10 +1,13 @@
-"""Generated and stale files stay out of git: no tracked file matches .gitignore."""
+"""Repository hygiene: no generated file tracked in git, no stale README config."""
 
+import re
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+from robyclif.specfile import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,3 +20,10 @@ def test_no_tracked_file_is_ignored():
         cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout
     assert listed == "", f"tracked files match .gitignore:\n{listed}"
+
+
+def test_readme_config_block_parses():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```\n(\[config\]\n.*?)```", text, re.S)
+    assert len(blocks) == 1
+    parse_config(blocks[0])

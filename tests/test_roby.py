@@ -460,6 +460,47 @@ class TestFiltration:
         with pytest.raises(InputError, match="dimension"):
             verify_filtered_pseudo(self.remark_morphism(), Filtration.trivial(3))
 
+    def test_flag_check_matches_the_nested_loop(self):
+        def nested_loop(cm, filtration):
+            # the flag scan verify_filtered_pseudo once ran, kept as the oracle
+            for name, m in zip(cm.source.basis_names, cm.matrices):
+                for f in filtration.flags:
+                    for c in sorted(f):
+                        for r in range(cm.dim):
+                            if r not in f and m.data[r * m.ncols + c]:
+                                return False, f"C({name}) entry ({r},{c}) leaves a flag"
+            return True, ""
+
+        rng = random.Random(46)
+        alg = split_algebra(2)
+        chi = char_poly(alg)
+        verdicts = set()
+        for trial in range(300):
+            n = rng.randrange(1, 8)
+            if rng.random() < 0.5:
+                filtration = Filtration.from_levels([rng.randrange(0, 4) for _ in range(n)])
+            else:
+                order = rng.sample(range(n), n)
+                cuts = sorted(rng.sample(range(1, n), rng.randrange(0, n))) + [n]
+                filtration = Filtration(n, [order[:k] for k in cuts])
+            level = {i: k for k, (_, idx) in enumerate(filtration.quotients()) for i in idx}
+
+            def entry(r, c):
+                # flag-preserving entries are common, a leaking one is rare
+                odds = 0.4 if level[r] <= level[c] else 0.03
+                return rng.choice((1, -2, "a", "x - 1")) if rng.random() < odds else 0
+
+            matrices = [
+                PolyMatrix.from_rows([[entry(r, c) for c in range(n)] for r in range(n)])
+                for _ in range(2)
+            ]
+            cm = CharMorphism(alg, matrices, chi)
+            check = verify_filtered_pseudo(cm, filtration).get("flags_preserved")
+            want = nested_loop(cm, filtration)
+            assert (check.ok, check.detail) == want, f"trial {trial}"
+            verdicts.add(want[0])
+        assert verdicts == {True, False}
+
 
 class TestLineReindexing:
     def test_in_ideal(self):
@@ -565,6 +606,111 @@ class TestInducedModules:
         emb = AlgebraEmbedding(alg, alg, (((1, 0),), ((0, 1),)))
         with pytest.raises(InputError, match="component"):
             induce_roby(split_roby(2), [PolyMatrix.identity(2)], emb)
+
+    def test_embedding_laws_match_the_coordinate_loops(self):
+        def coordinate_loops(a, b, comps):
+            # the coordinate-vector check AlgebraEmbedding once ran, kept as the oracle
+            for m in range(len(comps[0])):
+                unit_image = [Poly.zero() for _ in range(b.rank)]
+                for p in range(a.rank):
+                    if a.unit[p]:
+                        for i in range(b.rank):
+                            unit_image[i] = unit_image[i] + a.unit[p] * comps[p][m][i]
+                if any(unit_image[i] != b.unit[i] for i in range(b.rank)):
+                    return f"component {m + 1} does not preserve the unit"
+                for p in range(a.rank):
+                    for q in range(p, a.rank):
+                        left = b.product(list(comps[p][m]), list(comps[q][m]))
+                        right = [Poly.zero() for _ in range(b.rank)]
+                        for k in range(a.rank):
+                            c = a.table[p][q][k]
+                            if c:
+                                for i in range(b.rank):
+                                    right[i] = right[i] + c * comps[k][m][i]
+                        if any(left[i] != right[i] for i in range(b.rank)):
+                            return (
+                                f"component {m + 1} is not multiplicative on "
+                                f"({a.basis_names[p]}, {a.basis_names[q]})"
+                            )
+            return None
+
+        s2, s3, s4 = split_algebra(2), split_algebra(3), split_algebra(4)
+        perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        valid = [
+            (self.hypersurface(), self.hypersurface(), (((1, 0), (1, 0)), ((0, -1), (0, 1)))),
+            (s2, s2, (((1, 0), (0, 1)), ((0, 1), (1, 0)))),
+            (s3, s3, tuple(tuple(tuple(int(k == perm[p]) for k in range(3)) for perm in perms)
+                           for p in range(3))),
+            (s2, s4, (((1, 1, 0, 0), (0, 0, 1, 1)), ((0, 0, 1, 1), (1, 1, 0, 0)))),
+        ]
+        rng = random.Random(47)
+        verdicts = set()
+        for trial in range(200):
+            a, b, comps = rng.choice(valid)
+            comps = [[[parse_poly(str(c)) for c in vec] for vec in row] for row in comps]
+            for _ in range(rng.randrange(0, 3)):
+                vec = rng.choice(rng.choice(comps))
+                i = rng.randrange(b.rank)
+                vec[i] = vec[i] + parse_poly(rng.choice(("1", "-1", "2", "x", "1/2")))
+            want = coordinate_loops(a, b, comps)
+            try:
+                AlgebraEmbedding(a, b, comps)
+                got = None
+            except InputError as exc:
+                got = str(exc)
+            assert got == want, f"trial {trial}"
+            verdicts.add(want and ("unit" if "unit" in want else "product"))
+        assert verdicts == {None, "unit", "product"}
+
+    def test_module_action_laws_match_the_matrix_loops(self):
+        def matrix_loops(b, actions):
+            # the action check induce_roby once ran, kept as the oracle
+            w = actions[0].nrows
+            unit_action = PolyMatrix.zeros(w, w)
+            for coeff, m in zip(b.unit, actions):
+                unit_action = unit_action + m.scaled(coeff)
+            if unit_action != PolyMatrix.identity(w):
+                return "module action does not send the unit of B to the identity"
+            for i in range(b.rank):
+                for j in range(i, b.rank):
+                    rhs = PolyMatrix.zeros(w, w)
+                    for k in range(b.rank):
+                        c = b.table[i][j][k]
+                        if c:
+                            rhs = rhs + actions[k].scaled(c)
+                    if actions[i] * actions[j] != rhs:
+                        return f"module action breaks on ({b.basis_names[i]}, {b.basis_names[j]})"
+            return None
+
+        s2 = split_algebra(2)
+        swap = AlgebraEmbedding(s2, s2, (((1, 0), (0, 1)), ((0, 1), (1, 0))))
+        valid = [
+            (self.sign_swap_embedding(self.hypersurface()),
+             [[[1, 0], [0, 1]], [[0, "x"], ["y", 0]]]),
+            (swap, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
+            (swap, [[[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]),
+        ]
+        rng = random.Random(48)
+        verdicts = set()
+        for trial in range(120):
+            emb, rows = rng.choice(valid)
+            rows = [[list(row) for row in grid] for grid in rows]
+            for _ in range(rng.randrange(0, 3)):
+                grid = rng.choice(rows)
+                r, c = rng.randrange(len(grid)), rng.randrange(len(grid))
+                grid[r][c] = parse_poly(str(grid[r][c])) + parse_poly(rng.choice(("1", "-1", "x")))
+            actions = [PolyMatrix.from_rows(grid) for grid in rows]
+            want = matrix_loops(emb.target, actions)
+            try:
+                induce_roby(split_roby(2), actions, emb)
+                got = None
+            except InputError as exc:
+                got = str(exc)
+            except VerificationError:
+                got = None
+            assert got == want, f"trial {trial}"
+            verdicts.add(want and ("unit" if "unit" in want else "product"))
+        assert verdicts == {None, "unit", "product"}
 
     def test_split_cover_of_the_split_algebra(self):
         alg = split_algebra(2)

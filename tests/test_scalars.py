@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from robyclif import scalars
 from robyclif.errors import InputError
 from robyclif.scalars import (
     ORDER_CAP,
@@ -124,7 +125,6 @@ def test_lcm_lift_respects_the_order_cap():
         make_root(11) * make_root(13)  # lcm 143 > 128
     with pytest.raises(InputError):
         make_root(129)
-    # an explicit cap widens the constructor but not combination
     assert make_root(128).order == 128
 
 
@@ -192,3 +192,20 @@ def test_parse_scalar_caps_the_field_order():
         parse_scalar("poly(5000; 0, 1)")
     with pytest.raises(InputError, match="exceeds the cap"):
         parse_scalar(f"poly({ORDER_CAP + 1}; 1)")
+
+
+def test_the_constructor_caps_the_order_before_building_the_field(monkeypatch):
+    built = []
+    real = scalars.cyclotomic_polynomial
+
+    def recording(e):
+        built.append(e)
+        return real(e)
+
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", recording)
+    for order, coeffs in ((ORDER_CAP + 1, [1]), (5000, [0, 1])):
+        with pytest.raises(InputError, match=f"order {order} exceeds the cap {ORDER_CAP}"):
+            CycScalar(order, coeffs)
+    assert built == []
+    CycScalar(ORDER_CAP, [0, 1])  # the recorder is live: a field at the cap is built
+    assert built[0] == ORDER_CAP

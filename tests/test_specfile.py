@@ -264,23 +264,22 @@ class TestPipelineFiles:
 class TestConfigFiles:
     def test_defaults(self):
         assert parse_config("[config]\n") == Config()
-        assert Config().field_order_cap is None
         assert Config().degree_window_pad == 0
         assert Config().out_dir is None
 
     def test_values(self):
         cfg = parse_config(
-            "[config]\nfield_order_cap = 12\ndegree_window_pad = 3\nout_dir = out\n"
+            "[config]\ndegree_window_pad = 3\nout_dir = out\n"
         )
-        assert cfg == Config(field_order_cap=12, degree_window_pad=3, out_dir="out")
+        assert cfg == Config(degree_window_pad=3, out_dir="out")
 
     def test_single_section_enforced(self):
         with pytest.raises(InputError, match="exactly one \\[config\\]"):
             parse_config("[config]\n\n[algebra]\nsplit = 2\n")
 
-    def test_non_integer_cap_rejected(self):
+    def test_non_integer_value_rejected(self):
         with pytest.raises(InputError, match="must be an integer"):
-            parse_config("[config]\nfield_order_cap = many\n")
+            parse_config("[config]\ndegree_window_pad = many\n")
 
 
 class TestSpecKind:
