@@ -1,12 +1,15 @@
 """Term-map kernel: the hot loops of polynomial and matrix arithmetic.
 
-A term map is a dict from exponent tuples to nonzero coefficients (Fraction
-or CycScalar).  Coefficients live in a field, so a product of nonzeros is
-nonzero and only accumulation can cancel.  No function here mutates its
+A term map is a dict from exponent tuples to nonzero coefficients: ``int``
+when integral, ``Fraction`` when rational, ``CycScalar`` otherwise (see
+``scalars.narrow``).  Coefficients live in a field, so a product of nonzeros
+is nonzero and only accumulation can cancel.  No function here mutates its
 inputs; ``mul_into`` mutates only its accumulator.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 
 def add_terms(a: dict, b: dict) -> dict:
@@ -57,7 +60,7 @@ def mul_terms(a: dict, b: dict) -> dict:
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
+            exp = tuple(map(add, ea, eb))
             c = ca * cb
             cur = out.get(exp)
             if cur is None:
@@ -79,7 +82,7 @@ def mul_into(acc: dict, a: dict, b: dict) -> None:
         a, b = b, a
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
+            exp = tuple(map(add, ea, eb))
             c = ca * cb
             cur = acc.get(exp)
             if cur is None:

@@ -15,6 +15,7 @@ from .errors import InputError
 from .matrix import PolyMatrix
 from .poly import Poly, as_poly
 from .roby import CharMorphism
+from .scalars import exact_div
 
 __all__ = [
     "GradedModuleP1",
@@ -167,7 +168,7 @@ def _rank_of_rows(rows) -> int:
             piv = pivots.get(lead)
             if piv is None:
                 c = work[lead]
-                pivots[lead] = {k: v / c for k, v in work.items()}
+                pivots[lead] = {k: exact_div(v, c) for k, v in work.items()}
                 rank += 1
                 break
             c = work.pop(lead)

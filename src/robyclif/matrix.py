@@ -2,7 +2,9 @@
 
 A ``PolyMatrix`` stores its entries as a flat row-major list of term maps,
 all aligned to one variable context, so products run straight through the
-kernel term-map routines without per-entry alignment.  The matrices this
+kernel term-map routines without per-entry alignment.  Coefficients are
+``int`` when integral (``identity`` stores the int 1), ``Fraction`` when
+rational and ``CycScalar`` only when not in Q.  The matrices this
 package builds are mostly empty (assembly actions are 1-5% nonzero), so
 every pass -- product, Kronecker product, sum, scaling, substitution,
 realignment -- spends work only on nonzero entries, plus the cost of
@@ -13,8 +15,6 @@ sums with an empty side) and an empty slot may be one shared empty map.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import kernel
 from .errors import InputError
@@ -59,10 +59,9 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
-        one = Fraction(1)
         data = [{}] * (n * n)
         for i in range(n):
-            data[i * n + i] = {(): one}
+            data[i * n + i] = {(): 1}
         return cls(n, n, (), data, _canonical=True)
 
     @classmethod

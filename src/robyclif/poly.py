@@ -1,10 +1,11 @@
 """Sparse multivariate polynomials over exact scalars.
 
 A ``Poly`` is a canonical term map: exponent tuple -> nonzero coefficient,
-where coefficients are ``Fraction`` or ``CycScalar`` and exponent tuples are
-aligned to a sorted tuple of variable names.  Canonical means no explicit
-zero terms ever get stored, so two polynomials are equal exactly when their
-aligned term maps are equal.
+where each coefficient is stored in the cheapest exact type that holds it
+(``int`` when integral, ``Fraction`` when rational, ``CycScalar`` only when
+not in Q) and exponent tuples are aligned to a sorted tuple of variable
+names.  Canonical means no explicit zero terms ever get stored, so two
+polynomials are equal exactly when their aligned term maps are equal.
 
 The textual syntax is ``3/2*x^2*y - z2`` with variables matching
 ``[a-zA-Z][a-zA-Z0-9_]*``; the reserved atoms ``zeta2``, ``zeta3``, ... parse
@@ -16,10 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import kernel
 from .errors import InputError
-from .scalars import CycScalar, make_root
+from .scalars import CycScalar, exact_div, make_root, narrow
 
 __all__ = [
     "Poly",
@@ -37,10 +39,8 @@ _ZETA_RE = re.compile(r"zeta([0-9]+)\Z")
 
 
 def _coerce_coeff(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, (Fraction, CycScalar)):
-        return c
+    if isinstance(c, Scalar):
+        return narrow(c)
     raise InputError(f"unsupported coefficient type: {type(c).__name__}")
 
 
@@ -126,7 +126,7 @@ class Poly:
     @classmethod
     def variable(cls, name: str) -> "Poly":
         _check_var_name(name)
-        return cls((name,), {(1,): Fraction(1)}, _canonical=True)
+        return cls((name,), {(1,): 1}, _canonical=True)
 
     @classmethod
     def from_string(cls, text: str) -> "Poly":
@@ -195,11 +195,7 @@ class Poly:
         c = _coerce_coeff(other)
         if not c:
             raise ZeroDivisionError("division of a polynomial by zero")
-        if isinstance(c, Fraction):
-            inv = Fraction(1) / c
-        else:
-            inv = 1 / c
-        return self * inv
+        return self * exact_div(1, c)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -266,7 +262,7 @@ class Poly:
     def constant_value(self):
         """The value of a constant polynomial as a scalar."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise InputError(f"polynomial is not constant: {self}")
         return next(iter(self.terms.values()))
@@ -313,7 +309,7 @@ class Poly:
         ]
         aligned_vals = {v: p.aligned(new_vars) for v, p in vals.items()}
         pow_cache: dict[str, list] = {
-            v: [{(0,) * width: Fraction(1)}, aligned_vals[v]] for v in aligned_vals
+            v: [{(0,) * width: 1}, aligned_vals[v]] for v in aligned_vals
         }
 
         def var_power(v: str, n: int):
@@ -446,6 +442,30 @@ class HomForm:
 # stack frames, which keeps it far below Python's recursion limit.
 MAX_NESTING = 100
 
+# Largest predicted term count of a parsed power ``(...)^N`` (see
+# ``_power_term_bound``).  Every power in the tests, demos and benchmark
+# inputs raises a single term, which predicts 1.  Expansion costs about the
+# square of the term count, so 1000 keeps the worst admitted power near a
+# second and a half on a 2-CPU VM (``(x+y+z+w)^16``, 969 terms), while
+# ``(x+y+z+w+u)^10`` (1001 terms) and ``^20`` (10626 terms) are refused
+# before any expansion.
+MAX_POWER_TERMS = 1000
+
+
+def _power_term_bound(base: Poly, n: int) -> int:
+    """Upper bound on the number of terms of base**n, without expanding it.
+
+    base**n has total degree at most n*deg in the k variables base uses, so
+    at most C(k + n*deg, k) monomials; each of its terms is also a product of
+    n of the t terms of base, so there are at most C(t + n - 1, n) of them.
+    """
+    if not base.terms:
+        return 1
+    k = sum(1 for i in range(len(base.vars)) if any(exp[i] for exp in base.terms))
+    by_degree = comb(k + n * base.total_degree(), k)
+    return min(by_degree, comb(len(base.terms) + n - 1, n))
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>[0-9]+(?:\s*/\s*[0-9]+)?)|(?P<name>[a-zA-Z][a-zA-Z0-9_]*)"
     r"|(?P<op>[-+*^()]))"
@@ -462,7 +482,7 @@ def _tokenize(text: str):
             break
         pos = m.end()
         if m.lastgroup == "number":
-            tokens.append(("number", Fraction(m.group("number").replace(" ", ""))))
+            tokens.append(("number", narrow(Fraction(m.group("number").replace(" ", "")))))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name")))
         else:
@@ -531,7 +551,12 @@ class _Parser:
             kind, exp = self.take()
             if kind != "number" or exp.denominator != 1 or exp < 0:
                 raise InputError("exponent must be a nonnegative integer")
-            return base ** int(exp)
+            bound = _power_term_bound(base, exp)
+            if bound > MAX_POWER_TERMS:
+                raise InputError(
+                    f"power ^{exp} may expand to {bound} terms, above the cap {MAX_POWER_TERMS}"
+                )
+            return base ** exp
         return base
 
     def parse_atom(self) -> Poly:

@@ -1,7 +1,12 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_e).
 
 A ``CycScalar`` is a residue modulo the e-th cyclotomic polynomial Phi_e with
-arbitrary-precision rational coefficients, so every operation is exact.  The
+arbitrary-precision rational coefficients (``int`` when integral,
+``Fraction`` otherwise), so every operation is exact.  Polynomial and matrix
+coefficients are held in the cheapest type that holds their value
+(:func:`narrow`): ``int`` when integral, ``Fraction`` when rational and not
+integral, ``CycScalar`` only when the value is not in Q.  ``int / int`` is
+a float in Python, so every division goes through :func:`exact_div`.  The
 primitive root returned by :func:`make_root` powers the sign twist of the
 graded tensor product, where primitivity is load-bearing; callers can check it
 with :func:`is_primitive_root` instead of trusting the construction.
@@ -17,11 +22,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, neg, sub
 
 from .errors import InputError
 
 __all__ = [
     "CycScalar",
+    "exact_div",
+    "narrow",
     "make_root",
     "cyc_arith",
     "is_primitive_root",
@@ -31,9 +39,6 @@ __all__ = [
 
 # Largest cyclotomic order any CycScalar may have: roots, literals, lcm lifts.
 ORDER_CAP = 128
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -51,16 +56,16 @@ def euler_phi(e: int) -> int:
     return result
 
 
-def _poly_trim(cs: list[Fraction]) -> list[Fraction]:
+def _poly_trim(cs: list) -> list:
     while cs and not cs[-1]:
         cs.pop()
     return cs
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_mul(a, b) -> list:
     if not a or not b:
         return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -69,18 +74,18 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _poly_trim(out)
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
     # Coefficients form a field, so plain long division is exact.
     a = list(a)
     db, lead = len(b) - 1, b[-1]
     if db < 0:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(0, len(a) - db)
+    q = [0] * max(0, len(a) - db)
     while len(a) - 1 >= db and _poly_trim(a):
         da = len(a) - 1
         if da < db:
             break
-        c = a[-1] / lead
+        c = exact_div(a[-1], lead)
         q[da - db] = c
         for i in range(db + 1):
             a[da - db + i] -= c * b[i]
@@ -89,12 +94,12 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(e: int) -> tuple[Fraction, ...]:
-    """Ascending coefficients of Phi_e, via Phi_e = (x^e - 1) / prod Phi_d."""
+def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of Phi_e, via Phi_e = (x^e - 1) / prod Phi_d."""
     if e == 1:
-        return (Fraction(-1), _ONE)
-    num = [_ZERO] * (e + 1)
-    num[0], num[e] = Fraction(-1), _ONE
+        return (-1, 1)
+    num = [0] * (e + 1)
+    num[0], num[e] = -1, 1
     for d in range(1, e):
         if e % d == 0:
             num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
@@ -103,7 +108,7 @@ def cyclotomic_polynomial(e: int) -> tuple[Fraction, ...]:
     return tuple(num)
 
 
-def _reduce_mod_phi(cs: list[Fraction], e: int) -> tuple[Fraction, ...]:
+def _reduce_mod_phi(cs: list, e: int) -> tuple:
     """Reduce an ascending coefficient list modulo Phi_e; fixed width phi(e)."""
     phi = cyclotomic_polynomial(e)
     d = len(phi) - 1
@@ -111,28 +116,59 @@ def _reduce_mod_phi(cs: list[Fraction], e: int) -> tuple[Fraction, ...]:
     for top in range(len(cs) - 1, d - 1, -1):
         c = cs[top]
         if c:
-            cs[top] = _ZERO
+            cs[top] = 0
             for i in range(d):
                 cs[top - d + i] -= c * phi[i]
     cs = cs[:d]
-    cs.extend([_ZERO] * (d - len(cs)))
+    cs.extend([0] * (d - len(cs)))
     return tuple(cs)
 
 
-def _as_fraction(x) -> Fraction | None:
-    if isinstance(x, Fraction):
+def _rational(x):
+    """An int or Fraction x as an int when integral; None for other types."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):  # bool
+        return int(x)
     return None
+
+
+def narrow(x):
+    """An exact scalar in the cheapest type that holds its value.
+
+    ``int`` when integral, ``Fraction`` when rational, and ``CycScalar`` only
+    when the value is not in Q; anything else is an ``InputError``.
+    """
+    r = _rational(x)
+    if r is not None:
+        return r
+    if isinstance(x, CycScalar):
+        r = x.as_rational()
+        return x if r is None else _rational(r)
+    raise InputError(f"not an exact scalar: {x!r}")
+
+
+def exact_div(a, b):
+    """a / b as an exact scalar, never a float.
+
+    ``int / int`` is an ``int`` when b divides a and a ``Fraction`` otherwise;
+    every other pairing is ``Fraction`` or ``CycScalar`` division.  A zero
+    divisor raises ``ZeroDivisionError``.
+    """
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 class CycScalar:
     """An element of Q(zeta_e), stored as a residue mod Phi_e.
 
-    Instances are immutable.  Arithmetic against int/Fraction promotes the
-    rational operand; arithmetic between different orders lifts both to the
-    lcm order.  Unhashable on purpose: equal values can live at different
+    Instances are immutable.  Arithmetic against int/Fraction acts on the
+    coefficients directly; arithmetic between different orders lifts both to
+    the lcm order.  Unhashable on purpose: equal values can live at different
     orders, and nothing in this package keys on scalars.
     """
 
@@ -144,25 +180,25 @@ class CycScalar:
         if order > ORDER_CAP:
             raise InputError(f"cyclotomic order {order} exceeds the cap {ORDER_CAP}")
         self.order = order
-        cs = [Fraction(c) for c in coeffs]
-        self.coeffs = _reduce_mod_phi(cs, order)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        self.coeffs = tuple(map(_rational, _reduce_mod_phi(cs, order)))
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CycScalar":
-        f = _as_fraction(value)
+        f = _rational(value)
         if f is None:
             raise InputError(f"not a rational value: {value!r}")
         return cls(order, [f])
 
     # -- structure --------------------------------------------------------
 
-    def as_rational(self) -> Fraction | None:
-        """The value as a Fraction if it lies in Q, else None."""
+    def as_rational(self):
+        """The value as an int or Fraction if it lies in Q, else None."""
         if any(self.coeffs[1:]):
             return None
-        return self.coeffs[0] if self.coeffs else _ZERO
+        return self.coeffs[0]
 
     def lift(self, order: int) -> "CycScalar":
         """Embed into Q(zeta_order); requires self.order | order."""
@@ -171,57 +207,58 @@ class CycScalar:
         if order % self.order != 0:
             raise InputError(f"no embedding of order {self.order} into order {order}")
         k = order // self.order
-        cs = [_ZERO] * ((len(self.coeffs) - 1) * k + 1 or 1)
+        cs = [0] * ((len(self.coeffs) - 1) * k + 1 or 1)
         for i, c in enumerate(self.coeffs):
             if c:
                 cs[i * k] = c
         return CycScalar(order, cs)
 
-    def _paired(self, other):
-        """Coerce other to a CycScalar on a common order, or None."""
-        f = _as_fraction(other)
-        if f is not None:
-            return self, CycScalar(self.order, [f])
-        if not isinstance(other, CycScalar):
-            return None
+    def _paired(self, other: "CycScalar"):
+        """self and other on their lcm order."""
         if other.order == self.order:
             return self, other
         common = self.order * other.order // gcd(self.order, other.order)
         return self.lift(common), other.lift(common)
 
     # -- arithmetic -------------------------------------------------------
+    # Sums, differences, negation and rational scaling keep the reduced
+    # width phi(e), so they skip the reduction; only products and lifts
+    # reduce modulo Phi_e.
 
     def __add__(self, other):
-        pair = self._paired(other)
-        if pair is None:
+        f = _rational(other)
+        if f is not None:
+            return _reduced(self.order, (self.coeffs[0] + f,) + self.coeffs[1:])
+        if not isinstance(other, CycScalar):
             return NotImplemented
-        a, b = pair
-        return CycScalar(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        a, b = self._paired(other)
+        return _reduced(a.order, tuple(map(add, a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._paired(other)
-        if pair is None:
+        f = _rational(other)
+        if f is not None:
+            return _reduced(self.order, (self.coeffs[0] - f,) + self.coeffs[1:])
+        if not isinstance(other, CycScalar):
             return NotImplemented
-        a, b = pair
-        return CycScalar(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        a, b = self._paired(other)
+        return _reduced(a.order, tuple(map(sub, a.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return CycScalar(self.order, [-c for c in self.coeffs])
+        return _reduced(self.order, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
-        f = _as_fraction(other)
+        f = _rational(other)
         if f is not None:
-            return CycScalar(self.order, [c * f for c in self.coeffs])
-        pair = self._paired(other)
-        if pair is None:
+            return _reduced(self.order, tuple(c * f for c in self.coeffs))
+        if not isinstance(other, CycScalar):
             return NotImplemented
-        a, b = pair
-        return CycScalar(a.order, _poly_mul(list(a.coeffs), list(b.coeffs)))
+        a, b = self._paired(other)
+        return CycScalar(a.order, _poly_mul(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
@@ -231,31 +268,29 @@ class CycScalar:
         # Extended Euclid in Q[x] against Phi_e (irreducible, so gcd is 1).
         r0 = list(cyclotomic_polynomial(self.order))
         r1 = _poly_trim(list(self.coeffs))
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [_ONE]
+        s0: list = []
+        s1: list = [1]
         while r1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         # r0 = gcd (a nonzero constant); s0 * self == r0 mod Phi_e.
         c = r0[0]
-        inv = [x / c for x in s0]
-        return CycScalar(self.order, inv)
+        return CycScalar(self.order, [exact_div(x, c) for x in s0])
 
     def __truediv__(self, other):
-        f = _as_fraction(other)
+        f = _rational(other)
         if f is not None:
             if not f:
                 raise ZeroDivisionError("cyclotomic division by zero")
-            return CycScalar(self.order, [c / f for c in self.coeffs])
-        pair = self._paired(other)
-        if pair is None:
+            return _reduced(self.order, tuple(exact_div(c, f) for c in self.coeffs))
+        if not isinstance(other, CycScalar):
             return NotImplemented
-        a, b = pair
+        a, b = self._paired(other)
         return a * b._inverse()
 
     def __rtruediv__(self, other):
-        f = _as_fraction(other)
+        f = _rational(other)
         if f is None:
             return NotImplemented
         return self._inverse() * f
@@ -265,7 +300,7 @@ class CycScalar:
             return NotImplemented
         if n < 0:
             return self._inverse() ** (-n)
-        result = CycScalar(self.order, [_ONE])
+        result = CycScalar(self.order, [1])
         base = self
         while n:
             if n & 1:
@@ -277,7 +312,7 @@ class CycScalar:
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other):
-        f = _as_fraction(other)
+        f = _rational(other)
         if f is not None:
             r = self.as_rational()
             return r is not None and r == f
@@ -302,8 +337,16 @@ class CycScalar:
         return f"CycScalar({scalar_to_string(self)!r})"
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [_ZERO] * max(0, len(b) - len(a))
+def _reduced(order: int, coeffs: tuple) -> CycScalar:
+    """A CycScalar from a tuple already reduced mod Phi_order (width phi(order))."""
+    x = object.__new__(CycScalar)
+    x.order = order
+    x.coeffs = coeffs
+    return x
+
+
+def _poly_sub(a: list, b: list) -> list:
+    out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
         out[i] -= c
     return _poly_trim(out)
@@ -314,9 +357,8 @@ def make_root(e: int) -> CycScalar:
     if not isinstance(e, int) or e < 1:
         raise InputError(f"root order must be a positive integer, got {e!r}")
     if e == 1:
-        return CycScalar(1, [_ONE])
-    cs = [_ZERO, _ONE]
-    return CycScalar(e, cs)
+        return CycScalar(1, [1])
+    return CycScalar(e, [0, 1])
 
 
 def is_primitive_root(x, e: int) -> bool:
@@ -335,7 +377,7 @@ _ARITH_OPS = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
     "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
+    "div": exact_div,
 }
 
 
@@ -350,7 +392,7 @@ def cyc_arith(a, b, op: str):
 
 def scalar_to_string(x) -> str:
     """Serialize a scalar: rationals as ``p/q``, cyclotomics as ``poly(e; ...)``."""
-    f = _as_fraction(x)
+    f = _rational(x)
     if f is not None:
         return str(f)
     if isinstance(x, CycScalar):
@@ -377,6 +419,6 @@ def parse_scalar(s: str):
             raise InputError(f"malformed cyclotomic literal: {s!r}") from exc
         return CycScalar(order, coeffs)
     try:
-        return Fraction(s)
+        return _rational(Fraction(s))
     except ValueError as exc:
         raise InputError(f"malformed scalar literal: {s!r}") from exc

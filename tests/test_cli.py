@@ -68,6 +68,14 @@ class TestCharpoly:
         assert "nested too deeply" in err
         assert "Traceback" not in err
 
+    def test_power_above_the_term_cap_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "power.algebra"
+        path.write_text("[algebra]\nmonogenic = z^2 - (x+y+z2+w+u)^20\nvar = z\n")
+        assert main(["charpoly", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "may expand to 10626 terms, above the cap" in err
+        assert "Traceback" not in err
+
 
 class TestRoby:
     def test_build_then_verify(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from robyclif.cli import main
 
 from robyclif.errors import InputError, VerificationError
 from robyclif.freealg import char_poly, monogenic_algebra, restrict_char_poly
+from robyclif.linegeom import _rank_of_rows
 from robyclif.matrix import PolyMatrix
 from robyclif.pipeline import (
     MAX_ASSEMBLY_DIM,
@@ -25,6 +26,7 @@ from robyclif.roby import (
     split_roby,
     verify_filtered_pseudo,
 )
+from robyclif.scalars import cyc_arith, make_root
 from robyclif.seeds import mf_seed, perturbed_split_algebra
 from robyclif.specfile import parse_pipeline, render_roby_module
 
@@ -217,6 +219,15 @@ class TestMultiMonomialPipeline:
         assert result.report.meta["quotient_dims"] == [4 * comb(7, k) for k in range(8)]
         assert result.filtration.levels == tuple(range(8))
 
+    @pytest.mark.slow
+    def test_eight_branch_variables(self):
+        # the top rung the assembly cap admits
+        result = run_pipeline(multi_branch_spec(8))
+        assert result.report.ok
+        assert result.assembly.dim == MAX_ASSEMBLY_DIM == 1024
+        assert result.report.meta["quotient_dims"] == [4 * comb(8, k) for k in range(9)]
+        assert result.filtration.levels == tuple(range(9))
+
     def test_assembly_above_the_cap_is_rejected_before_tensor_work(self):
         # 4 * 2^9 = 2048 > MAX_ASSEMBLY_DIM
         with pytest.raises(InputError, match=f"dimension 2048 .* above the cap {MAX_ASSEMBLY_DIM}"):
@@ -323,8 +334,35 @@ def float_paths(obj, path="", seen=None):
     return [p for child_path, child in children for p in float_paths(child, child_path, seen)]
 
 
+# The three cover algebras of the benchmark's fat charpolys.
+COVER_TEXTS = (
+    "z^6 - x^6 - y^6 - z2^6",
+    "z^5 - x*z^3 - y^2*z - x^5 - y^5 - z2^5",
+    "z^6 - x*z^4 - y*z^3 - x^6 - y^6 - z2^6",
+)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    result = run_pipeline(multi_branch_spec(3))
+    matrices = [*result.assembly.actions, result.assembly.tslot]
+    matrices += [*result.morphism.matrices, *result.restricted.matrices]
+    types = {type(c) for m in matrices for t in m.data for c in t.values()}
+    assert types == {int}
+    for text in COVER_TEXTS:
+        chi = char_poly(monogenic_algebra(parse_poly(text), "z"))
+        assert {type(c) for c in chi.poly.terms.values()} == {int}, text
+
+
 def test_no_float_in_results_or_json_output(tmp_path, capsys):
     assert float_paths(PolyMatrix(1, 1, (), [{(): 0.5}])) == [".data[0][()]"]
+    # divisions of integers: Poly / int, CycScalar inverses, cyc_arith, and a
+    # rank whose float pivots (52/93 * 186 != 104) would miss the dependency
+    scalars = [make_root(e) ** -1 for e in (3, 4, 5, 12)]
+    scalars += [(2 - 3 * make_root(5)) ** -2, 1 / (1 + make_root(6))]
+    scalars += [cyc_arith(a, b, op) for a in (1, 3, Fraction(1, 2), make_root(3))
+                for b in (2, 7, Fraction(2, 3), make_root(4)) for op in ("add", "sub", "mul", "div")]
+    assert float_paths([parse_poly("3*x + 2*y - 1") / 4, parse_poly("x") / 2, scalars]) == []
+    assert _rank_of_rows([{0: 93, 1: 52, 2: 91}, {0: 186, 1: 104, 2: 182}]) == 1
     demos = sorted((ROOT / "demo").glob("*.pipeline"))
     assert len(demos) == 2
     results = {"multi_branch_spec(3)": run_pipeline(multi_branch_spec(3))}

@@ -4,7 +4,17 @@ from fractions import Fraction
 import pytest
 
 from robyclif.errors import InputError
-from robyclif.poly import MAX_NESTING, HomForm, Poly, parse_poly, poly_arith, substitute
+from robyclif import poly as poly_module
+from robyclif.poly import (
+    MAX_NESTING,
+    MAX_POWER_TERMS,
+    HomForm,
+    Poly,
+    _power_term_bound,
+    parse_poly,
+    poly_arith,
+    substitute,
+)
 from robyclif.scalars import make_root
 
 
@@ -155,6 +165,18 @@ class TestTextFormat:
         assert "zeta3" in printed
         assert parse_poly(printed) == (1 + z3) * x
 
+    def test_rational_roots_are_stored_as_rationals(self):
+        # zeta2 = -1 is stored as the int -1, so an order-2 factor no longer
+        # lifts a product to the lcm order: the value -zeta3 prints at order 3
+        # where the order-6 residue printed as (1 - zeta6)*x.
+        p = parse_poly("zeta2*zeta3*x")
+        assert str(p) == "(-zeta3)*x"
+        assert p == parse_poly("(1 - zeta6)*x")
+        for text in ("(-zeta3)*x", "(1 - zeta6)*x"):
+            assert parse_poly(str(parse_poly(text))) == p
+        assert list(parse_poly("zeta2*x + zeta1").terms.items()) == [((1,), -1), ((0,), 1)]
+        assert all(type(c) is int for c in parse_poly("zeta2*x + zeta1").terms.values())
+
     def test_zeta_names_are_reserved(self):
         with pytest.raises(InputError):
             Poly.variable("zeta5")
@@ -180,6 +202,43 @@ class TestTextFormat:
         depth = MAX_NESTING // 2
         assert parse_poly("(" * depth + "-x" + ")" * depth) == -x
         assert parse_poly("-" * MAX_NESTING + "x") == x
+
+    @pytest.mark.parametrize("text", ["(x+y+z+w+u)^20", "(x+y+z+w+u)^10", "2*(x - y + 1)^2000"])
+    def test_power_above_the_term_cap_is_refused_before_expanding(self, text, monkeypatch):
+        def no_expansion(self, n):
+            raise AssertionError("the power was expanded")
+
+        monkeypatch.setattr(Poly, "__pow__", no_expansion)
+        with pytest.raises(InputError, match=f"above the cap {MAX_POWER_TERMS}"):
+            parse_poly(text)
+
+    def test_power_at_the_term_cap_parses(self, monkeypatch):
+        monkeypatch.setattr(poly_module, "MAX_POWER_TERMS", 10)
+        assert len(parse_poly("(x+y)^9").terms) == 10
+        with pytest.raises(InputError, match="may expand to 11 terms, above the cap 10"):
+            parse_poly("(x+y)^10")
+        # one term stays one term, whatever the exponent
+        assert parse_poly("(3*x*y^2)^400") == Poly.const(3**400) * x**400 * y**800
+        assert parse_poly("(x - x)^5") == Poly.zero()
+        assert parse_poly("(x - x)^0") == Poly.const(1)
+
+    def test_power_term_bound_is_an_upper_bound(self):
+        rng = random.Random(5)
+        for _ in range(150):
+            names = rng.choice((("x", "y"), ("w", "x", "y", "z")))
+            terms = {
+                tuple(rng.randint(0, 2) for _ in names): rng.choice([1, -2, Fraction(1, 3), 5])
+                for _ in range(rng.randint(0, 9))
+            }
+            base = Poly(names, terms)
+            n = rng.randint(0, 4 if len(names) == 2 else 3)
+            assert len((base ** n).terms) <= _power_term_bound(base, n), (base, n)
+        # a linear form reaches the count of products, C(t + n - 1, n) ...
+        assert _power_term_bound(parse_poly("x+y+z+w+u"), 20) == 10626
+        assert len((parse_poly("x+y+z") ** 6).terms) == _power_term_bound(parse_poly("x+y+z"), 6) == 28
+        # ... and a dense quadric the count of monomials, C(k + n*deg, k)
+        dense = parse_poly("x^2 + x*y + y^2 + x + y + 1")
+        assert len((dense ** 3).terms) == _power_term_bound(dense, 3) == 28
 
 
 class TestHomForm:

@@ -36,6 +36,7 @@ def test_cyclotomic_polynomials_match_hand_tables():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     for e in range(1, 31):
         assert len(cyclotomic_polynomial(e)) == euler_phi(e) + 1
+        assert all(type(c) is int for c in cyclotomic_polynomial(e))
 
 
 def test_make_root_degenerate_orders():
@@ -82,6 +83,61 @@ def test_cyc_arith_oracles():
     assert cyc_arith(z3, z3, "div") == 1
     # |1 + zeta_6|^2 expanded by hand in Q(zeta_6)
     assert cyc_arith(1 + z6, 1 + z6 ** -1, "mul") == 3
+
+
+def test_cyc_arith_is_exact_on_every_pairing():
+    # cyc_arith(1, 2, "div") was the float 0.5 while division was plain ``/``
+    assert cyc_arith(1, 2, "div") == Fraction(1, 2)
+    assert type(cyc_arith(1, 2, "div")) is Fraction
+    assert type(cyc_arith(6, -3, "div")) is int and cyc_arith(6, -3, "div") == -2
+    values = [1, -3, 7, Fraction(1, 2), Fraction(4), make_root(2), make_root(3), 2 - make_root(4)]
+
+    def in_q12(v):
+        return v.lift(12) if isinstance(v, CycScalar) else CycScalar(12, [v])
+
+    for a in values:
+        for b in values:
+            for op in ("add", "sub", "mul", "div"):
+                got = cyc_arith(a, b, op)
+                assert type(got) in (int, Fraction, CycScalar), (a, b, op, got)
+                assert got == cyc_arith(in_q12(a), in_q12(b), op), (a, b, op, got)
+
+
+def test_reduced_arithmetic_matches_the_full_constructor():
+    # Sums, differences, negation and rational scaling skip the reduction
+    # modulo Phi_e; the full constructor reduces the same coefficients.
+    rng = random.Random(37)
+
+    def coeff():
+        return rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+
+    for e in range(3, 13):
+        for _ in range(15):
+            a = CycScalar(e, [coeff() for _ in range(rng.randint(1, e + 2))])
+            b = CycScalar(e, [coeff() for _ in range(rng.randint(1, e + 2))])
+            r = coeff() or 1
+            first, rest = a.coeffs[0], list(a.coeffs[1:])
+            cases = {
+                "a + b": (a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)]),
+                "a - b": (a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)]),
+                "-a": (-a, [-x for x in a.coeffs]),
+                "a + r": (a + r, [first + r, *rest]),
+                "r + a": (r + a, [first + r, *rest]),
+                "a - r": (a - r, [first - r, *rest]),
+                "r - a": (r - a, [r - first, *(-x for x in rest)]),
+                "a * r": (a * r, [x * r for x in a.coeffs]),
+                "r * a": (r * a, [x * r for x in a.coeffs]),
+                "a / r": (a / r, [Fraction(x) / r for x in a.coeffs]),
+            }
+            for name, (fast, coeffs) in cases.items():
+                full = CycScalar(e, coeffs)
+                where = f"order {e}: {name} with a={a!r}, b={b!r}, r={r}"
+                assert fast.order == e and len(fast.coeffs) == euler_phi(e), where
+                assert fast.coeffs == full.coeffs, where
+                assert (fast * b).coeffs == (full * b).coeffs, where
+        # the full constructor stores integral coefficients as int
+        integral = CycScalar(e, [Fraction(6, 3), 5, Fraction(-4, 2)] + [Fraction(3)] * e)
+        assert all(type(c) is int for c in integral.coeffs)
 
 
 def test_cyc_arith_rejects_unknown_op():
