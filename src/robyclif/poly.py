@@ -89,6 +89,8 @@ class Poly:
             for exp, c in terms.items():
                 if len(exp) != len(vars):
                     raise InputError("exponent tuple width does not match variables")
+                if not all(isinstance(e, int) and e >= 0 for e in exp):
+                    raise InputError(f"exponents must be nonnegative integers, got {exp!r}")
                 c = _coerce_coeff(c)
                 if not c:
                     continue
@@ -451,6 +453,49 @@ MAX_NESTING = 100
 # before any expansion.
 MAX_POWER_TERMS = 1000
 
+# Largest exponent a parsed power ``^N`` may write (N itself) or produce (N
+# times the largest exponent in its base).  The tests, demos and benchmark
+# inputs reach 800 at most (``(3*x*y^2)^400`` in the tests; the demos and
+# benchmark covers stay at 6).  Work downstream grows with the degree: a
+# substitution builds one cached power of the substituted value per degree,
+# so x^1000 under x -> y + 1 builds a thousand powers, half a million terms,
+# in about a second, where x^99999999999999 would never finish.
+MAX_EXPONENT = 1000
+
+# Largest predicted bit length of a coefficient raised by a parsed power: N
+# times the bit length of the base's largest coefficient, exactly the growth
+# of a one-term base, which the term cap predicts as one term.  The tests,
+# demos and benchmark inputs predict 1000 bits at most (x^1000 counts one bit
+# per factor); 100000 bits is a 12.5 kB integer that takes about a
+# millisecond to compute, while (3*x)^30000000 (60 million bits) took 62 s.
+MAX_POWER_BITS = 100_000
+
+
+def _coeff_bits(c) -> int:
+    """Bit length of a coefficient's largest numerator or denominator."""
+    parts = c.coeffs if isinstance(c, CycScalar) else (c,)
+    return max(
+        max(abs(x.numerator).bit_length(), x.denominator.bit_length()) for x in parts if x
+    )
+
+
+def _check_power(base: Poly, n: int) -> None:
+    """Refuse base**n before expanding it if it could pass a cap."""
+    bound = _power_term_bound(base, n)
+    if bound > MAX_POWER_TERMS:
+        raise InputError(
+            f"power ^{n} may expand to {bound} terms, above the cap {MAX_POWER_TERMS}"
+        )
+    largest = max((max(exp, default=0) for exp in base.terms), default=0)
+    top = n * max(largest, 1)  # N itself bounds a constant base
+    if top > MAX_EXPONENT:
+        raise InputError(f"power ^{n} gives exponent {top}, above the cap {MAX_EXPONENT}")
+    bits = n * max(map(_coeff_bits, base.terms.values()), default=0)
+    if bits > MAX_POWER_BITS:
+        raise InputError(
+            f"power ^{n} may give a {bits}-bit coefficient, above the cap {MAX_POWER_BITS}"
+        )
+
 
 def _power_term_bound(base: Poly, n: int) -> int:
     """Upper bound on the number of terms of base**n, without expanding it.
@@ -482,7 +527,12 @@ def _tokenize(text: str):
             break
         pos = m.end()
         if m.lastgroup == "number":
-            tokens.append(("number", narrow(Fraction(m.group("number").replace(" ", "")))))
+            number = m.group("number")
+            try:
+                value = Fraction(number.replace(" ", ""))
+            except ValueError:  # more digits than int() converts
+                raise InputError(f"number of {len(number)} characters is too long") from None
+            tokens.append(("number", narrow(value)))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name")))
         else:
@@ -551,11 +601,7 @@ class _Parser:
             kind, exp = self.take()
             if kind != "number" or exp.denominator != 1 or exp < 0:
                 raise InputError("exponent must be a nonnegative integer")
-            bound = _power_term_bound(base, exp)
-            if bound > MAX_POWER_TERMS:
-                raise InputError(
-                    f"power ^{exp} may expand to {bound} terms, above the cap {MAX_POWER_TERMS}"
-                )
+            _check_power(base, exp)
             return base ** exp
         return base
 

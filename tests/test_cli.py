@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from robyclif import cli
 from robyclif.cli import main
 from robyclif.matrix import PolyMatrix
 from robyclif.report import comparable_dict
@@ -75,6 +76,34 @@ class TestCharpoly:
         err = capsys.readouterr().err
         assert "may expand to 10626 terms, above the cap" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "poly, message",
+        [
+            ("z^2 - x^99999999999999*y", "gives exponent 99999999999999, above the cap 1000"),
+            ("z^2 - (3*x)^30000000", "gives exponent 30000000, above the cap 1000"),
+            ("z^2 - (" + "9" * 700 + "*x)^500", "-bit coefficient, above the cap 100000"),
+            ("z^2 - x^" + "9" * 5000, "characters is too long"),
+        ],
+        ids=["exponent", "one-term base", "coefficient", "long number"],
+    )
+    def test_power_above_a_cap_is_input_error(self, tmp_path, capsys, poly, message):
+        path = tmp_path / "power.algebra"
+        path.write_text(f"[algebra]\nmonogenic = {poly}\nvar = z\n")
+        assert main(["charpoly", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_internal_error_exits_three(self, quadric_algebra_file, capsys, monkeypatch):
+        def broken(args, config):
+            raise RuntimeError("something broke")
+
+        monkeypatch.setattr(cli, "_cmd_charpoly", broken)
+        assert main(["charpoly", quadric_algebra_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: something broke\n"
+        assert captured.out == ""
 
 
 class TestRoby:

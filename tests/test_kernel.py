@@ -9,6 +9,8 @@ several random points make a wrong term map vanishingly unlikely
 import random
 from fractions import Fraction
 
+import pytest
+
 from robyclif import kernel
 from robyclif.scalars import make_root
 
@@ -205,3 +207,108 @@ def test_sparse_matmul_equals_the_triple_loop_key_for_key():
             assert got == want, where
             # equal dicts may still print differently: pin the key order too
             assert [list(t.items()) for t in got] == [list(t.items()) for t in want], where
+
+
+# -- the two key encodings --------------------------------------------------------
+
+
+def naive_mul_terms(a, b):
+    acc = {}
+    naive_mul_into(acc, a, b)
+    return acc
+
+
+def assert_same_items(got, want, where):
+    assert got == want, where
+    assert list(got.items()) == list(want.items()), where
+
+
+def terms_reaching(rng, nvars, top, size):
+    """Random terms with exponents in 0..top, one of them top in field 0."""
+    out = {}
+    for _ in range(size):
+        exp = tuple(rng.choice((0, 1, top - 1, top)) if top else 0 for _ in range(nvars))
+        out[exp] = rng.choice((1, -2, Fraction(3, 4), 5))
+    if nvars:
+        out[(top,) + (1,) * (nvars - 1)] = 7
+    return out
+
+
+# (largest exponent on the left, largest on the right): sums on both sides of
+# the one-byte field, of the two-byte field, and above 64 bits
+FIELD_EDGES = ((128, 127), (128, 128), (32768, 32767), (32768, 32768), (2**64, 1), (0, 0))
+
+
+def encoding_cases(rng):
+    """(name, a, b) pairs covering every field width and key width."""
+    for left, right in FIELD_EDGES:
+        for nvars in (1, 3):
+            yield (f"{left}+{right} in {nvars} vars",
+                   terms_reaching(rng, nvars, left, 9), terms_reaching(rng, nvars, right, 7))
+    yield "0 vars", {(): Fraction(2, 3)}, {(): -3}
+    yield "30 vars", terms_reaching(rng, 30, 3, 12), terms_reaching(rng, 30, 250, 10)
+    # (1 - x + x^2)(1 + x + x^2): x and x^3 cancel; x^2 is cancelled by the
+    # second row of products and re-inserted, at the end, by the third
+    yield "cancel and re-insert", {(0,): 1, (1,): 1, (2,): 1}, {(0,): 1, (1,): -1, (2,): 1}
+
+
+def test_cancelled_keys_are_re_inserted_at_the_end(forced_packing):
+    got = kernel.mul_terms({(0,): 1, (1,): 1, (2,): 1}, {(0,): 1, (1,): -1, (2,): 1})
+    assert list(got.items()) == [((0,), 1), ((2,), 1), ((4,), 1)]
+
+
+def test_both_encodings_equal_the_tuple_loop_key_for_key(forced_packing, packed_calls):
+    rng = random.Random(16)
+    for name, a, b in encoding_cases(rng):
+        a_copy, b_copy = dict(a), dict(b)
+        assert_same_items(kernel.mul_terms(a, b), naive_mul_terms(a, b), name)
+        assert_same_items(kernel.mul_terms(b, a), naive_mul_terms(b, a), name)
+        # a 2x2 product whose entries accumulate across s
+        left, right = [a, {}, b, a], [b, a, a, {}]
+        got = kernel.matmul_terms(left, right, 2, 2, 2)
+        want = naive_matmul(left, right, 2, 2, 2)
+        assert [list(t.items()) for t in got] == [list(t.items()) for t in want], name
+        assert (a, b) == (a_copy, b_copy), f"{name}: an input was mutated"
+    assert bool(packed_calls) == (forced_packing == "always")
+
+
+def test_fat_calls_pack_and_thin_calls_do_not(packed_calls):
+    rng = random.Random(17)
+    thin = [random_terms(rng, size=2) for _ in range(2)]
+    assert_same_items(kernel.mul_terms(*thin), naive_mul_terms(*thin), "thin mul_terms")
+    flat = random_flat_matrix(rng, 12, 12, 0.3)
+    got = kernel.matmul_terms(flat, flat, 12, 12, 12)
+    assert got == naive_matmul(flat, flat, 12, 12, 12)
+    assert packed_calls == []
+
+    fat = [terms_reaching(rng, 4, 6, 20) for _ in range(2)]
+    assert len(fat[0]) * len(fat[1]) >= kernel._PACK_RATIO * (len(fat[0]) + len(fat[1]))
+    assert_same_items(kernel.mul_terms(*fat), naive_mul_terms(*fat), "fat mul_terms")
+    assert packed_calls == [(1, 1)]
+    a = [terms_reaching(rng, 4, 6, 15) for _ in range(4)]
+    got = kernel.matmul_terms(a, a, 2, 2, 2)
+    want = naive_matmul(a, a, 2, 2, 2)
+    assert [list(t.items()) for t in got] == [list(t.items()) for t in want]
+    assert packed_calls == [(1, 1), (4, 4)]
+
+
+def test_matmul_shares_one_empty_map_under_both_encodings(forced_packing):
+    a = [{(1,): 1}, {}, {}, {}]
+    out = kernel.matmul_terms(a, a, 2, 2, 2)
+    assert out == [{(2,): 1}, {}, {}, {}]
+    assert out[1] is out[2] is out[3]
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_add_sub_mul_match_the_evaluator,
+        test_matmul_matches_naive_triple_loop,
+        test_matmul_empty_inner,
+        test_cancellation_prunes,
+        test_sparse_matmul_equals_the_triple_loop_key_for_key,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_under_each_encoding(forced_packing, check):
+    check()

@@ -365,3 +365,18 @@ def test_no_operation_mutates_its_operands():
             assert m.vars == vars, name
             assert m.data == data, name
             assert items(m) == [list(t.items()) for t in data], name
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_power_addition_law_on_random_sparse_matrices,
+        test_kron_equals_the_block_formula_key_for_key,
+        test_sparse_passes_across_variable_contexts,
+        test_combination_equals_the_running_sum_key_for_key,
+        test_no_operation_mutates_its_operands,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_under_each_encoding(forced_packing, check):
+    check()

@@ -6,7 +6,9 @@ import pytest
 from robyclif.errors import InputError
 from robyclif import poly as poly_module
 from robyclif.poly import (
+    MAX_EXPONENT,
     MAX_NESTING,
+    MAX_POWER_BITS,
     MAX_POWER_TERMS,
     HomForm,
     Poly,
@@ -221,6 +223,65 @@ class TestTextFormat:
         assert parse_poly("(3*x*y^2)^400") == Poly.const(3**400) * x**400 * y**800
         assert parse_poly("(x - x)^5") == Poly.zero()
         assert parse_poly("(x - x)^0") == Poly.const(1)
+
+    @pytest.mark.parametrize(
+        "text, refused, exponent",
+        [
+            ("x^99999999999999*y", 99999999999999, 99999999999999),
+            ("(3*x)^30000000", 30000000, 30000000),
+            ("x^1001", 1001, 1001),
+            ("(x^2)^501", 501, 1002),
+            ("(x^999*y)^2", 2, 1998),
+            ("(x^500 + y)^3", 3, 1500),
+            ("2^1001", 1001, 1001),
+        ],
+    )
+    def test_exponent_above_the_cap_is_refused_before_expanding(
+        self, text, refused, exponent, monkeypatch
+    ):
+        real_pow = Poly.__pow__
+
+        def inner_powers_only(self, n):
+            assert n != refused, "the refused power was expanded"
+            return real_pow(self, n)
+
+        monkeypatch.setattr(Poly, "__pow__", inner_powers_only)
+        with pytest.raises(InputError, match=f"gives exponent {exponent}, above the cap {MAX_EXPONENT}"):
+            parse_poly(text)
+
+    def test_exponents_at_the_cap_parse(self):
+        assert MAX_EXPONENT == 1000
+        assert parse_poly("x^1000").terms == {(1000,): 1}
+        assert parse_poly("(x^2*y)^500").terms == {(1000, 500): 1}
+        assert parse_poly("(x^10 - y)^100") == (x**10 - y) ** 100
+        assert parse_poly("2^1000") == Poly.const(2**1000)
+        assert parse_poly("(x^999)^1").terms == {(999,): 1}
+        # products are not powers: their exponents add past the cap
+        assert parse_poly("x^1000*x^1000").terms == {(2000,): 1}
+
+    def test_coefficient_growth_is_refused_before_expanding(self, monkeypatch):
+        assert MAX_POWER_BITS == 100_000
+        big = 2**200 - 1  # 200 bits: ^500 is exactly at the cap, ^501 above it
+        assert parse_poly(f"({big}*x)^500") == Poly.const(big**500) * x**500
+        monkeypatch.setattr(Poly, "__pow__", lambda self, n: pytest.fail("the power was expanded"))
+        with pytest.raises(InputError, match="may give a 100200-bit coefficient, above the cap 100000"):
+            parse_poly(f"({big}*x)^501")
+        with pytest.raises(InputError, match="100200-bit"):
+            parse_poly(f"(1/{big}*x)^501")  # a denominator counts too
+        with pytest.raises(InputError, match="100200-bit"):
+            parse_poly(f"({big} + x)^501")  # so does the largest coefficient of any base
+        with pytest.raises(InputError, match="100200-bit"):
+            parse_poly(f"({big}*zeta3)^501")
+
+    def test_numbers_too_long_to_convert_are_input_errors(self):
+        for text in ("x^" + "9" * 5000, "9" * 5000 + "*x", "1/" + "7" * 5000):
+            with pytest.raises(InputError, match="characters is too long"):
+                parse_poly(text)
+
+    def test_poly_constructor_rejects_bad_exponents(self):
+        for exp in ((-1, 0), (0, Fraction(1, 2)), (1.0, 0)):
+            with pytest.raises(InputError, match="nonnegative integers"):
+                Poly(("x", "y"), {exp: 1})
 
     def test_power_term_bound_is_an_upper_bound(self):
         rng = random.Random(5)

@@ -10,6 +10,8 @@ before): equal coefficient for coefficient, in the same key order.
 import random
 from fractions import Fraction
 
+import pytest
+
 from robyclif.matrix import PolyMatrix
 from robyclif.poly import Poly
 from robyclif.scalars import CycScalar, make_root
@@ -123,3 +125,15 @@ def test_matrix_operations_match_the_wide_representation():
         }
         for op, (new, old) in cases.items():
             assert_same(new, old, f"trial {trial}, {op}")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_poly_operations_match_the_wide_representation,
+        test_matrix_operations_match_the_wide_representation,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_under_each_encoding(forced_packing, check):
+    check()
