@@ -66,8 +66,11 @@ def _emit(document: str, args, config: Config) -> None:
     path = Path(out)
     if not path.is_absolute() and config.out_dir:
         path = Path(config.out_dir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(document, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(document, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _render_report(report: Report, as_json: bool) -> str:

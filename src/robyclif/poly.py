@@ -480,16 +480,22 @@ def _coeff_bits(c) -> int:
 
 
 def _check_power(base: Poly, n: int) -> None:
-    """Refuse base**n before expanding it if it could pass a cap."""
+    """Refuse base**n before expanding it if it could pass a cap.
+
+    N is checked first and alone, so every later bound is computed, and
+    printed, only for N at most ``MAX_EXPONENT``.
+    """
+    if n > MAX_EXPONENT:
+        raise InputError(f"power ^{n} is above the exponent cap {MAX_EXPONENT}")
+    largest = max((max(exp, default=0) for exp in base.terms), default=0)
+    top = n * largest
+    if top > MAX_EXPONENT:
+        raise InputError(f"power ^{n} gives exponent {top}, above the cap {MAX_EXPONENT}")
     bound = _power_term_bound(base, n)
     if bound > MAX_POWER_TERMS:
         raise InputError(
             f"power ^{n} may expand to {bound} terms, above the cap {MAX_POWER_TERMS}"
         )
-    largest = max((max(exp, default=0) for exp in base.terms), default=0)
-    top = n * max(largest, 1)  # N itself bounds a constant base
-    if top > MAX_EXPONENT:
-        raise InputError(f"power ^{n} gives exponent {top}, above the cap {MAX_EXPONENT}")
     bits = n * max(map(_coeff_bits, base.terms.values()), default=0)
     if bits > MAX_POWER_BITS:
         raise InputError(

@@ -23,8 +23,10 @@ def packed_calls(monkeypatch):
     real = kernel._codec
 
     def counting(left, right):
-        calls.append((len(left), len(right)))
-        return real(left, right)
+        codec = real(left, right)
+        if codec is not None:
+            calls.append((len(left), len(right)))
+        return codec
 
     monkeypatch.setattr(kernel, "_codec", counting)
     return calls

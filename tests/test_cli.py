@@ -80,12 +80,16 @@ class TestCharpoly:
     @pytest.mark.parametrize(
         "poly, message",
         [
-            ("z^2 - x^99999999999999*y", "gives exponent 99999999999999, above the cap 1000"),
-            ("z^2 - (3*x)^30000000", "gives exponent 30000000, above the cap 1000"),
+            ("z^2 - x^99999999999999*y", "power ^99999999999999 is above the exponent cap 1000"),
+            ("z^2 - (3*x)^30000000", "power ^30000000 is above the exponent cap 1000"),
+            ("z^2 - (x^2)^501", "gives exponent 1002, above the cap 1000"),
+            ("z^2 - (x^2)^" + "9" * 4300, "is above the exponent cap 1000"),
+            ("z^2 - (x+y+1)^" + "9" * 2200, "is above the exponent cap 1000"),
             ("z^2 - (" + "9" * 700 + "*x)^500", "-bit coefficient, above the cap 100000"),
             ("z^2 - x^" + "9" * 5000, "characters is too long"),
         ],
-        ids=["exponent", "one-term base", "coefficient", "long number"],
+        ids=["exponent", "one-term base", "base exponent", "4300 digits", "2200 digits",
+             "coefficient", "long number"],
     )
     def test_power_above_a_cap_is_input_error(self, tmp_path, capsys, poly, message):
         path = tmp_path / "power.algebra"
@@ -93,6 +97,15 @@ class TestCharpoly:
         assert main(["charpoly", str(path)]) == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+
+    def test_unwritable_out_is_input_error(self, quadric_algebra_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" / "charpoly.txt"
+        assert main(["charpoly", quadric_algebra_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
         assert "Traceback" not in err
 
     def test_internal_error_exits_three(self, quadric_algebra_file, capsys, monkeypatch):

@@ -235,7 +235,8 @@ def terms_reaching(rng, nvars, top, size):
 
 
 # (largest exponent on the left, largest on the right): sums on both sides of
-# the one-byte field, of the two-byte field, and above 64 bits
+# the one-byte field, where packing stops, and wider ones that keep the tuple
+# loop: both sides of two bytes and above 64 bits
 FIELD_EDGES = ((128, 127), (128, 128), (32768, 32767), (32768, 32768), (2**64, 1), (0, 0))
 
 
@@ -270,6 +271,18 @@ def test_both_encodings_equal_the_tuple_loop_key_for_key(forced_packing, packed_
         assert [list(t.items()) for t in got] == [list(t.items()) for t in want], name
         assert (a, b) == (a_copy, b_copy), f"{name}: an input was mutated"
     assert bool(packed_calls) == (forced_packing == "always")
+
+
+def test_only_one_byte_sums_pack(monkeypatch, packed_calls):
+    monkeypatch.setattr(kernel, "_PACK_RATIO", 0)
+    rng = random.Random(18)
+    for left, right in FIELD_EDGES:
+        a, b = terms_reaching(rng, 3, left, 9), terms_reaching(rng, 3, right, 7)
+        del packed_calls[:]
+        assert_same_items(kernel.mul_terms(a, b), naive_mul_terms(a, b), f"{left}+{right}")
+        got = kernel.matmul_terms([a], [b], 1, 1, 1)
+        assert_same_items(got[0], naive_mul_terms(a, b), f"{left}+{right} matmul")
+        assert len(packed_calls) == (2 if left + right <= 255 else 0), f"{left}+{right}"
 
 
 def test_fat_calls_pack_and_thin_calls_do_not(packed_calls):

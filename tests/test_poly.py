@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -205,7 +206,7 @@ class TestTextFormat:
         assert parse_poly("(" * depth + "-x" + ")" * depth) == -x
         assert parse_poly("-" * MAX_NESTING + "x") == x
 
-    @pytest.mark.parametrize("text", ["(x+y+z+w+u)^20", "(x+y+z+w+u)^10", "2*(x - y + 1)^2000"])
+    @pytest.mark.parametrize("text", ["(x+y+z+w+u)^20", "(x+y+z+w+u)^10", "2*(x - y + 1)^50"])
     def test_power_above_the_term_cap_is_refused_before_expanding(self, text, monkeypatch):
         def no_expansion(self, n):
             raise AssertionError("the power was expanded")
@@ -225,19 +226,24 @@ class TestTextFormat:
         assert parse_poly("(x - x)^0") == Poly.const(1)
 
     @pytest.mark.parametrize(
-        "text, refused, exponent",
+        "text, refused, message",
         [
-            ("x^99999999999999*y", 99999999999999, 99999999999999),
-            ("(3*x)^30000000", 30000000, 30000000),
-            ("x^1001", 1001, 1001),
-            ("(x^2)^501", 501, 1002),
-            ("(x^999*y)^2", 2, 1998),
-            ("(x^500 + y)^3", 3, 1500),
-            ("2^1001", 1001, 1001),
+            ("x^99999999999999*y", 99999999999999, "power ^99999999999999 is above the exponent cap"),
+            ("(3*x)^30000000", 30000000, "power ^30000000 is above the exponent cap"),
+            ("x^1001", 1001, "power ^1001 is above the exponent cap"),
+            ("2^1001", 1001, "power ^1001 is above the exponent cap"),
+            # N is refused before the term bound is computed or printed
+            ("(x^2)^" + "9" * 4300, int("9" * 4300), "is above the exponent cap"),
+            ("(x+y+1)^" + "9" * 2200, int("9" * 2200), "is above the exponent cap"),
+            ("(x^2)^501", 501, "gives exponent 1002, above the cap"),
+            ("(x^999*y)^2", 2, "gives exponent 1998, above the cap"),
+            ("(x^500 + y)^3", 3, "gives exponent 1500, above the cap"),
         ],
+        ids=["x^14 digits", "one-term base", "x^1001", "2^1001", "4300 digits",
+             "2200 digits", "(x^2)^501", "(x^999*y)^2", "(x^500 + y)^3"],
     )
     def test_exponent_above_the_cap_is_refused_before_expanding(
-        self, text, refused, exponent, monkeypatch
+        self, text, refused, message, monkeypatch
     ):
         real_pow = Poly.__pow__
 
@@ -245,8 +251,15 @@ class TestTextFormat:
             assert n != refused, "the refused power was expanded"
             return real_pow(self, n)
 
+        real_bound = poly_module._power_term_bound
+
+        def inner_bounds_only(base, n):
+            assert n != refused, "a term bound was computed for the refused power"
+            return real_bound(base, n)
+
         monkeypatch.setattr(Poly, "__pow__", inner_powers_only)
-        with pytest.raises(InputError, match=f"gives exponent {exponent}, above the cap {MAX_EXPONENT}"):
+        monkeypatch.setattr(poly_module, "_power_term_bound", inner_bounds_only)
+        with pytest.raises(InputError, match=f"{re.escape(message)} {MAX_EXPONENT}$"):
             parse_poly(text)
 
     def test_exponents_at_the_cap_parse(self):
