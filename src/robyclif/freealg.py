@@ -286,9 +286,11 @@ class CharPoly:
             j: c.substitute(bindings) for j, c in self.coefficients().items()
         }
         n = m.nrows
-        acc = PolyMatrix.identity(n)  # monic leading coefficient
+        if not self.rank:
+            return PolyMatrix.identity(n)
+        acc = None  # the leading coefficient is 1, so the first step is m itself
         for j in range(self.rank - 1, -1, -1):
-            acc = acc * m
+            acc = m if acc is None else acc * m
             cj = coeffs.get(j)
             if cj is not None and cj:
                 acc = acc + PolyMatrix.identity(n).scaled(cj)

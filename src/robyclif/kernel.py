@@ -176,18 +176,34 @@ def _encode(terms: dict) -> dict:
     return {int.from_bytes(bytes(exp), "little"): c for exp, c in terms.items()}
 
 
+def nonempty(maps: list):
+    """Indices of the nonempty term maps in a list, ascending, found at C speed."""
+    return compress(range(len(maps)), maps)
+
+
+def map_nonempty(maps: list, fn) -> list:
+    """A copy of a list of term maps with fn applied to each nonempty one."""
+    out = list(maps)
+    for k in nonempty(out):
+        out[k] = fn(out[k])
+    return out
+
+
 def matmul_terms(a: list, b: list, n: int, k: int, m: int) -> list:
     """Row-major (n x k) @ (k x m) over term maps.
 
-    Cost: one pass over the n*k slots of ``a`` and the k*m slots of ``b`` to
-    list each row's nonzero columns, one multiply-add per triple (i, s, j)
-    with a[i, s] and b[s, j] both nonzero, and the n*m output list.  No work
-    is spent on a pair with an empty factor.  The nonzero columns also give
-    the call's exact count of term products, which decides the key encoding.
+    Cost: each row's nonzero columns of ``a`` and ``b`` are found at C speed
+    (``compress`` over a row slice), and the Python work runs per nonzero
+    only: one multiply-add per triple (i, s, j) with a[i, s] and b[s, j]
+    both nonzero, plus the key encoding and decoding of nonzero entries.
+    What stays O(n*k + k*m + n*m) is slicing and copying the lists and
+    allocating the output.  No work is spent on a pair with an empty factor.
+    The nonzero columns also give the call's exact count of term products,
+    which decides the key encoding.
     For each output entry s still runs in ascending order, so every entry
     gets its terms in the same insertion order as the plain triple loop.
-    Entries that receive no product are one shared empty map, so callers
-    must treat entries as read-only.
+    Entries that receive no product, or whose products cancel, are one
+    shared empty map, so callers must treat entries as read-only.
     """
     # column indices, not (index, map) pairs: ints are not tracked by the
     # garbage collector, so listing nonzeros triggers no extra collections
@@ -202,17 +218,18 @@ def matmul_terms(a: list, b: list, n: int, k: int, m: int) -> list:
             terms += size
     codec = None
     if products and products >= _PACK_RATIO * (terms + sum(b_terms)):
-        codec = _codec([t for t in a if t], [t for t in b if t])
+        codec = _codec(list(compress(a, a)), list(compress(b, b)))
     multiply_into = mul_into
     if codec is not None:
         encode, decode = codec
-        a = [encode(t) if t else t for t in a]
-        b = [encode(t) if t else t for t in b]
+        a = map_nonempty(a, encode)
+        b = map_nonempty(b, encode)
         multiply_into = _mul_into_packed
     empty: dict = {}
     out: list = []
     for i, cols in enumerate(a_cols):
         row = [empty] * m
+        touched = []
         for s in cols:
             left = a[i * k + s]
             base = s * m
@@ -220,8 +237,15 @@ def matmul_terms(a: list, b: list, n: int, k: int, m: int) -> list:
                 acc = row[j]
                 if acc is empty:
                     acc = row[j] = {}
+                    touched.append(j)
                 multiply_into(acc, left, b[base + j])
-        if codec is not None:
-            row = [t if t is empty else decode(t) for t in row]
+        # an entry whose products cancelled becomes the shared empty map, so
+        # the output holds one map per nonzero entry only
+        for j in touched:
+            acc = row[j]
+            if not acc:
+                row[j] = empty
+            elif codec is not None:
+                row[j] = decode(acc)
         out += row
     return out

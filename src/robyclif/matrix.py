@@ -4,20 +4,27 @@ A ``PolyMatrix`` stores its entries as a flat row-major list of term maps,
 all aligned to one variable context, so products run straight through the
 kernel term-map routines without per-entry alignment.  Coefficients are
 ``int`` when integral (``identity`` stores the int 1), ``Fraction`` when
-rational and ``CycScalar`` only when not in Q.  The matrices this
-package builds are mostly empty (assembly actions are 1-5% nonzero), so
-every pass -- product, Kronecker product, sum, scaling, substitution,
-realignment -- spends work only on nonzero entries, plus the cost of
-writing the output list.  A linear combination sum c_i * M_i is one
-``combination`` call, which reads each matrix once.  Entries are read-only:
-matrices share term maps with each other (``submatrix``, ``transpose``,
-sums with an empty side) and an empty slot may be one shared empty map.
+rational and ``CycScalar`` only when not in Q.  This module is the only
+one that knows the layout: other modules read entries through ``entry``,
+``rows`` and ``nonzeros``.
+
+The matrices this package builds are mostly empty (assembly actions are
+1-5% nonzero).  So every pass -- product, Kronecker product, sum, scaling,
+substitution, realignment, transpose and the zero and identity tests --
+finds the nonzero slots in one C-level pass (``compress`` over the slot
+indices, or a list copy or slice) and runs Python code only per nonzero,
+in row-major order.  What remains O(rows * cols) is allocating and copying
+the flat list.  A linear combination sum c_i * M_i is one ``combination``
+call, which reads each matrix once.  Entries are read-only: matrices share
+term maps with each other (``submatrix``, ``transpose``, sums with an empty
+side) and an empty slot may be one shared empty map.
 """
 
 from __future__ import annotations
 
 from . import kernel
 from .errors import InputError
+from .kernel import map_nonempty, nonempty
 from .poly import Poly, Scalar, _align_terms, _coerce_coeff, as_poly
 
 __all__ = ["PolyMatrix", "matpoly_pow", "is_scalar_multiple_of_identity", "check_vanishes"]
@@ -98,10 +105,10 @@ class PolyMatrix:
         data = [{}] * (n * n)
         for p, m in terms:
             pt = p.aligned(vs)
-            for k, t in enumerate(m.aligned_data(vs)):
-                if t:
-                    t = kernel.mul_terms(t, pt)
-                    data[k] = kernel.add_terms(data[k], t) if data[k] else t
+            src = m.aligned_data(vs)
+            for k in nonempty(src):
+                t = kernel.mul_terms(src[k], pt)
+                data[k] = kernel.add_terms(data[k], t) if data[k] else t
         return cls(n, n, vs, data, _canonical=True)
 
     # -- context -----------------------------------------------------------------
@@ -110,7 +117,7 @@ class PolyMatrix:
         if vars == self.vars:
             return self.data
         old = self.vars
-        return [_align_terms(t, old, vars) if t else t for t in self.data]
+        return map_nonempty(self.data, lambda t: _align_terms(t, old, vars))
 
     def _common(self, other: "PolyMatrix"):
         if self.vars == other.vars:
@@ -131,18 +138,26 @@ class PolyMatrix:
         for i in range(self.nrows):
             yield [self.entry(i, j) for j in range(self.ncols)]
 
+    def nonzeros(self):
+        """(i, j, terms) for each nonzero entry, in row-major order.
+
+        ``terms`` is the entry's term map over ``vars``; it is read-only.
+        """
+        data, ncols = self.data, self.ncols
+        for k in nonempty(data):
+            i, j = divmod(k, ncols)
+            yield i, j, data[k]
+
     def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
-        data = [
-            self.data[i * self.ncols + j] for i in row_idx for j in col_idx
-        ]
+        data: list = []
+        for i in row_idx:
+            data += map(self.data[i * self.ncols : (i + 1) * self.ncols].__getitem__, col_idx)
         return PolyMatrix(len(row_idx), len(col_idx), self.vars, data, _canonical=True)
 
     def transpose(self) -> "PolyMatrix":
-        data = [
-            self.data[i * self.ncols + j]
-            for j in range(self.ncols)
-            for i in range(self.nrows)
-        ]
+        data: list = []
+        for j in range(self.ncols):
+            data += self.data[j :: self.ncols]
         return PolyMatrix(self.ncols, self.nrows, self.vars, data, _canonical=True)
 
     # -- arithmetic -------------------------------------------------------------------
@@ -153,7 +168,10 @@ class PolyMatrix:
         if self.shape != other.shape:
             raise InputError(f"shape mismatch: {self.shape} + {other.shape}")
         vs, a, b = self._common(other)
-        data = [kernel.add_terms(x, y) if x and y else x or y for x, y in zip(a, b)]
+        data = list(a)
+        for k in nonempty(b):
+            x = data[k]
+            data[k] = kernel.add_terms(x, b[k]) if x else b[k]
         return PolyMatrix(self.nrows, self.ncols, vs, data, _canonical=True)
 
     def __sub__(self, other):
@@ -162,26 +180,26 @@ class PolyMatrix:
         if self.shape != other.shape:
             raise InputError(f"shape mismatch: {self.shape} - {other.shape}")
         vs, a, b = self._common(other)
-        data = [
-            (kernel.sub_terms(x, y) if x else kernel.neg_terms(y)) if y else x
-            for x, y in zip(a, b)
-        ]
+        data = list(a)
+        for k in nonempty(b):
+            x = data[k]
+            data[k] = kernel.sub_terms(x, b[k]) if x else kernel.neg_terms(b[k])
         return PolyMatrix(self.nrows, self.ncols, vs, data, _canonical=True)
 
     def __neg__(self):
-        data = [kernel.neg_terms(t) if t else t for t in self.data]
+        data = map_nonempty(self.data, kernel.neg_terms)
         return PolyMatrix(self.nrows, self.ncols, self.vars, data, _canonical=True)
 
     def scaled(self, c) -> "PolyMatrix":
         """Multiply every entry by a Poly or scalar."""
         if isinstance(c, Scalar):
             c = _coerce_coeff(c)
-            data = [kernel.scale_terms(t, c) if t else t for t in self.data]
+            data = map_nonempty(self.data, lambda t: kernel.scale_terms(t, c))
             return PolyMatrix(self.nrows, self.ncols, self.vars, data, _canonical=True)
         p = as_poly(c)
         vs = tuple(sorted(set(self.vars) | set(p.vars)))
         pt = p.aligned(vs)
-        data = [kernel.mul_terms(t, pt) if t else t for t in self.aligned_data(vs)]
+        data = map_nonempty(self.aligned_data(vs), lambda t: kernel.mul_terms(t, pt))
         return PolyMatrix(self.nrows, self.ncols, vs, data, _canonical=True)
 
     def __mul__(self, other):
@@ -201,73 +219,74 @@ class PolyMatrix:
         return NotImplemented
 
     def pow(self, n: int) -> "PolyMatrix":
-        """Binary exponentiation; n >= 0, square matrix."""
+        """Binary exponentiation; n >= 0, square matrix.
+
+        The chain starts from the first factor and squares only while bits
+        remain, so it does (bit_length - 1) + (popcount - 1) products.
+        """
         if self.nrows != self.ncols:
             raise InputError("only square matrices can be raised to a power")
         if not isinstance(n, int) or n < 0:
             raise InputError("matrix powers must be nonnegative integers")
-        result = PolyMatrix.identity(self.nrows)
+        if not n:
+            return PolyMatrix.identity(self.nrows)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product; left factor indexes the outer blocks."""
         vs, a, b = self._common(other)
         p, q = other.nrows, other.ncols
         n, m = self.nrows * p, self.ncols * q
-        right = [(k * m + l, t) for k in range(p) for l in range(q) if (t := b[k * q + l])]
+        right = [(k // q * m + k % q, b[k]) for k in nonempty(b)]
         data = [{}] * (n * m)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                block = a[i * self.ncols + j]
-                if block:
-                    corner = i * p * m + j * q
-                    for offset, t in right:
-                        data[corner + offset] = kernel.mul_terms(block, t)
+        for k in nonempty(a):
+            i, j = divmod(k, self.ncols)
+            block = a[k]
+            corner = i * p * m + j * q
+            for offset, t in right:
+                data[corner + offset] = kernel.mul_terms(block, t)
         return PolyMatrix(n, m, vs, data, _canonical=True)
 
     def substitute(self, bindings) -> "PolyMatrix":
         polys = [
-            Poly(self.vars, t, _canonical=True).pruned().substitute(bindings) if t else None
-            for t in self.data
+            (k, Poly(self.vars, self.data[k], _canonical=True).pruned().substitute(bindings))
+            for k in nonempty(self.data)
         ]
-        vs = tuple(sorted({v for p in polys if p is not None for v in p.vars}))
-        empty: dict = {}
-        data = [p.aligned(vs) if p is not None else empty for p in polys]
+        vs = tuple(sorted({v for _, p in polys for v in p.vars}))
+        data = [{}] * len(self.data)
+        for k, p in polys:
+            data[k] = p.aligned(vs)
         return PolyMatrix(self.nrows, self.ncols, vs, data, _canonical=True)
 
     # -- queries --------------------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not t for t in self.data)
+        return not any(self.data)
 
     def first_nonzero(self):
         """(i, j, Poly) of the first nonzero entry in row-major order, or None."""
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                t = self.data[i * self.ncols + j]
-                if t:
-                    return i, j, Poly(self.vars, t, _canonical=True).pruned()
+        for i, j, t in self.nonzeros():
+            return i, j, Poly(self.vars, t, _canonical=True).pruned()
         return None
 
     def scalar_identity_multiple(self):
         """The Poly c with self == c * I, or None if there is no such c."""
-        if self.nrows != self.ncols or self.nrows == 0:
+        n = self.nrows
+        if n != self.ncols or n == 0:
             return None
         diag = self.data[0]
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                t = self.data[i * self.ncols + j]
-                if i == j:
-                    if t != diag:
-                        return None
-                elif t:
-                    return None
+        if self.data[:: n + 1].count(diag) != n:
+            return None
+        if any(k % (n + 1) for k in nonempty(self.data)):
+            return None
         return Poly(self.vars, diag, _canonical=True).pruned()
 
     def __eq__(self, other):

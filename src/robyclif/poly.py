@@ -21,7 +21,7 @@ from math import comb
 
 from . import kernel
 from .errors import InputError
-from .scalars import CycScalar, exact_div, make_root, narrow
+from .scalars import CycScalar, decimal_str, exact_div, make_root, narrow
 
 __all__ = [
     "Poly",
@@ -202,14 +202,18 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise InputError("polynomial powers must be nonnegative integers")
-        result = Poly.const(1)
+        if not n:
+            return Poly.const(1)
+        # from the first factor, squaring only while bits remain
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- queries ---------------------------------------------------------------
 
@@ -309,16 +313,22 @@ class Poly:
         bound = [
             (i, v) for i, v in enumerate(self.vars) if v in vals
         ]
-        aligned_vals = {v: p.aligned(new_vars) for v, p in vals.items()}
-        pow_cache: dict[str, list] = {
-            v: [{(0,) * width: 1}, aligned_vals[v]] for v in aligned_vals
-        }
+        # squares[v][i] is value(v)^(2^i); each power used is built once by
+        # binary powering over them, and no power goes unused
+        squares = {v: [p.aligned(new_vars)] for v, p in vals.items()}
+        powers: dict = {}
 
         def var_power(v: str, n: int):
-            cache = pow_cache[v]
-            while len(cache) <= n:
-                cache.append(kernel.mul_terms(cache[-1], cache[1]))
-            return cache[n]
+            power = powers.get((v, n))
+            if power is None:
+                sq = squares[v]
+                for i in range(n.bit_length()):
+                    if i == len(sq):
+                        sq.append(kernel.mul_terms(sq[-1], sq[-1]))
+                    if n >> i & 1:
+                        power = sq[i] if power is None else kernel.mul_terms(sq[i], power)
+                powers[v, n] = power
+            return power
 
         out: dict = {}
         for exp, c in self.terms.items():
@@ -377,8 +387,8 @@ def _coeff_text(c) -> tuple[str, bool]:
             return _cyc_expr(c), False
         c = r
     if c < 0:
-        return str(-c), True
-    return str(c), False
+        return decimal_str(-c), True
+    return decimal_str(c), False
 
 
 def _cyc_expr(c: CycScalar) -> str:
@@ -388,10 +398,10 @@ def _cyc_expr(c: CycScalar) -> str:
         if not coeff:
             continue
         if i == 0:
-            atom = str(abs(coeff))
+            atom = decimal_str(abs(coeff))
         else:
             zeta = f"zeta{c.order}" if i == 1 else f"zeta{c.order}^{i}"
-            atom = zeta if abs(coeff) == 1 else f"{abs(coeff)}*{zeta}"
+            atom = zeta if abs(coeff) == 1 else f"{decimal_str(abs(coeff))}*{zeta}"
         if not parts:
             parts.append(f"-{atom}" if coeff < 0 else atom)
         else:

@@ -535,15 +535,14 @@ def _graded_check(report: Report, module: GradedRobyModule) -> None:
     if module.tslot is not None:
         named.append(("T", module.tslot))
     for name, m in named:
-        for r in range(m.nrows):
-            for c in range(m.ncols):
-                if m.data[r * m.ncols + c] and g[r] != (g[c] + 1) % e:
-                    report.add(
-                        "graded",
-                        False,
-                        detail=f"action {name} entry ({r},{c}) breaks the grading",
-                    )
-                    return
+        for r, c, _ in m.nonzeros():
+            if g[r] != (g[c] + 1) % e:
+                report.add(
+                    "graded",
+                    False,
+                    detail=f"action {name} entry ({r},{c}) breaks the grading",
+                )
+                return
     report.add("graded", True)
 
 
@@ -693,13 +692,8 @@ def verify_filtered_pseudo(cm: CharMorphism, filtration: Filtration) -> Report:
             first[i] = k
     detail = ""
     for name, m in zip(algebra.basis_names, cm.matrices):
-        n = m.ncols
         leak = min(
-            (
-                (first[k % n], k % n, k // n)
-                for k, t in enumerate(m.data)
-                if t and first[k // n] > first[k % n]
-            ),
+            ((first[c], c, r) for r, c, _ in m.nonzeros() if first[r] > first[c]),
             default=None,
         )
         if leak is not None:

@@ -19,6 +19,7 @@ Phi_e, so a typo cannot silently allocate a degree-ten-thousand field.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -35,6 +36,7 @@ __all__ = [
     "is_primitive_root",
     "parse_scalar",
     "scalar_to_string",
+    "decimal_str",
 ]
 
 # Largest cyclotomic order any CycScalar may have: roots, literals, lcm lifts.
@@ -300,14 +302,18 @@ class CycScalar:
             return NotImplemented
         if n < 0:
             return self._inverse() ** (-n)
-        result = CycScalar(self.order, [1])
+        if not n:
+            return CycScalar(self.order, [1])
+        # from the first factor, squaring only while bits remain
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- comparison and display -------------------------------------------
 
@@ -390,16 +396,35 @@ def cyc_arith(a, b, op: str):
     return fn(a, b)
 
 
+def decimal_str(x) -> str:
+    """``str`` of an int or Fraction, or InputError if Python cannot print it.
+
+    Python refuses to convert an int of more decimal digits than
+    ``sys.get_int_max_str_digits()``.  The limit is checked before
+    converting, by bit length first (2^(3L) < 10^L), and never raised.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        parts = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x,)
+        for n in parts:
+            if n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+                raise InputError(
+                    f"a coefficient of {n.bit_length()} bits has more than {limit} decimal "
+                    f"digits, the interpreter's limit for printing an integer"
+                )
+    return str(x)
+
+
 def scalar_to_string(x) -> str:
     """Serialize a scalar: rationals as ``p/q``, cyclotomics as ``poly(e; ...)``."""
     f = _rational(x)
     if f is not None:
-        return str(f)
+        return decimal_str(f)
     if isinstance(x, CycScalar):
         r = x.as_rational()
         if r is not None:
-            return str(r)
-        body = ", ".join(str(c) for c in x.coeffs)
+            return decimal_str(r)
+        body = ", ".join(decimal_str(c) for c in x.coeffs)
         return f"poly({x.order}; {body})"
     raise InputError(f"not a scalar: {x!r}")
 

@@ -60,6 +60,17 @@ class TestCharpoly:
         assert main(["charpoly", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_coefficient_too_long_to_print_is_input_error(self, tmp_path, capsys, as_json):
+        # (10^1000 - 1)^5 has 5000 digits, past Python's 4300-digit int-to-str limit
+        path = tmp_path / "long.algebra"
+        path.write_text("[algebra]\nmonogenic = z^2 - (" + "9" * 1000 + "*x)^5\nvar = z\n")
+        assert main(["charpoly", str(path)] + (["--json"] if as_json else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than 4300 decimal digits" in captured.err
+        assert "Traceback" not in captured.err and "internal error" not in captured.err
+
     def test_deep_nesting_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "deep.algebra"
         deep = "(" * 3000 + "z^2 - x*y" + ")" * 3000

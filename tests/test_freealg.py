@@ -221,6 +221,41 @@ class TestCayleyHamilton:
         assert not report.ok
         assert "entry" in report.get("cayley_hamilton").detail
 
+    def test_horner_starts_from_the_matrix(self, monkeypatch):
+        def old_horner(chi, m, gamma_values):
+            # the loop evaluate_matrix once ran: its first product was I * m
+            bindings = dict(zip(chi.dual_names, gamma_values))
+            coeffs = {j: c.substitute(bindings) for j, c in chi.coefficients().items()}
+            acc = PolyMatrix.identity(m.nrows)
+            for j in range(chi.rank - 1, -1, -1):
+                acc = acc * m
+                cj = coeffs.get(j)
+                if cj is not None and cj:
+                    acc = acc + PolyMatrix.identity(m.nrows).scaled(cj)
+            return acc
+
+        products = []
+        real = PolyMatrix.__mul__
+
+        def counted(a, b):
+            products.append(1)
+            return real(a, b)
+
+        algebras = [split_algebra(d) for d in (1, 2, 3)]
+        algebras += [monogenic_algebra(parse_poly("z^3 - x*z - y"), "z")]
+        for alg in algebras:
+            chi = char_poly(alg)
+            rho = alg.regular_representation()
+            for values in ([Poly.variable(g) for g in alg.dual_names], ["x + 1"] * alg.rank):
+                want = old_horner(chi, rho, values)
+                monkeypatch.setattr(PolyMatrix, "__mul__", counted)
+                products.clear()
+                got = chi.evaluate_matrix(rho, values)
+                monkeypatch.setattr(PolyMatrix, "__mul__", real)
+                assert len(products) == chi.rank - 1
+                assert got.vars == want.vars
+                assert [list(t.items()) for t in got.data] == [list(t.items()) for t in want.data]
+
     def test_shape_mismatch_is_an_input_error(self):
         chi = char_poly(split_algebra(3))
         with pytest.raises(InputError):

@@ -312,6 +312,15 @@ def test_matmul_shares_one_empty_map_under_both_encodings(forced_packing):
     assert out[1] is out[2] is out[3]
 
 
+def test_matmul_entry_that_cancels_is_the_shared_empty_map(forced_packing):
+    # x*1 + x*(-1) cancels in entry (0, 0); no product reaches the others
+    a = [{(1,): 1}, {(1,): 1}, {}, {}]
+    b = [{(0,): 1}, {}, {(0,): -1}, {}]
+    out = kernel.matmul_terms(a, b, 2, 2, 2)
+    assert out == [{}, {}, {}, {}]
+    assert out[0] is out[1] is out[2] is out[3]
+
+
 @pytest.mark.parametrize(
     "check",
     [

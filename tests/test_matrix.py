@@ -10,7 +10,7 @@ import pytest
 from robyclif import kernel
 from robyclif.errors import InputError
 from robyclif.matrix import PolyMatrix, is_scalar_multiple_of_identity, matpoly_pow
-from robyclif.poly import Poly, as_poly, parse_poly
+from robyclif.poly import Poly, _align_terms, as_poly, parse_poly
 from robyclif.scalars import make_root
 
 x = Poly.variable("x")
@@ -367,6 +367,162 @@ def test_no_operation_mutates_its_operands():
             assert items(m) == [list(t.items()) for t in data], name
 
 
+# -- nonzero walks against the slot-by-slot loops they replaced --------------------
+
+WALK_SHAPES = ((0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (5, 7), (7, 5), (12, 12))
+
+
+def walk_matrices(seed):
+    """Seeded flat matrices at each density and shape, empty shapes included."""
+    rng = random.Random(seed)
+    for r, c in WALK_SHAPES:
+        for density in DENSITIES:
+            yield f"{r}x{c} at density {density}", random_matrix(rng, r, c, density)
+
+
+def nested_nonzeros(m):
+    return [
+        (i, j, m.data[i * m.ncols + j])
+        for i in range(m.nrows)
+        for j in range(m.ncols)
+        if m.data[i * m.ncols + j]
+    ]
+
+
+def old_first_nonzero(m):
+    for i in range(m.nrows):
+        for j in range(m.ncols):
+            t = m.data[i * m.ncols + j]
+            if t:
+                return i, j, Poly(m.vars, t, _canonical=True).pruned()
+    return None
+
+
+def old_scalar_identity_multiple(m):
+    if m.nrows != m.ncols or m.nrows == 0:
+        return None
+    diag = m.data[0]
+    for i in range(m.nrows):
+        for j in range(m.ncols):
+            t = m.data[i * m.ncols + j]
+            if i == j:
+                if t != diag:
+                    return None
+            elif t:
+                return None
+    return Poly(m.vars, diag, _canonical=True).pruned()
+
+
+def old_transpose_data(m):
+    return [m.data[i * m.ncols + j] for j in range(m.ncols) for i in range(m.nrows)]
+
+
+def scalar_like(rng, n, density):
+    """c * I, sometimes with one diagonal or off-diagonal entry disturbed."""
+    diag = random_matrix(rng, 1, 1, density).data[0]
+    m = PolyMatrix(n, n, VARS, [diag if k % (n + 1) == 0 else {} for k in range(n * n)])
+    if n and rng.random() < 0.6:
+        k = rng.randrange(n * n)
+        m.data[k] = random_matrix(rng, 1, 1, 1.0).data[0] if rng.random() < 0.8 else {}
+    return m
+
+
+def test_nonzeros_is_the_row_major_nested_loop():
+    for where, m in walk_matrices(50):
+        got = list(m.nonzeros())
+        want = nested_nonzeros(m)
+        assert got == want, where
+        assert all(t is w[2] for (_, _, t), w in zip(got, want)), where
+
+
+def test_queries_equal_their_old_loops():
+    rng = random.Random(51)
+    matrices = list(walk_matrices(52))
+    matrices += [(f"scalar-like {k}", scalar_like(rng, rng.randrange(0, 6), rng.choice(DENSITIES)))
+                 for k in range(200)]
+    matrices += [("identity 4", PolyMatrix.identity(4)), ("zeros 3x3", PolyMatrix.zeros(3, 3)),
+                 ("diagonal x, x", PolyMatrix.diagonal([x, x]))]
+    verdicts = Counter()
+    for where, m in matrices:
+        assert m.first_nonzero() == old_first_nonzero(m), where
+        got, want = m.scalar_identity_multiple(), old_scalar_identity_multiple(m)
+        assert got == want, where
+        verdicts[want is None] += 1
+        assert m.is_zero() == all(not t for t in m.data), where
+        t = m.transpose()
+        assert t.shape == (m.ncols, m.nrows) and t.vars == m.vars, where
+        assert t.data == old_transpose_data(m), where
+        assert all(a is b for a, b in zip(t.data, old_transpose_data(m))), where
+    assert verdicts[True] and verdicts[False]
+
+
+def test_arithmetic_passes_equal_their_old_listcomps():
+    # the slot-by-slot listcomps these passes once ran, on the same aligned lists
+    rng = random.Random(54)
+    w = Poly.variable("w")
+    for where, m in walk_matrices(55):
+        other = random_matrix(rng, m.nrows, m.ncols, rng.choice(DENSITIES), vars=("w", "y"))
+        vs = tuple(sorted(set(m.vars) | set(other.vars)))
+        a = [_align_terms(t, m.vars, vs) if t else t for t in m.data]
+        b = [_align_terms(t, other.vars, vs) if t else t for t in other.data]
+        pt = (w + 1).aligned(vs)
+        cases = {
+            "aligned_data": (m.aligned_data(vs), a),
+            "+": ((m + other).data,
+                  [kernel.add_terms(x, y) if x and y else x or y for x, y in zip(a, b)]),
+            "-": ((m - other).data,
+                  [(kernel.sub_terms(x, y) if x else kernel.neg_terms(y)) if y else x
+                   for x, y in zip(a, b)]),
+            "neg": ((-m).data, [kernel.neg_terms(t) if t else t for t in m.data]),
+            "scaled scalar": (m.scaled(Fraction(-2, 3)).data,
+                              [kernel.scale_terms(t, Fraction(-2, 3)) if t else t for t in m.data]),
+            "scaled poly": (m.scaled(w + 1).data, [kernel.mul_terms(t, pt) if t else t for t in a]),
+        }
+        for name, (got, want) in cases.items():
+            assert [list(t.items()) for t in got] == [list(t.items()) for t in want], (name, where)
+        assert (m + other).vars == (m - other).vars == m.scaled(w + 1).vars == vs, where
+        got = m.substitute({"x": "w - y", "z": 2})
+        want = [[e.substitute({"x": "w - y", "z": 2}) for e in row] for row in m.rows()]
+        assert got.shape == m.shape and list(got.rows()) == want, where
+
+
+# -- power chains: no product by one, no trailing square ----------------------------
+
+
+def old_matrix_pow(m, n):
+    # the loop PolyMatrix.pow once ran: it started from I and its first
+    # product was I * m
+    result = PolyMatrix.identity(m.nrows)
+    base = m
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def test_pow_does_one_product_per_step(monkeypatch):
+    products = Counter()
+    real = kernel.matmul_terms
+
+    def counted(*args):
+        products["matmul"] += 1
+        return real(*args)
+
+    rng = random.Random(53)
+    m = random_matrix(rng, 4, 4, 0.3, vars=("x", "y"))
+    for n in range(1, 34):
+        want = old_matrix_pow(m, n)
+        monkeypatch.setattr(kernel, "matmul_terms", counted)
+        products.clear()
+        got = m.pow(n)
+        monkeypatch.setattr(kernel, "matmul_terms", real)
+        assert products["matmul"] == (n.bit_length() - 1) + (bin(n).count("1") - 1), n
+        assert got.vars == want.vars and items(got) == items(want), n
+    assert m.pow(0) == PolyMatrix.identity(4)
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -375,6 +531,9 @@ def test_no_operation_mutates_its_operands():
         test_sparse_passes_across_variable_contexts,
         test_combination_equals_the_running_sum_key_for_key,
         test_no_operation_mutates_its_operands,
+        test_nonzeros_is_the_row_major_nested_loop,
+        test_queries_equal_their_old_loops,
+        test_arithmetic_passes_equal_their_old_listcomps,
     ],
     ids=lambda check: check.__name__,
 )

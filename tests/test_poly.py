@@ -1,10 +1,12 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from robyclif.errors import InputError
+from robyclif import kernel
 from robyclif import poly as poly_module
 from robyclif.poly import (
     MAX_EXPONENT,
@@ -26,6 +28,20 @@ def V(name):
 
 
 x, y, q, t = V("x"), V("y"), V("q"), V("t")
+
+
+@pytest.fixture
+def counted_mul_terms(monkeypatch):
+    """A Counter of ``kernel.mul_terms`` calls."""
+    calls = Counter()
+    real = kernel.mul_terms
+
+    def counted(a, b):
+        calls["mul_terms"] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(kernel, "mul_terms", counted)
+    return calls
 
 
 class TestArithmetic:
@@ -63,6 +79,29 @@ class TestArithmetic:
         with pytest.raises(InputError):
             poly_arith(x, y, "div")
 
+    def test_power_chain_does_one_product_per_step(self, counted_mul_terms):
+        def old_pow(p, n):
+            # the loop Poly.__pow__ once ran: from 1, squaring past the last bit
+            result, base = Poly.const(1), p
+            while n:
+                if n & 1:
+                    result = result * base
+                base = base * base
+                n >>= 1
+            return result
+
+        bases = [x - Fraction(1, 2) * y, 3 * x * y, 2 * x + make_root(3), Poly.zero(), Poly.const(2)]
+        for p in bases:
+            for n in range(1, 34):
+                want = old_pow(p, n)
+                counted_mul_terms.clear()
+                got = p ** n
+                steps = (n.bit_length() - 1) + (bin(n).count("1") - 1)
+                assert counted_mul_terms["mul_terms"] == steps, (p, n)
+                assert got.vars == want.vars, (p, n)
+                assert list(got.terms.items()) == list(want.terms.items()), (p, n)
+            assert p ** 0 == 1
+
 
 class TestSubstitution:
     def test_line_restriction_pattern(self):
@@ -93,6 +132,17 @@ class TestSubstitution:
             a, b = rand_poly(), rand_poly()
             assert (a * b).substitute(binding) == a.substitute(binding) * b.substitute(binding)
             assert (a + b).substitute(binding) == a.substitute(binding) + b.substitute(binding)
+
+    def test_builds_only_the_powers_it_uses(self, counted_mul_terms):
+        p = parse_poly("x^1000")
+        counted_mul_terms.clear()
+        got = p.substitute({"x": "y + 1"})
+        assert counted_mul_terms["mul_terms"] <= 20
+        assert got == (y + 1) ** 1000
+        mixed = parse_poly("x^7*y + 3*x^6 - x^2*y^5 + x^7")
+        assert mixed.substitute({"x": "y - 2", "y": "x + y"}) == (
+            (y - 2) ** 7 * (x + y) + 3 * (y - 2) ** 6 - (y - 2) ** 2 * (x + y) ** 5 + (y - 2) ** 7
+        )
 
     def test_simultaneous_not_sequential(self):
         p = x + y

@@ -1,6 +1,7 @@
 """Roby module constructions, twisted tensors, and the verifiers."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,9 @@ from robyclif.freealg import (
 from robyclif.matrix import PolyMatrix
 from robyclif.pipeline import deviation_monomials
 from robyclif.poly import HomForm, Poly, parse_poly
+from robyclif.report import Report
 from robyclif.roby import (
+    _graded_check,
     AlgebraEmbedding,
     CharMorphism,
     Filtration,
@@ -765,6 +768,50 @@ class TestModuleConstruction:
         assert not report.ok
         assert not report.get("graded").ok
         assert report.get("power_identity").ok
+
+    def test_graded_check_matches_the_nested_loop(self):
+        def nested_loop(module):
+            # the scan _graded_check once ran over every slot, kept as the oracle
+            e, g = module.degree, module.grading
+            named = list(zip(module.action_names, module.actions))
+            if module.tslot is not None:
+                named.append(("T", module.tslot))
+            for name, m in named:
+                for r in range(m.nrows):
+                    for c in range(m.ncols):
+                        if m.data[r * m.ncols + c] and g[r] != (g[c] + 1) % e:
+                            return False, f"action {name} entry ({r},{c}) breaks the grading"
+            return True, ""
+
+        rng = random.Random(47)
+        verdicts = set()
+        for trial in range(300):
+            e = rng.randrange(1, 5)
+            n = rng.randrange(0, 9)
+            g = [rng.randrange(e) for _ in range(n)]
+            density = rng.choice((0.0, 0.02, 0.3, 1.0))
+
+            def action():
+                def entry(r, c):
+                    # graded entries at the chosen density, a breaking one is rare
+                    odds = density if g[r] == (g[c] + 1) % e else density * 0.05
+                    return rng.choice((1, -2, "a", "x - 1")) if rng.random() < odds else 0
+
+                if not n:
+                    return PolyMatrix.zeros(0, 0)
+                return PolyMatrix.from_rows([[entry(r, c) for c in range(n)] for r in range(n)])
+
+            module = SimpleNamespace(
+                degree=e, grading=g, action_names=("u", "v"), actions=[action(), action()],
+                tslot=action() if rng.random() < 0.5 else None,
+            )
+            report = Report(title="graded")
+            _graded_check(report, module)
+            check = report.get("graded")
+            want = nested_loop(module)
+            assert (check.ok, check.detail) == want, f"trial {trial}"
+            verdicts.add(want[0])
+        assert verdicts == {True, False}
 
     def test_source_names_must_line_up(self):
         s = split_roby(2)

@@ -210,6 +210,36 @@ def test_pow_including_negative_exponents():
     assert (z + 1) ** 2 == z * z + 2 * z + 1
 
 
+def test_power_chain_does_one_product_per_step(monkeypatch):
+    def old_pow(c, n):
+        # the loop CycScalar.__pow__ once ran: from 1, squaring past the last bit
+        result, base = CycScalar(c.order, [1]), c
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    products = []
+    real = CycScalar.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    for c in (make_root(5), 1 + 2 * make_root(12), Fraction(1, 3) - make_root(7), make_root(1)):
+        for n in range(1, 34):
+            want = old_pow(c, n)
+            monkeypatch.setattr(CycScalar, "__mul__", counted)
+            products.clear()
+            got = c ** n
+            monkeypatch.setattr(CycScalar, "__mul__", real)
+            assert len(products) == (n.bit_length() - 1) + (bin(n).count("1") - 1), (c, n)
+            assert (got.order, got.coeffs) == (want.order, want.coeffs), (c, n)
+            assert [type(v) for v in got.coeffs] == [type(v) for v in want.coeffs], (c, n)
+
+
 def test_unhashable_by_design():
     with pytest.raises(TypeError):
         hash(make_root(3))
