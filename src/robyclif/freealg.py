@@ -114,13 +114,15 @@ class FreeAlgebra:
             want = self._basis_coords(j)
             if any(got[k] != want[k] for k in range(d)):
                 raise InputError(f"unit law fails on {self.basis_names[j]}")
+        # e_i e_j is by definition the table row c[i][j], so the basis
+        # products come from the table and only the two triple products are
+        # computed: 2 d^3 products, in the order of the triples
+        basis = [self._basis_coords(i) for i in range(d)]
         for i in range(d):
             for j in range(d):
-                ij = self.product(self._basis_coords(i), self._basis_coords(j))
                 for k in range(d):
-                    left = self.product(ij, self._basis_coords(k))
-                    jk = self.product(self._basis_coords(j), self._basis_coords(k))
-                    right = self.product(self._basis_coords(i), jk)
+                    left = self.product(c[i][j], basis[k])
+                    right = self.product(basis[i], c[j][k])
                     if any(left[m] != right[m] for m in range(d)):
                         raise InputError(
                             f"multiplication is not associative at "

@@ -5,7 +5,8 @@ variable, the same width throughout a call) to nonzero coefficients: ``int``
 when integral, ``Fraction`` when rational, ``CycScalar`` otherwise (see
 ``scalars.narrow``).  Coefficients live in a field, so a product of nonzeros
 is nonzero and only accumulation can cancel.  No function here mutates its
-inputs; ``mul_into`` mutates only its accumulator.
+inputs; ``mul_into``, ``add_into`` and ``sub_into`` mutate only their
+accumulator, and ``update_nonempty`` only the list it is given.
 
 Two key encodings.  Every input and output holds tuple keys.  Inside one
 ``mul_terms`` or ``matmul_terms`` call, products may run on packed keys
@@ -40,33 +41,43 @@ from operator import add
 _PACK_RATIO = 4
 
 
-def add_terms(a: dict, b: dict) -> dict:
-    out = dict(a)
+def add_into(acc: dict, b: dict) -> None:
+    """acc += b, in place: b's terms in order, a cancelled key deleted."""
     for exp, c in b.items():
-        cur = out.get(exp)
+        cur = acc.get(exp)
         if cur is None:
-            out[exp] = c
+            acc[exp] = c
         else:
             cur = cur + c
             if cur:
-                out[exp] = cur
+                acc[exp] = cur
             else:
-                del out[exp]
+                del acc[exp]
+
+
+def sub_into(acc: dict, b: dict) -> None:
+    """acc -= b, in place, in the order of ``add_into``."""
+    for exp, c in b.items():
+        cur = acc.get(exp)
+        if cur is None:
+            acc[exp] = -c
+        else:
+            cur = cur - c
+            if cur:
+                acc[exp] = cur
+            else:
+                del acc[exp]
+
+
+def add_terms(a: dict, b: dict) -> dict:
+    out = dict(a)
+    add_into(out, b)
     return out
 
 
 def sub_terms(a: dict, b: dict) -> dict:
     out = dict(a)
-    for exp, c in b.items():
-        cur = out.get(exp)
-        if cur is None:
-            out[exp] = -c
-        else:
-            cur = cur - c
-            if cur:
-                out[exp] = cur
-            else:
-                del out[exp]
+    sub_into(out, b)
     return out
 
 
@@ -181,11 +192,16 @@ def nonempty(maps: list):
     return compress(range(len(maps)), maps)
 
 
+def update_nonempty(maps: list, fn) -> None:
+    """Apply fn to each nonempty term map of a list, in place."""
+    for k in nonempty(maps):
+        maps[k] = fn(maps[k])
+
+
 def map_nonempty(maps: list, fn) -> list:
     """A copy of a list of term maps with fn applied to each nonempty one."""
     out = list(maps)
-    for k in nonempty(out):
-        out[k] = fn(out[k])
+    update_nonempty(out, fn)
     return out
 
 

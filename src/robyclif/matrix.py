@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from . import kernel
 from .errors import InputError
-from .kernel import map_nonempty, nonempty
+from .kernel import map_nonempty, nonempty, update_nonempty
 from .poly import Poly, Scalar, _align_terms, _coerce_coeff, as_poly
 
 __all__ = ["PolyMatrix", "matpoly_pow", "is_scalar_multiple_of_identity", "check_vanishes"]
@@ -125,6 +125,14 @@ class PolyMatrix:
         vs = tuple(sorted(set(self.vars) | set(other.vars)))
         return vs, self.aligned_data(vs), other.aligned_data(vs)
 
+    def _writable(self, data: list) -> list:
+        """data, or a copy if it is self's own list.
+
+        ``aligned_data`` returns either ``self.data`` or a fresh list; an
+        output may be written into the fresh one, so it is copied only once.
+        """
+        return list(data) if data is self.data else data
+
     # -- access --------------------------------------------------------------------
 
     @property
@@ -168,7 +176,7 @@ class PolyMatrix:
         if self.shape != other.shape:
             raise InputError(f"shape mismatch: {self.shape} + {other.shape}")
         vs, a, b = self._common(other)
-        data = list(a)
+        data = self._writable(a)
         for k in nonempty(b):
             x = data[k]
             data[k] = kernel.add_terms(x, b[k]) if x else b[k]
@@ -180,7 +188,7 @@ class PolyMatrix:
         if self.shape != other.shape:
             raise InputError(f"shape mismatch: {self.shape} - {other.shape}")
         vs, a, b = self._common(other)
-        data = list(a)
+        data = self._writable(a)
         for k in nonempty(b):
             x = data[k]
             data[k] = kernel.sub_terms(x, b[k]) if x else kernel.neg_terms(b[k])
@@ -199,7 +207,8 @@ class PolyMatrix:
         p = as_poly(c)
         vs = tuple(sorted(set(self.vars) | set(p.vars)))
         pt = p.aligned(vs)
-        data = map_nonempty(self.aligned_data(vs), lambda t: kernel.mul_terms(t, pt))
+        data = self._writable(self.aligned_data(vs))
+        update_nonempty(data, lambda t: kernel.mul_terms(t, pt))
         return PolyMatrix(self.nrows, self.ncols, vs, data, _canonical=True)
 
     def __mul__(self, other):

@@ -10,6 +10,13 @@ polynomials are equal exactly when their aligned term maps are equal.
 The textual syntax is ``3/2*x^2*y - z2`` with variables matching
 ``[a-zA-Z][a-zA-Z0-9_]*``; the reserved atoms ``zeta2``, ``zeta3``, ... parse
 to primitive roots of unity so cyclotomic coefficients round-trip.
+
+Parsing is one pass: one ``finditer`` over the text, then one descent that
+adds each term of a sum into a single term map in place and multiplies each
+product of atoms into a single monomial.  The result gets one variable
+context, the sorted names its text mentions outside a ``^0``.  So parsing
+costs in proportion to the text, plus the expansion of any product or power
+of factors with several terms.
 """
 
 from __future__ import annotations
@@ -53,8 +60,11 @@ def _check_var_name(name: str) -> str:
 
 
 def _align_terms(terms: dict, old_vars: tuple, new_vars: tuple) -> dict:
-    """Remap exponent tuples from old_vars to new_vars (a superset)."""
-    if old_vars == new_vars:
+    """Remap exponent tuples from old_vars to new_vars (a superset).
+
+    An empty map, or one already over new_vars, is returned as it is.
+    """
+    if old_vars == new_vars or not terms:
         return terms
     pos = {v: i for i, v in enumerate(new_vars)}
     idx = [pos[v] for v in old_vars]
@@ -339,7 +349,7 @@ class Poly:
             for i, v in bound:
                 if exp[i]:
                     acc = kernel.mul_terms(acc, var_power(v, exp[i]))
-            out = kernel.add_terms(out, acc)
+            kernel.add_into(out, acc)
         return Poly(new_vars, out, _canonical=True)
 
     def evaluate(self, bindings):
@@ -450,8 +460,8 @@ class HomForm:
 
 # -- parsing -----------------------------------------------------------------
 
-# Parentheses plus unary signs; each level costs the parser at most four
-# stack frames, which keeps it far below Python's recursion limit.
+# Parentheses plus unary signs.  A parenthesis costs the parser four stack
+# frames and a sign none, which keeps it far below Python's recursion limit.
 MAX_NESTING = 100
 
 # Largest predicted term count of a parsed power ``(...)^N`` (see
@@ -527,116 +537,210 @@ def _power_term_bound(base: Poly, n: int) -> int:
     return min(by_degree, comb(len(base.terms) + n - 1, n))
 
 
+# One match per token: a number, a name or operator, or a character that
+# starts no token.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>[0-9]+(?:\s*/\s*[0-9]+)?)|(?P<name>[a-zA-Z][a-zA-Z0-9_]*)"
-    r"|(?P<op>[-+*^()]))"
+    r"\s*(?:([0-9]+(?:\s*/\s*[0-9]+)?)|([a-zA-Z][a-zA-Z0-9_]*|[-+*^()])|(\S))"
 )
 
 
-def _tokenize(text: str):
-    pos, tokens = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise InputError(f"cannot tokenize polynomial at: {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.lastgroup == "number":
-            number = m.group("number")
-            try:
-                value = Fraction(number.replace(" ", ""))
-            except ValueError:  # more digits than int() converts
-                raise InputError(f"number of {len(number)} characters is too long") from None
-            tokens.append(("number", narrow(value)))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
+def _number(text: str):
+    """The value of a numeric literal: an int, or a Fraction if not integral."""
+    try:
+        if "/" not in text:
+            return int(text)
+        return narrow(Fraction(text.replace(" ", "")))
+    except ValueError:  # more digits than int() converts
+        raise InputError(f"number of {len(text)} characters is too long") from None
+    except ZeroDivisionError:
+        raise InputError(f"the number {text!r} has a zero denominator") from None
+
+
+def _tokenize(text: str) -> list:
+    """The tokens of a polynomial text, then None.
+
+    A number is its value; a name or an operator is its text.
+    """
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        number, word, bad = m.groups()
+        if word is not None:
+            tokens.append(word)
+        elif number is not None:
+            tokens.append(_number(number))
         else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", None))
+            raise InputError(f"cannot tokenize polynomial at: {text[m.start():]!r}")
+    tokens.append(None)
     return tokens
 
 
 class _Parser:
+    """Recursive descent over a token list.
+
+    A sum is read into one term map, in place, term by term.  Its keys are
+    sparse monomials: sorted ``(name, exponent)`` tuples with no zero
+    exponent, so no key is realigned while the sum's variables grow; the
+    names the sum mentions are collected beside it.  A factor of at most
+    one term is a monomial ``(c, pairs, names)``: coefficient c (0 for the
+    zero factor), its ``(name, exponent)`` pairs and its variable context.
+    A product of monomials is one running monomial.  A ``Poly`` is built
+    for a factor of several terms, for the cap check of a power, and once
+    for the result.  Every scalar operation runs in the order of the Poly
+    arithmetic it replaces, so values, coefficient types and key order are
+    those of that arithmetic.
+    """
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
         self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
     def enter(self):
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise InputError("polynomial nested too deeply")
 
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise InputError(f"expected {op!r} in polynomial")
-
-    def parse_expr(self) -> Poly:
-        result = self.parse_term()
+    def parse_expr(self):
+        """(sparse term map, names) of a sum or difference of terms."""
+        terms: dict = {}
+        names: set = set()
+        into = kernel.add_into
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.parse_term()
-                result = result + rhs if val == "+" else result - rhs
+            into(terms, self.parse_term(names))
+            op = self.tokens[self.i]
+            if op == "+":
+                into = kernel.add_into
+            elif op == "-":
+                into = kernel.sub_into
             else:
-                return result
+                return terms, names
+            self.i += 1
 
-    def parse_term(self) -> Poly:
-        result = self.parse_factor()
+    def parse_term(self, names: set) -> dict:
+        """Sparse term map of a product of factors; adds its names to names."""
+        coef = poly = None
+        exps: dict = {}
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                result = result * self.parse_factor()
+            factor = self.parse_factor()
+            if isinstance(factor, Poly):
+                names.update(factor.vars)
+                if poly is None:
+                    poly = factor if coef is None else _monomial(coef, exps.items()) * factor
+                else:
+                    poly = poly * factor
             else:
-                return result
+                c, pairs, factor_names = factor
+                names.update(factor_names)
+                if poly is not None:
+                    poly = poly * _monomial(c, pairs)
+                else:
+                    # a zero factor ends the products, as multiplying an empty map does
+                    coef = c if coef is None else coef * c if coef and c else 0
+                    for v, e in pairs:
+                        exps[v] = exps.get(v, 0) + e
+            if self.tokens[self.i] != "*":
+                break
+            self.i += 1
+        if poly is not None:
+            return _sparse_terms(poly)
+        return {tuple(sorted(exps.items())): coef} if coef else {}
 
-    def parse_factor(self) -> Poly:
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
+    def parse_factor(self):
+        """A signed atom or power of one: a monomial, or a Poly of several terms."""
+        tokens = self.tokens
+        signs = negate = 0
+        tok = tokens[self.i]
+        while tok == "-" or tok == "+":
+            self.i += 1
             self.enter()
-            inner = self.parse_factor()
-            self.depth -= 1
-            return inner if val == "+" else -inner
-        base = self.parse_atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, exp = self.take()
-            if kind != "number" or exp.denominator != 1 or exp < 0:
+            signs += 1
+            negate ^= tok == "-"
+            tok = tokens[self.i]
+        self.i += 1
+        base = self.parse_atom(tok)
+        if tokens[self.i] == "^":
+            n = tokens[self.i + 1]
+            self.i += 2
+            if type(n) is not int:
                 raise InputError("exponent must be a nonnegative integer")
-            _check_power(base, exp)
-            return base ** exp
-        return base
+            base = _power(base, n)
+        self.depth -= signs
+        if not negate:
+            return base
+        if isinstance(base, Poly):
+            return -base
+        c, pairs, factor_names = base
+        return -c if c else c, pairs, factor_names
 
-    def parse_atom(self) -> Poly:
-        kind, val = self.take()
-        if kind == "number":
-            return Poly.const(val)
-        if kind == "name":
-            m = _ZETA_RE.fullmatch(val)
-            if m:
-                return Poly.const(make_root(int(m.group(1))))
-            return Poly.variable(val)
-        if kind == "op" and val == "(":
+    def parse_atom(self, tok):
+        if tok == "(":
             self.enter()
-            inner = self.parse_expr()
-            self.expect_op(")")
+            terms, names = self.parse_expr()
+            if self.tokens[self.i] != ")":
+                raise InputError("expected ')' in polynomial")
+            self.i += 1
             self.depth -= 1
-            return inner
-        raise InputError(f"unexpected token in polynomial: {val!r}")
+            if len(terms) > 1:
+                return _poly(terms, names)
+            if terms:
+                ((key, c),) = terms.items()
+                return c, key, names
+            return 0, (), names
+        if type(tok) is not str:
+            if tok is None:
+                raise InputError("unexpected token in polynomial: None")
+            return tok, (), ()
+        if tok[0].isalpha():
+            m = _ZETA_RE.fullmatch(tok)
+            if m:
+                return narrow(make_root(int(m.group(1)))), (), ()
+            return 1, ((tok, 1),), (tok,)
+        raise InputError(f"unexpected token in polynomial: {tok!r}")
+
+
+def _power(base, n: int):
+    """A parsed factor to the power n, refused first if it could pass a cap."""
+    if isinstance(base, Poly):
+        _check_power(base, n)
+        if n:
+            return base**n
+    else:
+        c, pairs, names = base
+        _check_power(_monomial(c, pairs), n)
+        if n:
+            return c**n if c else c, tuple((v, e * n) for v, e in pairs), names
+    return 1, (), ()
+
+
+def _monomial(c, pairs) -> Poly:
+    """The Poly of c times the monomial of (name, exponent) pairs."""
+    pairs = sorted(pairs)
+    return Poly(
+        tuple(v for v, _ in pairs),
+        {tuple(e for _, e in pairs): c} if c else {},
+        _canonical=True,
+    )
+
+
+def _sparse_terms(p: Poly) -> dict:
+    """The term map of p keyed by sparse monomials."""
+    return {
+        tuple((v, e) for v, e in zip(p.vars, exp) if e): c for exp, c in p.terms.items()
+    }
+
+
+def _poly(terms: dict, names) -> Poly:
+    """The Poly of a sparse term map over the sorted names."""
+    vs = tuple(sorted(names))
+    pos = {v: i for i, v in enumerate(vs)}
+    width = len(vs)
+    dense = {}
+    for key, c in terms.items():
+        exp = [0] * width
+        for v, e in key:
+            exp[pos[v]] = e
+        dense[tuple(exp)] = c
+    return Poly(vs, dense, _canonical=True)
 
 
 def parse_poly(text: str) -> Poly:
@@ -644,11 +748,11 @@ def parse_poly(text: str) -> Poly:
     if not isinstance(text, str) or not text.strip():
         raise InputError("empty polynomial string")
     parser = _Parser(_tokenize(text))
-    result = parser.parse_expr()
-    kind, val = parser.peek()
-    if kind != "end":
-        raise InputError(f"trailing input in polynomial: {val!r}")
-    return result
+    terms, names = parser.parse_expr()
+    tok = parser.tokens[parser.i]
+    if tok is not None:
+        raise InputError(f"trailing input in polynomial: {tok!r}")
+    return _poly(terms, names)
 
 
 def as_poly(x) -> Poly:

@@ -439,11 +439,19 @@ def parse_scalar(s: str):
             raise InputError(f"malformed cyclotomic literal: {s!r}")
         try:
             order = int(head.strip())
-            coeffs = [Fraction(part.strip()) for part in tail.split(",")] if tail.strip() else []
+            coeffs = [_fraction(part.strip(), s) for part in tail.split(",")] if tail.strip() else []
         except ValueError as exc:
             raise InputError(f"malformed cyclotomic literal: {s!r}") from exc
         return CycScalar(order, coeffs)
     try:
-        return _rational(Fraction(s))
+        return _rational(_fraction(s, s))
     except ValueError as exc:
         raise InputError(f"malformed scalar literal: {s!r}") from exc
+
+
+def _fraction(text: str, literal: str) -> Fraction:
+    """Fraction(text); a zero denominator is an InputError naming the literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"the scalar literal {literal!r} has a zero denominator") from None

@@ -18,7 +18,7 @@ from .freealg import FreeAlgebra, monogenic_algebra, split_algebra
 from .linegeom import GradedModuleP1
 from .matrix import PolyMatrix
 from .pipeline import PipelineSpec
-from .poly import parse_poly
+from .poly import Poly, parse_poly
 from .roby import GradedRobyModule, split_roby
 from .seeds import companion_matrix, cyclic_cover_seed, mf_seed
 
@@ -111,14 +111,38 @@ def _int(value: str, what: str) -> int:
         raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _matrix_rows(section: _Section) -> PolyMatrix:
+def _poly_reader():
+    """``parse_poly`` for one file: each distinct text is parsed once.
+
+    Polys are immutable and matrices read-only, so equal cells can share
+    one Poly.  Each parse_* call makes its own reader, so nothing is cached
+    across calls.
+    """
+    polys: dict = {}
+
+    def read(text: str) -> Poly:
+        p = polys.get(text)
+        if p is None:
+            p = polys[text] = parse_poly(text)
+        return p
+
+    return read
+
+
+def _matrix_rows(section: _Section, read) -> PolyMatrix:
+    """The matrix of a section's 'row = ...' lines.
+
+    Cells go through the file's reader, so each distinct cell text is
+    parsed once however often it repeats (a module's matrices are mostly
+    '0').
+    """
     rows = []
     for key, value in section.pairs:
         if key != "row":
             raise InputError(
                 f"[{section.name}] takes only 'row = ...' lines, got {key!r}"
             )
-        rows.append([parse_poly(c) for c in _split_list(value)])
+        rows.append([read(c) for c in _split_list(value)])
     if not rows:
         raise InputError(f"[{section.name}] has no rows")
     return PolyMatrix.from_rows(rows)
@@ -139,7 +163,7 @@ def spec_kind(text: str) -> str:
 # -- algebras ---------------------------------------------------------------
 
 
-def _algebra_from_sections(sections) -> FreeAlgebra:
+def _algebra_from_sections(sections, read) -> FreeAlgebra:
     heads = [s for s in sections if s.name == "algebra"]
     tables = [s for s in sections if s.name == "table"]
     strays = [s for s in sections if s.name not in ("algebra", "table")]
@@ -171,7 +195,7 @@ def _algebra_from_sections(sections) -> FreeAlgebra:
         if "var" not in m:
             raise InputError("a monogenic algebra needs 'var'")
         return monogenic_algebra(
-            parse_poly(m["monogenic"]), m["var"], dual_names=duals, tvar=tvar
+            read(m["monogenic"]), m["var"], dual_names=duals, tvar=tvar
         )
     if mode == "split":
         if "var" in m:
@@ -196,7 +220,7 @@ def _algebra_from_sections(sections) -> FreeAlgebra:
                 f"[table] keys are products 'a*b' over the basis, got {key!r}"
             )
         i, j = index[parts[0]], index[parts[1]]
-        coords = [parse_poly(c) for c in _split_list(value)]
+        coords = [read(c) for c in _split_list(value)]
         if len(coords) != d:
             raise InputError(f"product {key!r} needs {d} coordinates, got {len(coords)}")
         if grid[i][j] is not None:
@@ -212,7 +236,7 @@ def _algebra_from_sections(sections) -> FreeAlgebra:
     ]
     if missing:
         raise InputError(f"[table] is missing products: {', '.join(missing)}")
-    unit = [parse_poly(c) for c in _split_list(m["unit"])] if "unit" in m else None
+    unit = [read(c) for c in _split_list(m["unit"])] if "unit" in m else None
     degrees = (
         [_int(g, "degree") for g in _split_list(m["degrees"])]
         if "degrees" in m
@@ -222,7 +246,7 @@ def _algebra_from_sections(sections) -> FreeAlgebra:
 
 
 def parse_algebra(text: str) -> FreeAlgebra:
-    return _algebra_from_sections(_parse_sections(text))
+    return _algebra_from_sections(_parse_sections(text), _poly_reader())
 
 
 def render_algebra(algebra: FreeAlgebra) -> str:
@@ -254,6 +278,7 @@ def parse_roby_module(text: str) -> GradedRobyModule:
     for key in ("degree", "grading", "target"):
         if key not in m:
             raise InputError(f"[roby] needs {key!r}")
+    read = _poly_reader()
     names = []
     actions = []
     tslot = None
@@ -263,11 +288,11 @@ def parse_roby_module(text: str) -> GradedRobyModule:
             if not sec.arg:
                 raise InputError(f"line {sec.line}: [action] needs a name argument")
             names.append(sec.arg)
-            actions.append(_matrix_rows(sec))
+            actions.append(_matrix_rows(sec, read))
         elif sec.name == "tslot":
             if tslot is not None:
                 raise InputError("duplicate [tslot] section")
-            tslot = _matrix_rows(sec)
+            tslot = _matrix_rows(sec, read)
         elif sec.name in ("algebra", "table"):
             algebra_sections.append(sec)
         else:
@@ -279,13 +304,13 @@ def parse_roby_module(text: str) -> GradedRobyModule:
         [_int(g, "grading entry") for g in _split_list(m["grading"])],
         names,
         actions,
-        parse_poly(m["target"]),
+        read(m["target"]),
         target_vars=_split_list(m["target_vars"]) if "target_vars" in m else None,
         tslot=tslot,
         tvar=m.get("tvar"),
     )
     if algebra_sections:
-        module = module.with_source(_algebra_from_sections(algebra_sections))
+        module = module.with_source(_algebra_from_sections(algebra_sections, read))
     return module
 
 
@@ -331,7 +356,7 @@ def parse_line_module(text: str) -> GradedModuleP1:
             )
         if relations is not None:
             raise InputError("duplicate [relations] section")
-        relations = _matrix_rows(sec)
+        relations = _matrix_rows(sec, _poly_reader())
     return GradedModuleP1(
         [_int(g, "generator degree") for g in _split_list(m["generators"])],
         relations,
@@ -418,7 +443,7 @@ def parse_pipeline(text: str, *, base_dir=None) -> PipelineSpec:
     m = _pairs_map(head, allowed={"line", "line_vars", "seed"})
     if "seed" not in m:
         raise InputError("[pipeline] needs a seed")
-    algebra = _algebra_from_sections(sections[1:])
+    algebra = _algebra_from_sections(sections[1:], _poly_reader())
     return PipelineSpec(
         algebra,
         parse_bindings(m.get("line", "")),

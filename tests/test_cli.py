@@ -71,6 +71,16 @@ class TestCharpoly:
         assert "more than 4300 decimal digits" in captured.err
         assert "Traceback" not in captured.err and "internal error" not in captured.err
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys, as_json):
+        path = tmp_path / "zero.algebra"
+        path.write_text("[algebra]\nmonogenic = z^2 - 1/0*x\nvar = z\n")
+        assert main(["charpoly", str(path)] + (["--json"] if as_json else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the number '1/0' has a zero denominator" in captured.err
+        assert "Traceback" not in captured.err and "internal error" not in captured.err
+
     def test_deep_nesting_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "deep.algebra"
         deep = "(" * 3000 + "z^2 - x*y" + ")" * 3000
@@ -167,6 +177,19 @@ class TestRoby:
         text = capsys.readouterr().out
         assert "FAIL power_identity" in text
         assert "entry (0,0)" in text
+
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_zero_denominator_cell_is_input_error(self, tmp_path, capsys, as_json):
+        text = render_roby_module(mf_seed("x", "y"))
+        assert "row = 0, " in text
+        path = tmp_path / "zero.roby"
+        path.write_text(text.replace("row = 0, ", "row = 1/0, ", 1))
+        assert main(["roby", "verify", str(path)] + (["--json"] if as_json else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the number '1/0' has a zero denominator" in captured.err
+        assert "Traceback" not in captured.err and "internal error" not in captured.err
 
 
 class TestCharmor:

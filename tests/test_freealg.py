@@ -1,5 +1,9 @@
 """Free commutative algebras, regular representations, characteristic polynomials."""
 
+import random
+import re
+from collections import Counter
+
 import pytest
 
 from robyclif.errors import InputError
@@ -186,6 +190,61 @@ class TestLaws:
             FreeAlgebra(["u", "a", "b"], table)
         skipped = FreeAlgebra(["u", "a", "b"], table, validate=False)
         assert skipped.rank == 3
+
+    def test_associativity_check_equals_the_old_loop(self, monkeypatch):
+        # the loop that computed e_i*e_j, e_j*e_k and both triple products
+        def old_associativity_failure(algebra):
+            d, e, names = algebra.rank, algebra._basis_coords, algebra.basis_names
+            for i in range(d):
+                for j in range(d):
+                    ij = algebra.product(e(i), e(j))
+                    for k in range(d):
+                        left = algebra.product(ij, e(k))
+                        jk = algebra.product(e(j), e(k))
+                        right = algebra.product(e(i), jk)
+                        if any(left[m] != right[m] for m in range(d)):
+                            return (
+                                f"multiplication is not associative at "
+                                f"({names[i]}, {names[j]}, {names[k]})"
+                            )
+            return None
+
+        rng = random.Random(6101)
+        names = ["u", "a", "b", "c", "d"]
+        outcomes = Counter()
+        for _ in range(60):
+            d = rng.randrange(2, 6)
+            table = [[None] * d for _ in range(d)]
+            for j in range(d):
+                table[0][j] = table[j][0] = [int(k == j) for k in range(d)]
+            for i in range(1, d):
+                for j in range(i, d):
+                    coords = [rng.choice([0] * 6 + [1, -1, 2, "x", "zeta3"]) for _ in range(d)]
+                    table[i][j] = table[j][i] = coords
+            want = old_associativity_failure(FreeAlgebra(names[:d], table, validate=False))
+            if want is None:
+                FreeAlgebra(names[:d], table)
+                outcomes["associative"] += 1
+                continue
+            with pytest.raises(InputError, match=re.escape(want) + "$"):
+                FreeAlgebra(names[:d], table)
+            i, j, _ = want[want.index("(") + 1 : -1].split(", ")
+            outcomes["first failure at i == j" if i == j else "first failure at i != j"] += 1
+        # every kind occurs, so the order in which triples are tried is tested
+        assert len(outcomes) == 3, outcomes
+
+        calls = Counter()
+        real = FreeAlgebra.product
+
+        def counted(self, u, v):
+            calls["product"] += 1
+            return real(self, u, v)
+
+        monkeypatch.setattr(FreeAlgebra, "product", counted)
+        for d in (1, 2, 3, 4):
+            calls.clear()
+            split_algebra(d)
+            assert calls["product"] == d + 2 * d**3  # unit law, then two per triple
 
     def test_graded_homogeneity_is_enforced(self):
         table = [

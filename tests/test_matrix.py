@@ -237,6 +237,23 @@ def test_sparse_passes_across_variable_contexts():
         assert a.substitute({"y": "w - x"}) == PolyMatrix.from_rows(
             [[e.substitute({"y": "w - x"}) for e in row] for row in pa]
         )
+        # outputs are written into the fresh lists realignment returns, and
+        # never into an operand's own list: c's context is inside a's, so
+        # one side of a + c comes back realigned and the other as it is
+        c = random_matrix(rng, 5, 5, density, vars=("x",))
+        ops = {
+            "a + b": lambda: a + b,
+            "a - b": lambda: a - b,
+            "a + c": lambda: a + c,
+            "c + a": lambda: c + a,
+            "a - c": lambda: a - c,
+            "c - a": lambda: c - a,
+            "a.scaled(w + 1)": lambda: a.scaled(w + 1),
+            "c.scaled(x + y)": lambda: c.scaled(Poly.variable("x") + Poly.variable("y")),
+        }
+        assert_operands_unchanged(ops, a, b, c)
+        for name, op in ops.items():
+            assert all(op().data is not m.data for m in (a, b, c)), name
 
 
 def running_sum(pairs, n):
@@ -358,10 +375,15 @@ def test_no_operation_mutates_its_operands():
         "combination": lambda: PolyMatrix.combination([(x + 1, a), (2, b), (Fraction(1, 3), a)], 4),
         "==": lambda: a == b,
     }
+    assert_operands_unchanged(ops, a, b)
+
+
+def assert_operands_unchanged(ops, *operands):
+    """Each op leaves every operand's vars, term maps and key order as they were."""
     for name, op in ops.items():
-        before = [(m.vars, copy.deepcopy(m.data)) for m in (a, b)]
+        before = [(m.vars, copy.deepcopy(m.data)) for m in operands]
         op()
-        for m, (vars, data) in zip((a, b), before):
+        for m, (vars, data) in zip(operands, before):
             assert m.vars == vars, name
             assert m.data == data, name
             assert items(m) == [list(t.items()) for t in data], name

@@ -16,6 +16,7 @@ from robyclif.poly import (
     HomForm,
     Poly,
     _power_term_bound,
+    as_poly,
     parse_poly,
     poly_arith,
     substitute,
@@ -143,6 +144,79 @@ class TestSubstitution:
         assert mixed.substitute({"x": "y - 2", "y": "x + y"}) == (
             (y - 2) ** 7 * (x + y) + 3 * (y - 2) ** 6 - (y - 2) ** 2 * (x + y) ** 5 + (y - 2) ** 7
         )
+
+    def test_accumulation_equals_the_old_loop_key_for_key(self, monkeypatch):
+        # the loop Poly.substitute ran before it accumulated in place: one
+        # add_terms copy of the running result per term
+        def old_substitute(p, bindings):
+            vals = {v: as_poly(b) for v, b in bindings.items() if v in p.vars}
+            keep = tuple(v for v in p.vars if v not in vals)
+            new_vars = tuple(sorted(set(keep).union(*(b.vars for b in vals.values()))))
+            pos = {v: i for i, v in enumerate(new_vars)}
+            keep_idx = [(i, pos[v]) for i, v in enumerate(p.vars) if v not in vals]
+            bound = [(i, v) for i, v in enumerate(p.vars) if v in vals]
+            squares = {v: [b.aligned(new_vars)] for v, b in vals.items()}
+            powers = {}
+
+            def var_power(v, n):
+                power = powers.get((v, n))
+                if power is None:
+                    sq = squares[v]
+                    for i in range(n.bit_length()):
+                        if i == len(sq):
+                            sq.append(kernel.mul_terms(sq[-1], sq[-1]))
+                        if n >> i & 1:
+                            power = sq[i] if power is None else kernel.mul_terms(sq[i], power)
+                    powers[v, n] = power
+                return power
+
+            out = {}
+            for exp, c in p.terms.items():
+                base_exp = [0] * len(new_vars)
+                for i, j in keep_idx:
+                    base_exp[j] = exp[i]
+                acc = {tuple(base_exp): c}
+                for i, v in bound:
+                    if exp[i]:
+                        acc = kernel.mul_terms(acc, var_power(v, exp[i]))
+                out = kernel.add_terms(out, acc)
+            return Poly(new_vars, out, _canonical=True)
+
+        rng = random.Random(11661)
+        names = ("x", "y", "z", "w")
+        z3 = make_root(3)
+
+        def rand_poly(k):
+            terms = {
+                tuple(rng.randint(0, 4) for _ in names): rng.choice(
+                    [1, -2, Fraction(3, 4), 5, z3, 1 - z3]
+                )
+                for _ in range(k)
+            }
+            return Poly(names, terms)
+
+        copied = Counter()
+        real_add_terms = kernel.add_terms
+
+        def counted_add_terms(a, b):
+            copied["entries"] += len(a)
+            return real_add_terms(a, b)
+
+        for trial in range(30):
+            p = rand_poly(rng.randint(0, 60))
+            bindings = {
+                v: rand_poly(rng.randint(0, 3)).substitute({u: 1 for u in names if u != v})
+                for v in rng.sample(names, rng.randint(1, 3))
+            }
+            bindings[rng.choice(names)] = rng.choice(["y + z2", "0", "x - 1", "zeta4*q"])
+            want = old_substitute(p, bindings)
+            monkeypatch.setattr(kernel, "add_terms", counted_add_terms)
+            copied.clear()
+            got = p.substitute(bindings)
+            monkeypatch.setattr(kernel, "add_terms", real_add_terms)
+            assert got.vars == want.vars, trial
+            assert list(got.terms.items()) == list(want.terms.items()), trial
+            assert copied["entries"] == 0, trial  # no running-result copies
 
     def test_simultaneous_not_sequential(self):
         p = x + y

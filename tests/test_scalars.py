@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: construction, field laws, serialization."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,12 @@ def test_parse_scalar_rejects_garbage():
     for bad in ("", "x", "poly(4)", "poly(a; 1)", "1/0x", "poly(4; zeta)"):
         with pytest.raises(InputError):
             parse_scalar(bad)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/00", "poly(3; 1/0, 1)", "poly(4; 1, 2/0)"])
+def test_parse_scalar_zero_denominator_is_input_error(text):
+    with pytest.raises(InputError, match=re.escape(f"the scalar literal {text!r} has a zero denominator")):
+        parse_scalar(text)
 
 
 def test_parse_scalar_caps_the_field_order():
