@@ -279,7 +279,11 @@ def _cmd_numerology(args, config: Config) -> int:
         _emit(doc, args, config)
         return 0
     beta0, steps = args.beta
-    seq = beta_sequence(beta0, int(steps))
+    try:
+        steps = int(steps)
+    except ValueError:
+        raise InputError(f"step count must be a non-negative integer, got {steps!r}") from None
+    seq = beta_sequence(beta0, steps)
     if args.json:
         doc = json.dumps(
             {"beta": [str(v) for v in seq]}, indent=2, sort_keys=True
@@ -298,8 +302,6 @@ def _cmd_report(args, config: Config) -> int:
         data = json.loads(_read(args.file))
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.file} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InputError("a stored report is a JSON object")
     report = Report.from_dict(data)
     _emit(_render_report(report, args.json), args, config)
     return 0 if report.ok else 1

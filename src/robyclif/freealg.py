@@ -2,10 +2,12 @@
 
 A ``FreeAlgebra`` is a free module R^d with a commutative, associative,
 unital multiplication given by structure constants in R.  All three laws are
-validated eagerly at construction; nothing downstream rechecks them.  The
-characteristic polynomial of the generic element is computed from the regular
-representation by the Berkowitz algorithm, which is division-free, so it works
-verbatim over the polynomial ring.
+validated eagerly at construction; nothing downstream rechecks them.  Unit and
+associativity are the action laws (``FreeAlgebra.action_laws``, on every
+ordered pair of basis elements) of the algebra's own regular representation.
+The characteristic polynomial of the generic element is computed from the
+regular representation by the Berkowitz algorithm, which is division-free, so
+it works verbatim over the polynomial ring.
 """
 
 from __future__ import annotations
@@ -28,13 +30,28 @@ __all__ = [
     "char_poly_of_matrix",
     "restrict_char_poly",
     "cayley_hamilton_check",
+    "MAX_RANK",
 ]
+
+# Largest algebra rank, checked before any table of rank^3 structure
+# constants is built (rank 2000 would ask for 8 * 10^9).  It bounds the tables,
+# not the characteristic polynomial, which for z^9 - x*z - y already has 25207
+# terms.
+MAX_RANK = 16
+
+
+def _check_rank(d: int) -> None:
+    if d > MAX_RANK:
+        raise InputError(f"algebra rank {d} exceeds the cap of {MAX_RANK}")
 
 
 class FreeAlgebra:
     """Structure constants c[i][j] = coordinates of gamma_i * gamma_j."""
 
-    __slots__ = ("rank", "basis_names", "dual_names", "base_vars", "degrees", "table", "unit", "tvar")
+    __slots__ = (
+        "rank", "basis_names", "dual_names", "base_vars", "degrees", "table", "unit", "tvar",
+        "left_mult",
+    )
 
     def __init__(
         self,
@@ -52,6 +69,7 @@ class FreeAlgebra:
         d = self.rank
         if d < 1:
             raise InputError("an algebra needs at least one basis element")
+        _check_rank(d)
         self.basis_names = tuple(str(n) for n in basis_names)
         if len(set(self.basis_names)) != d:
             raise InputError("duplicate basis names")
@@ -80,13 +98,13 @@ class FreeAlgebra:
             if len(unit_coords) != d:
                 raise InputError("unit coordinate vector must have length rank")
         self.unit = unit_coords
-        used = set(base_vars)
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    used.update(self.table[i][j][k].vars)
-        for c in unit_coords:
-            used.update(c.vars)
+        # left_mult[i] multiplies by gamma_i: its column j is the table row c[i][j]
+        c = self.table
+        self.left_mult = tuple(
+            PolyMatrix.from_rows([[c[i][j][k] for j in range(d)] for k in range(d)])
+            for i in range(d)
+        )
+        used = set(base_vars).union(*(x.vars for x in (*self.left_mult, *unit_coords)))
         reserved = set(self.dual_names) | {tvar}
         if reserved & used:
             raise InputError(
@@ -109,25 +127,20 @@ class FreeAlgebra:
                         f"multiplication is not commutative at "
                         f"({self.basis_names[i]}, {self.basis_names[j]})"
                     )
-        for j in range(d):
-            got = self.product(self.unit, self._basis_coords(j))
-            want = self._basis_coords(j)
-            if any(got[k] != want[k] for k in range(d)):
-                raise InputError(f"unit law fails on {self.basis_names[j]}")
-        # e_i e_j is by definition the table row c[i][j], so the basis
-        # products come from the table and only the two triple products are
-        # computed: 2 d^3 products, in the order of the triples
-        basis = [self._basis_coords(i) for i in range(d)]
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    left = self.product(c[i][j], basis[k])
-                    right = self.product(basis[i], c[j][k])
-                    if any(left[m] != right[m] for m in range(d)):
-                        raise InputError(
-                            f"multiplication is not associative at "
-                            f"({self.basis_names[i]}, {self.basis_names[j]}, {self.basis_names[k]})"
-                        )
+        # a failing law is located at the first nonzero column of the difference
+        left = self.left_mult
+        unit_ok, pair = self.action_laws(left)
+        if not unit_ok:
+            miss = self.element_rep(self.unit) - PolyMatrix.identity(d)
+            j = miss.transpose().first_nonzero()[0]
+            raise InputError(f"unit law fails on {self.basis_names[j]}")
+        if pair is not None:
+            i, j = pair
+            k = (left[i] * left[j] - self.element_rep(c[i][j])).transpose().first_nonzero()[0]
+            raise InputError(
+                f"multiplication is not associative at "
+                f"({self.basis_names[i]}, {self.basis_names[j]}, {self.basis_names[k]})"
+            )
         if self.degrees is not None:
             for i in range(d):
                 for j in range(d):
@@ -148,6 +161,24 @@ class FreeAlgebra:
     def unit_is_first_basis_element(self) -> bool:
         """False for presentations like the split one, where the unit is a sum."""
         return self.unit[0] == 1 and not any(self.unit[1:])
+
+    def action_laws(self, matrices) -> tuple:
+        """The laws of an action gamma_i -> matrices[i], checked exactly.
+
+        Returns (unit_ok, pair): unit_ok says the unit maps to the identity,
+        and pair is the first (i, j) over every ordered pair, as the matrices
+        need not commute, where matrices[i] * matrices[j] is not the image of
+        gamma_i gamma_j, or None.  On ``left_mult`` column k of the two sides
+        is gamma_i (gamma_j gamma_k) and (gamma_i gamma_j) gamma_k.
+        """
+        n = matrices[0].nrows
+        unit_ok = PolyMatrix.combination(zip(self.unit, matrices), n) == PolyMatrix.identity(n)
+        for i in range(self.rank):
+            for j in range(self.rank):
+                image = PolyMatrix.combination(zip(self.table[i][j], matrices), n)
+                if matrices[i] * matrices[j] != image:
+                    return unit_ok, (i, j)
+        return unit_ok, None
 
     def _basis_coords(self, j: int):
         return [Poly.const(1) if k == j else Poly.zero() for k in range(self.rank)]
@@ -173,20 +204,7 @@ class FreeAlgebra:
 
     def element_rep(self, coords) -> PolyMatrix:
         """Matrix of multiplication by sum(coords[i] * gamma_i) in the basis."""
-        d = self.rank
-        coords = [as_poly(c) for c in coords]
-        rows = []
-        for k in range(d):
-            row = []
-            for j in range(d):
-                acc = Poly.zero()
-                for i in range(d):
-                    ck = self.table[i][j][k]
-                    if ck and coords[i]:
-                        acc = acc + coords[i] * ck
-                row.append(acc)
-            rows.append(row)
-        return PolyMatrix.from_rows(rows)
+        return PolyMatrix.combination(zip(coords, self.left_mult), self.rank)
 
     def regular_representation(self) -> PolyMatrix:
         """Matrix of the generic element sum(Gamma_i gamma_i); linear in duals."""
@@ -228,13 +246,7 @@ class FreeAlgebra:
             return False
         if any(a != b for a, b in zip(self.unit, other.unit)):
             return False
-        d = self.rank
-        return all(
-            self.table[i][j][k] == other.table[i][j][k]
-            for i in range(d)
-            for j in range(d)
-            for k in range(d)
-        )
+        return self.left_mult == other.left_mult
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -377,6 +389,7 @@ def split_algebra(d: int, *, base_vars=(), dual_names=None, tvar="t") -> FreeAlg
     """
     if d < 1:
         raise InputError("split algebra needs rank >= 1")
+    _check_rank(d)
     names = [f"e{i + 1}" for i in range(d)]
     if dual_names is None:
         dual_names = [f"x{i + 1}" for i in range(d)]
@@ -406,6 +419,7 @@ def monogenic_algebra(p: Poly, var: str, *, dual_names=None, tvar="t") -> FreeAl
     d = p.degree_in(var)
     if d < 1:
         raise InputError("defining polynomial must have positive degree")
+    _check_rank(d)
     coeffs = p.coefficient_map(var)
     if coeffs.get(d) != 1:
         raise InputError(f"defining polynomial must be monic in {var!r}")

@@ -89,11 +89,15 @@ class Poly:
             self.vars = vars
             self.terms = terms if terms is not None else {}
             return
+        vars = tuple(vars)
         vs = tuple(sorted({_check_var_name(v) for v in vars}))
+        if len(vs) != len(vars):
+            dup = next(v for i, v in enumerate(vars) if v in vars[:i])
+            raise InputError(f"variable {dup!r} appears twice in the context")
         width = len(vs)
         canon: dict = {}
         if terms:
-            remap = vs != tuple(vars)
+            remap = vs != vars
             pos = {v: i for i, v in enumerate(vs)}
             idx = [pos[v] for v in vars]
             for exp, c in terms.items():
@@ -693,7 +697,12 @@ class _Parser:
         if tok[0].isalpha():
             m = _ZETA_RE.fullmatch(tok)
             if m:
-                return narrow(make_root(int(m.group(1)))), (), ()
+                digits = m.group(1)
+                try:
+                    order = int(digits)
+                except ValueError:  # more digits than int() converts
+                    raise InputError(f"zeta order of {len(digits)} digits is too long") from None
+                return narrow(make_root(order)), (), ()
             return 1, ((tok, 1),), (tok,)
         raise InputError(f"unexpected token in polynomial: {tok!r}")
 

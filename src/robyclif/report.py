@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .errors import InputError
+
 SCHEMA_VERSION = 1
 
 # Meta keys that vary between identical runs and are excluded when comparing.
@@ -71,16 +73,26 @@ class Report:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
-        """Rebuild a stored report; the overall verdict is recomputed."""
+        """Rebuild a stored report; the overall verdict is recomputed.
+
+        Data of another shape than ``to_dict`` writes is an InputError.
+        """
+        if not isinstance(data, dict):
+            raise InputError("a stored report is a JSON object")
+        checks, meta = data.get("checks", []), data.get("meta", {})
+        if not isinstance(checks, list) or not isinstance(meta, dict):
+            raise InputError("a stored report needs a list of checks and a meta object")
         report = cls(str(data.get("title", "")))
-        for c in data.get("checks", ()):
+        for n, c in enumerate(checks, 1):
+            if not isinstance(c, dict) or "name" not in c or "ok" not in c:
+                raise InputError(f"stored check {n} is not an object with 'name' and 'ok'")
             report.add(
                 str(c["name"]),
                 bool(c["ok"]),
                 required=bool(c.get("required", True)),
                 detail=str(c.get("detail", "")),
             )
-        report.meta = dict(data.get("meta", {}))
+        report.meta = dict(meta)
         return report
 
     def to_json(self) -> str:

@@ -586,30 +586,13 @@ def verify_char_morphism(cm: CharMorphism, chi: CharPoly | None = None) -> Repor
     generic = cm.generic_matrix(coeffs)
     value = chi.evaluate_matrix(generic, [Poly.variable(a) for a in coeffs])
     check_vanishes(report, "cayley_hamilton", value)
-    unit_ok, pair = _action_laws(algebra, cm.matrices)
+    unit_ok, pair = algebra.action_laws(cm.matrices)
     report.add("unit", unit_ok, required=False)
     detail = _product_detail(algebra, pair)
     report.add("multiplicativity", pair is None, required=False, detail=detail)
     report.meta["rank"] = chi.rank
     report.meta["dim"] = cm.dim
     return report
-
-
-def _action_laws(algebra: FreeAlgebra, matrices) -> tuple:
-    """The algebra-action laws of gamma_i -> matrices[i], checked exactly.
-
-    Returns (unit_ok, pair): unit_ok says the unit maps to the identity, and
-    pair is the first (i, j) with i <= j where C(gamma_i) C(gamma_j) differs
-    from the image of gamma_i * gamma_j, or None when all products agree.
-    """
-    n = matrices[0].nrows
-    unit_ok = PolyMatrix.combination(zip(algebra.unit, matrices), n) == PolyMatrix.identity(n)
-    for i in range(algebra.rank):
-        for j in range(i, algebra.rank):
-            image = PolyMatrix.combination(zip(algebra.table[i][j], matrices), n)
-            if matrices[i] * matrices[j] != image:
-                return unit_ok, (i, j)
-    return unit_ok, None
 
 
 def _product_detail(algebra: FreeAlgebra, pair) -> str:
@@ -704,7 +687,7 @@ def verify_filtered_pseudo(cm: CharMorphism, filtration: Filtration) -> Report:
     unit_detail, mult_detail = "", ""
     if ok:
         for level, idx in quotients:
-            unit_ok, pair = _action_laws(algebra, [m.submatrix(idx, idx) for m in cm.matrices])
+            unit_ok, pair = algebra.action_laws([m.submatrix(idx, idx) for m in cm.matrices])
             if not unit_ok and not unit_detail:
                 unit_detail = f"quotient at level {level} misses the unit"
             if pair is not None and not mult_detail:
@@ -753,7 +736,7 @@ class AlgebraEmbedding:
         # B acts faithfully on itself, so the laws hold on the coordinate
         # vectors exactly when they hold on their multiplication matrices
         for m in range(self_n):
-            unit_ok, pair = _action_laws(a, [b.element_rep(row[m]) for row in comps])
+            unit_ok, pair = a.action_laws([b.element_rep(row[m]) for row in comps])
             if not unit_ok:
                 raise InputError(f"component {m + 1} does not preserve the unit")
             if pair is not None:
@@ -800,7 +783,7 @@ def induce_roby(
     if len(sizes) != 1:
         raise InputError("module action matrices must be square, equal size")
     w = sizes.pop()
-    unit_ok, pair = _action_laws(b, actions_b)
+    unit_ok, pair = b.action_laws(actions_b)
     if not unit_ok:
         raise InputError("module action does not send the unit of B to the identity")
     if pair is not None:

@@ -193,7 +193,7 @@ def beta_sequence(beta0, steps: int) -> list:
         raise InputError("step count must be a non-negative integer")
     try:
         b = Fraction(beta0)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot read {beta0!r} as an exact rational") from exc
     out = [b]
     gap = 1 - b

@@ -355,6 +355,44 @@ class TestReport:
         assert main(["report", str(path)]) == 2
 
 
+BAD_INPUTS = [
+    # (file text or None, argv with FILE for its path, a piece of the message)
+    ('{"checks": [{}]}', ["report", "FILE"], "stored check 1 is not an object"),
+    ('{"checks": 5}', ["report", "FILE"], "a list of checks and a meta object"),
+    ('{"meta": [1, 2]}', ["report", "FILE"], "a list of checks and a meta object"),
+    (None, ["numerology", "--beta", "1", "x"], "step count must be a non-negative integer"),
+    (None, ["numerology", "--beta", "1/0", "3"], "cannot read '1/0' as an exact rational"),
+    ("[algebra]\nmonogenic = z^2 - zeta" + "9" * 5000 + "*x\nvar = z\n", ["charpoly", "FILE"],
+     "zeta order of 5000 digits is too long"),
+    ("[algebra]\nsplit = 200\n", ["charpoly", "FILE"], "algebra rank 200 exceeds the cap"),
+    ("[algebra]\nmonogenic = z^300 - x\nvar = z\n", ["charpoly", "FILE"],
+     "algebra rank 300 exceeds the cap"),
+    (None, ["roby", "build", "--kind", "split", "--degree", "300"],
+     "algebra rank 300 exceeds the cap"),
+    (None, ["roby", "build", "--kind", "cyclic", "--poly", "z^2-x", "--cover", "3000"],
+     "algebra rank 3000 exceeds the cap"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    BAD_INPUTS,
+    ids=["check without name", "checks not a list", "meta not an object", "steps not a number",
+         "beta zero denominator", "long zeta order", "split rank", "monogenic rank",
+         "split module rank", "cyclic cover rank"],
+)
+def test_bad_input_exits_two(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "internal error" not in captured.err
+
+
 class TestConfig:
     def test_out_dir_applies_to_relative_paths(self, quadric_algebra_file, tmp_path):
         conf = tmp_path / "conf"

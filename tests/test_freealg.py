@@ -8,6 +8,7 @@ import pytest
 
 from robyclif.errors import InputError
 from robyclif.freealg import (
+    MAX_RANK,
     FreeAlgebra,
     cayley_hamilton_check,
     char_poly,
@@ -125,6 +126,21 @@ class TestSplit:
             split_algebra(0)
 
 
+class TestRankCap:
+    def test_the_cap_itself_is_admitted(self):
+        assert split_algebra(MAX_RANK).rank == MAX_RANK
+        assert monogenic_algebra(parse_poly(f"z^{MAX_RANK} - x"), "z").rank == MAX_RANK
+
+    def test_ranks_above_the_cap_are_refused_before_any_table(self):
+        with pytest.raises(InputError, match=f"algebra rank 1000 exceeds the cap of {MAX_RANK}"):
+            split_algebra(1000)
+        with pytest.raises(InputError, match=f"algebra rank 1000 exceeds the cap of {MAX_RANK}"):
+            monogenic_algebra(parse_poly("z^1000 - x"), "z")
+        # the table is never read
+        with pytest.raises(InputError, match=f"algebra rank 1000 exceeds the cap of {MAX_RANK}"):
+            FreeAlgebra([f"g{i}" for i in range(1000)], None)
+
+
 class TestRestriction:
     def test_substitution_on_base_variables(self):
         a = monogenic_algebra(parse_poly("z^2 - (x*y + z2^2)"), "z")
@@ -234,17 +250,23 @@ class TestLaws:
         assert len(outcomes) == 3, outcomes
 
         calls = Counter()
-        real = FreeAlgebra.product
+        real_product, real_mul = FreeAlgebra.product, PolyMatrix.__mul__
 
-        def counted(self, u, v):
+        def counted_product(self, u, v):
             calls["product"] += 1
-            return real(self, u, v)
+            return real_product(self, u, v)
 
-        monkeypatch.setattr(FreeAlgebra, "product", counted)
+        def counted_mul(self, other):
+            calls["matmul"] += 1
+            return real_mul(self, other)
+
+        monkeypatch.setattr(FreeAlgebra, "product", counted_product)
+        monkeypatch.setattr(PolyMatrix, "__mul__", counted_mul)
         for d in (1, 2, 3, 4):
             calls.clear()
             split_algebra(d)
-            assert calls["product"] == d + 2 * d**3  # unit law, then two per triple
+            # one product of left-multiplication matrices per ordered pair
+            assert calls == Counter(matmul=d**2)
 
     def test_graded_homogeneity_is_enforced(self):
         table = [

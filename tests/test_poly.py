@@ -261,6 +261,14 @@ class TestStructure:
         with pytest.raises(InputError):
             x.constant_value()
 
+    def test_a_repeated_variable_is_input_error(self):
+        # exponents of a repeated name once overwrote each other: x^2 for x^1 * x^2
+        for terms in ({(1, 2): 1}, {(1, 2): 1, (2, 1): 1}, {}):
+            with pytest.raises(InputError, match="variable 'x' appears twice"):
+                Poly(("x", "x"), terms)
+        with pytest.raises(InputError, match="variable 'y' appears twice"):
+            Poly(("y", "x", "y"), {(1, 1, 1): 1})
+
     def test_polys_are_unhashable(self):
         with pytest.raises(TypeError):
             {x: 1}

@@ -7,6 +7,7 @@ import pytest
 
 from robyclif.errors import InputError, VerificationError
 from robyclif.freealg import (
+    FreeAlgebra,
     char_poly,
     monogenic_algebra,
     restrict_char_poly,
@@ -434,6 +435,33 @@ class TestFiltration:
         f = Filtration.from_levels([1, 0, 1, 0])
         assert f.quotients() == [(0, [1, 3]), (1, [0, 2])]
 
+    def test_noncommuting_products_are_checked_in_both_orders(self):
+        # B = k[z,w]/(z^2, zw, w^2) with C(z) = E23, C(w) = E12: C(z) C(w) = 0
+        # is the image of zw, but C(w) C(z) = E13 is not
+        zero = [0, 0, 0]
+        b = FreeAlgebra(
+            ["1", "z", "w"],
+            [
+                [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                [[0, 1, 0], zero, zero],
+                [[0, 0, 1], zero, zero],
+            ],
+        )
+        cz = PolyMatrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+        cw = PolyMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        matrices = [PolyMatrix.identity(3), cz, cw]
+        assert b.action_laws(matrices) == (True, (2, 1))
+        cm = CharMorphism(b, matrices, char_poly(b))
+        filtered = verify_filtered_pseudo(cm, Filtration.trivial(3))
+        check = filtered.get("quotient_multiplicativity")
+        assert not check.ok and not filtered.ok
+        assert check.detail == "level 0: C(w)*C(z) is not the image of the product"
+        report = verify_char_morphism(cm)
+        assert report.get("cayley_hamilton").ok and report.get("unit").ok
+        check = report.get("multiplicativity")
+        assert not check.ok
+        assert check.detail == "C(w)*C(z) is not the image of the product"
+
     def test_flag_filtration_fixes_the_remark_example(self):
         cm = self.remark_morphism()
         report = verify_filtered_pseudo(cm, Filtration(2, ({0}, {0, 1})))
@@ -622,7 +650,7 @@ class TestInducedModules:
                 if any(unit_image[i] != b.unit[i] for i in range(b.rank)):
                     return f"component {m + 1} does not preserve the unit"
                 for p in range(a.rank):
-                    for q in range(p, a.rank):
+                    for q in range(a.rank):
                         left = b.product(list(comps[p][m]), list(comps[q][m]))
                         right = [Poly.zero() for _ in range(b.rank)]
                         for k in range(a.rank):
@@ -675,7 +703,7 @@ class TestInducedModules:
             if unit_action != PolyMatrix.identity(w):
                 return "module action does not send the unit of B to the identity"
             for i in range(b.rank):
-                for j in range(i, b.rank):
+                for j in range(b.rank):
                     rhs = PolyMatrix.zeros(w, w)
                     for k in range(b.rank):
                         c = b.table[i][j][k]
