@@ -23,6 +23,7 @@ from .freealg import char_poly, restrict_char_poly
 from .linegeom import splitting_type, underlying_line_module
 from .report import Report
 from .roby import char_morphism, split_roby, verify_char_morphism, verify_roby
+from .scalars import decimal_str
 from .seeds import companion_matrix, cyclic_cover_seed, mf_seed
 from .specfile import (
     Config,
@@ -283,15 +284,13 @@ def _cmd_numerology(args, config: Config) -> int:
         steps = int(steps)
     except ValueError:
         raise InputError(f"step count must be a non-negative integer, got {steps!r}") from None
-    seq = beta_sequence(beta0, steps)
+    seq = [decimal_str(v) for v in beta_sequence(beta0, steps)]
     if args.json:
-        doc = json.dumps(
-            {"beta": [str(v) for v in seq]}, indent=2, sort_keys=True
-        )
+        doc = json.dumps({"beta": seq}, indent=2, sort_keys=True)
     elif args.csv:
         doc = "\n".join(f"{m},{v}" for m, v in enumerate(seq))
     else:
-        rows = [["m", "beta_m"]] + [[str(m), str(v)] for m, v in enumerate(seq)]
+        rows = [["m", "beta_m"]] + [[str(m), v] for m, v in enumerate(seq)]
         doc = _aligned(rows)
     _emit(doc, args, config)
     return 0

@@ -50,7 +50,7 @@ class FreeAlgebra:
 
     __slots__ = (
         "rank", "basis_names", "dual_names", "base_vars", "degrees", "table", "unit", "tvar",
-        "left_mult",
+        "left_mult", "unit_index",
     )
 
     def __init__(
@@ -112,6 +112,7 @@ class FreeAlgebra:
                 f"{sorted(reserved & used)}"
             )
         self.base_vars = tuple(sorted(used))
+        self.unit_index = self._find_unit_index()
         if validate:
             self._validate()
 
@@ -131,7 +132,7 @@ class FreeAlgebra:
         left = self.left_mult
         unit_ok, pair = self.action_laws(left)
         if not unit_ok:
-            miss = self.element_rep(self.unit) - PolyMatrix.identity(d)
+            miss = self.element_rep(self.unit).plus_scalar(-1)
             j = miss.transpose().first_nonzero()[0]
             raise InputError(f"unit law fails on {self.basis_names[j]}")
         if pair is not None:
@@ -162,6 +163,24 @@ class FreeAlgebra:
         """False for presentations like the split one, where the unit is a sum."""
         return self.unit[0] == 1 and not any(self.unit[1:])
 
+    def _find_unit_index(self):
+        """The index u with unit = e_u and c[u][j] = c[j][u] = e_j for all j, or None.
+
+        The table is read directly, not trusted to ``_validate``: tables built
+        with ``validate=False`` may break the unit law.  Split presentations
+        have no such u, as their unit is e_1 + ... + e_d.
+        """
+        def is_basis(coords, j):
+            return all(p == 1 if k == j else not p for k, p in enumerate(coords))
+
+        c = self.table
+        for u in range(self.rank):
+            if is_basis(self.unit, u):
+                if all(is_basis(c[u][j], j) and is_basis(c[j][u], j) for j in range(self.rank)):
+                    return u
+                return None
+        return None
+
     def action_laws(self, matrices) -> tuple:
         """The laws of an action gamma_i -> matrices[i], checked exactly.
 
@@ -170,11 +189,27 @@ class FreeAlgebra:
         need not commute, where matrices[i] * matrices[j] is not the image of
         gamma_i gamma_j, or None.  On ``left_mult`` column k of the two sides
         is gamma_i (gamma_j gamma_k) and (gamma_i gamma_j) gamma_k.
+
+        When the unit is a basis element gamma_u whose table row and column
+        are the identity (``unit_index``), unit_ok is matrices[u] == I, and if
+        it holds no pair with i == u or j == u is multiplied: both sides are
+        then matrices[j] (resp. matrices[i]) for any matrices, so the result is
+        the full loop's.  A rank-d monogenic algebra thus makes (d - 1)^2
+        products instead of d^2.
         """
         n = matrices[0].nrows
-        unit_ok = PolyMatrix.combination(zip(self.unit, matrices), n) == PolyMatrix.identity(n)
+        u = self.unit_index
+        if u is None:
+            unit_ok = PolyMatrix.combination(zip(self.unit, matrices), n) == PolyMatrix.identity(n)
+        else:
+            unit_ok = matrices[u] == PolyMatrix.identity(n)
+        skip = u if unit_ok else None
         for i in range(self.rank):
+            if i == skip:
+                continue
             for j in range(self.rank):
+                if j == skip:
+                    continue
                 image = PolyMatrix.combination(zip(self.table[i][j], matrices), n)
                 if matrices[i] * matrices[j] != image:
                     return unit_ok, (i, j)
@@ -307,7 +342,7 @@ class CharPoly:
             acc = m if acc is None else acc * m
             cj = coeffs.get(j)
             if cj is not None and cj:
-                acc = acc + PolyMatrix.identity(n).scaled(cj)
+                acc = acc.plus_scalar(cj)
         return acc
 
     def __eq__(self, other):

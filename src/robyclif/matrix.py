@@ -15,9 +15,11 @@ finds the nonzero slots in one C-level pass (``compress`` over the slot
 indices, or a list copy or slice) and runs Python code only per nonzero,
 in row-major order.  What remains O(rows * cols) is allocating and copying
 the flat list.  A linear combination sum c_i * M_i is one ``combination``
-call, which reads each matrix once.  Entries are read-only: matrices share
-term maps with each other (``submatrix``, ``transpose``, sums with an empty
-side) and an empty slot may be one shared empty map.
+call, which reads each matrix once; self + c * I is one ``plus_scalar``
+call, which runs Python code on the n diagonal slots only.  Entries are
+read-only: matrices share term maps with each other (``submatrix``,
+``transpose``, sums with an empty side, the diagonal of ``plus_scalar``) and
+an empty slot may be one shared empty map.
 """
 
 from __future__ import annotations
@@ -210,6 +212,27 @@ class PolyMatrix:
         data = self._writable(self.aligned_data(vs))
         update_nonempty(data, lambda t: kernel.mul_terms(t, pt))
         return PolyMatrix(self.nrows, self.ncols, vs, data, _canonical=True)
+
+    def plus_scalar(self, c) -> "PolyMatrix":
+        """self + c * I for a square matrix and a Poly or scalar c.
+
+        One pass over the n diagonal slots: each gains c's terms through
+        ``add_terms``, or holds them (shared) where it was empty.  The term
+        maps, their key order and ``vars`` equal those of
+        ``self + identity(n).scaled(c)``, which builds and scales n^2 slots.
+        """
+        n = self.nrows
+        if n != self.ncols:
+            raise InputError(f"shape mismatch: {self.shape} + scalar * identity")
+        p = as_poly(c)
+        vs = tuple(sorted(set(self.vars) | set(p.vars)))
+        pt = p.aligned(vs)
+        data = self._writable(self.aligned_data(vs))
+        if pt:
+            for k in range(0, n * n, n + 1):
+                x = data[k]
+                data[k] = kernel.add_terms(x, pt) if x else pt
+        return PolyMatrix(n, n, vs, data, _canonical=True)
 
     def __mul__(self, other):
         if isinstance(other, (Poly,) + Scalar):

@@ -560,7 +560,7 @@ def verify_roby(module: GradedRobyModule) -> Report:
     generic = module.generic_matrix(coeffs, t_name)
     power = generic.pow(module.degree)
     value = module.target_poly.substitute(bindings)
-    check_vanishes(report, "power_identity", power - PolyMatrix.identity(module.dim).scaled(value))
+    check_vanishes(report, "power_identity", power.plus_scalar(-value))
     report.meta["dim"] = module.dim
     report.meta["degree"] = module.degree
     report.meta["actions"] = list(module.action_names)

@@ -10,7 +10,7 @@ the rank-2 matrix factorizations of a double cover as the smallest case.
 from __future__ import annotations
 
 from .errors import InputError
-from .freealg import FreeAlgebra, char_poly, monogenic_algebra
+from .freealg import FreeAlgebra, _check_rank, char_poly, monogenic_algebra
 from .matrix import PolyMatrix
 from .poly import Poly, as_poly
 from .roby import GradedRobyModule
@@ -105,6 +105,8 @@ def cyclic_cover_seed(
     d = cover_degree
     if not isinstance(d, int) or d < 2:
         raise InputError("cover degree must be an integer >= 2")
+    # the cover degree is the algebra's rank: refuse it before Z^d is built
+    _check_rank(d)
     nrows, ncols = zmat.shape
     if nrows != ncols:
         raise InputError("matrix root must be square")

@@ -18,6 +18,7 @@ from .report import Report
 
 __all__ = [
     "BundleNumerics",
+    "MAX_BETA_STEPS",
     "MonadShape",
     "UlrichClass",
     "beta_sequence",
@@ -183,6 +184,12 @@ def ec_tensor(chi_e: int, rank_e: int, rank_f: int) -> int:
     return rank_f * (chi_e + 3 * rank_e)
 
 
+# Most steps of the beta recursion, checked before the loop.  The m-th
+# denominator has about 0.6 * m more digits than beta_0's, so 10000 steps
+# from 1/3 pass the interpreter's 4300-digit print limit.
+MAX_BETA_STEPS = 1000
+
+
 def beta_sequence(beta0, steps: int) -> list:
     """[beta_0, ..., beta_steps] under beta_m = beta_{m-1}/4 + 3/4, exactly.
 
@@ -191,6 +198,8 @@ def beta_sequence(beta0, steps: int) -> list:
     """
     if not isinstance(steps, int) or steps < 0:
         raise InputError("step count must be a non-negative integer")
+    if steps > MAX_BETA_STEPS:
+        raise InputError(f"step count {steps} exceeds the cap of {MAX_BETA_STEPS}")
     try:
         b = Fraction(beta0)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -371,6 +371,11 @@ BAD_INPUTS = [
      "algebra rank 300 exceeds the cap"),
     (None, ["roby", "build", "--kind", "cyclic", "--poly", "z^2-x", "--cover", "3000"],
      "algebra rank 3000 exceeds the cap"),
+    # Z^40 != q*I here, so only a rank check made before the power says why
+    (None, ["roby", "build", "--kind", "cyclic", "--poly", "z^4-x*z^2-y", "--cover", "40"],
+     "algebra rank 40 exceeds the cap"),
+    (None, ["numerology", "--beta", "1/3", "10000"], "step count 10000 exceeds the cap of 1000"),
+    (None, ["numerology", "--beta", "1e5000", "0"], "the interpreter's limit for printing"),
 ]
 
 
@@ -379,7 +384,8 @@ BAD_INPUTS = [
     BAD_INPUTS,
     ids=["check without name", "checks not a list", "meta not an object", "steps not a number",
          "beta zero denominator", "long zeta order", "split rank", "monogenic rank",
-         "split module rank", "cyclic cover rank"],
+         "split module rank", "cyclic cover rank", "cyclic cover rank before the power",
+         "beta step cap", "beta too long to print"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, text, argv, message):
     path = tmp_path / "input"

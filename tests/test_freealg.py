@@ -265,8 +265,102 @@ class TestLaws:
         for d in (1, 2, 3, 4):
             calls.clear()
             split_algebra(d)
-            # one product of left-multiplication matrices per ordered pair
-            assert calls == Counter(matmul=d**2)
+            # one product of left-multiplication matrices per ordered pair;
+            # for d = 1, e1 is the unit, whose pairs need no product
+            assert calls["matmul"] == (0 if d == 1 else d**2)
+            assert calls["product"] == 0
+
+    def test_action_laws_equal_the_full_pair_loop(self):
+        def full_pair_loop(algebra, matrices):
+            # the check before the unit's pairs were decided from the table:
+            # the unit's image, then every ordered pair multiplied out
+            n = matrices[0].nrows
+            unit = PolyMatrix.combination(zip(algebra.unit, matrices), n)
+            unit_ok = unit == PolyMatrix.identity(n)
+            for i in range(algebra.rank):
+                for j in range(algebra.rank):
+                    image = PolyMatrix.combination(zip(algebra.table[i][j], matrices), n)
+                    if matrices[i] * matrices[j] != image:
+                        return unit_ok, (i, j)
+            return unit_ok, None
+
+        zero = [0, 0, 0]
+        nilpotent = [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], zero, zero],
+            [[0, 0, 1], zero, zero],
+        ]
+        # the unit coordinates are e_1, but the unit's row says 1 * z = z + w
+        bad_row = [row[:] for row in nilpotent]
+        bad_row[0][1] = [0, 1, 1]
+        algebras = {
+            "split 2": (split_algebra(2), None),
+            "split 3": (split_algebra(3), None),
+            "monogenic cubic": (monogenic_algebra(parse_poly("z^3 - x*z - y"), "z"), 0),
+            "monogenic quartic": (monogenic_algebra(parse_poly("z^4 - x*z^2 - y"), "z"), 0),
+            "k[z,w]/(z^2, zw, w^2)": (FreeAlgebra(["1", "z", "w"], nilpotent), 0),
+            "unit row wrong": (FreeAlgebra(["1", "z", "w"], bad_row, validate=False), None),
+            "unit is gamma_2": (FreeAlgebra(["z", "1"], [[[0, 0], [1, 0]], [[1, 0], [0, 1]]],
+                                            unit=[0, 1]), 1),
+        }
+        rng = random.Random(6102)
+        pieces = [0, 0, 0, 1, -1, 2, "x", "y", "1/2"]
+
+        def tuples(algebra):
+            d = algebra.rank
+            for n_copies in (1, 2):
+                eye = PolyMatrix.identity(n_copies)
+                action = [m.kron(eye) for m in algebra.left_mult]
+                n = d * n_copies
+                yield "action", action
+                for _ in range(6):
+                    k = rng.randrange(d)
+                    bump = PolyMatrix.from_rows(
+                        [[rng.choice(pieces) if rng.random() < 0.3 else 0 for _ in range(n)]
+                         for _ in range(n)]
+                    )
+                    perturbed = list(action)
+                    perturbed[k] = perturbed[k] + bump
+                    yield f"C({k}) perturbed", perturbed
+                yield "random", [
+                    PolyMatrix.from_rows([[rng.choice(pieces) for _ in range(n)] for _ in range(n)])
+                    for _ in range(d)
+                ]
+
+        outcomes = Counter()
+        for name, (algebra, u) in algebras.items():
+            assert algebra.unit_index == u, name
+            for kind, matrices in tuples(algebra):
+                want = full_pair_loop(algebra, matrices)
+                assert algebra.action_laws(matrices) == want, (name, kind)
+                unit_ok, pair = want
+                if u is None:
+                    outcomes["no unit index"] += 1
+                elif not unit_ok:
+                    outcomes["C(u) != I"] += 1
+                elif pair is None:
+                    outcomes["C(u) == I, an action"] += 1
+                else:
+                    assert u not in pair
+                    outcomes["C(u) == I, a failing pair"] += 1
+        # each branch of the check is met
+        assert len(outcomes) == 4, outcomes
+
+    def test_a_unit_basis_element_saves_its_pairs(self, monkeypatch):
+        calls = Counter()
+        real_mul = PolyMatrix.__mul__
+
+        def counted_mul(self, other):
+            calls["matmul"] += 1
+            return real_mul(self, other)
+
+        monkeypatch.setattr(PolyMatrix, "__mul__", counted_mul)
+        for d in range(1, 7):
+            calls.clear()
+            algebra = monogenic_algebra(parse_poly(f"z^{d} - x*z - y" if d > 1 else "z - x"), "z")
+            # validation, then one more check of its own matrices
+            assert algebra.action_laws(algebra.left_mult) == (True, None)
+            assert calls["matmul"] == 2 * (d - 1) ** 2
 
     def test_graded_homogeneity_is_enforced(self):
         table = [

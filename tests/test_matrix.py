@@ -305,6 +305,60 @@ def test_combination_checks_shapes():
     assert PolyMatrix.combination([], 3) == PolyMatrix.zeros(3, 3)
 
 
+
+def coefficient_types(m):
+    return [[type(v) for v in t.values()] for t in m.data]
+
+
+def test_plus_scalar_equals_adding_a_scaled_identity():
+    # the sums CharPoly.evaluate_matrix and verify_roby once built: an n x n
+    # identity scaled by c, then added or subtracted slot by slot
+    rng = random.Random(47)
+    contexts = [VARS, ("w", "y"), (), ("a",), ("v", "x")]
+    zeta = make_root(3)
+    coefficients = [
+        lambda m: rng.choice((1, -2, 5)),
+        lambda m: Fraction(rng.choice((-5, 1, 7)), rng.randrange(2, 5)),
+        lambda m: zeta * rng.randrange(1, 3) + rng.randrange(0, 2),
+        lambda m: as_poly(rng.choice(("x", "w - 2*y", "a^2 + 1/3", "x*y*z", "zeta3*v + 1"))),
+        lambda m: rng.choice((0, Fraction(0), Poly.zero())),
+        # cancels the first diagonal entry
+        lambda m: -m.entry(0, 0) if m.nrows else 1,
+    ]
+    outcomes = Counter()
+    for trial in range(240):
+        n = rng.randrange(0, 6)
+        m = random_matrix(rng, n, n, rng.choice(DENSITIES), vars=rng.choice(contexts))
+        kind = rng.randrange(len(coefficients))
+        c = coefficients[kind](m)
+        neg_c = -c
+        c_items = list(c.terms.items()) if isinstance(c, Poly) else c
+        eye = PolyMatrix.identity(n)
+        cases = {
+            "+": (lambda: m.plus_scalar(c), m + eye.scaled(c)),
+            "-": (lambda: m.plus_scalar(neg_c), m - eye.scaled(c)),
+        }
+        for sign, (op, want) in cases.items():
+            where = f"trial {trial}: {sign} {c!r} on {n}x{n} over {m.vars}"
+            got = op()
+            assert got.shape == (n, n), where
+            assert got.vars == want.vars, where
+            assert got.data == want.data, where
+            assert items(got) == items(want), where
+            assert coefficient_types(got) == coefficient_types(want), where
+            assert got.data is not m.data, where
+            assert_operands_unchanged({sign: op}, m)
+            assert (list(c.terms.items()) if isinstance(c, Poly) else c) == c_items, where
+        if n and m.data[0] and not (m + eye.scaled(c)).data[0]:
+            outcomes["cancelled diagonal entry"] += 1
+        if n:
+            outcomes["nonempty diagonal" if any(m.data[:: n + 1]) else "empty diagonal"] += 1
+        outcomes[f"coefficient kind {kind}"] += 1
+    assert len(outcomes) == 9, outcomes
+    with pytest.raises(InputError, match="shape mismatch"):
+        PolyMatrix.zeros(2, 3).plus_scalar(1)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     calls = Counter()
@@ -552,6 +606,7 @@ def test_pow_does_one_product_per_step(monkeypatch):
         test_kron_equals_the_block_formula_key_for_key,
         test_sparse_passes_across_variable_contexts,
         test_combination_equals_the_running_sum_key_for_key,
+        test_plus_scalar_equals_adding_a_scaled_identity,
         test_no_operation_mutates_its_operands,
         test_nonzeros_is_the_row_major_nested_loop,
         test_queries_equal_their_old_loops,

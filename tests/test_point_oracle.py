@@ -1,0 +1,172 @@
+"""Characteristic-morphism checks against evaluation at random rational points.
+
+``verify_char_morphism`` decides Cayley-Hamilton, the unit law and
+multiplicativity symbolically, through the term-map kernel and
+``PolyMatrix`` products.  Here every variable gets a seeded random rational
+and the same identities are checked on plain nested lists of exact numbers,
+with a matrix product written out below.  A polynomial identity that holds
+vanishes at every point; one that fails is nonzero at a random point except
+on a set of small measure (Schwartz-Zippel), so three points agree with the
+symbolic verdict for any practical purpose.
+"""
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from robyclif.freealg import FreeAlgebra, char_poly
+from robyclif.matrix import PolyMatrix
+from robyclif.pipeline import run_pipeline
+from robyclif.roby import CharMorphism, verify_char_morphism
+from robyclif.specfile import parse_pipeline
+
+from test_pipeline import multi_branch_spec
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+POINTS = 3
+
+
+def evaluate(p, point):
+    """A Poly's value at point (a dict from variable name to number)."""
+    total = 0
+    for exp, c in p.terms.items():
+        term = c
+        for v, e in zip(p.vars, exp):
+            term = term * point[v] ** e
+        total = total + term
+    return total
+
+
+def at_point(m, point):
+    return [[evaluate(e, point) for e in row] for row in m.rows()]
+
+
+def mat_mul(a, b):
+    return [[sum((a[i][s] * b[s][j] for s in range(len(b))), 0) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def mat_comb(coeffs, mats, n):
+    out = [[0] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for i in range(n):
+                for j in range(n):
+                    out[i][j] = out[i][j] + c * m[i][j]
+    return out
+
+
+def eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def verdicts_at(cm, point):
+    """(cayley_hamilton, unit, first failing ordered pair or None) at one point."""
+    algebra, chi, n = cm.source, cm.charpoly, cm.dim
+    mats = [at_point(m, point) for m in cm.matrices]
+    # chi(sum a_i C_i, a) with Gamma_i -> a_i, as a sum over the powers of t
+    generic = mat_comb([point[g] for g in chi.dual_names], mats, n)
+    coeffs = {}
+    for exp, c in chi.poly.terms.items():
+        k, value = 0, c
+        for v, e in zip(chi.poly.vars, exp):
+            if v == chi.tvar:
+                k = e
+            else:
+                value = value * point[v] ** e
+        coeffs[k] = coeffs.get(k, 0) + value
+    total, power = [[0] * n for _ in range(n)], eye(n)
+    for k in range(chi.rank + 1):
+        total = mat_comb([1, coeffs.get(k, 0)], [total, power], n)
+        power = mat_mul(power, generic)
+    ch_ok = total == [[0] * n for _ in range(n)]
+    unit_ok = mat_comb([evaluate(c, point) for c in algebra.unit], mats, n) == eye(n)
+    for i in range(algebra.rank):
+        for j in range(algebra.rank):
+            image = mat_comb([evaluate(c, point) for c in algebra.table[i][j]], mats, n)
+            if mat_mul(mats[i], mats[j]) != image:
+                return ch_ok, unit_ok, (i, j)
+    return ch_ok, unit_ok, None
+
+
+def point_verdicts(cm, rng):
+    """The verdicts at POINTS random points: an identity holds if it holds at each.
+
+    The first failing pair is the least over the points, since the pairs
+    before the symbolic one vanish everywhere.
+    """
+    names = set(cm.charpoly.poly.vars) - {cm.charpoly.tvar} | set(cm.charpoly.dual_names)
+    names.update(*(m.vars for m in cm.matrices))
+    names.update(*(c.vars for row in cm.source.table for coords in row for c in coords))
+    names.update(*(c.vars for c in cm.source.unit))
+    found = []
+    for _ in range(POINTS):
+        point = {v: Fraction(rng.randrange(-40, 41), rng.randrange(1, 12)) for v in sorted(names)}
+        found.append(verdicts_at(cm, point))
+    pairs = [pair for _, _, pair in found if pair is not None]
+    return (
+        all(ch for ch, _, _ in found),
+        all(unit for _, unit, _ in found),
+        min(pairs) if pairs else None,
+    )
+
+
+def symbolic_verdicts(cm):
+    report = verify_char_morphism(cm)
+    _, pair = cm.source.action_laws(cm.matrices)
+    multiplicativity = report.get("multiplicativity")
+    assert multiplicativity.ok == (pair is None)
+    return report.get("cayley_hamilton").ok, report.get("unit").ok, pair
+
+
+def noncommuting_counterexample():
+    # B = k[z,w]/(z^2, zw, w^2) with C(z) = E23, C(w) = E12: C(w) C(z) = E13
+    # is not the image of wz = 0
+    zero = [0, 0, 0]
+    b = FreeAlgebra(
+        ["1", "z", "w"],
+        [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], zero, zero], [[0, 0, 1], zero, zero]],
+    )
+    cz = PolyMatrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    cw = PolyMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    return CharMorphism(b, [PolyMatrix.identity(3), cz, cw], char_poly(b))
+
+
+def tampered(cm):
+    # one off-diagonal entry of the last matrix moved: Cayley-Hamilton fails
+    n = cm.dim
+    bump = PolyMatrix.from_rows([[int((i, j) == (0, n - 1)) for j in range(n)] for i in range(n)])
+    return CharMorphism(cm.source, cm.matrices[:-1] + [cm.matrices[-1] + bump], cm.charpoly)
+
+
+def pipeline_morphism(spec):
+    return lambda: run_pipeline(spec()).morphism
+
+
+def perturbed_split_spec():
+    return parse_pipeline((DEMO / "perturbed_split.pipeline").read_text(encoding="utf-8"))
+
+
+# name -> (morphism factory, expected (cayley_hamilton, unit, failing pair))
+CASES = {
+    "multi_branch_spec(1)": (pipeline_morphism(lambda: multi_branch_spec(1)), (True, True, None)),
+    "multi_branch_spec(2)": (pipeline_morphism(lambda: multi_branch_spec(2)), (True, True, None)),
+    "multi_branch_spec(3)": (pipeline_morphism(lambda: multi_branch_spec(3)), (True, True, None)),
+    "perturbed_split.pipeline": (pipeline_morphism(perturbed_split_spec), (True, False, (0, 0))),
+    "non-commuting counterexample": (noncommuting_counterexample, (True, True, (2, 1))),
+    "tampered multi_branch_spec(1)": (
+        lambda: tampered(pipeline_morphism(lambda: multi_branch_spec(1))()),
+        (False, True, (1, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_point_evaluation_agrees_with_verify_char_morphism(name):
+    build, expected = CASES[name]
+    cm = build()
+    want = symbolic_verdicts(cm)
+    assert point_verdicts(cm, random.Random(sum(map(ord, name)))) == want
+    assert want == expected

@@ -1,9 +1,12 @@
 """Repository hygiene: no generated file tracked in git, no stale README config,
-and the matrix layout known to one module only."""
+the matrix layout known to one module only, and no identity matrix built
+only to be scaled or added."""
 
+import io
 import re
 import shutil
 import subprocess
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,56 @@ def test_only_matrix_module_reads_the_flat_layout():
         if re.search(r"\.data\b", line)
     ]
     assert readers == [], f"modules reading .data outside matrix.py: {readers}"
+
+
+def code_tokens(text):
+    """The names, operators and numbers of Python source, space-separated.
+
+    Comments and strings are dropped, so docstrings may name what the code
+    must not do.
+    """
+    kept = (tokenize.NAME, tokenize.OP, tokenize.NUMBER)
+    return " ".join(
+        t.string for t in tokenize.generate_tokens(io.StringIO(text).readline) if t.type in kept
+    )
+
+
+# identity(...) with at most one level of nested parentheses in its argument
+IDENTITY = r"identity \( (?:[^()]+ |\( [^()]* \) )*\)"
+SCALED_IDENTITY_SUMS = [
+    IDENTITY + r" \. scaled \(",         # identity(n).scaled(c)
+    IDENTITY + r" [+-] ",                 # identity(n) + m
+    r"[+-] (?:\w+ \. )?" + IDENTITY,      # m - PolyMatrix.identity(n)
+]
+
+
+def scaled_identity_sums(text):
+    return [m.group() for p in SCALED_IDENTITY_SUMS for m in re.finditer(p, code_tokens(text))]
+
+
+def test_no_scaled_identity_is_built_to_be_added():
+    # m + c * I is m.plus_scalar(c): it touches n diagonal slots, where a
+    # scaled identity allocates and scales n^2
+    found = [
+        f"{path.name}: {match}"
+        for path in sorted((ROOT / "src" / "robyclif").glob("*.py"))
+        for match in scaled_identity_sums(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [], f"identity matrices scaled or added: {found}"
+
+
+def test_the_scaled_identity_patterns_match_what_they_name():
+    for line in (
+        "acc = acc + PolyMatrix.identity(n).scaled(cj)",
+        "power - PolyMatrix.identity(module.dim).scaled(value)",
+        "miss = self.element_rep(self.unit) - PolyMatrix.identity(d)",
+        "m = PolyMatrix.identity(len(idx) // w) + m",
+    ):
+        assert scaled_identity_sums(line), line
+    for line in (
+        "eye = PolyMatrix.identity(len(idx) // w)",
+        "a.kron(PolyMatrix.identity(w))",
+        "if m != PolyMatrix.identity(n):",
+        '"""m + identity(n).scaled(c)"""  # m - identity(n)',
+    ):
+        assert not scaled_identity_sums(line), line

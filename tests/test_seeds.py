@@ -172,6 +172,14 @@ class TestCyclicCoverSeed:
         with pytest.raises(InputError, match="cover variable"):
             cyclic_cover_seed(mat([[0, "z"], ["z", 0]]), 2)
 
+    def test_rank_cap_comes_before_the_power(self, monkeypatch):
+        def no_power(self, n):
+            raise AssertionError("Z^d was built before the rank cap")
+
+        monkeypatch.setattr(PolyMatrix, "pow", no_power)
+        with pytest.raises(InputError, match="algebra rank 40 exceeds the cap of 16"):
+            cyclic_cover_seed(companion_matrix("z^4 - x*z^2 - y", "z"), 40)
+
 
 class TestFormElementMatrix:
     def test_reproduces_the_form(self):

@@ -6,6 +6,7 @@ import pytest
 
 from robyclif.errors import InputError
 from robyclif.surfnum import (
+    MAX_BETA_STEPS,
     BundleNumerics,
     UlrichClass,
     beta_sequence,
@@ -190,3 +191,8 @@ class TestBetaSequence:
             beta_sequence(0, -1)
         with pytest.raises(InputError, match="rational"):
             beta_sequence("no", 2)
+
+    def test_step_cap(self):
+        assert len(beta_sequence("1/3", MAX_BETA_STEPS)) == MAX_BETA_STEPS + 1
+        with pytest.raises(InputError, match=f"step count {MAX_BETA_STEPS + 1} exceeds the cap"):
+            beta_sequence("1/3", MAX_BETA_STEPS + 1)
