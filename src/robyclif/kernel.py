@@ -101,21 +101,7 @@ def mul_terms(a: dict, b: dict) -> dict:
         encode, decode = codec
         _mul_into_packed(out, encode(a), encode(b))
         return decode(out)
-    if la > lb:
-        a, b = b, a
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = tuple(map(add, ea, eb))
-            c = ca * cb
-            cur = out.get(exp)
-            if cur is None:
-                out[exp] = c
-            else:
-                cur = cur + c
-                if cur:
-                    out[exp] = cur
-                else:
-                    del out[exp]
+    mul_into(out, a, b)
     return out
 
 

@@ -3,9 +3,11 @@
 A Roby module for a degree-e form F is a matrix assignment m -> phi(m) with
 phi(m)^e = F(m)*I; the variant targeting a characteristic polynomial carries
 one action per algebra basis element plus a T-slot and satisfies
-psi(a, rT)^d = chi(a, r)*I.  Both flavors live in one class here, told apart
-by the presence of the T-slot.  Every identity is verified symbolically on a
-generic element with fresh coefficients, never sampled numerically.
+psi(a, rT)^d = chi(a, r)*I.  Both flavors live in one class here: the T-slot
+is one more action, bound to t the way each gamma_i is bound to its dual
+variable, so every consumer reads one list of (name, target variable,
+matrix) triples.  Every identity is verified symbolically on a generic
+element with fresh coefficients, never sampled numerically.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ class GradedRobyModule:
     form targets they coincide with ``action_names``; for characteristic
     polynomial targets the actions are named by algebra basis elements while
     the target lives in the dual variables, plus ``tvar`` for the T-slot.
+
+    ``named_actions`` holds one (name, target variable, matrix) triple per
+    action, then ("T", tvar, tslot) when there is a T-slot: the generic
+    element, the variable set, the grading check and the twisted tensor
+    read it and need no T-slot branch of their own.  ``actions`` and
+    ``target_vars`` keep the basis actions only.
     """
 
     __slots__ = (
@@ -74,6 +82,7 @@ class GradedRobyModule:
         "actions",
         "tslot",
         "tvar",
+        "named_actions",
         "target_poly",
         "source_algebra",
     )
@@ -126,6 +135,9 @@ class GradedRobyModule:
             raise InputError(f"{tvar!r} cannot double as a dual variable")
         self.tslot = tslot
         self.tvar = tvar
+        self.named_actions = tuple(zip(self.action_names, self.target_vars, self.actions))
+        if tslot is not None:
+            self.named_actions += (("T", tvar, tslot),)
         if not isinstance(target_poly, Poly):
             raise InputError("target must be a Poly")
         self.target_poly = target_poly
@@ -164,24 +176,18 @@ class GradedRobyModule:
             source_algebra=algebra,
         )
 
-    def generic_matrix(self, coeff_names, t_name: str | None = None) -> PolyMatrix:
-        """Sum coeff_i * action_i (+ t * T) with the given variable names."""
-        if len(coeff_names) != len(self.actions):
+    def generic_matrix(self, coeff_names) -> PolyMatrix:
+        """Sum coeff_i * action_i over the named actions, T last if present."""
+        if len(coeff_names) != len(self.named_actions):
             raise InputError("need one coefficient name per action")
-        pairs = [(Poly.variable(name), m) for name, m in zip(coeff_names, self.actions)]
-        if self.tslot is not None:
-            if t_name is None:
-                raise InputError("this module carries a T-slot; pass its coefficient name")
-            pairs.append((Poly.variable(t_name), self.tslot))
+        pairs = [(Poly.variable(c), m) for c, (_, _, m) in zip(coeff_names, self.named_actions)]
         return PolyMatrix.combination(pairs, self.dim)
 
     def all_vars(self):
         vs = set(self.target_poly.vars)
-        vs.update(self.target_vars)
-        vs.update(v for m in self.actions for v in m.vars)
-        if self.tslot is not None:
-            vs.update(self.tslot.vars)
-            vs.add(self.tvar)
+        for _, v, m in self.named_actions:
+            vs.add(v)
+            vs.update(m.vars)
         return vs
 
     def __repr__(self) -> str:
@@ -315,9 +321,7 @@ def monomial_charpoly_roby(spec: MonomialSpec, algebra: FreeAlgebra) -> GradedRo
                     f"(the degree of {algebra.basis_names[k - 1]}), got {c}"
                 )
     i = spec.t_exp
-    zero_grid = [[Poly.zero() for _ in range(d)] for _ in range(d)]
-    grids = [[row[:] for row in zero_grid] for _ in range(d)]
-    tgrid = [row[:] for row in zero_grid]
+    *grids, tgrid = [[[Poly.zero()] * d for _ in range(d)] for _ in range(d + 1)]
     for r in range(1, d + 1):  # r indexes eps_r, column r-1
         if r <= i:
             tgrid[r % d][r - 1] = Poly.const(1)
@@ -347,9 +351,7 @@ def split_roby(d: int, *, dual_names=None) -> GradedRobyModule:
     if d < 2:
         raise InputError("split modules need rank >= 2")
     algebra = split_algebra(d, dual_names=dual_names)
-    zero_grid = [[Poly.zero() for _ in range(d)] for _ in range(d)]
-    grids = [[row[:] for row in zero_grid] for _ in range(d)]
-    tgrid = [row[:] for row in zero_grid]
+    *grids, tgrid = [[[Poly.zero()] * d for _ in range(d)] for _ in range(d + 1)]
     for j0 in range(d):  # column j0 is w_{j0+1}
         tgrid[(j0 + 1) % d][j0] = Poly.const(1)
         i = (j0 + 1) % d  # the index with i = j+1, zero-based
@@ -414,7 +416,7 @@ def twisted_tensor(
             raise InputError("char-poly modules must share basis and dual names")
         names = m1.action_names
         tvars = m1.target_vars
-        pairs = [(m1.actions[i], m2.actions[i]) for i in range(len(names))]
+        pairs = [(a, b) for (_, _, a), (_, _, b) in zip(m1.named_actions, m2.named_actions)]
     else:
         names = list(m1.action_names)
         names.extend(v for v in m2.action_names if v not in m1.action_names)
@@ -429,9 +431,7 @@ def twisted_tensor(
     eye2 = PolyMatrix.identity(m2.dim)
     dxi = PolyMatrix.diagonal([xi ** g for g in m1.grading])
     actions = [a.kron(eye2) + dxi.kron(b) for a, b in pairs]
-    tslot = None
-    if m1.has_tslot:
-        tslot = m1.tslot.kron(eye2) + dxi.kron(m2.tslot)
+    tslot = actions.pop() if m1.has_tslot else None
     grading = [
         (g1 + g2) % e for g1 in m1.grading for g2 in m2.grading
     ]
@@ -508,7 +508,7 @@ def char_morphism(module: GradedRobyModule) -> CharMorphism:
     checked here rather than trusted, and a module whose T-slot is not cyclic
     (a single-monomial module, say) is rejected.
     """
-    if module.tslot is None:
+    if not module.has_tslot:
         raise InputError("characteristic morphisms need a T-slot target")
     if module.source_algebra is None:
         raise InputError("attach the source algebra before extracting the morphism")
@@ -531,10 +531,7 @@ def char_morphism(module: GradedRobyModule) -> CharMorphism:
 def _graded_check(report: Report, module: GradedRobyModule) -> None:
     e = module.degree
     g = module.grading
-    named = list(zip(module.action_names, module.actions))
-    if module.tslot is not None:
-        named.append(("T", module.tslot))
-    for name, m in named:
+    for name, _, m in module.named_actions:
         for r, c, _ in m.nonzeros():
             if g[r] != (g[c] + 1) % e:
                 report.add(
@@ -551,13 +548,11 @@ def verify_roby(module: GradedRobyModule) -> Report:
     report = Report(title=f"roby module: degree {module.degree}, dim {module.dim}")
     _graded_check(report, module)
     avoid = module.all_vars()
+    named = module.named_actions
     coeffs = fresh_names("s", len(module.actions), avoid)
-    bindings = {v: Poly.variable(s) for v, s in zip(module.target_vars, coeffs)}
-    t_name = None
-    if module.tslot is not None:
-        t_name = fresh_names("r", 1, avoid | set(coeffs))[0]
-        bindings[module.tvar] = Poly.variable(t_name)
-    generic = module.generic_matrix(coeffs, t_name)
+    coeffs += fresh_names("r", len(named) - len(coeffs), avoid | set(coeffs))
+    bindings = {v: Poly.variable(c) for (_, v, _), c in zip(named, coeffs)}
+    generic = module.generic_matrix(coeffs)
     power = generic.pow(module.degree)
     value = module.target_poly.substitute(bindings)
     check_vanishes(report, "power_identity", power.plus_scalar(-value))
@@ -774,7 +769,7 @@ def induce_roby(
             f"embedding has {d} components but the source algebra has rank {a.rank}; "
             "the induced module needs one component per basis element"
         )
-    if split_module.tslot is None or split_module.dim != d or split_module.degree != d:
+    if not split_module.has_tslot or split_module.dim != d or split_module.degree != d:
         raise InputError(f"the split module must be the rank-{d} cyclic one")
     actions_b = [m if isinstance(m, PolyMatrix) else PolyMatrix.from_rows(m) for m in module_action]
     if len(actions_b) != b.rank:

@@ -58,10 +58,7 @@ def form_element_matrix(module: GradedRobyModule) -> PolyMatrix:
     """
     if module.has_tslot:
         raise InputError("only form modules have a form element")
-    return PolyMatrix.combination(
-        [(Poly.variable(name), m) for name, m in zip(module.action_names, module.actions)],
-        module.dim,
-    )
+    return module.generic_matrix(module.action_names)
 
 
 def _block_shift(blocks, w: int) -> PolyMatrix:

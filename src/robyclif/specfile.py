@@ -309,6 +309,19 @@ def parse_roby_module(text: str) -> GradedRobyModule:
         tslot=tslot,
         tvar=m.get("tvar"),
     )
+    # verification binds each target variable in the target only, so one that
+    # also occurs in a matrix would fail a sound module's identity
+    used = {
+        v
+        for _, _, matrix in module.named_actions
+        for _, _, terms in matrix.nonzeros()
+        for exp in terms
+        for v, e in zip(matrix.vars, exp)
+        if e
+    }
+    for name, v, _ in module.named_actions:
+        if v in used:
+            raise InputError(f"target variable {v!r} of action {name} occurs in a matrix")
     if algebra_sections:
         module = module.with_source(_algebra_from_sections(algebra_sections, read))
     return module

@@ -355,6 +355,15 @@ class TestReport:
         assert main(["report", str(path)]) == 2
 
 
+# a module file whose t-variable or dual variable also occurs in a matrix
+TVAR_IN_TSLOT = (
+    "[roby]\ndegree = 2\ngrading = 0, 1\ntarget = t^2\ntvar = x\n\n"
+    "[action a]\nrow = 0, 1\nrow = 0, 0\n\n[tslot]\nrow = 0, y\nrow = x, 0\n"
+)
+MF_T_IN_TSLOT = render_roby_module(mf_seed("x", "y")).replace(
+    "[tslot]\nrow = 0, 0, 1, 0", "[tslot]\nrow = 0, 0, t - x + 1 + x, 0"
+)
+
 BAD_INPUTS = [
     # (file text or None, argv with FILE for its path, a piece of the message)
     ('{"checks": [{}]}', ["report", "FILE"], "stored check 1 is not an object"),
@@ -376,6 +385,9 @@ BAD_INPUTS = [
      "algebra rank 40 exceeds the cap"),
     (None, ["numerology", "--beta", "1/3", "10000"], "step count 10000 exceeds the cap of 1000"),
     (None, ["numerology", "--beta", "1e5000", "0"], "the interpreter's limit for printing"),
+    (TVAR_IN_TSLOT, ["roby", "verify", "FILE"], "target variable 'x' of action T"),
+    (MF_T_IN_TSLOT, ["roby", "verify", "FILE"], "target variable 't' of action T"),
+    (MF_T_IN_TSLOT, ["charmor", "FILE"], "target variable 't' of action T"),
 ]
 
 
@@ -385,7 +397,8 @@ BAD_INPUTS = [
     ids=["check without name", "checks not a list", "meta not an object", "steps not a number",
          "beta zero denominator", "long zeta order", "split rank", "monogenic rank",
          "split module rank", "cyclic cover rank", "cyclic cover rank before the power",
-         "beta step cap", "beta too long to print"],
+         "beta step cap", "beta too long to print", "tvar in the T-slot",
+         "t in an mf T-slot", "t in an mf T-slot charmor"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, text, argv, message):
     path = tmp_path / "input"

@@ -1,17 +1,20 @@
-"""Characteristic-morphism checks against evaluation at random rational points.
+"""Roby-module and characteristic-morphism checks against evaluation at
+random rational points.
 
-``verify_char_morphism`` decides Cayley-Hamilton, the unit law and
-multiplicativity symbolically, through the term-map kernel and
-``PolyMatrix`` products.  Here every variable gets a seeded random rational
-and the same identities are checked on plain nested lists of exact numbers,
-with a matrix product written out below.  A polynomial identity that holds
-vanishes at every point; one that fails is nonzero at a random point except
-on a set of small measure (Schwartz-Zippel), so three points agree with the
-symbolic verdict for any practical purpose.
+``verify_roby`` decides the power identity and ``verify_char_morphism``
+decides Cayley-Hamilton, the unit law and multiplicativity symbolically,
+through the term-map kernel and ``PolyMatrix`` products.  Here every
+variable gets a seeded random rational and the same identities are checked
+on plain nested lists of exact numbers, with a matrix product written out
+below.  A polynomial identity that holds vanishes at every point; one that
+fails is nonzero at a random point except on a set of small measure
+(Schwartz-Zippel), so three points agree with the symbolic verdict for any
+practical purpose.
 """
 
 import random
 from fractions import Fraction
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
@@ -19,13 +22,26 @@ import pytest
 from robyclif.freealg import FreeAlgebra, char_poly
 from robyclif.matrix import PolyMatrix
 from robyclif.pipeline import run_pipeline
-from robyclif.roby import CharMorphism, verify_char_morphism
+from robyclif.poly import HomForm, parse_poly
+from robyclif.roby import (
+    CharMorphism,
+    GradedRobyModule,
+    monomial_roby,
+    twisted_tensor,
+    verify_char_morphism,
+    verify_roby,
+)
+from robyclif.scalars import make_root
 from robyclif.specfile import parse_pipeline
 
 from test_pipeline import multi_branch_spec
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 POINTS = 3
+
+
+def random_rational(rng):
+    return Fraction(rng.randrange(-40, 41), rng.randrange(1, 12))
 
 
 def evaluate(p, point):
@@ -44,8 +60,17 @@ def at_point(m, point):
 
 
 def mat_mul(a, b):
-    return [[sum((a[i][s] * b[s][j] for s in range(len(b))), 0) for j in range(len(b[0]))]
-            for i in range(len(a))]
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        # zero factors add nothing, so each row sums over its nonzero pairs only
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
 
 
 def mat_comb(coeffs, mats, n):
@@ -103,7 +128,7 @@ def point_verdicts(cm, rng):
     names.update(*(c.vars for c in cm.source.unit))
     found = []
     for _ in range(POINTS):
-        point = {v: Fraction(rng.randrange(-40, 41), rng.randrange(1, 12)) for v in sorted(names)}
+        point = {v: random_rational(rng) for v in sorted(names)}
         found.append(verdicts_at(cm, point))
     pairs = [pair for _, _, pair in found if pair is not None]
     return (
@@ -145,8 +170,8 @@ def pipeline_morphism(spec):
     return lambda: run_pipeline(spec()).morphism
 
 
-def perturbed_split_spec():
-    return parse_pipeline((DEMO / "perturbed_split.pipeline").read_text(encoding="utf-8"))
+def demo_spec(name):
+    return parse_pipeline((DEMO / name).read_text(encoding="utf-8"))
 
 
 # name -> (morphism factory, expected (cayley_hamilton, unit, failing pair))
@@ -154,7 +179,10 @@ CASES = {
     "multi_branch_spec(1)": (pipeline_morphism(lambda: multi_branch_spec(1)), (True, True, None)),
     "multi_branch_spec(2)": (pipeline_morphism(lambda: multi_branch_spec(2)), (True, True, None)),
     "multi_branch_spec(3)": (pipeline_morphism(lambda: multi_branch_spec(3)), (True, True, None)),
-    "perturbed_split.pipeline": (pipeline_morphism(perturbed_split_spec), (True, False, (0, 0))),
+    "perturbed_split.pipeline": (
+        pipeline_morphism(lambda: demo_spec("perturbed_split.pipeline")),
+        (True, False, (0, 0)),
+    ),
     "non-commuting counterexample": (noncommuting_counterexample, (True, True, (2, 1))),
     "tampered multi_branch_spec(1)": (
         lambda: tampered(pipeline_morphism(lambda: multi_branch_spec(1))()),
@@ -169,4 +197,96 @@ def test_point_evaluation_agrees_with_verify_char_morphism(name):
     cm = build()
     want = symbolic_verdicts(cm)
     assert point_verdicts(cm, random.Random(sum(map(ord, name)))) == want
+    assert want == expected
+
+
+# -- the Roby power identity ---------------------------------------------------
+
+
+def roby_point_verdict(module, rng):
+    """Whether (sum s_i A_i + r T)^degree = target * I at POINTS random points.
+
+    The base variables, each s_i and r get random rationals; the target is
+    evaluated with its i-th dual variable at s_i and its t-variable at r.
+    """
+    mats = list(module.actions)
+    bound = list(module.target_vars)
+    if module.tslot is not None:
+        mats.append(module.tslot)
+        bound.append(module.tvar)
+    base = set(module.target_poly.vars).union(*(m.vars for m in mats)) - set(bound)
+    n = module.dim
+    for _ in range(POINTS):
+        point = {v: random_rational(rng) for v in sorted(base)}
+        coeffs = [random_rational(rng) for _ in bound]
+        generic = mat_comb(coeffs, [at_point(m, point) for m in mats], n)
+        power = generic
+        for _ in range(module.degree - 1):
+            power = mat_mul(power, generic)
+        value = evaluate(module.target_poly, {**point, **dict(zip(bound, coeffs))})
+        if power != mat_comb([value], [eye(n)], n):
+            return False
+    return True
+
+
+PIPELINE_SPECS = {
+    **{f"multi_branch_spec({n})": partial(multi_branch_spec, n) for n in (1, 2, 3, 4)},
+    "quadric.pipeline": partial(demo_spec, "quadric.pipeline"),
+    "perturbed_split.pipeline": partial(demo_spec, "perturbed_split.pipeline"),
+}
+
+
+@cache
+def pipeline_result(name):
+    return run_pipeline(PIPELINE_SPECS[name]())
+
+
+def diagonal_form(e, xi, **kw):
+    # y1^e + y2^e as the twisted tensor of two one-variable monomial modules
+    m1, m2 = (monomial_roby(HomForm(parse_poly(f"{v}^{e}"), e, (v,))) for v in ("y1", "y2"))
+    return twisted_tensor(m1, m2, xi, **kw)
+
+
+def tampered_module(module):
+    # one entry of the last basis action moved: the power identity fails
+    n = module.dim
+    bump = PolyMatrix.from_rows([[int((i, j) == (0, n - 1)) for j in range(n)] for i in range(n)])
+    return GradedRobyModule(
+        module.degree,
+        module.grading,
+        module.action_names,
+        module.actions[:-1] + [module.actions[-1] + bump],
+        module.target_poly,
+        target_vars=module.target_vars,
+        tslot=module.tslot,
+        tvar=module.tvar,
+    )
+
+
+# name -> (module factory, whether the power identity holds)
+ROBY_CASES = {
+    **{
+        f"{name} {part}": (lambda name=name, part=part: getattr(pipeline_result(name), part), True)
+        for name in PIPELINE_SPECS
+        for part in ("seed", "assembly")
+    },
+    "y1^3 + y2^3 twisted by zeta_3": (lambda: diagonal_form(3, make_root(3)), True),
+    "y1^4 + y2^4 twisted by zeta_4": (lambda: diagonal_form(4, make_root(4)), True),
+    "y1^3 + y2^3 untwisted (xi = 1)": (
+        lambda: diagonal_form(3, 1, require_primitive=False),
+        False,
+    ),
+    "tampered multi_branch_spec(1) assembly": (
+        lambda: tampered_module(pipeline_result("multi_branch_spec(1)").assembly),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ROBY_CASES))
+def test_point_evaluation_agrees_with_verify_roby(name):
+    build, expected = ROBY_CASES[name]
+    module = build()
+    want = verify_roby(module).get("power_identity").ok
+    assert roby_point_verdict(module, random.Random(sum(map(ord, name)))) == want
     assert want == expected

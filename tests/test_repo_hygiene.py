@@ -1,6 +1,7 @@
 """Repository hygiene: no generated file tracked in git, no stale README config,
-the matrix layout known to one module only, and no identity matrix built
-only to be scaled or added."""
+the matrix layout known to one module only, the T-slot read by the Roby module
+and the file format only, and no identity matrix built only to be scaled or
+added."""
 
 import io
 import re
@@ -44,6 +45,19 @@ def test_only_matrix_module_reads_the_flat_layout():
         if re.search(r"\.data\b", line)
     ]
     assert readers == [], f"modules reading .data outside matrix.py: {readers}"
+
+
+def test_only_roby_and_specfile_read_the_tslot():
+    # the other modules reach the T-slot through named_actions or the
+    # has_tslot flag, so where T sits is decided in roby.py alone
+    readers = [
+        f"{path.name}:{number}"
+        for path in sorted((ROOT / "src" / "robyclif").glob("*.py"))
+        if path.name not in ("roby.py", "specfile.py")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"\.tslot\b", line)
+    ]
+    assert readers == [], f"modules reading .tslot outside roby.py and specfile.py: {readers}"
 
 
 def code_tokens(text):

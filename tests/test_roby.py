@@ -171,7 +171,7 @@ class TestSplitModule:
 
     def test_generic_element_telescopes(self):
         m = split_roby(3)
-        g = m.generic_matrix(["s1", "s2", "s3"], "r")
+        g = m.generic_matrix(["s1", "s2", "s3", "r"])
         got = g.pow(3).scalar_identity_multiple()
         assert got == parse_poly("(r - s1)*(r - s2)*(r - s3)")
 
@@ -833,6 +833,9 @@ class TestModuleConstruction:
                 degree=e, grading=g, action_names=("u", "v"), actions=[action(), action()],
                 tslot=action() if rng.random() < 0.5 else None,
             )
+            module.named_actions = tuple(zip(module.action_names, "ab", module.actions))
+            if module.tslot is not None:
+                module.named_actions += (("T", "t", module.tslot),)
             report = Report(title="graded")
             _graded_check(report, module)
             check = report.get("graded")

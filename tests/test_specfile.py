@@ -152,6 +152,16 @@ class TestRobyModuleFiles:
         with pytest.raises(InputError, match="needs a t-variable"):
             parse_roby_module(text)
 
+    def test_bound_variable_in_a_matrix_rejected(self):
+        text = render_roby_module(mf_seed("x", "y"))
+        # G1 stands for the coefficient of action 1, so it may not sit in a matrix
+        with pytest.raises(InputError, match="'G1' of action 1 occurs in a matrix"):
+            parse_roby_module(text.replace("row = 0, 0, 0, x", "row = 0, 0, 0, G1"))
+        # a term with a zero coefficient or a zero exponent mentions no variable
+        zeros = text.replace("row = 0, 0, 0, x", "row = 0, 0, 0, x + t*0 + G2^0 - 1")
+        again = parse_roby_module(zeros)
+        assert same_module(again, mf_seed("x", "y"))
+
     def test_ragged_rows_rejected(self):
         text = (
             "[roby]\ndegree = 2\ngrading = 0, 1\ntarget = t^2\n\n"
