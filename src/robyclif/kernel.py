@@ -1,43 +1,43 @@
 """Term-map kernel: the hot loops of polynomial and matrix arithmetic.
 
-A term map is a dict from exponent tuples (nonnegative ints, one per
-variable, the same width throughout a call) to nonzero coefficients: ``int``
+A term map is a dict from monomial keys to nonzero coefficients: ``int``
 when integral, ``Fraction`` when rational, ``CycScalar`` otherwise (see
 ``scalars.narrow``).  Coefficients live in a field, so a product of nonzeros
 is nonzero and only accumulation can cancel.  No function here mutates its
-inputs; ``mul_into``, ``add_into`` and ``sub_into`` mutate only their
-accumulator, and ``update_nonempty`` only the list it is given.
+inputs; ``mul_into``, ``mul_into_packed``, ``add_into`` and ``sub_into``
+mutate only their accumulator, and ``update_nonempty`` only the list it is
+given.  Sums, differences, negation and scaling never look inside a key, so
+they serve both key encodings.
 
-Two key encodings.  Every input and output holds tuple keys.  Inside one
-``mul_terms`` or ``matmul_terms`` call, products may run on packed keys
-instead: an exponent vector becomes one int with a one-byte field per
-variable (the first variable in the lowest field), so a monomial product is
-one int add in place of building a tuple.
+Two key encodings.
 
-- Fields are one byte (encoded with ``bytes(e)``, decoded with
-  ``k.to_bytes(nvars, "little")``).  A call may pack only when its own
-  largest left exponent plus its largest right one is at most 255: no sum
-  of two exponents exceeds that, so no field carries into the next.  A call
-  with wider exponents keeps the tuple loop.
-- A call packs when its exact count of term products is at least
-  ``_PACK_RATIO`` times the number of terms it would encode: |a|*|b| against
-  |a| + |b| in ``mul_terms``, and the sum of |a[i, s]| * (terms in row s of
-  b) against the nonzero terms of both operands in ``matmul_terms``.  A thin
-  call keeps the tuple loop, because converting its keys would cost more
-  than the adds save.
-- Packing is a bijection within the call and the loops run in the same
-  order, so both encodings give equal maps with the same key order.
+- Tuple keys: one exponent per variable.  ``Poly`` stores these, and
+  ``mul_terms`` and ``mul_into`` take and return them.  Inside one
+  ``mul_terms`` call the products may still run packed: a call packs when
+  its exact count of term products |a|*|b| is at least ``_PACK_RATIO``
+  times the number of terms it would encode, |a| + |b|, and its largest
+  left exponent plus its largest right one is at most 255, so one-byte
+  fields cannot carry.  It decodes its result to tuples.  Packing is a
+  bijection and both loops run in the same order, so both give equal maps
+  with the same key order.
+- Packed keys: one int with a fixed-width field per variable, the first
+  variable in the lowest field, so a monomial product is one int add.
+  ``PolyMatrix`` stores these between operations, and ``mul_into_packed``,
+  ``mul_packed`` and ``matmul_terms`` take and return them.  Nothing here
+  checks the fields: the caller (``matrix.py``) picks a width with room for
+  every exponent sum it asks for.  ``pack``, ``unpack`` and ``repacker``
+  convert between tuples and packed keys and between two packed layouts;
+  only ``matrix.py`` and this module call them.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from operator import add
+from operator import add, itemgetter, lshift
 
-# Pack once a call does at least this many term products per term encoded.
-# 2, 4 and 8 ran within 4% of each other in perfbench (three 15 s runs each
-# on a 2-CPU VM): charpoly_fat wall_s 0.710 / 0.712 / 0.738 s and
-# pipeline_ladder 0.376 / 0.362 / 0.357 s.  4 sits between the two.
+# Pack a mul_terms call once it does at least this many term products per
+# term encoded.  2, 4 and 8 ran within 4% of each other in perfbench (three
+# 15 s runs each on a 2-CPU VM).
 _PACK_RATIO = 4
 
 
@@ -91,15 +91,19 @@ def scale_terms(a: dict, c) -> dict:
     return {exp: v * c for exp, v in a.items()}
 
 
+# -- products on tuple keys ---------------------------------------------------------
+
+
 def mul_terms(a: dict, b: dict) -> dict:
+    """a * b on tuple keys, packed for the call when it is fat enough."""
     if not a or not b:
         return {}
     la, lb = len(a), len(b)
     out: dict = {}
-    codec = _codec((a,), (b,)) if la * lb >= _PACK_RATIO * (la + lb) else None
+    codec = _codec(a, b) if la * lb >= _PACK_RATIO * (la + lb) else None
     if codec is not None:
         encode, decode = codec
-        _mul_into_packed(out, encode(a), encode(b))
+        mul_into_packed(out, encode(a), encode(b))
         return decode(out)
     mul_into(out, a, b)
     return out
@@ -129,8 +133,24 @@ def mul_into(acc: dict, a: dict, b: dict) -> None:
                     del acc[exp]
 
 
-def _mul_into_packed(acc: dict, a: dict, b: dict) -> None:
-    """``mul_into`` on packed int keys, in the same order."""
+def _codec(a: dict, b: dict):
+    """(encode, decode) between tuple keys and one-byte fields, or None.
+
+    None when the largest exponent of a plus that of b exceeds 255: a
+    one-byte field could then carry, so the call keeps the tuple loop.
+    """
+    nvars = len(next(iter(a)))
+    if nvars and max(map(max, a)) + max(map(max, b)) > 255:
+        return None
+    fields = range(nvars)
+    return (lambda terms: pack(terms, 8)), (lambda terms: unpack(terms, fields, 8))
+
+
+# -- products on packed keys --------------------------------------------------------
+
+
+def mul_into_packed(acc: dict, a: dict, b: dict) -> None:
+    """acc += a * b, in place, on packed keys, in the order of ``mul_into``."""
     if len(a) > len(b):
         a, b = b, a
     for ea, ca in a.items():
@@ -148,29 +168,87 @@ def _mul_into_packed(acc: dict, a: dict, b: dict) -> None:
                     del acc[exp]
 
 
-def _top(maps) -> int:
-    """The largest exponent in any key of the nonempty term maps."""
-    return max(max(map(max, t)) for t in maps)
+def mul_packed(a: dict, b: dict) -> dict:
+    """a * b on packed keys."""
+    out: dict = {}
+    mul_into_packed(out, a, b)
+    return out
 
 
-def _codec(left, right):
-    """(encode, decode) between tuple and packed keys for one call, or None.
+# -- key codecs ---------------------------------------------------------------------
 
-    ``left`` and ``right`` are the nonempty term maps on each side of the
-    call's products.  Each field is one byte, so the call packs only when the
-    largest left exponent plus the largest right one is at most 255; None
-    tells a wider call to keep the tuple loop.
+
+def pack(terms: dict, width: int) -> dict:
+    """Tuple keys to packed keys with width-bit fields (width a multiple of 8).
+
+    Exponent i goes to field i; the caller ensures each is below 2**width.
     """
-    nvars = len(next(iter(left[0])))
-    if nvars and _top(left) + _top(right) > 255:
+    if width == 8:
+        return {int.from_bytes(bytes(exp), "little"): c for exp, c in terms.items()}
+    if not terms:
+        return {}
+    shifts = range(0, width * len(next(iter(terms))), width)
+    return {sum(map(lshift, exp, shifts)): c for exp, c in terms.items()}
+
+
+def unpack(terms: dict, fields, width: int) -> dict:
+    """Packed keys to tuple keys of the given fields, in that order.
+
+    Fields left out must be zero in every key, so the result is the term map
+    over the variables of ``fields``.  Key order is kept.
+    """
+    fields = tuple(fields)
+    if not fields:
+        return {(): c for c in terms.values()}
+    if width == 8:
+        size = max(fields) + 1
+        if fields == tuple(range(size)):
+            return {tuple(k.to_bytes(size, "little")): c for k, c in terms.items()}
+        get = _gather(fields)
+        return {get(k.to_bytes(size, "little")): c for k, c in terms.items()}
+    mask = (1 << width) - 1
+    shifts = [width * f for f in fields]
+    return {tuple([k >> s & mask for s in shifts]): c for k, c in terms.items()}
+
+
+def repacker(fields, width: int, new_width: int):
+    """A map re-encoding packed term maps into another layout, or None.
+
+    ``fields[i]`` is the new field of old field i (None drops it: it must be
+    zero in every key).  Widths are multiples of 8 bits; every exponent must
+    be below 2**new_width.  None means the keys are already the new keys.
+    The returned function keeps each map's key order.
+    """
+    kept = [(i, f) for i, f in enumerate(fields) if f is not None]
+    if not kept:
+        return None  # every key is 0 in both layouts
+    if width == new_width and all(i == f for i, f in kept):
         return None
-    return _encode, lambda terms: {
-        tuple(k.to_bytes(nvars, "little")): c for k, c in terms.items()
+    # byte by byte: byte j of a new key is byte src[j] of the old key, where
+    # index old_bytes is a zero byte appended to every old key
+    step, new_step = width // 8, new_width // 8
+    old_bytes = step * len(fields)
+    src = [old_bytes] * (new_step * (max(f for _, f in kept) + 1))
+    for i, f in kept:
+        for b in range(min(step, new_step)):
+            src[f * new_step + b] = i * step + b
+    get = _gather(src)
+    size = old_bytes + 1
+    return lambda terms: {
+        int.from_bytes(bytes(get(k.to_bytes(size, "little"))), "little"): c
+        for k, c in terms.items()
     }
 
 
-def _encode(terms: dict) -> dict:
-    return {int.from_bytes(bytes(exp), "little"): c for exp, c in terms.items()}
+def _gather(index):
+    """A function from a sequence to the tuple of its items at index."""
+    if len(index) == 1:
+        i = index[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*index)
+
+
+# -- walks over lists of term maps --------------------------------------------------
 
 
 def nonempty(maps: list):
@@ -192,18 +270,16 @@ def map_nonempty(maps: list, fn) -> list:
 
 
 def matmul_terms(a: list, b: list, n: int, k: int, m: int) -> list:
-    """Row-major (n x k) @ (k x m) over term maps.
+    """Row-major (n x k) @ (k x m) over packed term maps.
 
     Cost: each row's nonzero columns of ``a`` and ``b`` are found at C speed
     (``compress`` over a row slice), and the Python work runs per nonzero
     only: one multiply-add per triple (i, s, j) with a[i, s] and b[s, j]
-    both nonzero, plus the key encoding and decoding of nonzero entries.
-    What stays O(n*k + k*m + n*m) is slicing and copying the lists and
+    both nonzero, with the packed loop of ``mul_into_packed`` written out
+    in place.  What stays O(n*k + k*m + n*m) is slicing the lists and
     allocating the output.  No work is spent on a pair with an empty factor.
-    The nonzero columns also give the call's exact count of term products,
-    which decides the key encoding.
-    For each output entry s still runs in ascending order, so every entry
-    gets its terms in the same insertion order as the plain triple loop.
+    For each output entry s runs in ascending order, so every entry gets
+    its terms in the same insertion order as the plain triple loop.
     Entries that receive no product, or whose products cancel, are one
     shared empty map, so callers must treat entries as read-only.
     """
@@ -211,22 +287,6 @@ def matmul_terms(a: list, b: list, n: int, k: int, m: int) -> list:
     # garbage collector, so listing nonzeros triggers no extra collections
     a_cols = [list(compress(range(k), a[i * k : (i + 1) * k])) for i in range(n)]
     b_cols = [list(compress(range(m), b[s * m : (s + 1) * m])) for s in range(k)]
-    b_terms = [sum([len(b[s * m + j]) for j in cols]) for s, cols in enumerate(b_cols)]
-    products = terms = 0
-    for i, cols in enumerate(a_cols):
-        for s in cols:
-            size = len(a[i * k + s])
-            products += size * b_terms[s]
-            terms += size
-    codec = None
-    if products and products >= _PACK_RATIO * (terms + sum(b_terms)):
-        codec = _codec(list(compress(a, a)), list(compress(b, b)))
-    multiply_into = mul_into
-    if codec is not None:
-        encode, decode = codec
-        a = map_nonempty(a, encode)
-        b = map_nonempty(b, encode)
-        multiply_into = _mul_into_packed
     empty: dict = {}
     out: list = []
     for i, cols in enumerate(a_cols):
@@ -240,14 +300,26 @@ def matmul_terms(a: list, b: list, n: int, k: int, m: int) -> list:
                 if acc is empty:
                     acc = row[j] = {}
                     touched.append(j)
-                multiply_into(acc, left, b[base + j])
+                x, y = left, b[base + j]
+                if len(x) > len(y):
+                    x, y = y, x
+                for ea, ca in x.items():
+                    for eb, cb in y.items():
+                        exp = ea + eb
+                        c = ca * cb
+                        cur = acc.get(exp)
+                        if cur is None:
+                            acc[exp] = c
+                        else:
+                            cur = cur + c
+                            if cur:
+                                acc[exp] = cur
+                            else:
+                                del acc[exp]
         # an entry whose products cancelled becomes the shared empty map, so
         # the output holds one map per nonzero entry only
         for j in touched:
-            acc = row[j]
-            if not acc:
+            if not row[j]:
                 row[j] = empty
-            elif codec is not None:
-                row[j] = decode(acc)
         out += row
     return out

@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 
 from . import kernel
 from .errors import InputError
@@ -62,21 +63,18 @@ def _check_var_name(name: str) -> str:
 def _align_terms(terms: dict, old_vars: tuple, new_vars: tuple) -> dict:
     """Remap exponent tuples from old_vars to new_vars (a superset).
 
+    The index is built once per call; each key, padded with one zero for
+    the variables it lacks, is then remapped by one ``itemgetter`` call.
     An empty map, or one already over new_vars, is returned as it is.
     """
     if old_vars == new_vars or not terms:
         return terms
-    pos = {v: i for i, v in enumerate(new_vars)}
-    idx = [pos[v] for v in old_vars]
-    width = len(new_vars)
-    out = {}
-    for exp, c in terms.items():
-        new_exp = [0] * width
-        for i, e in enumerate(exp):
-            if e:
-                new_exp[idx[i]] = e
-        out[tuple(new_exp)] = c
-    return out
+    if len(new_vars) == 1:  # old_vars is empty, every key ()
+        return {(0,): c for c in terms.values()}
+    pos = {v: i for i, v in enumerate(old_vars)}
+    pad = len(old_vars)  # the index of the zero
+    get = itemgetter(*[pos.get(v, pad) for v in new_vars])
+    return {get(exp + (0,)): c for exp, c in terms.items()}
 
 
 class Poly:

@@ -311,14 +311,7 @@ def parse_roby_module(text: str) -> GradedRobyModule:
     )
     # verification binds each target variable in the target only, so one that
     # also occurs in a matrix would fail a sound module's identity
-    used = {
-        v
-        for _, _, matrix in module.named_actions
-        for _, _, terms in matrix.nonzeros()
-        for exp in terms
-        for v, e in zip(matrix.vars, exp)
-        if e
-    }
+    used = {v for _, _, matrix in module.named_actions for v in matrix.occurring_vars()}
     for name, v, _ in module.named_actions:
         if v in used:
             raise InputError(f"target variable {v!r} of action {name} occurs in a matrix")

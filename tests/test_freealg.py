@@ -429,7 +429,9 @@ class TestCayleyHamilton:
                 monkeypatch.setattr(PolyMatrix, "__mul__", real)
                 assert len(products) == chi.rank - 1
                 assert got.vars == want.vars
-                assert [list(t.items()) for t in got.data] == [list(t.items()) for t in want.data]
+                assert [[list(p.terms.items()) for p in row] for row in got.rows()] == [
+                    [list(p.terms.items()) for p in row] for row in want.rows()
+                ]
 
     def test_shape_mismatch_is_an_input_error(self):
         chi = char_poly(split_algebra(3))

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from robyclif import kernel
+from robyclif import kernel, matrix
 from robyclif.scalars import make_root
 
 WIDTH = 3
@@ -112,7 +112,7 @@ def test_matmul_matches_naive_triple_loop():
         a = [random_terms(rng, size=rng.randrange(0, 4), cyclotomic=trial % 2 == 0)
              for _ in range(n * k)]
         b = [random_terms(rng, size=rng.randrange(0, 4)) for _ in range(k * m)]
-        out = kernel.matmul_terms(a, b, n, k, m)
+        out = packed_matmul(a, b, n, k, m)
         assert len(out) == n * m
         for entry in out:
             assert_no_zeros(entry)
@@ -147,6 +147,24 @@ def test_cancellation_prunes():
 
 
 # -- the sparse product against a plain triple loop ------------------------------
+
+
+def packed_matmul(a, b, n, k, m):
+    """``matmul_terms`` on flat lists of tuple-keyed term maps.
+
+    The keys are packed at the width of a new matrix, widened by bytes until
+    every exponent sum fits, and the product is decoded back to tuples.
+    """
+    tops = [max((e for t in side for exp in t for e in exp), default=0) for side in (a, b)]
+    nvars = next((len(exp) for t in a + b for exp in t), 0)
+    width = matrix._WIDTH
+    while sum(tops) >> width:
+        width += 8
+    out = kernel.matmul_terms(
+        [kernel.pack(t, width) for t in a], [kernel.pack(t, width) for t in b], n, k, m
+    )
+    return [kernel.unpack(t, range(nvars), width) for t in out]
+
 
 DENSITIES = (0.0, 0.02, 0.3, 1.0)
 
@@ -201,7 +219,7 @@ def test_sparse_matmul_equals_the_triple_loop_key_for_key():
         for density in DENSITIES:
             a = random_flat_matrix(rng, n, k, density)
             b = random_flat_matrix(rng, k, m, density)
-            got = kernel.matmul_terms(a, b, n, k, m)
+            got = packed_matmul(a, b, n, k, m)
             want = naive_matmul(a, b, n, k, m)
             where = f"{n}x{k} @ {k}x{m} at density {density}"
             assert got == want, where
@@ -258,7 +276,7 @@ def test_cancelled_keys_are_re_inserted_at_the_end(forced_packing):
     assert list(got.items()) == [((0,), 1), ((2,), 1), ((4,), 1)]
 
 
-def test_both_encodings_equal_the_tuple_loop_key_for_key(forced_packing, packed_calls):
+def test_both_encodings_equal_the_tuple_loop_key_for_key(forced_encodings, packed_calls):
     rng = random.Random(16)
     for name, a, b in encoding_cases(rng):
         a_copy, b_copy = dict(a), dict(b)
@@ -266,11 +284,11 @@ def test_both_encodings_equal_the_tuple_loop_key_for_key(forced_packing, packed_
         assert_same_items(kernel.mul_terms(b, a), naive_mul_terms(b, a), name)
         # a 2x2 product whose entries accumulate across s
         left, right = [a, {}, b, a], [b, a, a, {}]
-        got = kernel.matmul_terms(left, right, 2, 2, 2)
+        got = packed_matmul(left, right, 2, 2, 2)
         want = naive_matmul(left, right, 2, 2, 2)
         assert [list(t.items()) for t in got] == [list(t.items()) for t in want], name
         assert (a, b) == (a_copy, b_copy), f"{name}: an input was mutated"
-    assert bool(packed_calls) == (forced_packing == "always")
+    assert bool(packed_calls) == (forced_encodings == "always")
 
 
 def test_only_one_byte_sums_pack(monkeypatch, packed_calls):
@@ -280,42 +298,37 @@ def test_only_one_byte_sums_pack(monkeypatch, packed_calls):
         a, b = terms_reaching(rng, 3, left, 9), terms_reaching(rng, 3, right, 7)
         del packed_calls[:]
         assert_same_items(kernel.mul_terms(a, b), naive_mul_terms(a, b), f"{left}+{right}")
-        got = kernel.matmul_terms([a], [b], 1, 1, 1)
+        got = packed_matmul([a], [b], 1, 1, 1)
         assert_same_items(got[0], naive_mul_terms(a, b), f"{left}+{right} matmul")
-        assert len(packed_calls) == (2 if left + right <= 255 else 0), f"{left}+{right}"
+        assert len(packed_calls) == (1 if left + right <= 255 else 0), f"{left}+{right}"
 
 
 def test_fat_calls_pack_and_thin_calls_do_not(packed_calls):
     rng = random.Random(17)
     thin = [random_terms(rng, size=2) for _ in range(2)]
     assert_same_items(kernel.mul_terms(*thin), naive_mul_terms(*thin), "thin mul_terms")
-    flat = random_flat_matrix(rng, 12, 12, 0.3)
-    got = kernel.matmul_terms(flat, flat, 12, 12, 12)
-    assert got == naive_matmul(flat, flat, 12, 12, 12)
     assert packed_calls == []
 
     fat = [terms_reaching(rng, 4, 6, 20) for _ in range(2)]
     assert len(fat[0]) * len(fat[1]) >= kernel._PACK_RATIO * (len(fat[0]) + len(fat[1]))
     assert_same_items(kernel.mul_terms(*fat), naive_mul_terms(*fat), "fat mul_terms")
-    assert packed_calls == [(1, 1)]
-    a = [terms_reaching(rng, 4, 6, 15) for _ in range(4)]
-    got = kernel.matmul_terms(a, a, 2, 2, 2)
-    want = naive_matmul(a, a, 2, 2, 2)
-    assert [list(t.items()) for t in got] == [list(t.items()) for t in want]
-    assert packed_calls == [(1, 1), (4, 4)]
+    assert packed_calls == [(len(fat[0]), len(fat[1]))]
 
 
-def test_matmul_shares_one_empty_map_under_both_encodings(forced_packing):
-    a = [{(1,): 1}, {}, {}, {}]
+def test_matmul_shares_one_empty_map_under_both_encodings(forced_wide_keys):
+    # packed keys over (x, y): y is the second field
+    y = 1 << matrix._WIDTH
+    a = [{y: 1}, {}, {}, {}]
     out = kernel.matmul_terms(a, a, 2, 2, 2)
-    assert out == [{(2,): 1}, {}, {}, {}]
+    assert out == [{2 * y: 1}, {}, {}, {}]
     assert out[1] is out[2] is out[3]
 
 
-def test_matmul_entry_that_cancels_is_the_shared_empty_map(forced_packing):
-    # x*1 + x*(-1) cancels in entry (0, 0); no product reaches the others
-    a = [{(1,): 1}, {(1,): 1}, {}, {}]
-    b = [{(0,): 1}, {}, {(0,): -1}, {}]
+def test_matmul_entry_that_cancels_is_the_shared_empty_map(forced_wide_keys):
+    # y*1 + y*(-1) cancels in entry (0, 0); no product reaches the others
+    y = 1 << matrix._WIDTH
+    a = [{y: 1}, {y: 1}, {}, {}]
+    b = [{0: 1}, {}, {0: -1}, {}]
     out = kernel.matmul_terms(a, b, 2, 2, 2)
     assert out == [{}, {}, {}, {}]
     assert out[0] is out[1] is out[2] is out[3]
@@ -332,5 +345,5 @@ def test_matmul_entry_that_cancels_is_the_shared_empty_map(forced_packing):
     ],
     ids=lambda check: check.__name__,
 )
-def test_under_each_encoding(forced_packing, check):
+def test_under_each_encoding(forced_encodings, check):
     check()

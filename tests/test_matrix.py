@@ -181,8 +181,23 @@ def term_product(a, b):
     return out
 
 
+def decode(data, vars, width):
+    """Term maps keyed by exponent tuples over vars, read from packed keys.
+
+    The layout is the documented one: exponent i of vars in bits
+    [i*width, (i+1)*width) of the key.
+    """
+    mask = (1 << width) - 1
+    shifts = [width * i for i in range(len(vars))]
+    return [{tuple(k >> s & mask for s in shifts): c for k, c in t.items()} for t in data]
+
+
+def decoded(m):
+    return decode(m.data, m.vars, m.width)
+
+
 def items(m):
-    return [list(t.items()) for t in m.data]
+    return [list(t.items()) for t in decoded(m)]
 
 
 def nnz(m):
@@ -202,12 +217,12 @@ def test_kron_equals_the_block_formula_key_for_key():
                     for k in range(p):
                         for l in range(q):
                             want[(i * p + k) * (c * q) + j * q + l] = term_product(
-                                a.data[i * c + j], b.data[k * q + l]
+                                decoded(a)[i * c + j], decoded(b)[k * q + l]
                             )
             got = a.kron(b)
             where = f"{r}x{c} kron {p}x{q} at density {density}"
             assert got.shape == (r * p, c * q), where
-            assert got.data == want, where
+            assert decoded(got) == want, where
             assert items(got) == [list(t.items()) for t in want], where
 
 
@@ -293,7 +308,7 @@ def test_combination_equals_the_running_sum_key_for_key():
         where = f"trial {trial}: n={n}, coefficients {[c for c, _ in pairs]!r}"
         assert got.shape == (n, n), where
         assert got.vars == want.vars, where
-        assert got.data == want.data, where
+        assert decoded(got) == decoded(want), where
         assert items(got) == items(want), where
 
 
@@ -343,7 +358,7 @@ def test_plus_scalar_equals_adding_a_scaled_identity():
             got = op()
             assert got.shape == (n, n), where
             assert got.vars == want.vars, where
-            assert got.data == want.data, where
+            assert decoded(got) == decoded(want), where
             assert items(got) == items(want), where
             assert coefficient_types(got) == coefficient_types(want), where
             assert got.data is not m.data, where
@@ -362,7 +377,7 @@ def test_plus_scalar_equals_adding_a_scaled_identity():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     calls = Counter()
-    for name in ("mul_terms", "add_terms", "mul_into"):
+    for name in ("mul_packed", "add_terms"):
         fn = getattr(kernel, name)
 
         def counted(*args, _fn=fn, _name=name):
@@ -371,6 +386,22 @@ def kernel_calls(monkeypatch):
 
         monkeypatch.setattr(kernel, name, counted)
     return calls
+
+
+class CountedFraction(Fraction):
+    """A Fraction that counts the products it is the left factor of."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountedFraction.products += 1
+        return Fraction.__mul__(self, other)
+
+
+def counted(m):
+    """m with every coefficient a CountedFraction."""
+    return PolyMatrix(m.nrows, m.ncols, m.vars,
+                      [{e: CountedFraction(v) for e, v in t.items()} for t in decoded(m)])
 
 
 def test_kernel_work_scales_with_nonzeros(kernel_calls):
@@ -382,11 +413,11 @@ def test_kernel_work_scales_with_nonzeros(kernel_calls):
 
     kernel_calls.clear()
     a.kron(b)
-    assert kernel_calls["mul_terms"] == nnz(a) * nnz(b)
+    assert kernel_calls["mul_packed"] == nnz(a) * nnz(b)
 
     kernel_calls.clear()
     a.scaled(x + y)
-    assert kernel_calls["mul_terms"] == nnz(a)
+    assert kernel_calls["mul_packed"] == nnz(a)
 
     kernel_calls.clear()
     a + c
@@ -394,22 +425,26 @@ def test_kernel_work_scales_with_nonzeros(kernel_calls):
     assert 0 < both < nnz(c)
     assert kernel_calls["add_terms"] == both
 
-    kernel_calls.clear()
-    a * c
-    pairs = sum(
-        1
+    # the product's multiply-add is written out inside matmul_terms, so its
+    # work is counted at the coefficients: one product per pair of terms of
+    # each pair of nonzero factors, none for a pair with an empty factor
+    ta, tc = decoded(a), decoded(c)
+    term_products = sum(
+        len(ta[i * 12 + s]) * len(tc[s * 12 + j])
         for i in range(12)
         for s in range(12)
         for j in range(12)
-        if a.data[i * 12 + s] and c.data[s * 12 + j]
     )
-    assert pairs > 0
-    assert kernel_calls["mul_into"] == pairs
+    assert term_products > 0
+    left, right = counted(a), counted(c)
+    CountedFraction.products = 0
+    assert left * right == a * c
+    assert CountedFraction.products == term_products
 
     terms = [(x, a), (0, c), (y + 1, c)]
     kernel_calls.clear()
     PolyMatrix.combination(terms, 12)
-    assert kernel_calls["mul_terms"] == nnz(a) + nnz(c)
+    assert kernel_calls["mul_packed"] == nnz(a) + nnz(c)
     assert kernel_calls["add_terms"] == both
 
 
@@ -425,7 +460,7 @@ def test_no_operation_mutates_its_operands():
         "scaled": lambda: (a.scaled(x + 1), a.scaled(Fraction(2, 3))),
         "pow": lambda: a.pow(3),
         "substitute": lambda: a.substitute({"x": "y + 1"}),
-        "aligned_data": lambda: a.aligned_data(("w", "x", "y", "z")),
+        "aligned_data": lambda: a.aligned_data(("w", "x", "y", "z"), width=a.width + 8),
         "combination": lambda: PolyMatrix.combination([(x + 1, a), (2, b), (Fraction(1, 3), a)], 4),
         "==": lambda: a == b,
     }
@@ -433,14 +468,14 @@ def test_no_operation_mutates_its_operands():
 
 
 def assert_operands_unchanged(ops, *operands):
-    """Each op leaves every operand's vars, term maps and key order as they were."""
+    """Each op leaves every operand's context, term maps and key order as they were."""
     for name, op in ops.items():
-        before = [(m.vars, copy.deepcopy(m.data)) for m in operands]
+        before = [(m.vars, m.width, m.top, copy.deepcopy(m.data)) for m in operands]
         op()
-        for m, (vars, data) in zip(operands, before):
-            assert m.vars == vars, name
+        for m, (vars, width, top, data) in zip(operands, before):
+            assert (m.vars, m.width, m.top) == (vars, width, top), name
             assert m.data == data, name
-            assert items(m) == [list(t.items()) for t in data], name
+            assert [list(t.items()) for t in m.data] == [list(t.items()) for t in data], name
 
 
 # -- nonzero walks against the slot-by-slot loops they replaced --------------------
@@ -468,7 +503,7 @@ def nested_nonzeros(m):
 def old_first_nonzero(m):
     for i in range(m.nrows):
         for j in range(m.ncols):
-            t = m.data[i * m.ncols + j]
+            t = decoded(m)[i * m.ncols + j]
             if t:
                 return i, j, Poly(m.vars, t, _canonical=True).pruned()
     return None
@@ -477,10 +512,11 @@ def old_first_nonzero(m):
 def old_scalar_identity_multiple(m):
     if m.nrows != m.ncols or m.nrows == 0:
         return None
-    diag = m.data[0]
+    data = decoded(m)
+    diag = data[0]
     for i in range(m.nrows):
         for j in range(m.ncols):
-            t = m.data[i * m.ncols + j]
+            t = data[i * m.ncols + j]
             if i == j:
                 if t != diag:
                     return None
@@ -495,12 +531,12 @@ def old_transpose_data(m):
 
 def scalar_like(rng, n, density):
     """c * I, sometimes with one diagonal or off-diagonal entry disturbed."""
-    diag = random_matrix(rng, 1, 1, density).data[0]
-    m = PolyMatrix(n, n, VARS, [diag if k % (n + 1) == 0 else {} for k in range(n * n)])
+    diag = decoded(random_matrix(rng, 1, 1, density))[0]
+    data = [diag if k % (n + 1) == 0 else {} for k in range(n * n)]
     if n and rng.random() < 0.6:
         k = rng.randrange(n * n)
-        m.data[k] = random_matrix(rng, 1, 1, 1.0).data[0] if rng.random() < 0.8 else {}
-    return m
+        data[k] = decoded(random_matrix(rng, 1, 1, 1.0))[0] if rng.random() < 0.8 else {}
+    return PolyMatrix(n, n, VARS, data)
 
 
 def test_nonzeros_is_the_row_major_nested_loop():
@@ -539,20 +575,24 @@ def test_arithmetic_passes_equal_their_old_listcomps():
     for where, m in walk_matrices(55):
         other = random_matrix(rng, m.nrows, m.ncols, rng.choice(DENSITIES), vars=("w", "y"))
         vs = tuple(sorted(set(m.vars) | set(other.vars)))
-        a = [_align_terms(t, m.vars, vs) if t else t for t in m.data]
-        b = [_align_terms(t, other.vars, vs) if t else t for t in other.data]
+        a = [_align_terms(t, m.vars, vs) if t else t for t in decoded(m)]
+        b = [_align_terms(t, other.vars, vs) if t else t for t in decoded(other)]
         pt = (w + 1).aligned(vs)
+        wide = m.width + 8
         cases = {
-            "aligned_data": (m.aligned_data(vs), a),
-            "+": ((m + other).data,
+            "aligned_data": (decode(m.aligned_data(vs, width=m.width), vs, m.width), a),
+            "aligned_data wider": (decode(m.aligned_data(vs, width=wide), vs, wide), a),
+            "+": (decoded(m + other),
                   [kernel.add_terms(x, y) if x and y else x or y for x, y in zip(a, b)]),
-            "-": ((m - other).data,
+            "-": (decoded(m - other),
                   [(kernel.sub_terms(x, y) if x else kernel.neg_terms(y)) if y else x
                    for x, y in zip(a, b)]),
-            "neg": ((-m).data, [kernel.neg_terms(t) if t else t for t in m.data]),
-            "scaled scalar": (m.scaled(Fraction(-2, 3)).data,
-                              [kernel.scale_terms(t, Fraction(-2, 3)) if t else t for t in m.data]),
-            "scaled poly": (m.scaled(w + 1).data, [kernel.mul_terms(t, pt) if t else t for t in a]),
+            "neg": (decoded(-m), [kernel.neg_terms(t) if t else t for t in decoded(m)]),
+            "scaled scalar": (decoded(m.scaled(Fraction(-2, 3))),
+                              [kernel.scale_terms(t, Fraction(-2, 3)) if t else t
+                               for t in decoded(m)]),
+            "scaled poly": (decoded(m.scaled(w + 1)),
+                            [kernel.mul_terms(t, pt) if t else t for t in a]),
         }
         for name, (got, want) in cases.items():
             assert [list(t.items()) for t in got] == [list(t.items()) for t in want], (name, where)
@@ -599,6 +639,206 @@ def test_pow_does_one_product_per_step(monkeypatch):
     assert m.pow(0) == PolyMatrix.identity(4)
 
 
+# -- an independent oracle: nested loops over name-keyed monomials ---------------
+#
+# A plain polynomial maps a monomial, the sorted tuple of its (name, exponent)
+# pairs with nonzero exponent, to a nonzero coefficient.  The loops below use
+# no key encoding and no context alignment, so they share nothing with the
+# code under test but the coefficient types.
+
+# exponents on both sides of the 8-bit field: operands and results straddle it
+BIG_EXPONENTS = (0, 1, 2, 127, 128, 255, 256, 300)
+ORACLE_CONTEXTS = (("x", "y"), ("y", "z"), ("x",), (), ("w", "x", "z"))
+
+
+def plain_monomial(exps: dict) -> tuple:
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def plain_add(p: dict, q: dict, sign=1) -> dict:
+    out = dict(p)
+    for mono, c in q.items():
+        total = out[mono] + sign * c if mono in out else sign * c
+        if total:
+            out[mono] = total
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def plain_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            exps = dict(ma)
+            for v, e in mb:
+                exps[v] = exps.get(v, 0) + e
+            out = plain_add(out, {plain_monomial(exps): ca * cb})
+    return out
+
+
+def plain_pow(p: dict, n: int) -> dict:
+    out, base = {(): 1}, p
+    while n:
+        if n & 1:
+            out = plain_mul(out, base)
+        base = plain_mul(base, base)
+        n >>= 1
+    return out
+
+
+def plain_of(p: Poly) -> dict:
+    return {plain_monomial(dict(zip(p.vars, exp))): c for exp, c in p.terms.items()}
+
+
+def plain_matmul(a, b):
+    out = [[{} for _ in b[0]] for _ in a] if a and b else [[] for _ in a]
+    for i, row in enumerate(a):
+        for j in range(len(b[0]) if b else 0):
+            for s, left in enumerate(row):
+                out[i][j] = plain_add(out[i][j], plain_mul(left, b[s][j]))
+    return out
+
+
+def plain_pow_matrix(p, e):
+    n = len(p)
+    out = [[{(): 1} if i == j else {} for j in range(n)] for i in range(n)]
+    for _ in range(e):
+        out = plain_matmul(out, p)
+    return out
+
+
+def plain_substitute(p: dict, values: dict) -> dict:
+    out = {}
+    for mono, c in p.items():
+        term = {(): c}
+        for v, e in mono:
+            factor = values[v] if v in values else {((v, 1),): 1}
+            term = plain_mul(term, plain_pow(factor, e))
+        out = plain_add(out, term)
+    return out
+
+
+def oracle_coefficient(rng):
+    k = rng.choice((1, 1, -1, -1, 2, -3))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return k
+    if kind == 1:
+        return Fraction(k, rng.choice((2, 3)))
+    if kind == 2:
+        return make_root(3) * k + rng.randrange(0, 2)
+    return make_root(4) * Fraction(k, 2)
+
+
+def random_plain(rng, rows, cols, ctx, density=0.5):
+    """Plain rows over ctx, their terms drawn from a small pool of monomials."""
+    pool = [plain_monomial({v: rng.choice((0, 1, 2) if v == "z" else BIG_EXPONENTS) for v in ctx})
+            for _ in range(3)]
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            entry = {}
+            if rng.random() < density:
+                for _ in range(rng.randrange(1, 4)):
+                    entry = plain_add(entry, {rng.choice(pool): oracle_coefficient(rng)})
+            row.append(entry)
+        out.append(row)
+    return out
+
+
+def matrix_of(plain, ctx):
+    """The PolyMatrix of plain rows, built from exponent tuples over ctx."""
+    data = [{tuple(dict(mono).get(v, 0) for v in ctx): c for mono, c in entry.items()}
+            for row in plain for entry in row]
+    return PolyMatrix(len(plain), len(plain[0]) if plain else 0, ctx, data)
+
+
+def negated(p):
+    return {mono: -c for mono, c in p.items()}
+
+
+def assert_reads_as(m, plain, where):
+    assert m.shape == (len(plain), len(plain[0]) if plain else 0), where
+    for i, row in enumerate(plain):
+        for j, want in enumerate(row):
+            assert plain_of(m.entry(i, j)) == want, f"{where}: entry ({i}, {j})"
+
+
+ORACLE_BINDINGS = (
+    {"x": 0},
+    {"y": "2*w^3"},
+    {"x": 0, "z": "w + 1"},
+    {"z": "x^200 + y"},
+    {"y": "zeta3*x", "x": 0},
+    {"x": "y", "y": "x"},
+    {"q": 5},
+)
+
+
+def test_operations_agree_with_nested_loops_over_plain_dicts():
+    rng = random.Random(60)
+    seen = Counter()
+    for trial in range(40):
+        n, k = rng.randrange(1, 4), rng.randrange(1, 4)
+        ctx_a = rng.choice(ORACLE_CONTEXTS)
+        ctx_b = tuple(sorted(set(ctx_a) | set(rng.choice(ORACLE_CONTEXTS))))
+        pa = random_plain(rng, n, n, ctx_a)
+        pb = random_plain(rng, n, n, ctx_b)
+        pc = random_plain(rng, n, k, ctx_b)
+        # entries of b that cancel a's, and a product whose pairs s = 0, 1 cancel
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.3:
+                    pb[i][j] = negated(pa[i][j])
+        if n > 1 and rng.random() < 0.5:
+            for row in pa:
+                row[1] = row[0]
+            pc[1] = [negated(v) for v in pc[0]]
+        a, b, c = matrix_of(pa, ctx_a), matrix_of(pb, ctx_b), matrix_of(pc, ctx_b)
+        where = f"trial {trial} over {ctx_a} and {ctx_b}"
+        plain_sum = [[plain_add(u, v) for u, v in zip(r, s)] for r, s in zip(pa, pb)]
+        assert_reads_as(a + b, plain_sum, f"{where}: +")
+        plain_difference = [[plain_add(u, v, -1) for u, v in zip(r, s)] for r, s in zip(pa, pb)]
+        assert_reads_as(a - b, plain_difference, f"{where}: -")
+        assert_reads_as(a - a, [[{}] * n for _ in range(n)], f"{where}: a - a")
+        product = a * c
+        assert_reads_as(product, plain_matmul(pa, pc), f"{where}: *")
+        e = rng.randrange(0, 4)
+        power = plain_pow_matrix(pa, e)
+        assert_reads_as(a.pow(e), power, f"{where}: pow {e}")
+        kron = [[plain_mul(pa[i // n][j // n], pb[i % n][j % n]) for j in range(n * n)]
+                for i in range(n * n)]
+        assert_reads_as(a.kron(b), kron, f"{where}: kron")
+        coeffs = [rng.choice((0, 2, "x^255 - y", "zeta4*w + 1/2", "z^2")) for _ in range(3)]
+        pairs = list(zip(coeffs, (a, b, a)))
+        want = [[{} for _ in range(n)] for _ in range(n)]
+        for coeff, pm in zip(coeffs, (pa, pb, pa)):
+            cp = plain_of(as_poly(coeff))
+            want = [[plain_add(want[i][j], plain_mul(pm[i][j], cp)) for j in range(n)]
+                    for i in range(n)]
+        assert_reads_as(PolyMatrix.combination(pairs, n), want, f"{where}: combination {coeffs}")
+        scalar = rng.choice((3, Fraction(-1, 2), make_root(3), "y^256", "x^300 + 1"))
+        sp = plain_of(as_poly(scalar))
+        want = [[plain_add(pa[i][j], sp) if i == j else pa[i][j] for j in range(n)]
+                for i in range(n)]
+        assert_reads_as(a.plus_scalar(scalar), want, f"{where}: plus_scalar {scalar!r}")
+        bindings = rng.choice(ORACLE_BINDINGS)
+        values = {v: plain_of(as_poly(t)) for v, t in bindings.items()}
+        assert_reads_as(a.substitute(bindings),
+                        [[plain_substitute(u, values) for u in row] for row in pa],
+                        f"{where}: substitute {bindings}")
+        for r, s in zip(pa, pb):
+            seen["sum cancelled"] += sum(1 for u, v in zip(r, s) if u and v and not plain_add(u, v))
+        seen["product cancelled"] += sum(
+            1 for i, row in enumerate(plain_matmul(pa, pc)) for j, v in enumerate(row)
+            if not v and any(pa[i][s] and pc[s][j] for s in range(n))
+        )
+        seen["wide result"] += max(product.width, a.kron(b).width) > 8
+    assert all(seen[key] for key in ("sum cancelled", "product cancelled", "wide result")), seen
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -611,8 +851,9 @@ def test_pow_does_one_product_per_step(monkeypatch):
         test_nonzeros_is_the_row_major_nested_loop,
         test_queries_equal_their_old_loops,
         test_arithmetic_passes_equal_their_old_listcomps,
+        test_operations_agree_with_nested_loops_over_plain_dicts,
     ],
     ids=lambda check: check.__name__,
 )
-def test_under_each_encoding(forced_packing, check):
+def test_under_each_encoding(forced_wide_keys, check):
     check()

@@ -15,6 +15,7 @@ from robyclif.poly import (
     MAX_POWER_TERMS,
     HomForm,
     Poly,
+    _align_terms,
     _power_term_bound,
     as_poly,
     parse_poly,
@@ -272,6 +273,35 @@ class TestStructure:
     def test_polys_are_unhashable(self):
         with pytest.raises(TypeError):
             {x: 1}
+
+    def test_alignment_equals_the_old_loop_key_for_key(self):
+        def old_align(terms, old_vars, new_vars):
+            # the per-key loop _align_terms once ran
+            if old_vars == new_vars or not terms:
+                return terms
+            pos = {v: i for i, v in enumerate(new_vars)}
+            idx = [pos[v] for v in old_vars]
+            out = {}
+            for exp, c in terms.items():
+                new_exp = [0] * len(new_vars)
+                for i, e in enumerate(exp):
+                    if e:
+                        new_exp[idx[i]] = e
+                out[tuple(new_exp)] = c
+            return out
+
+        rng = random.Random(48)
+        names = ("a", "q", "x", "y", "z2")
+        for trial in range(300):
+            new_vars = tuple(sorted(rng.sample(names, rng.randrange(0, 6))))
+            old_vars = tuple(v for v in new_vars if rng.random() < 0.6)
+            terms = {
+                tuple(rng.randrange(0, 300) for _ in old_vars): rng.choice((1, -2, Fraction(1, 3)))
+                for _ in range(rng.randrange(0, 6))
+            }
+            got = _align_terms(terms, old_vars, new_vars)
+            want = old_align(terms, old_vars, new_vars)
+            assert list(got.items()) == list(want.items()), (trial, old_vars, new_vars)
 
 
 class TestTextFormat:

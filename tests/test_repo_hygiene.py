@@ -1,7 +1,7 @@
 """Repository hygiene: no generated file tracked in git, no stale README config,
-the matrix layout known to one module only, the T-slot read by the Roby module
-and the file format only, and no identity matrix built only to be scaled or
-added."""
+the matrix layout known to one module only, packed keys encoded and decoded by
+the matrix and kernel modules only, the T-slot read by the Roby module and the
+file format only, and no identity matrix built only to be scaled or added."""
 
 import io
 import re
@@ -45,6 +45,58 @@ def test_only_matrix_module_reads_the_flat_layout():
         if re.search(r"\.data\b", line)
     ]
     assert readers == [], f"modules reading .data outside matrix.py: {readers}"
+
+
+# what encoding or decoding a key takes: the kernel's codecs and packed
+# loops, the byte conversions they are made of, a matrix's key context, and
+# the aligned term maps of a matrix
+KEY_CODEC = re.compile(
+    r"\b(?:pack|unpack|repacker|_codec|to_bytes|from_bytes|mul_packed|mul_into_packed"
+    r"|matmul_terms|aligned_data)\b|\. (?:width|top)\b"
+)
+# nonzeros() hands out packed term maps; elsewhere only the positions are read
+POSITIONS_ONLY = re.compile(r"for \w+ , \w+ , _ in (?:\w+ \. )*nonzeros \( \)")
+
+
+def key_codec_uses(text):
+    tokens = code_tokens(text)
+    found = [m.group() for m in KEY_CODEC.finditer(tokens)]
+    terms_read = len(re.findall(r"\bnonzeros\b", tokens)) - len(POSITIONS_ONLY.findall(tokens))
+    return found + ["nonzeros() terms"] * terms_read
+
+
+def test_only_matrix_and_kernel_encode_or_decode_keys():
+    # other modules read entries as Polys (entry, rows, first_nonzero) and
+    # ask which variables occur (occurring_vars), so the key encoding can
+    # change in matrix.py and kernel.py alone
+    found = [
+        f"{path.name}: {use}"
+        for path in sorted((ROOT / "src" / "robyclif").glob("*.py"))
+        if path.name not in ("matrix.py", "kernel.py")
+        for use in key_codec_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [], f"modules encoding or decoding keys outside matrix.py and kernel.py: {found}"
+
+
+def test_the_key_codec_pattern_matches_what_it_names():
+    for line in (
+        "terms = kernel.pack(p.terms, 8)",
+        "exp = tuple(k.to_bytes(n, 'little'))",
+        "key = int.from_bytes(bytes(exp), 'little')",
+        "shift = m.width * i",
+        "data = m.aligned_data(vs, width=16)",
+        "used = {v for _, _, terms in m.nonzeros() for exp in terms for v, e in zip(m.vars, exp)}",
+        "first = next(m.nonzeros())",
+    ):
+        assert key_codec_uses(line), line
+    for line in (
+        "p = m.entry(i, j)",
+        "used = m.occurring_vars()",
+        "bad = [(r, c) for r, c, _ in m.nonzeros() if r > c]",
+        '"""the packed keys are decoded by unpack"""  # to_bytes',
+        "width = len(header)",
+    ):
+        assert not key_codec_uses(line), line
 
 
 def test_only_roby_and_specfile_read_the_tslot():

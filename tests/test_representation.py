@@ -63,13 +63,13 @@ def poly_pair(rng, names):
 def matrix_pair(rng, n, names):
     pairs = [poly_pair(rng, names) if rng.random() < 0.6 else (Poly.zero(), Poly.zero())
              for _ in range(n * n)]
-    new = PolyMatrix(n, n, names, [p.terms if p else {} for p, _ in pairs], _canonical=True)
-    old = PolyMatrix(n, n, names, [q.terms if q else {} for _, q in pairs], _canonical=True)
+    new = PolyMatrix(n, n, names, [p.terms for p, _ in pairs])
+    old = PolyMatrix(n, n, names, [q.terms for _, q in pairs])
     return new, old
 
 
 def term_maps(x):
-    return [x.terms] if isinstance(x, Poly) else x.data
+    return [x.terms] if isinstance(x, Poly) else [p.terms for row in x.rows() for p in row]
 
 
 def assert_same(new, old, where):
@@ -135,5 +135,5 @@ def test_matrix_operations_match_the_wide_representation():
     ],
     ids=lambda check: check.__name__,
 )
-def test_under_each_encoding(forced_packing, check):
+def test_under_each_encoding(forced_encodings, check):
     check()
