@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import InputError, VerificationError
@@ -40,9 +41,9 @@ from .surfnum import (
     ec_tensor,
     monad_shape,
     p1xp1_cohomology,
-    quadric_delta_ulrich_test,
     quadric_h1_table,
     quadric_twist_h1,
+    quadric_ulrich_scan,
     wlp_check,
 )
 from .pipeline import run_pipeline
@@ -213,17 +214,10 @@ def _cmd_cohom(args, config: Config) -> int:
         _emit(doc, args, config)
         return 0
     if args.ulrich_scan is not None:
-        rows = []
-        for a in range(-args.ulrich_scan, args.ulrich_scan + 1):
-            b = 1 - a
-            rows.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "h0": p1xp1_cohomology(a, b)[0],
-                    "class": quadric_delta_ulrich_test(a, b).value,
-                }
-            )
+        rows = [
+            {"a": a, "b": b, "h0": h0, "class": verdict.value}
+            for a, b, h0, verdict in quadric_ulrich_scan(args.ulrich_scan)
+        ]
         if args.json:
             doc = json.dumps(rows, indent=2, sort_keys=True)
         elif args.csv:
@@ -334,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the base, e.g. 'z2 -> 0'",
     )
     _add_output_options(p)
-    p.set_defaults(func=_cmd_charpoly)
+    p.set_defaults(handler="_cmd_charpoly")
 
     roby = sub.add_parser("roby", help="build or verify Roby modules")
     roby_sub = roby.add_subparsers(dest="roby_command", required=True)
@@ -348,21 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", type=int, help="cyclic: cover degree")
     p.add_argument("--var", default="z", help="cover variable (default z)")
     _add_output_options(p)
-    p.set_defaults(func=_cmd_roby_build)
+    p.set_defaults(handler="_cmd_roby_build")
     p = roby_sub.add_parser("verify", help="run the Roby identities on a module file")
     p.add_argument("spec", help="module spec file")
     _add_output_options(p)
-    p.set_defaults(func=_cmd_roby_verify)
+    p.set_defaults(handler="_cmd_roby_verify")
 
     p = sub.add_parser("charmor", help="extract and verify a characteristic morphism")
     p.add_argument("spec", help="module spec file (needs a T-slot and a source)")
     _add_output_options(p)
-    p.set_defaults(func=_cmd_charmor)
+    p.set_defaults(handler="_cmd_charmor")
 
     p = sub.add_parser("pipeline", help="cover algebra to filtered pseudomorphism")
     p.add_argument("spec", help="pipeline spec file")
     _add_output_options(p)
-    p.set_defaults(func=_cmd_pipeline)
+    p.set_defaults(handler="_cmd_pipeline")
 
     p = sub.add_parser("cohom", help="line-bundle cohomology on the quadric")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -384,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="h1 of O(a+i, b+i) plus the Lefschetz pattern check",
     )
     _add_output_options(p, csv=True)
-    p.set_defaults(func=_cmd_cohom)
+    p.set_defaults(handler="_cmd_cohom")
 
     p = sub.add_parser("numerology", help="monad shapes and Euler characteristics")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -405,21 +399,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="the slope lower-bound recursion, exactly",
     )
     _add_output_options(p, csv=True)
-    p.set_defaults(func=_cmd_numerology)
+    p.set_defaults(handler="_cmd_numerology")
 
     p = sub.add_parser("report", help="re-render a stored JSON report")
     p.add_argument("file", help="report JSON file")
     _add_output_options(p)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(handler="_cmd_report")
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = parse_config(_read(args.config)) if args.config else Config()
-        return args.func(args, config)
+        # by name, so a handler replaced after the parser was built is the one run
+        return globals()[args.handler](args, config)
     except VerificationError as exc:
         if exc.report is not None:
             doc = _render_report(exc.report, getattr(args, "json", False))

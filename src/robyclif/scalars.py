@@ -1,20 +1,35 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_e).
 
-A ``CycScalar`` is a residue modulo the e-th cyclotomic polynomial Phi_e with
-arbitrary-precision rational coefficients (``int`` when integral,
-``Fraction`` otherwise), so every operation is exact.  Polynomial and matrix
-coefficients are held in the cheapest type that holds their value
-(:func:`narrow`): ``int`` when integral, ``Fraction`` when rational and not
-integral, ``CycScalar`` only when the value is not in Q.  ``int / int`` is
-a float in Python, so every division goes through :func:`exact_div`.  The
-primitive root returned by :func:`make_root` powers the sign twist of the
-graded tensor product, where primitivity is load-bearing; callers can check it
-with :func:`is_primitive_root` instead of trusting the construction.
+A ``CycScalar`` is a residue modulo the e-th cyclotomic polynomial Phi_e,
+stored as phi(e) rational coefficients (``int`` when integral, ``Fraction``
+otherwise), so every operation is exact.  Polynomial and matrix coefficients
+are held in the cheapest type that holds their value (:func:`narrow`): ``int``
+when integral, ``Fraction`` when rational and not integral, ``CycScalar`` only
+when the value is not in Q.  ``int / int`` is a float in Python, so every
+division goes through :func:`exact_div`.  The primitive root returned by
+:func:`make_root` powers the sign twist of the graded tensor product, where
+primitivity is load-bearing; callers can check it with
+:func:`is_primitive_root` instead of trusting the construction.
 
 Rationals embed in Q(zeta_e) for every e.  Two cyclotomics of different
 orders are lifted to the lcm order before combining.  Every field is built
 through the ``CycScalar`` constructor, which caps the order before computing
 Phi_e, so a typo cannot silently allocate a degree-ten-thousand field.
+
+Arithmetic costs about as much as the coefficients it touches:
+
+- ``+``, ``-``, ``*`` and ``==`` between two values of one order take a fast
+  path that tests ``type(other) is CycScalar`` and the orders before anything
+  else; mixed orders lift to the lcm order first.
+- Every product is :func:`_product`: the schoolbook product of the two
+  coefficient tuples, whose degrees phi(e)..2phi(e)-2 are folded back with a
+  per-order table of x^n mod Phi_e (:func:`_fold_table`, built once from
+  :func:`_reduce_mod_phi` and cached; orders are capped at ``ORDER_CAP``).
+- Scaling by 1 returns the (immutable) value itself and scaling by -1
+  negates it.
+- Results are built without the constructor's checks.  Their coefficients
+  are narrowed (an integral ``Fraction`` becomes an ``int``) only when a
+  ``Fraction`` occurs among them, so ``int`` arithmetic pays nothing for it.
 """
 
 from __future__ import annotations
@@ -126,11 +141,22 @@ def _reduce_mod_phi(cs: list, e: int) -> tuple:
     return tuple(cs)
 
 
+@lru_cache(maxsize=None)
+def _fold_table(e: int) -> tuple:
+    """x^n mod Phi_e for phi(e) <= n <= 2 phi(e) - 2, as (k, c) pairs of nonzero c x^k.
+
+    Row n - phi(e) folds degree n of a product of two reduced residues.
+    """
+    d = euler_phi(e)
+    rows = (_reduce_mod_phi([0] * n + [1], e) for n in range(d, 2 * d - 1))
+    return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
+
+
 def _rational(x):
     """An int or Fraction x as an int when integral; None for other types."""
     if type(x) is int:
         return x
-    if isinstance(x, Fraction):
+    if type(x) is Fraction or isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):  # bool
         return int(x)
@@ -224,10 +250,12 @@ class CycScalar:
 
     # -- arithmetic -------------------------------------------------------
     # Sums, differences, negation and rational scaling keep the reduced
-    # width phi(e), so they skip the reduction; only products and lifts
-    # reduce modulo Phi_e.
+    # width phi(e), so they skip the reduction; products fold through the
+    # order's table.  Same-order operands skip _rational altogether.
 
     def __add__(self, other):
+        if type(other) is CycScalar and other.order == self.order:
+            return _reduced(self.order, tuple(map(add, self.coeffs, other.coeffs)))
         f = _rational(other)
         if f is not None:
             return _reduced(self.order, (self.coeffs[0] + f,) + self.coeffs[1:])
@@ -239,6 +267,8 @@ class CycScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is CycScalar and other.order == self.order:
+            return _reduced(self.order, tuple(map(sub, self.coeffs, other.coeffs)))
         f = _rational(other)
         if f is not None:
             return _reduced(self.order, (self.coeffs[0] - f,) + self.coeffs[1:])
@@ -254,13 +284,19 @@ class CycScalar:
         return _reduced(self.order, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
+        if type(other) is CycScalar and other.order == self.order:
+            return _product(self.order, self.coeffs, other.coeffs)
         f = _rational(other)
         if f is not None:
+            if f == 1:
+                return self
+            if f == -1:
+                return -self
             return _reduced(self.order, tuple(c * f for c in self.coeffs))
         if not isinstance(other, CycScalar):
             return NotImplemented
         a, b = self._paired(other)
-        return CycScalar(a.order, _poly_mul(a.coeffs, b.coeffs))
+        return _product(a.order, a.coeffs, b.coeffs)
 
     __rmul__ = __mul__
 
@@ -318,6 +354,8 @@ class CycScalar:
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is CycScalar and other.order == self.order:
+            return self.coeffs == other.coeffs
         f = _rational(other)
         if f is not None:
             r = self.as_rational()
@@ -344,11 +382,33 @@ class CycScalar:
 
 
 def _reduced(order: int, coeffs: tuple) -> CycScalar:
-    """A CycScalar from a tuple already reduced mod Phi_order (width phi(order))."""
+    """A CycScalar from a tuple already reduced mod Phi_order (width phi(order)).
+
+    The constructor's checks are skipped; an integral ``Fraction`` is stored
+    as an int, and only a tuple holding a ``Fraction`` is looked at again.
+    """
+    if Fraction in map(type, coeffs):
+        coeffs = tuple(map(_rational, coeffs))
     x = object.__new__(CycScalar)
     x.order = order
     x.coeffs = coeffs
     return x
+
+
+def _product(order: int, a: tuple, b: tuple) -> CycScalar:
+    """a * b in Q(zeta_order), for coefficient tuples reduced mod Phi_order."""
+    d = len(a)
+    out = [0] * (2 * d - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    low = out[:d]
+    for row, c in zip(_fold_table(order), out[d:]):
+        if c:
+            for k, r in row:
+                low[k] += c * r
+    return _reduced(order, tuple(low))
 
 
 def _poly_sub(a: list, b: list) -> list:

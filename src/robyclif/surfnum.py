@@ -19,6 +19,7 @@ from .report import Report
 __all__ = [
     "BundleNumerics",
     "MAX_BETA_STEPS",
+    "MAX_TABLE_BOUND",
     "MonadShape",
     "UlrichClass",
     "beta_sequence",
@@ -28,8 +29,20 @@ __all__ = [
     "quadric_delta_ulrich_test",
     "quadric_h1_table",
     "quadric_twist_h1",
+    "quadric_ulrich_scan",
     "wlp_check",
 ]
+
+
+# Largest bound of a cohomology table, checked before its loop: the family s
+# of quadric_h1_table, the scan bound N of quadric_ulrich_scan, and |lo| and
+# |hi| of quadric_twist_h1.  So no table has more than about 2000 rows.
+MAX_TABLE_BOUND = 1000
+
+
+def _check_bound(what: str, n: int) -> None:
+    if n > MAX_TABLE_BOUND:
+        raise InputError(f"{what} {n} exceeds the cap of {MAX_TABLE_BOUND}")
 
 
 def _sections(n: int) -> int:
@@ -60,6 +73,7 @@ def quadric_h1_table(s: int) -> dict:
     """
     if not isinstance(s, int) or s < 2:
         raise InputError("the twist family needs an integer s >= 2")
+    _check_bound("twist family s =", s)
     table = {}
     for k in range(-2, 2 * s + 2):
         computed = p1xp1_cohomology(k, 1 - 2 * s + k)[1]
@@ -94,10 +108,26 @@ def quadric_delta_ulrich_test(a: int, b: int) -> UlrichClass:
     return UlrichClass.DELTA
 
 
+def quadric_ulrich_scan(n: int) -> list:
+    """(a, 1 - a, h^0, class of O(a, 1 - a)) for -n <= a <= n."""
+    if not isinstance(n, int) or n < 0:
+        raise InputError(f"the scan bound must be a non-negative integer, got {n!r}")
+    _check_bound("scan bound", n)
+    return [
+        (a, 1 - a, p1xp1_cohomology(a, 1 - a)[0], quadric_delta_ulrich_test(a, 1 - a))
+        for a in range(-n, n + 1)
+    ]
+
+
 def quadric_twist_h1(a: int, b: int, lo: int, hi: int) -> dict:
-    """i -> h^1 of O(a + i, b + i) for lo <= i <= hi."""
+    """i -> h^1 of O(a + i, b + i) for lo <= i <= hi.
+
+    wlp_check walks from min(lo, -3) to max(hi, 0), so both ends are capped.
+    """
     if lo > hi:
         raise InputError("empty twist range")
+    _check_bound("twist index |lo| =", abs(lo))
+    _check_bound("twist index |hi| =", abs(hi))
     return {i: p1xp1_cohomology(a + i, b + i)[1] for i in range(lo, hi + 1)}
 
 

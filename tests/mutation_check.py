@@ -1,5 +1,5 @@
-"""Mutation check: each hand-written fault in the kernel or the matrix module
-must make the fast test suite fail.
+"""Mutation check: each hand-written fault in the kernel, the matrix module or
+the cyclotomic scalars must make the fast test suite fail.
 
 Usage, from the root of a checkout:
 
@@ -91,6 +91,32 @@ MUTANTS = (
         "matrix.py",
         "used = [i for i in range(len(self.vars)) if occ >> (i * width) & mask]",
         "used = [i for i in range(len(self.vars) - 1) if occ >> (i * width) & mask]",
+    ),
+    (
+        "the last fold row of a cyclotomic product skipped",
+        "scalars.py",
+        "for row, c in zip(_fold_table(order), out[d:]):",
+        "for row, c in zip(_fold_table(order)[:-1], out[d:]):",
+    ),
+    (
+        "a cyclotomic value times -1 returned unchanged",
+        "scalars.py",
+        "            if f == -1:\n                return -self",
+        "            if f == -1:\n                return self",
+    ),
+    (
+        "the same-order product taken without comparing orders",
+        "scalars.py",
+        "if type(other) is CycScalar and other.order == self.order:\n"
+        "            return _product(",
+        "if type(other) is CycScalar:\n"
+        "            return _product(",
+    ),
+    (
+        "an integral Fraction left in a cyclotomic product",
+        "scalars.py",
+        "    return _reduced(order, tuple(low))",
+        "    x = _reduced(order, ())\n    x.coeffs = tuple(low)\n    return x",
     ),
 )
 

@@ -139,6 +139,26 @@ class TestCharpoly:
         assert captured.err == "internal error: RuntimeError: something broke\n"
         assert captured.out == ""
 
+    def test_the_parser_is_built_once(self, quadric_algebra_file, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["charpoly", quadric_algebra_file]) == 0
+            assert main(["cohom", "--table", "2"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == lines[1] == lines[2]
+
 
 class TestRoby:
     def test_build_then_verify(self, tmp_path, capsys):
@@ -388,6 +408,14 @@ BAD_INPUTS = [
     (TVAR_IN_TSLOT, ["roby", "verify", "FILE"], "target variable 'x' of action T"),
     (MF_T_IN_TSLOT, ["roby", "verify", "FILE"], "target variable 't' of action T"),
     (MF_T_IN_TSLOT, ["charmor", "FILE"], "target variable 't' of action T"),
+    (None, ["cohom", "--table", "100000000"], "twist family s = 100000000 exceeds the cap of 1000"),
+    (None, ["cohom", "--ulrich-scan", "100000000"], "scan bound 100000000 exceeds the cap of 1000"),
+    (None, ["cohom", "--ulrich-scan", "-3"], "the scan bound must be a non-negative integer"),
+    (None, ["cohom", "--twists", "0", "0", "0", "100000000"],
+     "twist index |hi| = 100000000 exceeds the cap of 1000"),
+    # two twists, but the pattern check would walk from i = -3 up to the far end
+    (None, ["cohom", "--twists", "0", "0", "100000000", "100000001"],
+     "twist index |lo| = 100000000 exceeds the cap of 1000"),
 ]
 
 
@@ -398,7 +426,8 @@ BAD_INPUTS = [
          "beta zero denominator", "long zeta order", "split rank", "monogenic rank",
          "split module rank", "cyclic cover rank", "cyclic cover rank before the power",
          "beta step cap", "beta too long to print", "tvar in the T-slot",
-         "t in an mf T-slot", "t in an mf T-slot charmor"],
+         "t in an mf T-slot", "t in an mf T-slot charmor", "h1 table cap", "ulrich scan cap",
+         "negative ulrich scan", "twist range cap", "far twist range"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, text, argv, message):
     path = tmp_path / "input"

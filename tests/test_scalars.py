@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -302,3 +303,204 @@ def test_the_constructor_caps_the_order_before_building_the_field(monkeypatch):
     assert built == []
     CycScalar(ORDER_CAP, [0, 1])  # the recorder is live: a field at the cap is built
     assert built[0] == ORDER_CAP
+
+
+# -- an independent oracle for Q(zeta_e) --------------------------------------
+# Values are (order, list of int and Fraction coefficients).  Phi_e is derived from
+# x^e - 1 = prod_{d | e} Phi_d by plain long division; nothing below calls the
+# polynomial helpers of robyclif.scalars.
+
+
+def _ref_trim(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _ref_divmod(num, den):
+    """Long division by a monic den (every divisor here is monic)."""
+    num, den = list(num), _ref_trim(den)
+    assert den[-1] == 1
+    quot = [0] * max(0, len(num) - len(den) + 1)
+    for top in range(len(num) - 1, len(den) - 2, -1):
+        c = num[top]
+        if c:
+            quot[top - len(den) + 1] = c
+            for i, d in enumerate(den):
+                num[top - len(den) + 1 + i] -= c * d
+    return _ref_trim(quot), _ref_trim(num[: len(den) - 1])
+
+
+_REF_PHI = {}
+
+
+def _ref_phi(e):
+    if e not in _REF_PHI:
+        num = [-1] + [0] * (e - 1) + [1]
+        for d in range(1, e):
+            if e % d == 0:
+                num, rem = _ref_divmod(num, _ref_phi(d))
+                assert not rem
+        _REF_PHI[e] = num
+    return _REF_PHI[e]
+
+
+def _ref_reduce(p, e):
+    width = len(_ref_phi(e)) - 1
+    rem = _ref_divmod(p, _ref_phi(e))[1]
+    return rem + [0] * (width - len(rem))
+
+
+def _ref_product(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _ref(x):
+    """A CycScalar or rational operand as an oracle value."""
+    if isinstance(x, CycScalar):
+        return x.order, list(x.coeffs)
+    return 1, [x]
+
+
+def _ref_lift(value, order):
+    e, p = value
+    k = order // e
+    spread = [0] * ((len(p) - 1) * k + 1)
+    for i, c in enumerate(p):
+        spread[i * k] = c
+    return _ref_reduce(spread, order)
+
+
+def _ref_op(x, y, op):
+    """(order, coefficients) of x op y for op in +, -, *, computed by the oracle."""
+    (e, _), (f, _) = _ref(x), _ref(y)
+    order = e * f // gcd(e, f)
+    p, q = _ref_lift(_ref(x), order), _ref_lift(_ref(y), order)
+    if op == "+":
+        return order, [a + b for a, b in zip(p, q)]
+    if op == "-":
+        return order, [a - b for a, b in zip(p, q)]
+    return order, _ref_reduce(_ref_product(p, q), order)
+
+
+def _assert_matches(got, want, where):
+    """got is the CycScalar (order, coefficients) want, each int when integral."""
+    order, coeffs = want
+    assert type(got) is CycScalar and type(got.coeffs) is tuple, where
+    assert got.order == order and list(got.coeffs) == coeffs, where
+    for c in got.coeffs:  # printed spec files depend on int for integral values
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), where
+
+
+def _random_cyc(rng, e):
+    width = len(_ref_phi(e)) - 1
+    shape = rng.randrange(6)
+    if shape == 0:
+        coeffs = [0]
+    elif shape == 1:
+        coeffs = [rng.choice((1, -1))]
+    elif shape == 2:
+        coeffs = [0] * rng.randrange(width + 2) + [rng.choice((1, -1, 2, Fraction(1, 2)))]
+    else:
+        coeffs = [rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 4))))
+                  for _ in range(rng.randint(1, width + 2))]
+    return CycScalar(e, coeffs)
+
+
+RATIONAL_OPERANDS = (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(6, 3), True)
+ORACLE_ORDERS = tuple(range(1, 31)) + (ORDER_CAP,)
+
+
+def _check_against_oracle(x, y):
+    where = f"x={x!r}, y={y!r}"
+    before = [(v.order, v.coeffs) for v in (x, y) if isinstance(v, CycScalar)]
+    for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
+        _assert_matches(got, _ref_op(x, y, op), f"{where}: x {op} y")
+    order, diff = _ref_op(x, y, "-")
+    assert (x == y) is (y == x) is (not any(diff)) is (not x != y), f"{where}: x == y"
+    # The oracle has no inverse: x / y is the one value q with q * y == x.
+    # A dense divisor is only tried in small fields, where the quotient's
+    # coefficients stay short.
+    sparse = sum(map(bool, _ref(y)[1])) <= 2
+    if y and (sparse or euler_phi(order) <= 16):
+        q = x / y
+        _assert_matches(q, (order, list(q.coeffs)), f"{where}: x / y")
+        assert _ref_op(q, y, "*") == (order, _ref_lift(_ref(x), order)), f"{where}: x / y"
+    after = [(v.order, v.coeffs) for v in (x, y) if isinstance(v, CycScalar)]
+    assert after == before, f"{where}: an operand was modified"
+
+
+def _check_powers(x):
+    before = (x.order, x.coeffs)
+    order, p = _ref(x)
+    one = _ref_lift((1, [1]), order)
+    power = one
+    for n in range(1, 6):
+        power = _ref_reduce(_ref_product(power, p), order)
+        _assert_matches(x ** n, (order, power), f"{x!r} ** {n}")
+        # x ** -n times the oracle's x^n is 1; dense inverses only in small fields
+        if x and n <= 2 and (sum(map(bool, p)) <= 2 or euler_phi(order) <= 16):
+            got = x ** -n
+            _assert_matches(got, (order, list(got.coeffs)), f"{x!r} ** -{n}")
+            assert _ref_reduce(_ref_product(got.coeffs, power), order) == one, f"{x!r} ** -{n}"
+    assert (x.order, x.coeffs) == before, f"{x!r} was modified"
+
+
+def test_the_oracle_derives_the_cyclotomic_polynomials():
+    # the hand table of test_cyclotomic_polynomials_match_hand_tables, for the oracle's own Phi
+    assert _ref_phi(1) == [-1, 1] and _ref_phi(4) == [1, 0, 1] and _ref_phi(6) == [1, -1, 1]
+    assert _ref_phi(12) == [1, 0, -1, 0, 1]
+    for e in ORACLE_ORDERS:
+        assert len(_ref_phi(e)) - 1 == euler_phi(e)
+
+
+@pytest.mark.parametrize("e", ORACLE_ORDERS)
+def test_same_order_arithmetic_matches_the_oracle(e):
+    rng = random.Random(1000 + e)
+    fixed = [CycScalar(e, [0]), CycScalar(e, [1]), CycScalar(e, [-1]), make_root(e),
+             CycScalar(e, [Fraction(1, 2)]), CycScalar(e, [0, 2])]  # 1/2 times 2 is the int 1
+    pool = [_random_cyc(rng, e) for _ in range(3)] + fixed
+    pairs = [(x, y) for x in fixed for y in fixed]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(8)]
+    for x, y in pairs:
+        _check_against_oracle(x, y)
+    for x in pool:
+        for r in RATIONAL_OPERANDS:
+            _check_against_oracle(x, r)
+            _check_against_oracle(r, x)
+    for x in pool[:3] + fixed[3:4]:
+        _check_powers(x)
+
+
+def test_mixed_order_arithmetic_matches_the_oracle():
+    rng = random.Random(2718)
+    for e in ORACLE_ORDERS:
+        partners = [f for f in ORACLE_ORDERS if f != e and e * f // gcd(e, f) <= ORDER_CAP]
+        for f in rng.sample(partners, min(2, len(partners))):
+            for _ in range(2):
+                x, y = _random_cyc(rng, e), _random_cyc(rng, f)
+                _check_against_oracle(x, y)
+                _check_against_oracle(y, x)
+
+
+def test_sympy_agrees_with_the_oracle_and_the_products():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(4242)
+    for e in ORACLE_ORDERS:
+        phi = sympy.Poly(sympy.cyclotomic_poly(e, x), x)
+        assert [int(c) for c in reversed(phi.all_coeffs())] == _ref_phi(e)
+        for _ in range(2):
+            a, b = _random_cyc(rng, e), _random_cyc(rng, e)
+            pa, pb = (sympy.Poly(list(reversed([sympy.Rational(str(c)) for c in v.coeffs])), x)
+                      for v in (a, b))
+            rem = sympy.rem(pa * pb, phi)
+            want = [Fraction(str(c)) for c in reversed(rem.all_coeffs())] if not rem.is_zero else []
+            want += [Fraction(0)] * (euler_phi(e) - len(want))
+            assert list((a * b).coeffs) == want, (a, b)

@@ -7,6 +7,7 @@ import pytest
 from robyclif.errors import InputError
 from robyclif.surfnum import (
     MAX_BETA_STEPS,
+    MAX_TABLE_BOUND,
     BundleNumerics,
     UlrichClass,
     beta_sequence,
@@ -16,6 +17,7 @@ from robyclif.surfnum import (
     quadric_delta_ulrich_test,
     quadric_h1_table,
     quadric_twist_h1,
+    quadric_ulrich_scan,
     wlp_check,
 )
 
@@ -196,3 +198,35 @@ class TestBetaSequence:
         assert len(beta_sequence("1/3", MAX_BETA_STEPS)) == MAX_BETA_STEPS + 1
         with pytest.raises(InputError, match=f"step count {MAX_BETA_STEPS + 1} exceeds the cap"):
             beta_sequence("1/3", MAX_BETA_STEPS + 1)
+
+
+class TestTableCaps:
+    def test_ulrich_scan_rows(self):
+        rows = quadric_ulrich_scan(2)
+        assert [(a, b) for a, b, _, _ in rows] == [(-2, 3), (-1, 2), (0, 1), (1, 0), (2, -1)]
+        for a, b, h0, verdict in rows:
+            assert h0 == p1xp1_cohomology(a, b)[0]
+            assert verdict is quadric_delta_ulrich_test(a, b)
+        assert quadric_ulrich_scan(0) == [(0, 1, 2, UlrichClass.ULRICH)]
+
+    def test_every_bound_at_the_cap_is_admitted(self):
+        cap = MAX_TABLE_BOUND
+        assert len(quadric_h1_table(cap)) == 2 * cap - 2
+        assert len(quadric_ulrich_scan(cap)) == 2 * cap + 1
+        assert len(quadric_twist_h1(0, 0, -cap, cap)) == 2 * cap + 1
+
+    def test_every_bound_past_the_cap_is_refused_before_the_loop(self):
+        past = MAX_TABLE_BOUND + 1
+        for call in (
+            lambda: quadric_h1_table(past),
+            lambda: quadric_ulrich_scan(past),
+            lambda: quadric_twist_h1(0, 0, 0, past),
+            lambda: quadric_twist_h1(0, 0, -past, 0),
+            lambda: quadric_twist_h1(0, 0, past, past),
+        ):
+            with pytest.raises(InputError, match=f"{past} exceeds the cap of {MAX_TABLE_BOUND}"):
+                call()
+
+    def test_negative_scan_bound_is_refused(self):
+        with pytest.raises(InputError, match="non-negative integer, got -3"):
+            quadric_ulrich_scan(-3)
