@@ -88,6 +88,16 @@ def _aligned(rows) -> str:
     )
 
 
+def _check_printable(*numbers) -> None:
+    """InputError, before any output, if Python cannot print one of the ints.
+
+    Products of bidegrees or ranks given on the command line can pass the
+    interpreter's limit on the digits of a printed integer.
+    """
+    for n in numbers:
+        decimal_str(n)
+
+
 def _pick_format(args) -> None:
     if getattr(args, "json", False) and getattr(args, "csv", False):
         raise InputError("pick one of --json and --csv")
@@ -177,6 +187,7 @@ def _cmd_cohom(args, config: Config) -> int:
         a, b = args.bidegree
         h0, h1, h2 = p1xp1_cohomology(a, b)
         chi = h0 - h1 + h2
+        _check_printable(a, b, h0, h1, h2, chi)
         if args.json:
             doc = json.dumps(
                 {"a": a, "b": b, "h0": h0, "h1": h1, "h2": h2, "chi": chi},
@@ -233,6 +244,7 @@ def _cmd_cohom(args, config: Config) -> int:
         return 0
     a, b, lo, hi = args.twists
     seq = quadric_twist_h1(a, b, lo, hi)
+    _check_printable(*seq.values())
     report = wlp_check(seq)
     if args.json:
         data = report.to_dict()
@@ -257,6 +269,7 @@ def _cmd_numerology(args, config: Config) -> int:
     if args.monad is not None:
         r, d, m = args.monad
         shape = monad_shape(BundleNumerics(rank=r, degree=d, m=m))
+        _check_printable(*shape.shape, shape.chi)
         if args.json:
             doc = json.dumps(
                 {"shape": list(shape.shape), "chi": shape.chi},
@@ -270,6 +283,7 @@ def _cmd_numerology(args, config: Config) -> int:
     if args.ec is not None:
         chi_e, r_e, r_f = args.ec
         value = ec_tensor(chi_e, r_e, r_f)
+        _check_printable(value)
         doc = json.dumps({"chi": value}) if args.json else f"chi(E (x) F) = {value}"
         _emit(doc, args, config)
         return 0

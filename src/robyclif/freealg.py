@@ -362,55 +362,45 @@ class CharPoly:
 # -- the Berkowitz algorithm ----------------------------------------------------
 
 
-def _berkowitz_vector(m: PolyMatrix) -> list:
-    """Coefficients of det(t*I - m), descending in t, leading 1 first.
+def _berkowitz_column(m: PolyMatrix) -> PolyMatrix:
+    """Coefficients of det(t*I - m) as an (n+1) x 1 column, descending in t.
 
-    Division-free Toeplitz recursion: the vector for an n x n matrix is a
-    lower-triangular Toeplitz matrix (built from the last row/column blocks)
-    applied to the vector of the leading (n-1) x (n-1) submatrix.
+    Division-free (Berkowitz 1984), one leading submatrix at a time: the
+    column of the leading (k+1) x (k+1) submatrix is a (k+2) x (k+1)
+    lower-triangular Toeplitz matrix times the column of the leading k x k
+    one a, starting from [1] for 0 x 0.  With r and c the rest of row and
+    column k, the Toeplitz matrix's first column is 1, -m[k][k], -r*c,
+    -r*a*c, ..., -r*a^(k-1)*c.  Every step is a matrix operation, so the
+    keys stay packed throughout.
     """
-    one = Poly.const(1)
-    n = m.nrows
-    if n == 0:
-        return [one]
-    if n == 1:
-        return [one, -m.entry(0, 0)]
-    sub = list(range(n - 1))
-    a = m.submatrix(sub, sub)
-    r = m.submatrix([n - 1], sub)          # last row without the corner
-    c = m.submatrix(sub, [n - 1])          # last column without the corner
-    corner = m.entry(n - 1, n - 1)
-    diags = [c]
-    for _ in range(n - 2):
-        diags.append(a * diags[-1])
-    items = [one, -corner]
-    for d in diags:
-        items.append(-(r * d).entry(0, 0))
-    prev = _berkowitz_vector(a)
-    out = []
-    for i in range(n + 1):
-        acc = Poly.zero()
-        for j in range(len(prev)):
-            if 0 <= i - j < len(items):
-                acc = acc + items[i - j] * prev[j]
-        out.append(acc)
-    return out
+    one = vec = PolyMatrix.identity(1)
+    for k in range(m.nrows):
+        lead = list(range(k))
+        a = m.submatrix(lead, lead)
+        r = m.submatrix([k], lead)
+        c = m.submatrix(lead, [k])
+        column = [one, -m.submatrix([k], [k])]
+        for j in range(k):
+            if j:
+                c = a * c
+            column.append(-(r * c))
+        vec = PolyMatrix.toeplitz(column, k + 1) * vec
+    return vec
 
 
 def char_poly_of_matrix(m: PolyMatrix, tvar: str = "t") -> Poly:
-    """det(tvar*I - m) as a Poly, computed without divisions."""
+    """det(tvar*I - m) as a Poly, computed without divisions.
+
+    The polynomial is read out once, as the row [t^n ... t 1] times the
+    coefficient column.
+    """
     if m.nrows != m.ncols:
         raise InputError("characteristic polynomial needs a square matrix")
     if tvar in m.vars:
         raise InputError(f"matrix entries already involve {tvar!r}")
-    vec = _berkowitz_vector(m)
-    t = Poly.variable(tvar)
     n = m.nrows
-    acc = Poly.zero()
-    for i, coeff in enumerate(vec):
-        if coeff:
-            acc = acc + coeff * t ** (n - i)
-    return acc
+    powers = PolyMatrix.from_rows([[Poly((tvar,), {(n - i,): 1}) for i in range(n + 1)]])
+    return (powers * _berkowitz_column(m)).entry(0, 0)
 
 
 # -- contract-named operations -----------------------------------------------------

@@ -4,41 +4,35 @@ A term map is a dict from monomial keys to nonzero coefficients: ``int``
 when integral, ``Fraction`` when rational, ``CycScalar`` otherwise (see
 ``scalars.narrow``).  Coefficients live in a field, so a product of nonzeros
 is nonzero and only accumulation can cancel.  No function here mutates its
-inputs; ``mul_into``, ``mul_into_packed``, ``add_into`` and ``sub_into``
-mutate only their accumulator, and ``update_nonempty`` only the list it is
-given.  Sums, differences, negation and scaling never look inside a key, so
-they serve both key encodings.
+inputs; ``mul_into``, ``add_into`` and ``sub_into`` mutate only their
+accumulator, and ``update_nonempty`` only the list it is given.  Sums,
+differences, negation and scaling never look inside a key, so they serve
+both key encodings.
 
-Two key encodings.
+Two key encodings, one per caller.
 
 - Tuple keys: one exponent per variable.  ``Poly`` stores these, and
-  ``mul_terms`` and ``mul_into`` take and return them.  Inside one
-  ``mul_terms`` call the products may still run packed: a call packs when
-  its exact count of term products |a|*|b| is at least ``_PACK_RATIO``
-  times the number of terms it would encode, |a| + |b|, and its largest
-  left exponent plus its largest right one is at most 255, so one-byte
-  fields cannot carry.  It decodes its result to tuples.  Packing is a
-  bijection and both loops run in the same order, so both give equal maps
-  with the same key order.
+  ``mul_terms`` and ``mul_into`` take and return them.  Products of large
+  polynomials run on matrices, Berkowitz's included (``freealg``), so
+  these keep the plain loop.
 - Packed keys: one int with a fixed-width field per variable, the first
   variable in the lowest field, so a monomial product is one int add.
-  ``PolyMatrix`` stores these between operations, and ``mul_into_packed``,
-  ``mul_packed`` and ``matmul_terms`` take and return them.  Nothing here
-  checks the fields: the caller (``matrix.py``) picks a width with room for
-  every exponent sum it asks for.  ``pack``, ``unpack`` and ``repacker``
-  convert between tuples and packed keys and between two packed layouts;
-  only ``matrix.py`` and this module call them.
+  ``PolyMatrix`` stores these between operations, and ``mul_packed`` and
+  ``matmul_terms`` take and return them.  Nothing here checks the fields:
+  the caller (``matrix.py``) picks a width with room for every exponent
+  sum it asks for.  ``pack``, ``unpack`` and ``repacker`` convert between
+  tuples and packed keys and between two packed layouts; only ``matrix.py``
+  and this module call them.
+
+Both product loops run term by term with the shorter factor outermost (the
+left one on a tie), so equal inputs in either encoding give equal maps with
+the same key order.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import add, itemgetter, lshift
-
-# Pack a mul_terms call once it does at least this many term products per
-# term encoded.  2, 4 and 8 ran within 4% of each other in perfbench (three
-# 15 s runs each on a 2-CPU VM).
-_PACK_RATIO = 4
 
 
 def add_into(acc: dict, b: dict) -> None:
@@ -95,16 +89,8 @@ def scale_terms(a: dict, c) -> dict:
 
 
 def mul_terms(a: dict, b: dict) -> dict:
-    """a * b on tuple keys, packed for the call when it is fat enough."""
-    if not a or not b:
-        return {}
-    la, lb = len(a), len(b)
+    """a * b on tuple keys."""
     out: dict = {}
-    codec = _codec(a, b) if la * lb >= _PACK_RATIO * (la + lb) else None
-    if codec is not None:
-        encode, decode = codec
-        mul_into_packed(out, encode(a), encode(b))
-        return decode(out)
     mul_into(out, a, b)
     return out
 
@@ -133,45 +119,27 @@ def mul_into(acc: dict, a: dict, b: dict) -> None:
                     del acc[exp]
 
 
-def _codec(a: dict, b: dict):
-    """(encode, decode) between tuple keys and one-byte fields, or None.
-
-    None when the largest exponent of a plus that of b exceeds 255: a
-    one-byte field could then carry, so the call keeps the tuple loop.
-    """
-    nvars = len(next(iter(a)))
-    if nvars and max(map(max, a)) + max(map(max, b)) > 255:
-        return None
-    fields = range(nvars)
-    return (lambda terms: pack(terms, 8)), (lambda terms: unpack(terms, fields, 8))
-
-
 # -- products on packed keys --------------------------------------------------------
 
 
-def mul_into_packed(acc: dict, a: dict, b: dict) -> None:
-    """acc += a * b, in place, on packed keys, in the order of ``mul_into``."""
+def mul_packed(a: dict, b: dict) -> dict:
+    """a * b on packed keys, in the order of ``mul_into``."""
     if len(a) > len(b):
         a, b = b, a
+    out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             exp = ea + eb
             c = ca * cb
-            cur = acc.get(exp)
+            cur = out.get(exp)
             if cur is None:
-                acc[exp] = c
+                out[exp] = c
             else:
                 cur = cur + c
                 if cur:
-                    acc[exp] = cur
+                    out[exp] = cur
                 else:
-                    del acc[exp]
-
-
-def mul_packed(a: dict, b: dict) -> dict:
-    """a * b on packed keys."""
-    out: dict = {}
-    mul_into_packed(out, a, b)
+                    del out[exp]
     return out
 
 
@@ -275,11 +243,11 @@ def matmul_terms(a: list, b: list, n: int, k: int, m: int) -> list:
     Cost: each row's nonzero columns of ``a`` and ``b`` are found at C speed
     (``compress`` over a row slice), and the Python work runs per nonzero
     only: one multiply-add per triple (i, s, j) with a[i, s] and b[s, j]
-    both nonzero, with the packed loop of ``mul_into_packed`` written out
-    in place.  What stays O(n*k + k*m + n*m) is slicing the lists and
-    allocating the output.  No work is spent on a pair with an empty factor.
-    For each output entry s runs in ascending order, so every entry gets
-    its terms in the same insertion order as the plain triple loop.
+    both nonzero, with the loop of ``mul_packed`` written out in place.
+    What stays O(n*k + k*m + n*m) is slicing the lists and allocating the
+    output.  No work is spent on a pair with an empty factor.  For each
+    output entry s runs in ascending order, so every entry gets its terms
+    in the same insertion order as the plain triple loop.
     Entries that receive no product, or whose products cancel, are one
     shared empty map, so callers must treat entries as read-only.
     """

@@ -211,19 +211,18 @@ def hilbert_function(module: GradedModuleP1, lo: int, hi: int) -> dict:
     if lo > hi:
         raise InputError("empty degree range")
     vx, vy = module.vars
+    # each nonzero relation entry decoded once: columns[c] lists (r, terms)
+    columns = [[] for _ in range(module.nrels)]
+    for r, c, _ in module.relations.nonzeros():
+        columns[c].append((r, list(_xy_terms(module.relations.entry(r, c), vx, vy))))
     out = {}
     for k in range(lo, hi + 1):
         free_dim = sum(max(0, k - g + 1) for g in module.gen_degrees)
         rows = []
-        for c in range(module.nrels):
+        for c, entries in enumerate(columns):
             base = k - module.rel_degrees[c]
             if base < 0:
                 continue
-            entries = [
-                (r, list(_xy_terms(module.relations.entry(r, c), vx, vy)))
-                for r in range(module.ngens)
-                if module.relations.entry(r, c)
-            ]
             for mx in range(base + 1):
                 my = base - mx
                 vec = {}

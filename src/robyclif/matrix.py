@@ -188,6 +188,24 @@ class PolyMatrix:
                 data[k] = kernel.add_terms(data[k], t) if data[k] else t
         return _make(n, n, vs, width, top, data)
 
+    @classmethod
+    def toeplitz(cls, column, ncols: int) -> "PolyMatrix":
+        """The lower-triangular Toeplitz matrix with first column ``column``.
+
+        ``column`` is a list of 1 x 1 matrices; entry (i, j) is column[i - j]
+        for i >= j and zero above the diagonal.  Entries are shared, not
+        copied, and no key is decoded.
+        """
+        vs = tuple(sorted(set().union(*(c.vars for c in column))))
+        top = max((c.top for c in column), default=0)
+        width = _fit(top, max((c.width for c in column), default=_WIDTH))
+        col = [c.aligned_data(vs, width=width)[0] for c in column]
+        data: list = []
+        for i in range(len(col)):
+            lower = min(i + 1, ncols)
+            data += [col[i - j] for j in range(lower)] + [{}] * (ncols - lower)
+        return _make(len(col), ncols, vs, width, top, data)
+
     # -- context -----------------------------------------------------------------
 
     def aligned_data(self, vars: tuple, *, width: int) -> list:

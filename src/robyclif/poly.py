@@ -469,8 +469,8 @@ MAX_NESTING = 100
 # Largest predicted term count of a parsed power ``(...)^N`` (see
 # ``_power_term_bound``).  Every power in the tests, demos and benchmark
 # inputs raises a single term, which predicts 1.  Expansion costs about the
-# square of the term count, so 1000 keeps the worst admitted power near a
-# second and a half on a 2-CPU VM (``(x+y+z+w)^16``, 969 terms), while
+# square of the term count, so 1000 keeps the worst admitted power near 40 ms
+# on a 2-CPU VM with Python 3.11 (``(x+y+z+w)^16``, 969 terms), while
 # ``(x+y+z+w+u)^10`` (1001 terms) and ``^20`` (10626 terms) are refused
 # before any expansion.
 MAX_POWER_TERMS = 1000

@@ -1,5 +1,6 @@
-"""Mutation check: each hand-written fault in the kernel, the matrix module or
-the cyclotomic scalars must make the fast test suite fail.
+"""Mutation check: each hand-written fault in the kernel, the matrix module,
+Berkowitz's characteristic polynomial or the cyclotomic scalars must make the
+fast test suite fail.
 
 Usage, from the root of a checkout:
 
@@ -91,6 +92,18 @@ MUTANTS = (
         "matrix.py",
         "used = [i for i in range(len(self.vars)) if occ >> (i * width) & mask]",
         "used = [i for i in range(len(self.vars) - 1) if occ >> (i * width) & mask]",
+    ),
+    (
+        "the Toeplitz band shifted below the diagonal",
+        "matrix.py",
+        "lower = min(i + 1, ncols)",
+        "lower = min(i, ncols)",
+    ),
+    (
+        "the corner's sign dropped from Berkowitz's Toeplitz column",
+        "freealg.py",
+        "column = [one, -m.submatrix([k], [k])]",
+        "column = [one, m.submatrix([k], [k])]",
     ),
     (
         "the last fold row of a cyclotomic product skipped",

@@ -384,6 +384,7 @@ MF_T_IN_TSLOT = render_roby_module(mf_seed("x", "y")).replace(
     "[tslot]\nrow = 0, 0, 1, 0", "[tslot]\nrow = 0, 0, t - x + 1 + x, 0"
 )
 
+HUGE = "9" * 2501
 BAD_INPUTS = [
     # (file text or None, argv with FILE for its path, a piece of the message)
     ('{"checks": [{}]}', ["report", "FILE"], "stored check 1 is not an object"),
@@ -416,6 +417,17 @@ BAD_INPUTS = [
     # two twists, but the pattern check would walk from i = -3 up to the far end
     (None, ["cohom", "--twists", "0", "0", "100000000", "100000001"],
      "twist index |lo| = 100000000 exceeds the cap of 1000"),
+    # a 2,501-digit number is read, but products of two pass the print limit
+    (None, ["cohom", "--bidegree", HUGE, HUGE], "the interpreter's limit for printing"),
+    (None, ["cohom", "--bidegree", HUGE, HUGE, "--json"], "the interpreter's limit for printing"),
+    (None, ["cohom", "--bidegree", HUGE, HUGE, "--csv"], "the interpreter's limit for printing"),
+    (None, ["cohom", "--twists", "-" + HUGE, HUGE, "0", "1"], "the interpreter's limit for printing"),
+    (None, ["numerology", "--monad", HUGE, HUGE, "0"], "the interpreter's limit for printing"),
+    (None, ["numerology", "--monad", HUGE, HUGE, "0", "--json"],
+     "the interpreter's limit for printing"),
+    (None, ["numerology", "--ec", HUGE, HUGE, HUGE], "the interpreter's limit for printing"),
+    (None, ["numerology", "--ec", HUGE, HUGE, HUGE, "--json"],
+     "the interpreter's limit for printing"),
 ]
 
 
@@ -427,7 +439,9 @@ BAD_INPUTS = [
          "split module rank", "cyclic cover rank", "cyclic cover rank before the power",
          "beta step cap", "beta too long to print", "tvar in the T-slot",
          "t in an mf T-slot", "t in an mf T-slot charmor", "h1 table cap", "ulrich scan cap",
-         "negative ulrich scan", "twist range cap", "far twist range"],
+         "negative ulrich scan", "twist range cap", "far twist range", "huge bidegree",
+         "huge bidegree json", "huge bidegree csv", "huge twists", "huge monad",
+         "huge monad json", "huge ec", "huge ec json"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, text, argv, message):
     path = tmp_path / "input"

@@ -3,9 +3,11 @@
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from robyclif import freealg
 from robyclif.errors import InputError
 from robyclif.freealg import (
     MAX_RANK,
@@ -20,6 +22,8 @@ from robyclif.freealg import (
 )
 from robyclif.matrix import PolyMatrix
 from robyclif.poly import Poly, parse_poly
+from robyclif.scalars import make_root
+from robyclif.seeds import perturbed_split_algebra
 
 
 def test_charpoly_of_generic_two_by_two():
@@ -37,6 +41,119 @@ def test_charpoly_of_numeric_three_by_three():
 def test_charpoly_variable_clash():
     with pytest.raises(InputError):
         char_poly_of_matrix(PolyMatrix.from_rows([["t", 0], [0, 1]]))
+
+
+# -- Berkowitz against the recursive Poly loop it replaced ---------------------------
+
+
+def old_berkowitz_vector(m):
+    """Coefficients of det(t*I - m), descending in t: the recursion on Polys."""
+    one = Poly.const(1)
+    n = m.nrows
+    if n == 0:
+        return [one]
+    if n == 1:
+        return [one, -m.entry(0, 0)]
+    sub = list(range(n - 1))
+    a = m.submatrix(sub, sub)
+    r = m.submatrix([n - 1], sub)
+    c = m.submatrix(sub, [n - 1])
+    corner = m.entry(n - 1, n - 1)
+    diags = [c]
+    for _ in range(n - 2):
+        diags.append(a * diags[-1])
+    items = [one, -corner]
+    for d in diags:
+        items.append(-(r * d).entry(0, 0))
+    prev = old_berkowitz_vector(a)
+    out = []
+    for i in range(n + 1):
+        acc = Poly.zero()
+        for j in range(len(prev)):
+            if 0 <= i - j < len(items):
+                acc = acc + items[i - j] * prev[j]
+        out.append(acc)
+    return out
+
+
+def old_char_poly_of_matrix(m, tvar="t"):
+    vec = old_berkowitz_vector(m)
+    t = Poly.variable(tvar)
+    n = m.nrows
+    acc = Poly.zero()
+    for i, coeff in enumerate(vec):
+        if coeff:
+            acc = acc + coeff * t ** (n - i)
+    return acc
+
+
+BENCHMARK_COVERS = (
+    "z^6 - x^6 - y^6 - z2^6",
+    "z^5 - x*z^3 - y^2*z - x^5 - y^5 - z2^5",
+    "z^6 - x*z^4 - y*z^3 - x^6 - y^6 - z2^6",
+)
+
+
+def oracle_matrices():
+    """(name, matrix): regular representations, edge sizes and random matrices."""
+    for d in range(1, 11):
+        yield f"split {d}", split_algebra(d).regular_representation()
+    covers = BENCHMARK_COVERS + ("z^2 - x*y - z2^2",) + tuple(
+        f"z^{e} - x^{e} - y^{e}" for e in (3, 4, 5)
+    )
+    for text in covers:
+        yield text, monogenic_algebra(parse_poly(text), "z").regular_representation()
+    yield "perturbed split", perturbed_split_algebra("x*y - 1").regular_representation()
+    yield "0x0", PolyMatrix.from_rows([])
+    yield "1x1", PolyMatrix.from_rows([["x - 2*y"]])
+    rng = random.Random(41)
+    zeta = make_root(5)
+    draws = (
+        lambda: rng.randrange(-5, 6),
+        lambda: Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
+        lambda: zeta ** rng.randrange(5) * rng.randrange(-2, 3) + Fraction(1, rng.randrange(1, 4)),
+    )
+    for trial in range(12):
+        draw = draws[trial % 3]
+        n = rng.randrange(2, 6)
+
+        def entry():
+            if rng.random() < 0.3:
+                return 0
+            if rng.random() < 0.5:
+                return draw()
+            return draw() * Poly.variable("x") ** rng.randrange(3) + draw() * Poly.variable("y")
+
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        yield f"random {trial}", PolyMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m in oracle_matrices()])
+def test_char_poly_of_matrix_equals_the_old_loop(m):
+    got, want = char_poly_of_matrix(m), old_char_poly_of_matrix(m)
+    assert got == want
+    assert got.vars == want.vars
+    assert str(got) == str(want)
+
+
+def test_the_column_step_makes_no_poly_arithmetic(monkeypatch):
+    m = monogenic_algebra(parse_poly(BENCHMARK_COVERS[1]), "z").regular_representation()
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(Poly, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(Poly, name, counted)
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        spy(name)
+    column = freealg._berkowitz_column(m)
+    assert calls == Counter()
+    assert column.shape == (6, 1)
 
 
 class TestMonogenic:

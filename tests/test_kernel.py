@@ -253,8 +253,8 @@ def terms_reaching(rng, nvars, top, size):
 
 
 # (largest exponent on the left, largest on the right): sums on both sides of
-# the one-byte field, where packing stops, and wider ones that keep the tuple
-# loop: both sides of two bytes and above 64 bits
+# the one-byte and the two-byte field limits, where the matrix width rule
+# widens, and above 64 bits
 FIELD_EDGES = ((128, 127), (128, 128), (32768, 32767), (32768, 32768), (2**64, 1), (0, 0))
 
 
@@ -266,17 +266,19 @@ def encoding_cases(rng):
                    terms_reaching(rng, nvars, left, 9), terms_reaching(rng, nvars, right, 7))
     yield "0 vars", {(): Fraction(2, 3)}, {(): -3}
     yield "30 vars", terms_reaching(rng, 30, 3, 12), terms_reaching(rng, 30, 250, 10)
+    yield "thin", random_terms(rng, size=2), random_terms(rng, size=2)
+    yield "fat", terms_reaching(rng, 4, 6, 20), terms_reaching(rng, 4, 6, 20)
     # (1 - x + x^2)(1 + x + x^2): x and x^3 cancel; x^2 is cancelled by the
     # second row of products and re-inserted, at the end, by the third
     yield "cancel and re-insert", {(0,): 1, (1,): 1, (2,): 1}, {(0,): 1, (1,): -1, (2,): 1}
 
 
-def test_cancelled_keys_are_re_inserted_at_the_end(forced_packing):
+def test_cancelled_keys_are_re_inserted_at_the_end():
     got = kernel.mul_terms({(0,): 1, (1,): 1, (2,): 1}, {(0,): 1, (1,): -1, (2,): 1})
     assert list(got.items()) == [((0,), 1), ((2,), 1), ((4,), 1)]
 
 
-def test_both_encodings_equal_the_tuple_loop_key_for_key(forced_encodings, packed_calls):
+def test_both_encodings_equal_the_tuple_loop_key_for_key(forced_wide_keys):
     rng = random.Random(16)
     for name, a, b in encoding_cases(rng):
         a_copy, b_copy = dict(a), dict(b)
@@ -288,31 +290,6 @@ def test_both_encodings_equal_the_tuple_loop_key_for_key(forced_encodings, packe
         want = naive_matmul(left, right, 2, 2, 2)
         assert [list(t.items()) for t in got] == [list(t.items()) for t in want], name
         assert (a, b) == (a_copy, b_copy), f"{name}: an input was mutated"
-    assert bool(packed_calls) == (forced_encodings == "always")
-
-
-def test_only_one_byte_sums_pack(monkeypatch, packed_calls):
-    monkeypatch.setattr(kernel, "_PACK_RATIO", 0)
-    rng = random.Random(18)
-    for left, right in FIELD_EDGES:
-        a, b = terms_reaching(rng, 3, left, 9), terms_reaching(rng, 3, right, 7)
-        del packed_calls[:]
-        assert_same_items(kernel.mul_terms(a, b), naive_mul_terms(a, b), f"{left}+{right}")
-        got = packed_matmul([a], [b], 1, 1, 1)
-        assert_same_items(got[0], naive_mul_terms(a, b), f"{left}+{right} matmul")
-        assert len(packed_calls) == (1 if left + right <= 255 else 0), f"{left}+{right}"
-
-
-def test_fat_calls_pack_and_thin_calls_do_not(packed_calls):
-    rng = random.Random(17)
-    thin = [random_terms(rng, size=2) for _ in range(2)]
-    assert_same_items(kernel.mul_terms(*thin), naive_mul_terms(*thin), "thin mul_terms")
-    assert packed_calls == []
-
-    fat = [terms_reaching(rng, 4, 6, 20) for _ in range(2)]
-    assert len(fat[0]) * len(fat[1]) >= kernel._PACK_RATIO * (len(fat[0]) + len(fat[1]))
-    assert_same_items(kernel.mul_terms(*fat), naive_mul_terms(*fat), "fat mul_terms")
-    assert packed_calls == [(len(fat[0]), len(fat[1]))]
 
 
 def test_matmul_shares_one_empty_map_under_both_encodings(forced_wide_keys):
@@ -345,5 +322,5 @@ def test_matmul_entry_that_cancels_is_the_shared_empty_map(forced_wide_keys):
     ],
     ids=lambda check: check.__name__,
 )
-def test_under_each_encoding(forced_encodings, check):
+def test_under_each_encoding(forced_wide_keys, check):
     check()

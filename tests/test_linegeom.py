@@ -50,6 +50,20 @@ class TestHilbertFunction:
         with pytest.raises(InputError, match="range"):
             hilbert_function(GradedModuleP1.free([0]), 2, 1)
 
+    def test_each_nonzero_entry_is_decoded_once_per_call(self, monkeypatch):
+        m = coker([0, 0, 1], [["x", "y^2"], ["y", "-x^2"], [0, "x + y"]])
+        decoded = []
+        real = PolyMatrix.entry
+
+        def counted(self, i, j):
+            decoded.append((i, j))
+            return real(self, i, j)
+
+        monkeypatch.setattr(PolyMatrix, "entry", counted)
+        h = hilbert_function(m, -1, 6)
+        assert sorted(decoded) == [(i, j) for i, j, _ in m.relations.nonzeros()]
+        assert h == {-1: 0, 0: 2, 1: 4, 2: 5, 3: 6, 4: 7, 5: 8, 6: 9}
+
 
 class TestSplittingType:
     def test_free_module_reads_off_generators(self):

@@ -135,5 +135,5 @@ def test_matrix_operations_match_the_wide_representation():
     ],
     ids=lambda check: check.__name__,
 )
-def test_under_each_encoding(forced_encodings, check):
+def test_under_each_encoding(forced_wide_keys, check):
     check()
