@@ -273,9 +273,12 @@ def encoding_cases(rng):
     yield "cancel and re-insert", {(0,): 1, (1,): 1, (2,): 1}, {(0,): 1, (1,): -1, (2,): 1}
 
 
-def test_cancelled_keys_are_re_inserted_at_the_end():
-    got = kernel.mul_terms({(0,): 1, (1,): 1, (2,): 1}, {(0,): 1, (1,): -1, (2,): 1})
-    assert list(got.items()) == [((0,), 1), ((2,), 1), ((4,), 1)]
+def test_cancelled_keys_are_re_inserted_at_the_end(forced_wide_keys):
+    a, b = {(0,): 1, (1,): 1, (2,): 1}, {(0,): 1, (1,): -1, (2,): 1}
+    want = [((0,), 1), ((2,), 1), ((4,), 1)]
+    assert list(kernel.mul_terms(a, b).items()) == want
+    # the packed product, at the key width of a new matrix
+    assert list(packed_matmul([a], [b], 1, 1, 1)[0].items()) == want
 
 
 def test_both_encodings_equal_the_tuple_loop_key_for_key(forced_wide_keys):
