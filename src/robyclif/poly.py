@@ -11,12 +11,13 @@ The textual syntax is ``3/2*x^2*y - z2`` with variables matching
 ``[a-zA-Z][a-zA-Z0-9_]*``; the reserved atoms ``zeta2``, ``zeta3``, ... parse
 to primitive roots of unity so cyclotomic coefficients round-trip.
 
-Parsing is one pass: one ``finditer`` over the text, then one descent that
-adds each term of a sum into a single term map in place and multiplies each
-product of atoms into a single monomial.  The result gets one variable
-context, the sorted names its text mentions outside a ``^0``.  So parsing
-costs in proportion to the text, plus the expansion of any product or power
-of factors with several terms.
+Parsing is one pass in one variable context: one ``finditer`` over the
+text, then one descent in which every atom, product, power and sum is a term
+map keyed over the sorted names of the text.  Each term of a sum is added
+into a single map in place, and no key is realigned until the result drops
+the names its text mentions only under a ``^0``.  So parsing costs in
+proportion to the text times its number of variables, plus the expansion of
+any product or power of factors with several terms.
 """
 
 from __future__ import annotations
@@ -61,20 +62,24 @@ def _check_var_name(name: str) -> str:
 
 
 def _align_terms(terms: dict, old_vars: tuple, new_vars: tuple) -> dict:
-    """Remap exponent tuples from old_vars to new_vars (a superset).
+    """Remap exponent tuples from old_vars to new_vars.
 
-    The index is built once per call; each key, padded with one zero for
-    the variables it lacks, is then remapped by one ``itemgetter`` call.
-    An empty map, or one already over new_vars, is returned as it is.
+    A variable of new_vars missing from old_vars gets exponent 0; one of
+    old_vars missing from new_vars must have exponent 0 in every key.  The
+    index is built once per call; each key, padded with one zero for the
+    variables it lacks, is then remapped by one ``itemgetter`` call.  An
+    empty map, or one already over new_vars, is returned as it is.
     """
     if old_vars == new_vars or not terms:
         return terms
-    if len(new_vars) == 1:  # old_vars is empty, every key ()
-        return {(0,): c for c in terms.values()}
     pos = {v: i for i, v in enumerate(old_vars)}
     pad = len(old_vars)  # the index of the zero
-    get = itemgetter(*[pos.get(v, pad) for v in new_vars])
-    return {get(exp + (0,)): c for exp, c in terms.items()}
+    index = [pos.get(v, pad) for v in new_vars]
+    if len(index) > 1:
+        get = itemgetter(*index)
+        return {get(exp + (0,)): c for exp, c in terms.items()}
+    # zero or one variable, where itemgetter would not return a tuple
+    return {tuple([(exp + (0,))[i] for i in index]): c for exp, c in terms.items()}
 
 
 class Poly:
@@ -142,10 +147,6 @@ class Poly:
         _check_var_name(name)
         return cls((name,), {(1,): 1}, _canonical=True)
 
-    @classmethod
-    def from_string(cls, text: str) -> "Poly":
-        return parse_poly(text)
-
     # -- context handling ----------------------------------------------------
 
     def aligned(self, vars: tuple) -> dict:
@@ -164,8 +165,7 @@ class Poly:
         if len(used) == len(self.vars):
             return self
         vs = tuple(self.vars[i] for i in used)
-        terms = {tuple(exp[i] for i in used): c for exp, c in self.terms.items()}
-        return Poly(vs, terms, _canonical=True)
+        return Poly(vs, _align_terms(self.terms, self.vars, vs), _canonical=True)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -304,12 +304,16 @@ class Poly:
         """Simultaneous substitution var -> value; a ring morphism.
 
         Each value is anything ``as_poly`` accepts: a Poly, a polynomial
-        string, or a scalar.
+        string, or a scalar.  A variable bound to itself is left unbound:
+        the result has the same terms, in the same order, with coefficients
+        of the same types, and no product is taken for it.
         """
         vals = {}
         for v, b in bindings.items():
             if v in self.vars:
-                vals[v] = as_poly(b)
+                p = as_poly(b)
+                if p.vars != (v,) or p.terms != {(1,): 1} or type(p.terms[(1,)]) is not int:
+                    vals[v] = p
         if not vals:
             return self
         keep = tuple(v for v in self.vars if v not in vals)
@@ -469,7 +473,7 @@ MAX_NESTING = 100
 # Largest predicted term count of a parsed power ``(...)^N`` (see
 # ``_power_term_bound``).  Every power in the tests, demos and benchmark
 # inputs raises a single term, which predicts 1.  Expansion costs about the
-# square of the term count, so 1000 keeps the worst admitted power near 40 ms
+# square of the term count, so 1000 keeps the worst admitted power at 25-35 ms
 # on a 2-CPU VM with Python 3.11 (``(x+y+z+w)^16``, 969 terms), while
 # ``(x+y+z+w+u)^10`` (1001 terms) and ``^20`` (10626 terms) are refused
 # before any expansion.
@@ -532,9 +536,9 @@ def _power_term_bound(base: Poly, n: int) -> int:
     at most C(k + n*deg, k) monomials; each of its terms is also a product of
     n of the t terms of base, so there are at most C(t + n - 1, n) of them.
     """
-    if not base.terms:
+    if len(base.terms) < 2:  # a power of one term or none has at most one
         return 1
-    k = sum(1 for i in range(len(base.vars)) if any(exp[i] for exp in base.terms))
+    k = sum(map(any, zip(*base.terms)))  # the variables base uses
     by_degree = comb(k + n * base.total_degree(), k)
     return min(by_degree, comb(len(base.terms) + n - 1, n))
 
@@ -577,78 +581,58 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    """Recursive descent over a token list.
+    """Recursive descent over a token list, in one variable context.
 
-    A sum is read into one term map, in place, term by term.  Its keys are
-    sparse monomials: sorted ``(name, exponent)`` tuples with no zero
-    exponent, so no key is realigned while the sum's variables grow; the
-    names the sum mentions are collected beside it.  A factor of at most
-    one term is a monomial ``(c, pairs, names)``: coefficient c (0 for the
-    zero factor), its ``(name, exponent)`` pairs and its variable context.
-    A product of monomials is one running monomial.  A ``Poly`` is built
-    for a factor of several terms, for the cap check of a power, and once
-    for the result.  Every scalar operation runs in the order of the Poly
-    arithmetic it replaces, so values, coefficient types and key order are
-    those of that arithmetic.
+    The context is fixed before the first token is read: the sorted names in
+    the token list, zeta atoms excluded.  Every atom, product, power and sum
+    is a term map over it, so nothing is realigned on the way.  A sum adds
+    each term into one map in place, a product is ``kernel.mul_terms``, and
+    a power of several terms is ``Poly.__pow__``; a power of one term scales
+    its key and raises its coefficient.  Every scalar operation runs in the
+    order of the Poly arithmetic the text spells, so values, coefficient
+    types and key order are those of that arithmetic.  ``seen`` lists the
+    names read outside a ``^0``: the result's variables.
     """
 
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.seen = []
+        names = [t for t in set(tokens) if type(t) is str and t[0].isalpha()]
+        self.vars = tuple(sorted(v for v in names if not _ZETA_RE.fullmatch(v)))
+        self.one = (0,) * len(self.vars)  # the key of the monomial 1
+        self.units = {v: self.one[:i] + (1,) + self.one[i + 1 :] for i, v in enumerate(self.vars)}
 
     def enter(self):
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise InputError("polynomial nested too deeply")
 
-    def parse_expr(self):
-        """(sparse term map, names) of a sum or difference of terms."""
-        terms: dict = {}
-        names: set = set()
-        into = kernel.add_into
+    def parse_expr(self) -> dict:
+        """Term map of a sum or difference of terms."""
+        terms = self.parse_term()
         while True:
-            into(terms, self.parse_term(names))
             op = self.tokens[self.i]
             if op == "+":
                 into = kernel.add_into
             elif op == "-":
                 into = kernel.sub_into
             else:
-                return terms, names
+                return terms
             self.i += 1
+            into(terms, self.parse_term())
 
-    def parse_term(self, names: set) -> dict:
-        """Sparse term map of a product of factors; adds its names to names."""
-        coef = poly = None
-        exps: dict = {}
-        while True:
-            factor = self.parse_factor()
-            if isinstance(factor, Poly):
-                names.update(factor.vars)
-                if poly is None:
-                    poly = factor if coef is None else _monomial(coef, exps.items()) * factor
-                else:
-                    poly = poly * factor
-            else:
-                c, pairs, factor_names = factor
-                names.update(factor_names)
-                if poly is not None:
-                    poly = poly * _monomial(c, pairs)
-                else:
-                    # a zero factor ends the products, as multiplying an empty map does
-                    coef = c if coef is None else coef * c if coef and c else 0
-                    for v, e in pairs:
-                        exps[v] = exps.get(v, 0) + e
-            if self.tokens[self.i] != "*":
-                break
+    def parse_term(self) -> dict:
+        """Term map of a product of factors."""
+        terms = self.parse_factor()
+        while self.tokens[self.i] == "*":
             self.i += 1
-        if poly is not None:
-            return _sparse_terms(poly)
-        return {tuple(sorted(exps.items())): coef} if coef else {}
+            terms = kernel.mul_terms(terms, self.parse_factor())
+        return terms
 
-    def parse_factor(self):
-        """A signed atom or power of one: a monomial, or a Poly of several terms."""
+    def parse_factor(self) -> dict:
+        """Term map of a signed atom or power of one."""
         tokens = self.tokens
         signs = negate = 0
         tok = tokens[self.i]
@@ -659,95 +643,51 @@ class _Parser:
             negate ^= tok == "-"
             tok = tokens[self.i]
         self.i += 1
-        base = self.parse_atom(tok)
+        mark = len(self.seen)
+        terms = self.parse_atom(tok)
         if tokens[self.i] == "^":
             n = tokens[self.i + 1]
             self.i += 2
             if type(n) is not int:
                 raise InputError("exponent must be a nonnegative integer")
-            base = _power(base, n)
+            base = Poly(self.vars, terms, _canonical=True)
+            _check_power(base, n)
+            if not n:
+                del self.seen[mark:]  # names under a ^0 leave the result
+                terms = {self.one: 1}
+            elif len(terms) > 1:
+                terms = (base**n).terms
+            else:  # one term or none: no product to take
+                terms = {tuple([e * n for e in key]): c**n for key, c in terms.items()}
         self.depth -= signs
-        if not negate:
-            return base
-        if isinstance(base, Poly):
-            return -base
-        c, pairs, factor_names = base
-        return -c if c else c, pairs, factor_names
+        return kernel.neg_terms(terms) if negate else terms
 
-    def parse_atom(self, tok):
+    def parse_atom(self, tok) -> dict:
         if tok == "(":
             self.enter()
-            terms, names = self.parse_expr()
+            terms = self.parse_expr()
             if self.tokens[self.i] != ")":
                 raise InputError("expected ')' in polynomial")
             self.i += 1
             self.depth -= 1
-            if len(terms) > 1:
-                return _poly(terms, names)
-            if terms:
-                ((key, c),) = terms.items()
-                return c, key, names
-            return 0, (), names
+            return terms
+        unit = self.units.get(tok)
+        if unit is not None:
+            self.seen.append(tok)
+            return {unit: 1}
         if type(tok) is not str:
             if tok is None:
                 raise InputError("unexpected token in polynomial: None")
-            return tok, (), ()
-        if tok[0].isalpha():
-            m = _ZETA_RE.fullmatch(tok)
-            if m:
-                digits = m.group(1)
-                try:
-                    order = int(digits)
-                except ValueError:  # more digits than int() converts
-                    raise InputError(f"zeta order of {len(digits)} digits is too long") from None
-                return narrow(make_root(order)), (), ()
-            return 1, ((tok, 1),), (tok,)
+            return {self.one: tok} if tok else {}
+        m = _ZETA_RE.fullmatch(tok)
+        if m:
+            digits = m.group(1)
+            try:
+                order = int(digits)
+            except ValueError:  # more digits than int() converts
+                raise InputError(f"zeta order of {len(digits)} digits is too long") from None
+            return {self.one: narrow(make_root(order))}
         raise InputError(f"unexpected token in polynomial: {tok!r}")
-
-
-def _power(base, n: int):
-    """A parsed factor to the power n, refused first if it could pass a cap."""
-    if isinstance(base, Poly):
-        _check_power(base, n)
-        if n:
-            return base**n
-    else:
-        c, pairs, names = base
-        _check_power(_monomial(c, pairs), n)
-        if n:
-            return c**n if c else c, tuple((v, e * n) for v, e in pairs), names
-    return 1, (), ()
-
-
-def _monomial(c, pairs) -> Poly:
-    """The Poly of c times the monomial of (name, exponent) pairs."""
-    pairs = sorted(pairs)
-    return Poly(
-        tuple(v for v, _ in pairs),
-        {tuple(e for _, e in pairs): c} if c else {},
-        _canonical=True,
-    )
-
-
-def _sparse_terms(p: Poly) -> dict:
-    """The term map of p keyed by sparse monomials."""
-    return {
-        tuple((v, e) for v, e in zip(p.vars, exp) if e): c for exp, c in p.terms.items()
-    }
-
-
-def _poly(terms: dict, names) -> Poly:
-    """The Poly of a sparse term map over the sorted names."""
-    vs = tuple(sorted(names))
-    pos = {v: i for i, v in enumerate(vs)}
-    width = len(vs)
-    dense = {}
-    for key, c in terms.items():
-        exp = [0] * width
-        for v, e in key:
-            exp[pos[v]] = e
-        dense[tuple(exp)] = c
-    return Poly(vs, dense, _canonical=True)
 
 
 def parse_poly(text: str) -> Poly:
@@ -755,11 +695,14 @@ def parse_poly(text: str) -> Poly:
     if not isinstance(text, str) or not text.strip():
         raise InputError("empty polynomial string")
     parser = _Parser(_tokenize(text))
-    terms, names = parser.parse_expr()
+    terms = parser.parse_expr()
     tok = parser.tokens[parser.i]
     if tok is not None:
         raise InputError(f"trailing input in polynomial: {tok!r}")
-    return _poly(terms, names)
+    vars = tuple(sorted(set(parser.seen)))
+    if vars != parser.vars:  # some names were read only under a ^0
+        terms = _align_terms(terms, parser.vars, vars)
+    return Poly(vars, terms, _canonical=True)
 
 
 def as_poly(x) -> Poly:

@@ -1,6 +1,6 @@
 """Mutation check: each hand-written fault in the kernel, the matrix module,
-Berkowitz's characteristic polynomial or the cyclotomic scalars must make the
-fast test suite fail.
+Berkowitz's characteristic polynomial, the cyclotomic scalars or the
+polynomial parser must make the fast test suite fail.
 
 Usage, from the root of a checkout:
 
@@ -130,6 +130,24 @@ MUTANTS = (
         "scalars.py",
         "    return _reduced(order, tuple(low))",
         "    x = _reduced(order, ())\n    x.coeffs = tuple(low)\n    return x",
+    ),
+    (
+        "a name under a ^0 kept in the parsed variables",
+        "poly.py",
+        "                del self.seen[mark:]  # names under a ^0 leave the result\n",
+        "",
+    ),
+    (
+        "a one-term power leaves its coefficient unraised",
+        "poly.py",
+        "c**n for key, c in terms.items()}",
+        "c for key, c in terms.items()}",
+    ),
+    (
+        "the parser's context built from a prefix of the tokens",
+        "poly.py",
+        "t for t in set(tokens) if",
+        "t for t in set(tokens[: len(tokens) // 2]) if",
     ),
 )
 

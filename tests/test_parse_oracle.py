@@ -1,4 +1,4 @@
-"""The one-pass parser against the Poly-arithmetic parser it replaced.
+"""The one-context parser against the Poly-arithmetic parser it must match.
 
 ``old_parse_poly`` below is that parser, copied unchanged apart from names:
 it tokenizes into ``(kind, value)`` pairs and builds every atom, product and

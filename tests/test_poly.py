@@ -46,6 +46,46 @@ def counted_mul_terms(monkeypatch):
     return calls
 
 
+def old_substitute(p, bindings):
+    """``Poly.substitute`` as it once ran, for key-for-key comparisons.
+
+    It copies the running result once per term (``add_terms``), and it
+    multiplies by the value of a variable bound to itself.
+    """
+    vals = {v: as_poly(b) for v, b in bindings.items() if v in p.vars}
+    keep = tuple(v for v in p.vars if v not in vals)
+    new_vars = tuple(sorted(set(keep).union(*(b.vars for b in vals.values()))))
+    pos = {v: i for i, v in enumerate(new_vars)}
+    keep_idx = [(i, pos[v]) for i, v in enumerate(p.vars) if v not in vals]
+    bound = [(i, v) for i, v in enumerate(p.vars) if v in vals]
+    squares = {v: [b.aligned(new_vars)] for v, b in vals.items()}
+    powers = {}
+
+    def var_power(v, n):
+        power = powers.get((v, n))
+        if power is None:
+            sq = squares[v]
+            for i in range(n.bit_length()):
+                if i == len(sq):
+                    sq.append(kernel.mul_terms(sq[-1], sq[-1]))
+                if n >> i & 1:
+                    power = sq[i] if power is None else kernel.mul_terms(sq[i], power)
+            powers[v, n] = power
+        return power
+
+    out = {}
+    for exp, c in p.terms.items():
+        base_exp = [0] * len(new_vars)
+        for i, j in keep_idx:
+            base_exp[j] = exp[i]
+        acc = {tuple(base_exp): c}
+        for i, v in bound:
+            if exp[i]:
+                acc = kernel.mul_terms(acc, var_power(v, exp[i]))
+        out = kernel.add_terms(out, acc)
+    return Poly(new_vars, out, _canonical=True)
+
+
 class TestArithmetic:
     def test_difference_of_squares(self):
         assert poly_arith(x + y, x - y, "mul") == x * x - y * y
@@ -147,42 +187,6 @@ class TestSubstitution:
         )
 
     def test_accumulation_equals_the_old_loop_key_for_key(self, monkeypatch):
-        # the loop Poly.substitute ran before it accumulated in place: one
-        # add_terms copy of the running result per term
-        def old_substitute(p, bindings):
-            vals = {v: as_poly(b) for v, b in bindings.items() if v in p.vars}
-            keep = tuple(v for v in p.vars if v not in vals)
-            new_vars = tuple(sorted(set(keep).union(*(b.vars for b in vals.values()))))
-            pos = {v: i for i, v in enumerate(new_vars)}
-            keep_idx = [(i, pos[v]) for i, v in enumerate(p.vars) if v not in vals]
-            bound = [(i, v) for i, v in enumerate(p.vars) if v in vals]
-            squares = {v: [b.aligned(new_vars)] for v, b in vals.items()}
-            powers = {}
-
-            def var_power(v, n):
-                power = powers.get((v, n))
-                if power is None:
-                    sq = squares[v]
-                    for i in range(n.bit_length()):
-                        if i == len(sq):
-                            sq.append(kernel.mul_terms(sq[-1], sq[-1]))
-                        if n >> i & 1:
-                            power = sq[i] if power is None else kernel.mul_terms(sq[i], power)
-                    powers[v, n] = power
-                return power
-
-            out = {}
-            for exp, c in p.terms.items():
-                base_exp = [0] * len(new_vars)
-                for i, j in keep_idx:
-                    base_exp[j] = exp[i]
-                acc = {tuple(base_exp): c}
-                for i, v in bound:
-                    if exp[i]:
-                        acc = kernel.mul_terms(acc, var_power(v, exp[i]))
-                out = kernel.add_terms(out, acc)
-            return Poly(new_vars, out, _canonical=True)
-
         rng = random.Random(11661)
         names = ("x", "y", "z", "w")
         z3 = make_root(3)
@@ -218,6 +222,37 @@ class TestSubstitution:
             assert got.vars == want.vars, trial
             assert list(got.terms.items()) == list(want.terms.items()), trial
             assert copied["entries"] == 0, trial  # no running-result copies
+
+    def test_a_variable_bound_to_itself_is_left_unbound(self, counted_mul_terms):
+        rng = random.Random(11771)
+        names = ("G1", "G2", "x", "y")
+        z5 = make_root(5)
+
+        def rand_poly(k):
+            terms = {
+                tuple(rng.randint(0, 3) for _ in names): rng.choice(
+                    [1, -2, Fraction(3, 4), z5, 2 - z5]
+                )
+                for _ in range(k)
+            }
+            return Poly(names, terms)
+
+        def snapshot(p):
+            return p.vars, [(k, c, type(c)) for k, c in p.terms.items()]
+
+        for trial in range(40):
+            p = rand_poly(rng.randint(0, 40))
+            # an unnarrowed Fraction(1) coefficient is a value, not the variable
+            p = p + parse_poly("2*1/2*x*y")
+            identity = {v: rng.choice([v, V(v)]) for v in rng.sample(names, rng.randint(1, 4))}
+            counted_mul_terms.clear()
+            got = p.substitute(identity)
+            assert counted_mul_terms["mul_terms"] == 0, trial
+            assert snapshot(got) == snapshot(old_substitute(p, identity)), trial
+            mixed = dict(identity)
+            mixed[rng.choice(names)] = rng.choice(["y + G2", "3/2", "x - 1", "zeta4*q", "2*1/2*x"])
+            got = p.substitute(mixed)
+            assert snapshot(got) == snapshot(old_substitute(p, mixed)), trial
 
     def test_simultaneous_not_sequential(self):
         p = x + y
@@ -301,6 +336,26 @@ class TestStructure:
             }
             got = _align_terms(terms, old_vars, new_vars)
             want = old_align(terms, old_vars, new_vars)
+            assert list(got.items()) == list(want.items()), (trial, old_vars, new_vars)
+
+    def test_alignment_to_a_subset_context_drops_zero_fields(self):
+        rng = random.Random(49)
+        names = ("a", "q", "x", "y", "z2")
+        for trial in range(300):
+            old_vars = tuple(sorted(rng.sample(names, rng.randrange(0, 6))))
+            new_vars = tuple(v for v in names if v in old_vars and rng.random() < 0.5 or
+                             v not in old_vars and rng.random() < 0.3)
+            kept = [i for i, v in enumerate(old_vars) if v in new_vars]
+            terms = {
+                tuple(rng.randrange(0, 300) if i in kept else 0 for i in range(len(old_vars))):
+                    rng.choice((1, -2, Fraction(1, 3)))
+                for _ in range(rng.randrange(0, 6))
+            }
+            want = {
+                tuple(exp[old_vars.index(v)] if v in old_vars else 0 for v in new_vars): c
+                for exp, c in terms.items()
+            }
+            got = _align_terms(terms, old_vars, new_vars)
             assert list(got.items()) == list(want.items()), (trial, old_vars, new_vars)
 
 
@@ -447,6 +502,24 @@ class TestTextFormat:
             parse_poly(f"({big} + x)^501")  # so does the largest coefficient of any base
         with pytest.raises(InputError, match="100200-bit"):
             parse_poly(f"({big}*zeta3)^501")
+
+    @pytest.mark.parametrize(
+        "text", ["(x+y)*(z+w)^2 - (w+x)*y", "(x - 1)*(y + 2*z)*(w^2 + x)", "(G1 + t)^3*(x + y)"]
+    )
+    def test_factors_over_different_variables_realign_nothing(self, text, monkeypatch):
+        calls = Counter()
+        real = poly_module._align_terms
+
+        def counted(terms, old_vars, new_vars):
+            calls["align"] += 1
+            return real(terms, old_vars, new_vars)
+
+        monkeypatch.setattr(poly_module, "_align_terms", counted)
+        p = parse_poly(text)
+        assert calls["align"] == 0
+        monkeypatch.setattr(poly_module, "_align_terms", real)
+        names = {v: V(v) for v in ("G1", "t", "w", "x", "y", "z")}
+        assert p == eval(text.replace("^", "**"), names)
 
     def test_numbers_too_long_to_convert_are_input_errors(self):
         for text in ("x^" + "9" * 5000, "9" * 5000 + "*x", "1/" + "7" * 5000):
