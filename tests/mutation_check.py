@@ -1,6 +1,7 @@
 """Mutation check: each hand-written fault in the kernel, the matrix module,
-Berkowitz's characteristic polynomial, the cyclotomic scalars or the
-polynomial parser must make the fast test suite fail.
+Berkowitz's characteristic polynomial, the cyclotomic scalars, the
+polynomial parser or the grade-cycle power identity of ``roby.py`` must make
+the fast test suite fail.
 
 Usage, from the root of a checkout:
 
@@ -148,6 +149,25 @@ MUTANTS = (
         "poly.py",
         "t for t in set(tokens) if",
         "t for t in set(tokens[: len(tokens) // 2]) if",
+    ),
+    (
+        "the grade cycle decides a zero target",
+        "roby.py",
+        "    if not c:\n        return False\n",
+        "",
+    ),
+    (
+        "the grade cycle decides unequal grade classes",
+        "roby.py",
+        "    if len({len(v) for v in classes}) != 1:\n        return False\n",
+        "",
+    ),
+    (
+        "the grade cycle decides an ungraded matrix",
+        "roby.py",
+        "    if any(grading[r] != (grading[col] + 1) % d for r, col, _ in m.nonzeros()):\n"
+        "        return False\n",
+        "",
     ),
 )
 

@@ -384,6 +384,9 @@ MF_T_IN_TSLOT = render_roby_module(mf_seed("x", "y")).replace(
     "[tslot]\nrow = 0, 0, 1, 0", "[tslot]\nrow = 0, 0, t - x + 1 + x, 0"
 )
 
+# a 1 x 1 module whose power identity writes the exponent `degree`
+ROBY_1X1 = "[roby]\ndegree = {degree}\ngrading = {grading}\ntarget = a\n\n[action a]\nrow = x + y\n"
+
 HUGE = "9" * 2501
 BAD_INPUTS = [
     # (file text or None, argv with FILE for its path, a piece of the message)
@@ -409,6 +412,11 @@ BAD_INPUTS = [
     (TVAR_IN_TSLOT, ["roby", "verify", "FILE"], "target variable 'x' of action T"),
     (MF_T_IN_TSLOT, ["roby", "verify", "FILE"], "target variable 't' of action T"),
     (MF_T_IN_TSLOT, ["charmor", "FILE"], "target variable 't' of action T"),
+    # the degree cap admits 1000, so this file is refused by the next check
+    (ROBY_1X1.format(degree=1000, grading="0, 0"), ["roby", "verify", "FILE"],
+     "grading length must equal the module dimension"),
+    (ROBY_1X1.format(degree=1001, grading="0"), ["roby", "verify", "FILE"],
+     "Roby degree 1001 exceeds the cap of 1000"),
     (None, ["cohom", "--table", "100000000"], "twist family s = 100000000 exceeds the cap of 1000"),
     (None, ["cohom", "--ulrich-scan", "100000000"], "scan bound 100000000 exceeds the cap of 1000"),
     (None, ["cohom", "--ulrich-scan", "-3"], "the scan bound must be a non-negative integer"),
@@ -438,7 +446,8 @@ BAD_INPUTS = [
          "beta zero denominator", "long zeta order", "split rank", "monogenic rank",
          "split module rank", "cyclic cover rank", "cyclic cover rank before the power",
          "beta step cap", "beta too long to print", "tvar in the T-slot",
-         "t in an mf T-slot", "t in an mf T-slot charmor", "h1 table cap", "ulrich scan cap",
+         "t in an mf T-slot", "t in an mf T-slot charmor", "roby degree at the cap",
+         "roby degree cap", "h1 table cap", "ulrich scan cap",
          "negative ulrich scan", "twist range cap", "far twist range", "huge bidegree",
          "huge bidegree json", "huge bidegree csv", "huge twists", "huge monad",
          "huge monad json", "huge ec", "huge ec json"],

@@ -15,7 +15,7 @@ from robyclif.freealg import (
 )
 from robyclif.matrix import PolyMatrix
 from robyclif.pipeline import deviation_monomials
-from robyclif.poly import HomForm, Poly, parse_poly
+from robyclif.poly import MAX_EXPONENT, HomForm, Poly, parse_poly
 from robyclif.report import Report
 from robyclif.roby import (
     _graded_check,
@@ -178,6 +178,18 @@ class TestSplitModule:
     def test_small_rank_rejected(self):
         with pytest.raises(InputError, match=">= 2"):
             split_roby(1)
+
+
+class TestDegreeCap:
+    def module(self, degree):
+        return GradedRobyModule(degree, (0,), ("a",), [[["x + y"]]], parse_poly("a"))
+
+    def test_the_cap_is_admitted(self):
+        assert self.module(MAX_EXPONENT).degree == MAX_EXPONENT
+
+    def test_past_the_cap_is_refused(self):
+        with pytest.raises(InputError, match="Roby degree 1001 exceeds the cap of 1000"):
+            self.module(MAX_EXPONENT + 1)
 
 
 class TestZeroModule:
