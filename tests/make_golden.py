@@ -66,7 +66,8 @@ def run(argv) -> str:
     return mask(f"[exit {code}]\n[stdout]\n{out.getvalue()}[stderr]\n{err.getvalue()}")
 
 
-def _replaced(module: GradedRobyModule, **changes) -> GradedRobyModule:
+def replaced(module: GradedRobyModule, **changes) -> GradedRobyModule:
+    """The module with some of its constructor arguments changed."""
     fields = dict(
         degree=module.degree,
         grading=module.grading,
@@ -78,16 +79,24 @@ def _replaced(module: GradedRobyModule, **changes) -> GradedRobyModule:
         tvar=module.tvar,
         source_algebra=module.source_algebra,
     )
-    fields.update(changes)
-    degree, grading, names, actions, target = (
-        fields.pop(k) for k in ("degree", "grading", "action_names", "actions", "target_poly")
-    )
-    return GradedRobyModule(degree, grading, names, actions, target, **fields)
+    return GradedRobyModule(**{**fields, **changes})
 
 
-def _unit(n: int, i: int, j: int, value=1) -> PolyMatrix:
+def unit(n: int, i: int, j: int, value=1) -> PolyMatrix:
+    """The n x n matrix with value at (i, j) and zeros elsewhere."""
     return PolyMatrix.from_rows([[value if (r, c) == (i, j) else 0 for c in range(n)]
                                  for r in range(n)])
+
+
+def tampered_in_block(module: GradedRobyModule, g: int) -> GradedRobyModule:
+    """x added to the first action at an entry from grade g to grade g+1.
+
+    The module stays graded, and its power identity fails.
+    """
+    grading, d, n = module.grading, module.degree, module.dim
+    r, c = next((r, c) for c in range(n) for r in range(n)
+                if grading[c] == g and grading[r] == (g + 1) % d)
+    return replaced(module, actions=[module.actions[0] + unit(n, r, c, "x"), *module.actions[1:]])
 
 
 def failing_modules(built: dict) -> dict:
@@ -97,20 +106,12 @@ def failing_modules(built: dict) -> dict:
     untwisted = twisted_tensor(m1, m2, 1, require_primitive=False)
     split = parse_roby_module(built["split3"])
     # the split module with its grading reversed: T and the e_i break it
-    misgraded = _replaced(split, grading=tuple(reversed(split.grading)))
+    misgraded = replaced(split, grading=tuple(reversed(split.grading)))
     # T scaled by 2 in one entry, so T^3 = 2I
     t = split.tslot
     r, c = next((r, c) for r in range(t.nrows) for c in range(t.ncols) if t.entry(r, c))
-    nonmonic = _replaced(split, tslot=t + _unit(t.nrows, r, c))
-    # one entry added to the first action inside a grade block (from grade 0
-    # to grade 1), so the module stays graded and the power identity fails
-    cyclic = parse_roby_module(built["cyclic_z3_x_y"])
-    g = cyclic.grading
-    r, c = next((r, c) for c in range(cyclic.dim) for r in range(cyclic.dim)
-                if g[c] == 0 and g[r] == 1)
-    tampered = _replaced(
-        cyclic, actions=[cyclic.actions[0] + _unit(cyclic.dim, r, c, "x")] + cyclic.actions[1:]
-    )
+    nonmonic = replaced(split, tslot=t + unit(t.nrows, r, c))
+    tampered = tampered_in_block(parse_roby_module(built["cyclic_z3_x_y"]), 0)
     return {
         name: render_roby_module(m)
         for name, m in (

@@ -27,7 +27,7 @@ from robyclif.roby import (
 )
 from robyclif.specfile import parse_roby_module
 
-from make_golden import GOLDEN
+from make_golden import GOLDEN, tampered_in_block
 from test_point_oracle import diagonal_form, roby_point_verdict
 
 
@@ -35,29 +35,10 @@ def golden_module(stem):
     return parse_roby_module((GOLDEN / f"{stem}.roby").read_text(encoding="utf-8"))
 
 
-def unit(n, i, j, value=1):
-    return PolyMatrix.from_rows([[value if (r, c) == (i, j) else 0 for c in range(n)]
-                                 for r in range(n)])
-
-
 def form_module(degree, grading, actions, target):
     names = [f"x{k + 1}" for k in range(len(actions))]
     return GradedRobyModule(
         degree, grading, names, [PolyMatrix.from_rows(a) for a in actions], parse_poly(target)
-    )
-
-
-def tampered_in_block(g):
-    """The z^3 - x - y cover with one entry added from grade g to grade g+1."""
-    module = golden_module("cyclic_z3_x_y")
-    grading, d, n = module.grading, module.degree, module.dim
-    r, c = next((r, c) for c in range(n) for r in range(n)
-                if grading[c] == g and grading[r] == (g + 1) % d)
-    actions = list(module.actions)
-    actions[0] = actions[0] + unit(n, r, c, "x")
-    return GradedRobyModule(
-        d, grading, module.action_names, actions, module.target_poly,
-        target_vars=module.target_vars, tslot=module.tslot, tvar=module.tvar,
     )
 
 
@@ -79,9 +60,7 @@ def zero_target():
 def ungraded():
     # x2 acts by E11, from grade 0 to grade 0; the blocks of the generic
     # element hold only x1's entries, so P_0 = s1^2 = c
-    return form_module(
-        2, (0, 1), [[[0, 1], [1, 0]], [[1, 0], [0, 0]]], "x1^2"
-    )
+    return form_module(2, (0, 1), [[[0, 1], [1, 0]], [[1, 0], [0, 0]]], "x1^2")
 
 
 PASSING = ("split3", "mf_x_y", "cyclic_z3_x_y", "cyclic_z4_xy", "misgraded_split3")
@@ -92,8 +71,9 @@ FIXTURES = {
     **{stem: (lambda stem=stem: golden_module(stem), stem in PASSING)
        for stem in PASSING + FAILING},
     "xi = 1 control, y1^2 + y2^2": (lambda: diagonal_form(2, 1, require_primitive=False), False),
-    **{f"tampered in grade block {g}": (lambda g=g: tampered_in_block(g), False)
-       for g in range(3)},
+    **{f"tampered in grade block {g}": (
+        lambda g=g: tampered_in_block(golden_module("cyclic_z3_x_y"), g), False
+    ) for g in range(3)},
     "unequal grade classes": (unequal_classes, False),
     "zero target": (zero_target, False),
     "ungraded action": (ungraded, False),
