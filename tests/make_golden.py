@@ -123,15 +123,11 @@ def failing_modules(built: dict) -> dict:
     }
 
 
-def build_outputs() -> dict:
-    """(stem, exit code and stdout of `roby build`) for each built module."""
-    return {stem: run(["roby", "build", *args]) for stem, args in BUILT.items()}
-
-
 def module_files() -> dict:
     """file name -> text of every module file in the corpus."""
     built = {}
-    for stem, transcript in build_outputs().items():
+    for stem, args in BUILT.items():
+        transcript = run(["roby", "build", *args])
         head, _, rest = transcript.partition("[stdout]\n")
         text, _, err = rest.partition("[stderr]\n")
         if head != "[exit 0]\n" or err:
