@@ -385,7 +385,9 @@ MF_T_IN_TSLOT = render_roby_module(mf_seed("x", "y")).replace(
 )
 
 # a 1 x 1 module whose power identity writes the exponent `degree`
-ROBY_1X1 = "[roby]\ndegree = {degree}\ngrading = {grading}\ntarget = a\n\n[action a]\nrow = x + y\n"
+ROBY_1X1 = (
+    "[roby]\ndegree = {degree}\ngrading = {grading}\ntarget = a\n\n[action a]\nrow = x + y\n"
+)
 
 HUGE = "9" * 2501
 BAD_INPUTS = [
