@@ -522,9 +522,8 @@ def char_morphism(module: GradedRobyModule) -> CharMorphism:
     """Extract C(gamma_i) = -action(gamma_i) * action(T)^(d-1).
 
     T^(d-1) is T^(-1) because T^d = I for a monic target; that identity is
-    checked here rather than trusted (on one grade cycle when the lemma of
-    the module docstring applies, else as T * T^(d-1) = I), and a module
-    whose T-slot is not cyclic (a single-monomial module, say) is rejected.
+    checked here rather than trusted, and a module whose T-slot is not cyclic
+    (a single-monomial module, say) is rejected.
     """
     if not module.has_tslot:
         raise InputError("characteristic morphisms need a T-slot target")
@@ -532,9 +531,7 @@ def char_morphism(module: GradedRobyModule) -> CharMorphism:
         raise InputError("attach the source algebra before extracting the morphism")
     d = module.degree
     t_inv = module.tslot.pow(d - 1)
-    if not _cycle_is_scalar(module.tslot, module.grading, d, 1) and (
-        module.tslot * t_inv != PolyMatrix.identity(module.dim)
-    ):
+    if module.tslot * t_inv != PolyMatrix.identity(module.dim):
         report = Report(title="characteristic morphism extraction")
         report.add("tslot_invertible", False, detail="action(T)^d is not the identity")
         raise VerificationError("action(T)^d != I; target cannot be monic", report=report)
@@ -588,13 +585,12 @@ def verify_roby(module: GradedRobyModule) -> Report:
     """Gradedness plus the power identity on a generic element, both exact.
 
     The power identity G^d = c*I is decided on one grade cycle when the
-    lemma of the module docstring applies and P_0 = c*I; the cycle's scan
-    of G then also proves every action graded.  Otherwise (c = 0, unequal
-    grade classes, an ungraded entry, or P_0 != c*I) each action is scanned
-    for the grading, G^d is formed in full, and a failure names the first
-    offending action entry or the first nonzero entry of G^d - c*I.
+    lemma of the module docstring applies and P_0 = c*I.  Otherwise (c = 0,
+    unequal grade classes, an ungraded entry, or P_0 != c*I) G^d is formed
+    in full, and a failure names the first nonzero entry of G^d - c*I.
     """
     report = Report(title=f"roby module: degree {module.degree}, dim {module.dim}")
+    _graded_check(report, module)
     avoid = module.all_vars()
     named = module.named_actions
     coeffs = fresh_names("s", len(module.actions), avoid)
@@ -603,12 +599,8 @@ def verify_roby(module: GradedRobyModule) -> Report:
     generic = module.generic_matrix(coeffs)
     value = module.target_poly.substitute(bindings)
     if _cycle_is_scalar(generic, module.grading, module.degree, value):
-        # each coefficient is a fresh variable, so no two actions cancel and
-        # the nonzeros of G are those of all the actions together
-        report.add("graded", True)
         report.add("power_identity", True)
     else:
-        _graded_check(report, module)
         power = generic.pow(module.degree)
         check_vanishes(report, "power_identity", power.plus_scalar(-value))
     report.meta["dim"] = module.dim

@@ -16,8 +16,8 @@ The corpus holds module files and transcripts:
   ``robyclif roby verify`` or ``robyclif charmor`` on that file, plain and
   with ``--json``, as its exit code, standard output and standard error.
 
-One masking rule, and no other: every ``timing_ms`` value, the only field
-that differs between identical runs, is replaced by ``<ms>`` (``mask``).
+Nothing is masked: these commands print no ``timing_ms`` (only the pipeline
+report carries one), so each transcript is compared exactly as printed.
 The commands run in-process through ``robyclif.cli.main``, from inside
 tests/golden/ with the bare file name, so no path reaches an output.
 """
@@ -53,17 +53,12 @@ BUILT = {
 COMMANDS = {"verify": ["roby", "verify"], "charmor": ["charmor"]}
 
 
-def mask(text: str) -> str:
-    """The one masking rule: each timing_ms value becomes <ms>."""
-    return re.sub(r'(timing_ms"?: )\d+', r"\1<ms>", text)
-
-
 def run(argv) -> str:
     """The transcript of one in-process CLI run: exit code, stdout, stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return mask(f"[exit {code}]\n[stdout]\n{out.getvalue()}[stderr]\n{err.getvalue()}")
+    return f"[exit {code}]\n[stdout]\n{out.getvalue()}[stderr]\n{err.getvalue()}"
 
 
 def replaced(module: GradedRobyModule, **changes) -> GradedRobyModule:

@@ -1,10 +1,10 @@
 """Byte-for-byte comparison with the golden corpus in tests/golden/.
 
 The module files and CLI transcripts there are written by
-``tests/make_golden.py`` only; see its docstring for what each file holds
-and for the one masking rule (``timing_ms``).  A difference here means an
-output changed: either the change is a fault, or it is meant, and then the
-files are regenerated with that script and the change is recorded.
+``tests/make_golden.py`` only; see its docstring for what each file holds.
+Nothing is masked, as these commands print no timing.  A difference here
+means an output changed: either the change is a fault, or it is meant, and
+then the files are regenerated with that script and the change is recorded.
 """
 
 from functools import cache

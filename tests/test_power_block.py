@@ -1,14 +1,13 @@
 """The power identity on one grade cycle against the full d-th power.
 
-``verify_roby`` and ``char_morphism`` decide G^d = c*I on the cycle product
-P_0 = G_{d-1} ... G_0 of the grade blocks when c != 0, G is graded and the
-grade classes have one size (the lemma in ``roby.py``), and form G^d in full
-otherwise.  Here every fixture is decided three ways -- the full power,
-``verify_roby`` and the random-point evaluator of ``test_point_oracle`` --
-and the verdicts must agree, as must ``verify_roby``'s gradedness row and
-the per-action scan of ``_graded_check``.  The guard fixtures have
-P_0 = c*I while G^d != c*I, so dropping any one guard of
-``_cycle_is_scalar`` makes ``verify_roby`` pass a false identity here.
+``verify_roby`` decides G^d = c*I on the cycle product P_0 = G_{d-1} ... G_0
+of the grade blocks when c != 0, G is graded and the grade classes have one
+size (the lemma in ``roby.py``), and forms G^d in full otherwise.  Here every
+fixture is decided three ways -- the full power, ``verify_roby`` and the
+random-point evaluator of ``test_point_oracle`` -- and the verdicts must
+agree.  The guard fixtures have P_0 = c*I while G^d != c*I, so dropping any
+one guard of ``_cycle_is_scalar`` makes ``verify_roby`` pass a false
+identity here.
 """
 
 import random
@@ -19,11 +18,9 @@ import pytest
 from robyclif.errors import VerificationError
 from robyclif.matrix import PolyMatrix
 from robyclif.poly import Poly, parse_poly
-from robyclif.report import Report
 from robyclif.roby import (
     GradedRobyModule,
     _cycle_is_scalar,
-    _graded_check,
     char_morphism,
     fresh_names,
     verify_roby,
@@ -109,12 +106,7 @@ def test_block_path_full_power_and_point_oracle_agree(name):
     module, generic, value = generic_and_value(name)
     full = generic.pow(module.degree).plus_scalar(-value).is_zero()
     assert full == FIXTURES[name][1]
-    report = verify_roby(module)
-    assert report.get("power_identity").ok == full
-    # a decided cycle stands in for the per-action grading scan
-    graded = Report(title="graded")
-    _graded_check(graded, module)
-    assert report.get("graded") == graded.get("graded")
+    assert verify_roby(module).get("power_identity").ok == full
     assert roby_point_verdict(module, random.Random(sum(map(ord, name)))) == full
     # the block path only ever proves an identity that holds
     assert not _cycle_is_scalar(generic, module.grading, module.degree, value) or full
