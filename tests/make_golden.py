@@ -15,11 +15,18 @@ The corpus holds module files and transcripts:
 - ``<stem>.<command>.txt`` and ``<stem>.<command>.json``: one run of
   ``robyclif roby verify`` or ``robyclif charmor`` on that file, plain and
   with ``--json``, as its exit code, standard output and standard error.
+- the transcripts named in ``DEMO_RUNS``: ``robyclif pipeline`` on both demo
+  pipelines (text and ``--json``) and ``robyclif charpoly`` on the demo
+  quadric algebra (plain, ``--json`` and ``--restrict``), on the files in
+  demo/.
 
-Nothing is masked: these commands print no ``timing_ms`` (only the pipeline
-report carries one), so each transcript is compared exactly as printed.
-The commands run in-process through ``robyclif.cli.main``, from inside
-tests/golden/ with the bare file name, so no path reaches an output.
+One rule masks a transcript, and nothing else does: the integer after
+``timing_ms: `` (text) or ``"timing_ms": `` (JSON) becomes ``<ms>``.  It is
+the pipeline report's wall-clock time, the only field that differs between
+identical runs.  Every other byte is compared exactly as printed.  The
+commands run in-process through ``robyclif.cli.main``, from inside the
+directory that holds their input, with the bare file name, so no path
+reaches an output.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
+DEMO = HERE.parent / "demo"
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from robyclif.cli import main  # noqa: E402
@@ -52,13 +60,31 @@ BUILT = {
 
 COMMANDS = {"verify": ["roby", "verify"], "charmor": ["charmor"]}
 
+# transcript name -> arguments of one run from inside demo/
+DEMO_RUNS = {
+    "quadric.pipeline.txt": ["pipeline", "quadric.pipeline"],
+    "quadric.pipeline.json": ["pipeline", "quadric.pipeline", "--json"],
+    "perturbed_split.pipeline.txt": ["pipeline", "perturbed_split.pipeline"],
+    "perturbed_split.pipeline.json": ["pipeline", "perturbed_split.pipeline", "--json"],
+    "quadric.charpoly.txt": ["charpoly", "quadric.algebra"],
+    "quadric.charpoly.json": ["charpoly", "quadric.algebra", "--json"],
+    "quadric.charpoly_restrict.txt": ["charpoly", "quadric.algebra", "--restrict", "z2 -> 0"],
+}
+
+# the one masking rule: the pipeline report's wall-clock time
+TIMING = re.compile(r'("?timing_ms"?: )\d+')
+
+
+def mask(text: str) -> str:
+    return TIMING.sub(r"\1<ms>", text)
+
 
 def run(argv) -> str:
-    """The transcript of one in-process CLI run: exit code, stdout, stderr."""
+    """The masked transcript of one in-process CLI run: exit code, stdout, stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return f"[exit {code}]\n[stdout]\n{out.getvalue()}[stderr]\n{err.getvalue()}"
+    return mask(f"[exit {code}]\n[stdout]\n{out.getvalue()}[stderr]\n{err.getvalue()}")
 
 
 def replaced(module: GradedRobyModule, **changes) -> GradedRobyModule:
@@ -154,6 +180,11 @@ def main_write() -> int:
     os.chdir(GOLDEN)
     try:
         outputs = transcripts(name[: -len(".roby")] for name in files)
+    finally:
+        os.chdir(cwd)
+    os.chdir(DEMO)
+    try:
+        outputs.update((name, run(argv)) for name, argv in DEMO_RUNS.items())
     finally:
         os.chdir(cwd)
     for name, text in outputs.items():

@@ -1,8 +1,8 @@
 """Byte-for-byte comparison with the golden corpus in tests/golden/.
 
 The module files and CLI transcripts there are written by
-``tests/make_golden.py`` only; see its docstring for what each file holds.
-Nothing is masked, as these commands print no timing.  A difference here
+``tests/make_golden.py`` only; see its docstring for what each file holds
+and for its one masking rule, ``timing_ms``.  A difference here
 means an output changed: either the change is a fault, or it is meant, and
 then the files are regenerated with that script and the change is recorded.
 """
@@ -11,7 +11,7 @@ from functools import cache
 
 import pytest
 
-from make_golden import BUILT, COMMANDS, GOLDEN, module_files, run
+from make_golden import BUILT, COMMANDS, DEMO, DEMO_RUNS, GOLDEN, module_files, run
 
 module_files = cache(module_files)
 
@@ -29,7 +29,7 @@ def golden(name: str) -> bytes:
 
 
 def test_the_corpus_holds_exactly_the_written_files():
-    want = set(module_files()) | {f"{s}.{c}.{f}" for s, c, f in RUNS}
+    want = set(module_files()) | {f"{s}.{c}.{f}" for s, c, f in RUNS} | set(DEMO_RUNS)
     assert {path.name for path in GOLDEN.iterdir()} == want
     assert set(BUILT) <= set(STEMS)
 
@@ -44,3 +44,16 @@ def test_transcript_is_unchanged(monkeypatch, stem, command, fmt):
     monkeypatch.chdir(GOLDEN)
     argv = [*COMMANDS[command], f"{stem}.roby"] + (["--json"] if fmt == "json" else [])
     assert run(argv).encode("utf-8") == golden(f"{stem}.{command}.{fmt}")
+
+
+@pytest.mark.parametrize("name", list(DEMO_RUNS))
+def test_demo_transcript_is_unchanged(monkeypatch, name):
+    monkeypatch.chdir(DEMO)
+    assert run(DEMO_RUNS[name]).encode("utf-8") == golden(name)
+
+
+def test_only_the_pipeline_timing_is_masked():
+    masked = {path.name for path in GOLDEN.iterdir() if b"<ms>" in path.read_bytes()}
+    assert masked == {name for name in DEMO_RUNS if ".pipeline." in name}
+    for name in masked:
+        assert golden(name).count(b"<ms>") == 1
