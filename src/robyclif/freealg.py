@@ -8,6 +8,19 @@ ordered pair of basis elements) of the algebra's own regular representation.
 The characteristic polynomial of the generic element is computed from the
 regular representation by the Berkowitz algorithm, which is division-free, so
 it works verbatim over the polynomial ring.
+
+Cayley-Hamilton on the unit column.  Let C send gamma_i to the matrix M_i
+and pass the action laws: C(1) = I and C(gamma_i) C(gamma_j) =
+C(gamma_i gamma_j) for every ordered pair.  Lemma: then C(x w) = C(x) C(w)
+for all x and w, by bilinearity; no commutativity or associativity of the
+table is used.  Left multiplication by a = sum a_i gamma_i is rho(a) = sum
+a_i * left_mult[i], so w_0 = 1 and w_(k+1) = rho(a) w_k give C(w_k) =
+C(a)^k, and chi(C(a)) = C(chi(rho(a)) 1) for any a_i and any coefficients
+of chi.  Hence chi(C(a)) = 0 exactly once the rank x 1 column chi(rho(a)) 1
+is zero.  ``cayley_hamilton_by_laws`` decides it so, with ``rank`` products
+of rho(a) by a column; this is a proof, not a sample.  When the laws fail or
+the column is nonzero, the caller evaluates chi(C(a)) in full, so a failing
+report names its first offending entry.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ __all__ = [
     "char_poly_of_matrix",
     "restrict_char_poly",
     "cayley_hamilton_check",
+    "cayley_hamilton_by_laws",
     "MAX_RANK",
 ]
 
@@ -326,14 +340,16 @@ class CharPoly:
                 raise InputError("binding values may not involve dual variables or t")
         return CharPoly(self.rank, self.poly.substitute(bindings), self.tvar, self.dual_names)
 
-    def evaluate_matrix(self, m: PolyMatrix, gamma_values) -> PolyMatrix:
-        """chi with t -> m and Gamma_i -> gamma_values[i], by Horner."""
+    def bound_coefficients(self, gamma_values) -> dict:
+        """Map t-exponent -> coefficient with Gamma_i -> gamma_values[i]."""
         if len(gamma_values) != self.rank:
             raise InputError("need one value per dual variable")
         bindings = dict(zip(self.dual_names, gamma_values))
-        coeffs = {
-            j: c.substitute(bindings) for j, c in self.coefficients().items()
-        }
+        return {j: c.substitute(bindings) for j, c in self.coefficients().items()}
+
+    def evaluate_matrix(self, m: PolyMatrix, gamma_values) -> PolyMatrix:
+        """chi with t -> m and Gamma_i -> gamma_values[i], by Horner."""
+        coeffs = self.bound_coefficients(gamma_values)
         n = m.nrows
         if not self.rank:
             return PolyMatrix.identity(n)
@@ -500,6 +516,29 @@ def restrict_char_poly(chi: CharPoly, bindings) -> CharPoly:
     return chi.substitute_base(bindings)
 
 
+def cayley_hamilton_by_laws(algebra: FreeAlgebra, laws, chi: CharPoly, gamma_values) -> bool:
+    """True only when chi(C(a)) = 0 follows from the unit column.
+
+    laws is ``algebra.action_laws(matrices)`` for C(gamma_i) = matrices[i],
+    and a = sum gamma_values[i] * gamma_i.  By the lemma of the module
+    docstring, (True, None) and a zero column chi(rho(a)) 1, found by Horner
+    from the unit's coordinates, prove chi(C(a)) = 0.  False means only that
+    the lemma does not decide; the caller then evaluates chi(C(a)) in full.
+    """
+    if laws != (True, None):
+        return False
+    coeffs = chi.bound_coefficients(gamma_values)
+    rho = algebra.element_rep(gamma_values)
+    unit = PolyMatrix.from_rows([[c] for c in algebra.unit])
+    acc = unit  # the leading coefficient is 1
+    for j in range(chi.rank - 1, -1, -1):
+        acc = rho * acc
+        cj = coeffs.get(j)
+        if cj is not None and cj:
+            acc = acc + unit.scaled(cj)
+    return acc.is_zero()
+
+
 def cayley_hamilton_check(algebra: FreeAlgebra, chi: CharPoly | None = None) -> Report:
     """chi(rho(generic), Gamma) == 0 as a matrix of polynomial identities.
 
@@ -507,14 +546,24 @@ def cayley_hamilton_check(algebra: FreeAlgebra, chi: CharPoly | None = None) -> 
     elsewhere turns this into a consistency check between the two: feeding it
     the characteristic polynomial of a different (or corrupted) multiplication
     table makes the identity fail.
+
+    The regular representation is an action exactly when the table is unital
+    and associative, which ``validate=False`` algebras need not be, so its
+    laws are checked here.  When they hold, the identity is decided on the
+    unit column (``cayley_hamilton_by_laws``); otherwise, and whenever that
+    column is nonzero, chi(rho) is formed in full and a failure names its
+    first nonzero entry.
     """
     report = Report(title=f"cayley-hamilton: rank {algebra.rank}")
     if chi is None:
         chi = char_poly(algebra)
     elif chi.rank != algebra.rank or chi.dual_names != algebra.dual_names:
         raise InputError("characteristic polynomial does not match the algebra's shape")
-    rho = algebra.regular_representation()
-    value = chi.evaluate_matrix(rho, [Poly.variable(g) for g in algebra.dual_names])
-    check_vanishes(report, "cayley_hamilton", value)
+    duals = [Poly.variable(g) for g in algebra.dual_names]
+    if cayley_hamilton_by_laws(algebra, algebra.action_laws(algebra.left_mult), chi, duals):
+        report.add("cayley_hamilton", True)
+    else:
+        value = chi.evaluate_matrix(algebra.regular_representation(), duals)
+        check_vanishes(report, "cayley_hamilton", value)
     report.meta["rank"] = algebra.rank
     return report

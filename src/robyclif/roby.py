@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, VerificationError
-from .freealg import CharPoly, FreeAlgebra, char_poly, split_algebra
+from .freealg import CharPoly, FreeAlgebra, cayley_hamilton_by_laws, char_poly, split_algebra
 from .matrix import PolyMatrix, check_vanishes
 from .poly import MAX_EXPONENT, HomForm, Poly, as_poly
 from .report import Report
@@ -615,7 +615,12 @@ def verify_char_morphism(cm: CharMorphism, chi: CharPoly | None = None) -> Repor
 
     Only the Cayley-Hamilton identity is required: a characteristic morphism
     need not be an algebra morphism, so the unit and multiplicativity rows
-    are informational.
+    are informational.  They can still decide the required row: when both
+    hold, C is an action, and chi(C(a)) = C(chi(rho(a)) 1) by the lemma of
+    ``freealg``, so a zero unit column chi(rho(a)) 1 of the source algebra
+    proves Cayley-Hamilton (``cayley_hamilton_by_laws``).  Otherwise, and
+    whenever that column is nonzero, chi(C(a)) is formed in full and a
+    failure names its first nonzero entry.
     """
     if chi is None:
         chi = cm.charpoly
@@ -625,10 +630,14 @@ def verify_char_morphism(cm: CharMorphism, chi: CharPoly | None = None) -> Repor
     algebra = cm.source
     avoid = cm.all_vars()
     coeffs = fresh_names("a", chi.rank, avoid)
-    generic = cm.generic_matrix(coeffs)
-    value = chi.evaluate_matrix(generic, [Poly.variable(a) for a in coeffs])
-    check_vanishes(report, "cayley_hamilton", value)
-    unit_ok, pair = algebra.action_laws(cm.matrices)
+    values = [Poly.variable(a) for a in coeffs]
+    laws = algebra.action_laws(cm.matrices)
+    if cayley_hamilton_by_laws(algebra, laws, chi, values):
+        report.add("cayley_hamilton", True)
+    else:
+        value = chi.evaluate_matrix(cm.generic_matrix(coeffs), values)
+        check_vanishes(report, "cayley_hamilton", value)
+    unit_ok, pair = laws
     report.add("unit", unit_ok, required=False)
     detail = _product_detail(algebra, pair)
     report.add("multiplicativity", pair is None, required=False, detail=detail)

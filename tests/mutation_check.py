@@ -1,5 +1,6 @@
 """Mutation check: each hand-written fault in the kernel, the matrix module,
-Berkowitz's characteristic polynomial, the cyclotomic scalars, the
+Berkowitz's characteristic polynomial, the Cayley-Hamilton check on the unit
+column (``freealg.cayley_hamilton_by_laws``), the cyclotomic scalars, the
 polynomial parser or the grade-cycle power identity of ``roby.py`` must make
 the fast test suite fail.
 
@@ -105,6 +106,25 @@ MUTANTS = (
         "freealg.py",
         "column = [one, -m.submatrix([k], [k])]",
         "column = [one, m.submatrix([k], [k])]",
+    ),
+    (
+        "Cayley-Hamilton decided on the unit column without the laws",
+        "freealg.py",
+        "    if laws != (True, None):\n        return False\n",
+        "",
+    ),
+    (
+        "the unit column replaced by the first basis vector",
+        "freealg.py",
+        "unit = PolyMatrix.from_rows([[c] for c in algebra.unit])",
+        "unit = PolyMatrix.from_rows([[c] for c in algebra._basis_coords(0)])",
+    ),
+    (
+        "Horner's constant term skipped on the unit column",
+        "freealg.py",
+        "        cj = coeffs.get(j)\n        if cj is not None and cj:\n            acc = acc + unit",
+        "        cj = coeffs.get(j) if j else None\n        if cj is not None and cj:\n"
+        "            acc = acc + unit",
     ),
     (
         "the last fold row of a cyclotomic product skipped",
