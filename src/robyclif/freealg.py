@@ -534,7 +534,7 @@ def cayley_hamilton_by_laws(algebra: FreeAlgebra, laws, chi: CharPoly, gamma_val
     for j in range(chi.rank - 1, -1, -1):
         acc = rho * acc
         cj = coeffs.get(j)
-        if cj is not None and cj:
+        if cj:
             acc = acc + unit.scaled(cj)
     return acc.is_zero()
 

@@ -122,9 +122,8 @@ MUTANTS = (
     (
         "Horner's constant term skipped on the unit column",
         "freealg.py",
-        "        cj = coeffs.get(j)\n        if cj is not None and cj:\n            acc = acc + unit",
-        "        cj = coeffs.get(j) if j else None\n        if cj is not None and cj:\n"
-        "            acc = acc + unit",
+        "        cj = coeffs.get(j)\n        if cj:\n            acc = acc + unit",
+        "        cj = coeffs.get(j) if j else None\n        if cj:\n            acc = acc + unit",
     ),
     (
         "the last fold row of a cyclotomic product skipped",

@@ -11,6 +11,7 @@ failing.  A spy on ``PolyMatrix.__mul__`` checks that a passing check forms
 no matrix of the full size outside the laws.
 """
 
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -92,9 +93,11 @@ GOLDEN_MORPHISMS = sorted(
 # name -> factory of the morphism handed to verify_char_morphism
 MORPHISMS = {
     "cubic, laws and identity failing": wrong_cubic_morphism,
-    "perturbed_split.pipeline": lambda: run_pipeline(demo_spec("perturbed_split.pipeline")).morphism,
+    "perturbed_split.pipeline": (
+        lambda: run_pipeline(demo_spec("perturbed_split.pipeline")).morphism
+    ),
     "non-commuting E23/E12 pair": noncommuting_counterexample,
-    **{name: (lambda name=name: golden_morphism(name)) for name in GOLDEN_MORPHISMS},
+    **{name: partial(golden_morphism, name) for name in GOLDEN_MORPHISMS},
 }
 
 # name -> (the laws hold, Cayley-Hamilton holds)
