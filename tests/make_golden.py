@@ -19,6 +19,19 @@ The corpus holds module files and transcripts:
   pipelines (text and ``--json``) and ``robyclif charpoly`` on the demo
   quadric algebra (plain, ``--json`` and ``--restrict``), on the files in
   demo/.
+- ``multi_branch_<n>.report.txt`` and ``.report.json``, the report of
+  ``run_pipeline`` on the multi-branch quadric cover with n = 1..5 off-line
+  variables (``multi_branch_spec`` in ``test_pipeline.py``), and
+  ``multi_branch_<n>.assembly``, its assembled module rendered as a module
+  file.
+- ``noncommuting.charmor.*`` and ``noncommuting.filtered.*``: the
+  ``verify_char_morphism`` and ``verify_filtered_pseudo`` reports (trivial
+  filtration) of the non-commuting pair C(z) = E23, C(w) = E12, which fails
+  multiplicativity.
+- ``exit2_<family>.txt`` and ``.json``: one refused input per family of
+  ``InputError`` in ``EXIT2_RUNS``, named after the module that refuses it,
+  plain and with ``--json``, run on the input file ``exit2_<family>.in``
+  where the family reads one.
 
 One rule masks a transcript, and nothing else does: the integer after
 ``timing_ms: `` (text) or ``"timing_ms": `` (JSON) becomes ``<ms>``.  It is
@@ -45,9 +58,19 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 from robyclif.cli import main  # noqa: E402
 from robyclif.matrix import PolyMatrix  # noqa: E402
+from robyclif.pipeline import run_pipeline  # noqa: E402
 from robyclif.poly import HomForm, parse_poly  # noqa: E402
-from robyclif.roby import GradedRobyModule, monomial_roby, twisted_tensor  # noqa: E402
+from robyclif.roby import (  # noqa: E402
+    Filtration,
+    GradedRobyModule,
+    monomial_roby,
+    twisted_tensor,
+    verify_char_morphism,
+    verify_filtered_pseudo,
+)
 from robyclif.specfile import parse_roby_module, render_roby_module  # noqa: E402
+from test_pipeline import multi_branch_spec  # noqa: E402
+from test_point_oracle import noncommuting_counterexample  # noqa: E402
 
 # stem -> the `roby build` arguments that write the module file
 BUILT = {
@@ -69,6 +92,36 @@ DEMO_RUNS = {
     "quadric.charpoly.txt": ["charpoly", "quadric.algebra"],
     "quadric.charpoly.json": ["charpoly", "quadric.algebra", "--json"],
     "quadric.charpoly_restrict.txt": ["charpoly", "quadric.algebra", "--restrict", "z2 -> 0"],
+}
+
+# the off-line variable counts of the pinned multi-branch pipeline runs
+MULTI_BRANCH = range(1, 6)
+
+# family -> (text of the input file exit2_<family>.in, or None for no file,
+# arguments with FILE for that file's bare name): one refusal per module
+EXIT2_RUNS = {
+    "cli": (None, ["charpoly", "missing.algebra"]),
+    "specfile": ("[algebra]\nmonogenic = z^2 - x\n", ["charpoly", "FILE"]),
+    "poly_syntax": ("[algebra]\nmonogenic = z^2 - 2x\nvar = z\n", ["charpoly", "FILE"]),
+    "poly_cap": ("[algebra]\nmonogenic = z^2 - x^1001\nvar = z\n", ["charpoly", "FILE"]),
+    "scalars": ("[algebra]\nmonogenic = z^2 - zeta100000*x\nvar = z\n", ["charpoly", "FILE"]),
+    "freealg": ("[algebra]\nsplit = 200\n", ["charpoly", "FILE"]),
+    "seeds": (None, ["roby", "build", "--kind", "cyclic", "--poly", "2*z^3 - x", "--cover", "3"]),
+    "matrix": (
+        "[roby]\ndegree = 2\ngrading = 0, 1\ntarget = a\n\n[action a]\nrow = 0, 1\nrow = 0\n",
+        ["roby", "verify", "FILE"],
+    ),
+    "roby": (
+        "[roby]\ndegree = 1001\ngrading = 0\ntarget = a\n\n[action a]\nrow = x + y\n",
+        ["roby", "verify", "FILE"],
+    ),
+    "pipeline": (
+        "[pipeline]\nseed = mf(x, y)\nline = z2 -> 1\n\n"
+        "[algebra]\nmonogenic = z^2 - x*y - z2^2\nvar = z\n",
+        ["pipeline", "FILE"],
+    ),
+    "report": ('{"checks": 5}\n', ["report", "FILE"]),
+    "surfnum": (None, ["cohom", "--table", "100000000"]),
 }
 
 # the one masking rule: the pipeline report's wall-clock time
@@ -171,15 +224,50 @@ def transcripts(stems) -> dict:
     return out
 
 
+def report_files() -> dict:
+    """file name -> masked text of each pinned report and assembly outside the CLI."""
+    out = {}
+    for n in MULTI_BRANCH:
+        result = run_pipeline(multi_branch_spec(n))
+        out[f"multi_branch_{n}.report.txt"] = mask(result.report.to_text())
+        out[f"multi_branch_{n}.report.json"] = mask(result.report.to_json())
+        out[f"multi_branch_{n}.assembly"] = render_roby_module(result.assembly)
+    cm = noncommuting_counterexample()
+    for name, report in (
+        ("charmor", verify_char_morphism(cm)),
+        ("filtered", verify_filtered_pseudo(cm, Filtration.trivial(cm.dim))),
+    ):
+        out[f"noncommuting.{name}.txt"] = report.to_text()
+        out[f"noncommuting.{name}.json"] = report.to_json()
+    return out
+
+
+def exit2_inputs() -> dict:
+    """file name -> text of each input file an exit-2 run reads."""
+    return {f"exit2_{family}.in": text for family, (text, _) in EXIT2_RUNS.items() if text}
+
+
+def exit2_argv(family: str, fmt: str) -> list:
+    """The arguments of one exit-2 run, from inside the directory of its input."""
+    _, argv = EXIT2_RUNS[family]
+    argv = [f"exit2_{family}.in" if a == "FILE" else a for a in argv]
+    return argv + (["--json"] if fmt == "json" else [])
+
+
 def main_write() -> int:
     GOLDEN.mkdir(exist_ok=True)
     files = module_files()
-    for name, text in files.items():
+    for name, text in {**files, **exit2_inputs()}.items():
         (GOLDEN / name).write_bytes(text.encode("utf-8"))
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
         outputs = transcripts(name[: -len(".roby")] for name in files)
+        outputs.update(
+            (f"exit2_{family}.{fmt}", run(exit2_argv(family, fmt)))
+            for family in EXIT2_RUNS
+            for fmt in ("txt", "json")
+        )
     finally:
         os.chdir(cwd)
     os.chdir(DEMO)
@@ -187,9 +275,11 @@ def main_write() -> int:
         outputs.update((name, run(argv)) for name, argv in DEMO_RUNS.items())
     finally:
         os.chdir(cwd)
+    outputs.update(report_files())
     for name, text in outputs.items():
         (GOLDEN / name).write_bytes(text.encode("utf-8"))
-    print(f"wrote {len(files)} module files and {len(outputs)} transcripts to {GOLDEN}")
+    print(f"wrote {len(files)} module files, {len(exit2_inputs())} refused inputs and "
+          f"{len(outputs)} transcripts and reports to {GOLDEN}")
     return 0
 
 

@@ -170,6 +170,12 @@ MUTANTS = (
         "t for t in set(tokens[: len(tokens) // 2]) if",
     ),
     (
+        "the vanishing check names the last nonzero entry, not the first",
+        "matrix.py",
+        "    offender = m.first_nonzero()\n",
+        "    offender = next(((i, j, m.entry(i, j).pruned()) for i, j, _ in reversed([*m.nonzeros()])), None)\n",
+    ),
+    (
         "the grade cycle decides a zero target",
         "roby.py",
         "    if not c:\n        return False\n",

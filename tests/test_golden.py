@@ -1,6 +1,6 @@
 """Byte-for-byte comparison with the golden corpus in tests/golden/.
 
-The module files and CLI transcripts there are written by
+The module files, CLI transcripts and reports there are written by
 ``tests/make_golden.py`` only; see its docstring for what each file holds
 and for its one masking rule, ``timing_ms``.  A difference here
 means an output changed: either the change is a fault, or it is meant, and
@@ -11,9 +11,23 @@ from functools import cache
 
 import pytest
 
-from make_golden import BUILT, COMMANDS, DEMO, DEMO_RUNS, GOLDEN, module_files, run
+from make_golden import (
+    BUILT,
+    COMMANDS,
+    DEMO,
+    DEMO_RUNS,
+    EXIT2_RUNS,
+    GOLDEN,
+    MULTI_BRANCH,
+    exit2_argv,
+    exit2_inputs,
+    module_files,
+    report_files,
+    run,
+)
 
 module_files = cache(module_files)
+report_files = cache(report_files)
 
 STEMS = sorted(path.name[: -len(".roby")] for path in GOLDEN.glob("*.roby"))
 RUNS = [
@@ -28,8 +42,12 @@ def golden(name: str) -> bytes:
     return (GOLDEN / name).read_bytes()
 
 
+EXIT2 = [(family, fmt) for family in EXIT2_RUNS for fmt in ("txt", "json")]
+
+
 def test_the_corpus_holds_exactly_the_written_files():
     want = set(module_files()) | {f"{s}.{c}.{f}" for s, c, f in RUNS} | set(DEMO_RUNS)
+    want |= set(report_files()) | set(exit2_inputs()) | {f"exit2_{f}.{x}" for f, x in EXIT2}
     assert {path.name for path in GOLDEN.iterdir()} == want
     assert set(BUILT) <= set(STEMS)
 
@@ -52,8 +70,23 @@ def test_demo_transcript_is_unchanged(monkeypatch, name):
     assert run(DEMO_RUNS[name]).encode("utf-8") == golden(name)
 
 
+@pytest.mark.parametrize("name", sorted(report_files()))
+def test_report_is_unchanged(name):
+    assert report_files()[name].encode("utf-8") == golden(name)
+
+
+@pytest.mark.parametrize("family, fmt", EXIT2, ids=[".".join(r) for r in EXIT2])
+def test_refused_input_transcript_is_unchanged(monkeypatch, family, fmt):
+    monkeypatch.chdir(GOLDEN)
+    transcript = golden(f"exit2_{family}.{fmt}")
+    assert transcript.startswith(b"[exit 2]\n[stdout]\n[stderr]\nerror: ")
+    assert run(exit2_argv(family, fmt)).encode("utf-8") == transcript
+
+
 def test_only_the_pipeline_timing_is_masked():
     masked = {path.name for path in GOLDEN.iterdir() if b"<ms>" in path.read_bytes()}
-    assert masked == {name for name in DEMO_RUNS if ".pipeline." in name}
+    assert masked == {name for name in DEMO_RUNS if ".pipeline." in name} | {
+        f"multi_branch_{n}.report.{fmt}" for n in MULTI_BRANCH for fmt in ("txt", "json")
+    }
     for name in masked:
         assert golden(name).count(b"<ms>") == 1
