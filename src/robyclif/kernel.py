@@ -4,35 +4,28 @@ A term map is a dict from monomial keys to nonzero coefficients: ``int``
 when integral, ``Fraction`` when rational, ``CycScalar`` otherwise (see
 ``scalars.narrow``).  Coefficients live in a field, so a product of nonzeros
 is nonzero and only accumulation can cancel.  No function here mutates its
-inputs; ``mul_into``, ``add_into`` and ``sub_into`` mutate only their
-accumulator, and ``update_nonempty`` only the list it is given.  Sums,
-differences, negation and scaling never look inside a key, so they serve
-both key encodings.
+inputs; ``add_into`` and ``sub_into`` mutate only their accumulator, and
+``update_nonempty`` only the list it is given.
 
-Two key encodings, one per caller.
-
-- Tuple keys: one exponent per variable.  ``Poly`` stores these, and
-  ``mul_terms`` and ``mul_into`` take and return them.  Products of large
-  polynomials run on matrices, Berkowitz's included (``freealg``), so
-  these keep the plain loop.
-- Packed keys: one int with a fixed-width field per variable, the first
-  variable in the lowest field, so a monomial product is one int add.
-  ``PolyMatrix`` stores these between operations, and ``mul_packed`` and
-  ``matmul_terms`` take and return them.  Nothing here checks the fields:
-  the caller (``matrix.py``) picks a width with room for every exponent
-  sum it asks for.  ``pack``, ``unpack`` and ``repacker`` convert between
-  tuples and packed keys and between two packed layouts; only ``matrix.py``
-  and this module call them.
+One key encoding: a packed key is one int with a fixed-width field per
+variable, the first variable in the lowest field, so a monomial product is
+one int add.  ``Poly`` and ``PolyMatrix`` both store these, and
+``mul_terms`` and ``matmul_terms`` take and return them.  Nothing here
+checks the fields: the caller (``poly.py`` or ``matrix.py``) picks a width
+with room for every exponent sum it asks for.  ``pack`` and ``unpack``
+convert between exponent tuples and packed keys, and ``repacker`` between
+two packed layouts; only ``poly.py``, ``matrix.py`` and this module call
+them.
 
 Both product loops run term by term with the shorter factor outermost (the
-left one on a tie), so equal inputs in either encoding give equal maps with
-the same key order.
+left one on a tie), so a product's key order depends on its operands' key
+order only.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from operator import add, itemgetter, lshift
+from operator import itemgetter, lshift
 
 
 def add_into(acc: dict, b: dict) -> None:
@@ -85,45 +78,11 @@ def scale_terms(a: dict, c) -> dict:
     return {exp: v * c for exp, v in a.items()}
 
 
-# -- products on tuple keys ---------------------------------------------------------
+# -- products --------------------------------------------------------------------
 
 
 def mul_terms(a: dict, b: dict) -> dict:
-    """a * b on tuple keys."""
-    out: dict = {}
-    mul_into(out, a, b)
-    return out
-
-
-def mul_into(acc: dict, a: dict, b: dict) -> None:
-    """acc += a * b, in place, on tuple keys.
-
-    Term by term, the shorter factor outermost (the left one on a tie).
-    """
-    if not a or not b:
-        return
-    if len(a) > len(b):
-        a, b = b, a
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = tuple(map(add, ea, eb))
-            c = ca * cb
-            cur = acc.get(exp)
-            if cur is None:
-                acc[exp] = c
-            else:
-                cur = cur + c
-                if cur:
-                    acc[exp] = cur
-                else:
-                    del acc[exp]
-
-
-# -- products on packed keys --------------------------------------------------------
-
-
-def mul_packed(a: dict, b: dict) -> dict:
-    """a * b on packed keys, in the order of ``mul_into``."""
+    """a * b, term by term, the shorter factor outermost (the left one on a tie)."""
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
@@ -159,23 +118,15 @@ def pack(terms: dict, width: int) -> dict:
     return {sum(map(lshift, exp, shifts)): c for exp, c in terms.items()}
 
 
-def unpack(terms: dict, fields, width: int) -> dict:
-    """Packed keys to tuple keys of the given fields, in that order.
+def unpack(terms: dict, nfields: int, width: int) -> dict:
+    """Packed keys to tuples of their first nfields exponents, in key order.
 
-    Fields left out must be zero in every key, so the result is the term map
-    over the variables of ``fields``.  Key order is kept.
+    Fields past nfields must be zero in every key.
     """
-    fields = tuple(fields)
-    if not fields:
-        return {(): c for c in terms.values()}
     if width == 8:
-        size = max(fields) + 1
-        if fields == tuple(range(size)):
-            return {tuple(k.to_bytes(size, "little")): c for k, c in terms.items()}
-        get = _gather(fields)
-        return {get(k.to_bytes(size, "little")): c for k, c in terms.items()}
+        return {tuple(k.to_bytes(nfields, "little")): c for k, c in terms.items()}
     mask = (1 << width) - 1
-    shifts = [width * f for f in fields]
+    shifts = range(0, width * nfields, width)
     return {tuple([k >> s & mask for s in shifts]): c for k, c in terms.items()}
 
 
@@ -243,7 +194,7 @@ def matmul_terms(a: list, b: list, n: int, k: int, m: int) -> list:
     Cost: each row's nonzero columns of ``a`` and ``b`` are found at C speed
     (``compress`` over a row slice), and the Python work runs per nonzero
     only: one multiply-add per triple (i, s, j) with a[i, s] and b[s, j]
-    both nonzero, with the loop of ``mul_packed`` written out in place.
+    both nonzero, with the loop of ``mul_terms`` written out in place.
     What stays O(n*k + k*m + n*m) is slicing the lists and allocating the
     output.  No work is spent on a pair with an empty factor.  For each
     output entry s runs in ascending order, so every entry gets its terms

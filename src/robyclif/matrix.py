@@ -10,23 +10,27 @@ the layout and the keys: other modules read entries through ``entry``,
 
 Persistent packed keys.  A matrix's context is ``vars`` (its variable
 names), ``width`` (bits per exponent field, a multiple of 8, 8 for a new
-matrix) and ``top`` (an upper bound on every exponent, below 2**width).
-Each key is one int holding exponent i of ``vars`` in bits
-[i*width, (i+1)*width), so a monomial product is one int add and the keys
-stay packed from one operation to the next.
+matrix) and ``top`` (an upper bound on every exponent, below 2**width), and
+its keys are those of ``Poly`` (see ``poly.py``): exponent i of ``vars`` in
+bits [i*width, (i+1)*width) of one int, so a monomial product is one int add
+and the keys stay packed from one operation to the next.
 
-- The width rule.  Every result gets a bound from its operands' bounds: the
-  sum for products, Kronecker products, combinations and scaling by a
-  polynomial, the larger one for sums.  When that bound would reach
-  2**width, the operands are first re-encoded at the least wider multiple
-  of 8 bits that holds it, so a field never carries and no exponent is
-  refused.
-- Contexts meet through ``aligned_data``, which re-encodes keys into a
-  larger ``vars`` or a wider field with one gather of bytes per key, and
-  returns the list itself when the keys would not change.
-- Keys are decoded only where a polynomial leaves the matrix: ``entry``,
-  ``rows``, ``first_nonzero``, ``scalar_identity_multiple`` and ``__str__``
-  (and ``substitute``, for the terms a nonzero binding rewrites).
+- The width rule is ``Poly``'s.  Every result gets a bound from its
+  operands' bounds: the sum for products, Kronecker products, combinations
+  and scaling by a polynomial, the larger one for sums.  When that bound
+  would reach 2**width, the operands are first re-encoded at the least
+  wider multiple of 8 bits that holds it, so a field never carries and no
+  exponent is refused.
+- Contexts meet where Polys meet (``poly._context``), and keys cross
+  through ``aligned_data``, which re-encodes them into a larger ``vars`` or
+  a wider field with one gather of bytes per key, and returns the list
+  itself when the keys would not change.  A Poly's map enters a matrix the
+  same way, or is shared when its keys already fit.
+- A polynomial leaves the matrix (``entry``, ``rows``, ``first_nonzero``,
+  ``scalar_identity_multiple``, ``__str__``, and ``substitute`` for the
+  terms a nonzero binding rewrites) as the Poly of its term map, pruned to
+  the variables that occur in it: a re-encoding that drops fields, or none.
+  Keys are decoded to exponent tuples only to build a matrix from them.
 
 The matrices this package builds are mostly empty (assembly actions are
 1-5% nonzero).  So every pass -- product, Kronecker product, sum, scaling,
@@ -51,50 +55,26 @@ from operator import or_
 from . import kernel
 from .errors import InputError
 from .kernel import map_nonempty, nonempty, update_nonempty
-from .poly import Poly, Scalar, _coerce_coeff, as_poly
+from .poly import (
+    _WIDTH,
+    Poly,
+    Scalar,
+    _coerce_coeff,
+    _context,
+    _fit,
+    _new,
+    _recoded,
+    _recoder,
+    as_poly,
+)
 
 __all__ = ["PolyMatrix", "matpoly_pow", "is_scalar_multiple_of_identity", "check_vanishes"]
 
-# Bits per exponent field of a matrix built from polynomials whose exponents
-# fit in it; wider fields come only from the width rule.
-_WIDTH = 8
-
-
-def _fit(top: int, width: int) -> int:
-    """The least multiple of 8 bits, at least width, whose fields hold top."""
-    while top >> width:
-        width += 8
-    return width
-
-
-def _top(p: Poly) -> int:
-    """The largest exponent of p."""
-    return max(map(max, p.terms)) if p.vars and p.terms else 0
-
-
-def _packer(vars: tuple, width: int):
-    """A function from a Poly over a subset of vars to its packed term map."""
-    recoders: dict = {}
-
-    def pack(p: Poly) -> dict:
-        if not p.terms:
-            return p.terms
-        if p.vars not in recoders:
-            fields = [vars.index(v) for v in p.vars]
-            recoders[p.vars] = kernel.repacker(fields, width, width)
-        recode = recoders[p.vars]
-        terms = kernel.pack(p.terms, width)
-        return terms if recode is None else recode(terms)
-
-    return pack
-
-
 def _context_of(polys: list):
-    """(vars, width, top, packer) of the least context holding the polys."""
+    """(vars, width, top) of the least context holding the polys."""
     vars = tuple(sorted({v for p in polys for v in p.vars}))
-    top = max(map(_top, polys), default=0)
-    width = _fit(top, _WIDTH)
-    return vars, width, top, _packer(vars, width)
+    top = max((p.top for p in polys), default=0)
+    return vars, _fit(top, max([_WIDTH] + [p.width for p in polys])), top
 
 
 def _make(nrows: int, ncols: int, vars: tuple, width: int, top: int, data: list) -> "PolyMatrix":
@@ -135,8 +115,8 @@ class PolyMatrix:
         if any(len(r) != ncols for r in grid):
             raise InputError("ragged rows in matrix literal")
         polys = [p for row in grid for p in row]
-        vars, width, top, pack = _context_of(polys)
-        return _make(nrows, ncols, vars, width, top, [pack(p) for p in polys])
+        vars, width, top = _context_of(polys)
+        return _make(nrows, ncols, vars, width, top, [p._keys_in(vars, width) for p in polys])
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
@@ -153,10 +133,10 @@ class PolyMatrix:
     def diagonal(cls, entries) -> "PolyMatrix":
         polys = [as_poly(x) for x in entries]
         n = len(polys)
-        vars, width, top, pack = _context_of(polys)
+        vars, width, top = _context_of(polys)
         data = [{}] * (n * n)
         for i, p in enumerate(polys):
-            data[i * n + i] = pack(p)
+            data[i * n + i] = p._keys_in(vars, width)
         return _make(n, n, vars, width, top, data)
 
     @classmethod
@@ -164,7 +144,7 @@ class PolyMatrix:
         """Sum of c * M over (coefficient, n x n matrix) pairs.
 
         Coefficients are Polys, polynomial strings or scalars; zero ones are
-        skipped.  Each slot accumulates in pair order through ``mul_packed``
+        skipped.  Each slot accumulates in pair order through ``mul_terms``
         and ``add_terms``, so the term maps, their key order and ``vars``
         equal those of the running sum ``zeros(n, n) + M_1.scaled(c_1) + ...``.
         """
@@ -176,15 +156,14 @@ class PolyMatrix:
             if p:
                 terms.append((p, m))
         vs = tuple(sorted({v for p, m in terms for v in p.vars + m.vars}))
-        top = max((m.top + _top(p) for p, m in terms), default=0)
+        top = max((m.top + p.top for p, m in terms), default=0)
         width = _fit(top, max((m.width for _, m in terms), default=_WIDTH))
-        pack = _packer(vs, width)
         data = [{}] * (n * n)
         for p, m in terms:
-            pt = pack(p)
+            pt = p._keys_in(vs, width)
             src = m.aligned_data(vs, width=width)
             for k in nonempty(src):
-                t = kernel.mul_packed(src[k], pt)
+                t = kernel.mul_terms(src[k], pt)
                 data[k] = kernel.add_terms(data[k], t) if data[k] else t
         return _make(n, n, vs, width, top, data)
 
@@ -216,18 +195,14 @@ class PolyMatrix:
         """
         if vars == self.vars and width == self.width:
             return self.data
-        recode = kernel.repacker([vars.index(v) for v in self.vars], self.width, width)
+        recode = _recoder(self.vars, self.width, vars, width)
         if recode is None:
             return self.data
         return map_nonempty(self.data, recode)
 
     def _common(self, other: "PolyMatrix", top: int):
         """(vars, width, self's data, other's data) in one context holding top."""
-        if self.vars == other.vars:
-            vs = self.vars
-        else:
-            vs = tuple(sorted(set(self.vars) | set(other.vars)))
-        width = _fit(top, max(self.width, other.width))
+        vs, width = _context(self, other, top)
         return vs, width, self.aligned_data(vs, width=width), other.aligned_data(vs, width=width)
 
     def _writable(self, data: list) -> list:
@@ -239,15 +214,8 @@ class PolyMatrix:
         return list(data) if data is self.data else data
 
     def _poly(self, terms: dict) -> Poly:
-        """A term map decoded to a Poly over the variables that occur in it."""
-        if not terms:
-            return Poly.zero()
-        width = self.width
-        mask = (1 << width) - 1
-        occ = reduce(or_, terms)
-        used = [i for i in range(len(self.vars)) if occ >> (i * width) & mask]
-        vars = self.vars if len(used) == len(self.vars) else tuple(self.vars[i] for i in used)
-        return Poly(vars, kernel.unpack(terms, used, width), _canonical=True)
+        """A term map as a Poly over the variables that occur in it."""
+        return _new(self.vars, self.width, self.top, terms).pruned()
 
     # -- access --------------------------------------------------------------------
 
@@ -331,12 +299,11 @@ class PolyMatrix:
             data = map_nonempty(self.data, lambda t: kernel.scale_terms(t, c))
             return _make(self.nrows, self.ncols, self.vars, self.width, self.top, data)
         p = as_poly(c)
-        vs = tuple(sorted(set(self.vars) | set(p.vars)))
-        top = self.top + _top(p)
-        width = _fit(top, self.width)
-        pt = _packer(vs, width)(p)
+        top = self.top + p.top
+        vs, width = _context(self, p, top)
+        pt = p._keys_in(vs, width)
         data = self._writable(self.aligned_data(vs, width=width))
-        update_nonempty(data, lambda t: kernel.mul_packed(t, pt))
+        update_nonempty(data, lambda t: kernel.mul_terms(t, pt))
         return _make(self.nrows, self.ncols, vs, width, top, data)
 
     def plus_scalar(self, c) -> "PolyMatrix":
@@ -351,10 +318,9 @@ class PolyMatrix:
         if n != self.ncols:
             raise InputError(f"shape mismatch: {self.shape} + scalar * identity")
         p = as_poly(c)
-        vs = tuple(sorted(set(self.vars) | set(p.vars)))
-        top = max(self.top, _top(p))
-        width = _fit(top, self.width)
-        pt = _packer(vs, width)(p)
+        top = max(self.top, p.top)
+        vs, width = _context(self, p, top)
+        pt = p._keys_in(vs, width)
         data = self._writable(self.aligned_data(vs, width=width))
         if pt:
             for k in range(0, n * n, n + 1):
@@ -409,7 +375,7 @@ class PolyMatrix:
         n, m = self.nrows * p, self.ncols * q
         right = [(k // q * m + k % q, b[k]) for k in nonempty(b)]
         data = [{}] * (n * m)
-        mul = kernel.mul_packed
+        mul = kernel.mul_terms
         for k in nonempty(a):
             i, j = divmod(k, self.ncols)
             block = a[k]
@@ -451,22 +417,18 @@ class PolyMatrix:
                 occ = reduce(or_, terms)
             if occ & bound_mask:
                 p = self._poly(terms).substitute(nonzero)
-                top = max(top, _top(p))
+                top = max(top, p.top)
                 results.append((k, p))
             else:
                 top = max(top, self.top)
                 results.append((k, terms))
         width = _fit(top, width)
-        pack = _packer(vs, width)
-        recode = kernel.repacker(
-            [None if v in vals or v not in vs else vs.index(v) for v in names], self.width, width
-        )
         data = [{}] * len(self.data)
         for k, r in results:
             if isinstance(r, Poly):
-                data[k] = pack(r)
+                data[k] = r._keys_in(vs, width)
             else:
-                data[k] = r if recode is None else recode(r)
+                data[k] = _recoded(r, names, self.width, vs, width)
         return _make(self.nrows, self.ncols, vs, width, top, data)
 
     # -- queries --------------------------------------------------------------------------

@@ -1,23 +1,33 @@
 """Sparse multivariate polynomials over exact scalars.
 
-A ``Poly`` is a canonical term map: exponent tuple -> nonzero coefficient,
-where each coefficient is stored in the cheapest exact type that holds it
-(``int`` when integral, ``Fraction`` when rational, ``CycScalar`` only when
-not in Q) and exponent tuples are aligned to a sorted tuple of variable
-names.  Canonical means no explicit zero terms ever get stored, so two
-polynomials are equal exactly when their aligned term maps are equal.
+A ``Poly`` is a canonical term map in one context: sorted variable names
+``vars``, a field ``width`` (a multiple of 8 bits) and an exponent bound
+``top`` below 2**width.  A key packs exponent i of ``vars`` into bits
+[i*width, (i+1)*width) of one int, and a coefficient is stored in the
+cheapest exact type that holds it (``int`` when integral, ``Fraction`` when
+rational, ``CycScalar`` only when not in Q).  Canonical means no explicit
+zero terms ever get stored, so two polynomials are equal exactly when their
+term maps are equal in a shared context.  ``terms`` decodes the keys to
+exponent tuples.
+
+``PolyMatrix`` stores the same keys under the same width rule: a result's
+bound is the sum of its operands' bounds for a product and the larger one
+for a sum, and its operands are first widened to the least multiple of 8
+bits that holds it (``_fit``), so a field never carries.  Contexts meet in
+``_context``, and keys cross between contexts through one cached
+``kernel.repacker`` (``_recoder``), or unchanged.
 
 The textual syntax is ``3/2*x^2*y - z2`` with variables matching
 ``[a-zA-Z][a-zA-Z0-9_]*``; the reserved atoms ``zeta2``, ``zeta3``, ... parse
 to primitive roots of unity so cyclotomic coefficients round-trip.
 
 Parsing is one pass in one variable context: one ``finditer`` over the
-text, then one descent in which every atom, product, power and sum is a term
-map keyed over the sorted names of the text.  Each term of a sum is added
+text, then one descent in which every atom, product, power and sum is a
+``Poly`` over the sorted names of the text.  Each term of a sum is added
 into a single map in place, and no key is realigned until the result drops
 the names its text mentions only under a ``^0``.  So parsing costs in
-proportion to the text times its number of variables, plus the expansion of
-any product or power of factors with several terms.
+proportion to the text, plus the expansion of any product or power of
+factors with several terms.
 """
 
 from __future__ import annotations
@@ -25,8 +35,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import comb
-from operator import itemgetter
+from operator import or_
 
 from . import kernel
 from .errors import InputError
@@ -46,6 +57,10 @@ Scalar = (int, Fraction, CycScalar)
 _VAR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 _ZETA_RE = re.compile(r"zeta([0-9]+)\Z")
 
+# Bits per exponent field of a polynomial or matrix built from exponents
+# that fit in it; wider fields come only from the width rule.
+_WIDTH = 8
+
 
 def _coerce_coeff(c):
     if isinstance(c, Scalar):
@@ -61,43 +76,61 @@ def _check_var_name(name: str) -> str:
     return name
 
 
-def _align_terms(terms: dict, old_vars: tuple, new_vars: tuple) -> dict:
-    """Remap exponent tuples from old_vars to new_vars.
+# -- contexts --------------------------------------------------------------------
 
-    A variable of new_vars missing from old_vars gets exponent 0; one of
-    old_vars missing from new_vars must have exponent 0 in every key.  The
-    index is built once per call; each key, padded with one zero for the
-    variables it lacks, is then remapped by one ``itemgetter`` call.  An
-    empty map, or one already over new_vars, is returned as it is.
+
+def _fit(top: int, width: int) -> int:
+    """The least multiple of 8 bits, at least width, whose fields hold top."""
+    while top >> width:
+        width += 8
+    return width
+
+
+def _context(a, b, top: int) -> tuple:
+    """(vars, width) where a and b meet: their variables, fields that hold top.
+
+    a and b are Polys or matrices; the width is at least both of theirs.
     """
-    if old_vars == new_vars or not terms:
-        return terms
-    pos = {v: i for i, v in enumerate(old_vars)}
-    pad = len(old_vars)  # the index of the zero
-    index = [pos.get(v, pad) for v in new_vars]
-    if len(index) > 1:
-        get = itemgetter(*index)
-        return {get(exp + (0,)): c for exp, c in terms.items()}
-    # zero or one variable, where itemgetter would not return a tuple
-    return {tuple([(exp + (0,))[i] for i in index]): c for exp, c in terms.items()}
+    vs = a.vars if a.vars == b.vars else tuple(sorted(set(a.vars) | set(b.vars)))
+    return vs, _fit(top, max(a.width, b.width))
+
+
+@lru_cache(maxsize=None)
+def _recoder(old_vars: tuple, old_width: int, vars: tuple, width: int):
+    """``kernel.repacker`` from keys over old_vars to keys over vars, or None.
+
+    A variable of old_vars missing from vars is dropped: its field must be
+    zero in every key.  Every exponent must be below 2**width.
+    """
+    pos = {v: i for i, v in enumerate(vars)}
+    return kernel.repacker([pos.get(v) for v in old_vars], old_width, width)
+
+
+def _recoded(terms: dict, old_vars: tuple, old_width: int, vars: tuple, width: int) -> dict:
+    """A packed term map re-encoded from one context to another (itself if unchanged)."""
+    recode = _recoder(old_vars, old_width, vars, width) if terms else None
+    return terms if recode is None else recode(terms)
+
+
+def _new(vars: tuple, width: int, top: int, packed: dict) -> "Poly":
+    p = object.__new__(Poly)
+    p.vars, p.width, p.top, p.packed = vars, width, top, packed
+    return p
 
 
 class Poly:
-    """Immutable sparse polynomial with a sorted variable context."""
+    """Immutable sparse polynomial: a packed term map over sorted variables."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "width", "top", "packed")
 
-    def __init__(self, vars=(), terms=None, *, _canonical=False):
-        if _canonical:
-            self.vars = vars
-            self.terms = terms if terms is not None else {}
-            return
+    def __init__(self, vars=(), terms=None):
+        """From a term map keyed by exponent tuples over vars, in any order."""
         vars = tuple(vars)
         vs = tuple(sorted({_check_var_name(v) for v in vars}))
         if len(vs) != len(vars):
             dup = next(v for i, v in enumerate(vars) if v in vars[:i])
             raise InputError(f"variable {dup!r} appears twice in the context")
-        width = len(vs)
+        nvars = len(vs)
         canon: dict = {}
         if terms:
             remap = vs != vars
@@ -112,7 +145,7 @@ class Poly:
                 if not c:
                     continue
                 if remap:
-                    new_exp = [0] * width
+                    new_exp = [0] * nvars
                     for i, e in enumerate(exp):
                         new_exp[idx[i]] = e
                     key = tuple(new_exp)
@@ -126,80 +159,97 @@ class Poly:
                         del canon[key]
                 else:
                     canon[key] = c
-        self.vars = vs
-        self.terms = canon
+        top = max((max(exp) for exp in canon if exp), default=0)
+        width = _fit(top, _WIDTH)
+        self.vars, self.width, self.top = vs, width, top
+        self.packed = kernel.pack(canon, width)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls((), {}, _canonical=True)
+        return _new((), _WIDTH, 0, {})
 
     @classmethod
     def const(cls, c) -> "Poly":
         c = _coerce_coeff(c)
-        if not c:
-            return cls.zero()
-        return cls((), {(): c}, _canonical=True)
+        return _new((), _WIDTH, 0, {0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
         _check_var_name(name)
-        return cls((name,), {(1,): 1}, _canonical=True)
+        return _new((name,), _WIDTH, 1, {1: 1})
 
     # -- context handling ----------------------------------------------------
 
-    def aligned(self, vars: tuple) -> dict:
-        """Term map of self in the (super)context vars."""
-        return _align_terms(self.terms, self.vars, vars)
+    @property
+    def terms(self) -> dict:
+        """The term map keyed by exponent tuples over vars, in key order.
 
-    def _common(self, other: "Poly"):
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        vs = tuple(sorted(set(self.vars) | set(other.vars)))
-        return vs, self.aligned(vs), other.aligned(vs)
+        A decoded copy: changing it changes nothing in the polynomial.
+        """
+        return kernel.unpack(self.packed, len(self.vars), self.width)
+
+    def _keys_in(self, vars: tuple, width: int) -> dict:
+        """The packed term map in a context holding self's (shared if unchanged)."""
+        if vars == self.vars and width == self.width:
+            return self.packed
+        return _recoded(self.packed, self.vars, self.width, vars, width)
+
+    def _common(self, other: "Poly", top: int):
+        """(vars, width, self's terms, other's terms) in one context holding top."""
+        vs, width = _context(self, other, top)
+        return vs, width, self._keys_in(vs, width), other._keys_in(vs, width)
+
+    def _occurring(self) -> list:
+        """Indices of the variables with a nonzero exponent in some term."""
+        occ = reduce(or_, self.packed, 0)
+        width, mask = self.width, (1 << self.width) - 1
+        return [i for i in range(len(self.vars)) if occ >> (i * width) & mask]
 
     def pruned(self) -> "Poly":
         """Drop variables that appear in no term (canonical minimal context)."""
-        used = [i for i, v in enumerate(self.vars) if any(e[i] for e in self.terms)]
+        used = self._occurring()
         if len(used) == len(self.vars):
             return self
         vs = tuple(self.vars[i] for i in used)
-        return Poly(vs, _align_terms(self.terms, self.vars, vs), _canonical=True)
+        width = self.width
+        return _new(vs, width, self.top, _recoded(self.packed, self.vars, width, vs, width))
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, terms_op):
         if isinstance(other, Scalar):
             other = Poly.const(other)
         elif not isinstance(other, Poly):
             return NotImplemented
-        vs, a, b = self._common(other)
-        return Poly(vs, kernel.add_terms(a, b), _canonical=True)
+        top = max(self.top, other.top)
+        vs, width, a, b = self._common(other, top)
+        return _new(vs, width, top, terms_op(a, b))
+
+    def __add__(self, other):
+        return self._sum(other, kernel.add_terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Scalar):
-            other = Poly.const(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        vs, a, b = self._common(other)
-        return Poly(vs, kernel.sub_terms(a, b), _canonical=True)
+        return self._sum(other, kernel.sub_terms)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Poly(self.vars, kernel.neg_terms(self.terms), _canonical=True)
+        return _new(self.vars, self.width, self.top, kernel.neg_terms(self.packed))
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            return Poly(self.vars, kernel.scale_terms(self.terms, _coerce_coeff(other)), _canonical=True)
+            c = _coerce_coeff(other)
+            return _new(self.vars, self.width, self.top, kernel.scale_terms(self.packed, c))
         if not isinstance(other, Poly):
             return NotImplemented
-        vs, a, b = self._common(other)
-        return Poly(vs, kernel.mul_terms(a, b), _canonical=True)
+        top = self.top + other.top
+        vs, width, a, b = self._common(other, top)
+        return _new(vs, width, top, kernel.mul_terms(a, b))
 
     __rmul__ = __mul__
 
@@ -230,74 +280,90 @@ class Poly:
     # -- queries ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
             other = Poly.const(other)
         elif not isinstance(other, Poly):
             return NotImplemented
-        _, a, b = self._common(other)
+        _, _, a, b = self._common(other, max(self.top, other.top))
         return a == b
 
     __hash__ = None  # type: ignore[assignment]  # term maps are mutable dicts
 
+    def _degrees(self, idx):
+        """Each term's sum of exponents over the fields idx, in key order.
+
+        A key is the sum of f_i * 2**(i*width), and 2**width is 1 modulo
+        m = 2**width - 1, so the key masked to idx is that sum modulo m.  It
+        is the sum itself, found at C speed, when len(idx) * top < m.
+        """
+        width = self.width
+        m = (1 << width) - 1
+        if len(idx) * self.top < m:
+            mask = sum(m << (i * width) for i in idx)
+            return map(m.__rmod__, map(mask.__and__, self.packed))
+        return [sum(k >> (i * width) & m for i in idx) for k in self.packed]
+
     def total_degree(self):
         """Max total degree, or None for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return None
-        return max(sum(exp) for exp in self.terms)
+        return max(self._degrees(range(len(self.vars))))
 
     def degree_in(self, var: str) -> int:
         if var not in self.vars:
             return 0
-        i = self.vars.index(var)
-        return max((exp[i] for exp in self.terms), default=0)
+        shift, mask = self.vars.index(var) * self.width, (1 << self.width) - 1
+        return max((k >> shift & mask for k in self.packed), default=0)
 
     def homogeneous_degree(self, in_vars=None):
         """Common degree of all terms (in in_vars if given); None if mixed.
 
         The zero polynomial reports 0.
         """
-        if not self.terms:
+        if not self.packed:
             return 0
         if in_vars is None:
             idx = range(len(self.vars))
         else:
             lookup = {v: i for i, v in enumerate(self.vars)}
             idx = [lookup[v] for v in in_vars if v in lookup]
-        degs = {sum(exp[i] for i in idx) for exp in self.terms}
+        degs = set(self._degrees(idx))
         if len(degs) == 1:
             return degs.pop()
         return None
 
     def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self.terms)
+        return not any(self.packed)
 
     def constant_value(self):
         """The value of a constant polynomial as a scalar."""
-        if not self.terms:
+        if not self.packed:
             return 0
         if not self.is_constant():
             raise InputError(f"polynomial is not constant: {self}")
-        return next(iter(self.terms.values()))
+        return next(iter(self.packed.values()))
 
     def coefficient_map(self, var: str) -> dict:
         """Coefficients of self as a univariate in var: degree -> Poly."""
         if var not in self.vars:
-            return {0: self} if self.terms else {}
+            return {0: self} if self.packed else {}
         i = self.vars.index(var)
+        width = self.width
+        shift, mask = i * width, (1 << width) - 1
         rest_vars = self.vars[:i] + self.vars[i + 1 :]
         buckets: dict[int, dict] = {}
-        for exp, c in self.terms.items():
-            k = exp[i]
-            rest = exp[:i] + exp[i + 1 :]
-            buckets.setdefault(k, {})[rest] = c
+        for key, c in self.packed.items():
+            k = key >> shift & mask
+            buckets.setdefault(k, {})[key - (k << shift)] = c
         return {
-            k: Poly(rest_vars, terms, _canonical=True) for k, terms in sorted(buckets.items())
+            k: _new(rest_vars, width, self.top, _recoded(terms, self.vars, width, rest_vars, width))
+            for k, terms in sorted(buckets.items())
         }
 
     def substitute(self, bindings) -> "Poly":
@@ -312,26 +378,30 @@ class Poly:
         for v, b in bindings.items():
             if v in self.vars:
                 p = as_poly(b)
-                if p.vars != (v,) or p.terms != {(1,): 1} or type(p.terms[(1,)]) is not int:
+                if p.vars != (v,) or p.packed != {1: 1} or type(p.packed[1]) is not int:
                     vals[v] = p
         if not vals:
             return self
         keep = tuple(v for v in self.vars if v not in vals)
-        new_set = set(keep)
-        for p in vals.values():
-            new_set.update(p.vars)
-        new_vars = tuple(sorted(new_set))
-        width = len(new_vars)
+        new_vars = tuple(sorted(set(keep).union(*(p.vars for p in vals.values()))))
         pos = {v: i for i, v in enumerate(new_vars)}
-        keep_idx = [
-            (i, pos[v]) for i, v in enumerate(self.vars) if v not in vals
-        ]
-        bound = [
-            (i, v) for i, v in enumerate(self.vars) if v in vals
-        ]
+        keep_idx = [(i, pos[v]) for i, v in enumerate(self.vars) if v not in vals]
+        bound = [(i, v, vals[v].top) for i, v in enumerate(self.vars) if v in vals]
+        terms = self.terms
+        # a term's exponents in the result: at most its largest kept one plus
+        # e * top for each value raised to e
+        top = max(
+            (
+                max([exp[i] for i, _ in keep_idx], default=0)
+                + sum(exp[i] * vtop for i, _, vtop in bound)
+                for exp in terms
+            ),
+            default=0,
+        )
+        width = _fit(max(top, *(p.top for p in vals.values())), self.width)
         # squares[v][i] is value(v)^(2^i); each power used is built once by
         # binary powering over them, and no power goes unused
-        squares = {v: [p.aligned(new_vars)] for v, p in vals.items()}
+        squares = {v: [p._keys_in(new_vars, width)] for v, p in vals.items()}
         powers: dict = {}
 
         def var_power(v: str, n: int):
@@ -347,16 +417,13 @@ class Poly:
             return power
 
         out: dict = {}
-        for exp, c in self.terms.items():
-            base_exp = [0] * width
-            for i, j in keep_idx:
-                base_exp[j] = exp[i]
-            acc = {tuple(base_exp): c}
-            for i, v in bound:
+        for exp, c in terms.items():
+            acc = {sum(exp[i] << (j * width) for i, j in keep_idx): c}
+            for i, v, _ in bound:
                 if exp[i]:
                     acc = kernel.mul_terms(acc, var_power(v, exp[i]))
             kernel.add_into(out, acc)
-        return Poly(new_vars, out, _canonical=True)
+        return _new(new_vars, width, top, out)
 
     def evaluate(self, bindings):
         """Substitute scalars for every variable and return the scalar value."""
@@ -371,7 +438,7 @@ class Poly:
         )
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
         for exp, c in self.sorted_terms():
@@ -447,20 +514,21 @@ class HomForm:
 
     def single_term(self):
         """(coefficient Poly, {arg var: exponent}) for a one-term form."""
-        if len(self.underlying.terms) != 1:
+        u = self.underlying
+        if len(u.packed) != 1:
             raise InputError("form has more than one term")
-        exp, c = next(iter(self.underlying.terms.items()))
+        ((key, c),) = u.packed.items()
         arg_set = set(self.arg_vars)
-        coeff_exp = []
+        width, mask = u.width, (1 << u.width) - 1
+        arg_mask = 0
         arg_exps = {}
-        for v, e in zip(self.underlying.vars, exp):
+        for i, v in enumerate(u.vars):
             if v in arg_set:
+                arg_mask |= mask << (i * width)
+                e = key >> (i * width) & mask
                 if e:
                     arg_exps[v] = e
-                coeff_exp.append(0)
-            else:
-                coeff_exp.append(e)
-        coeff = Poly(self.underlying.vars, {tuple(coeff_exp): c}, _canonical=True).pruned()
+        coeff = _new(u.vars, width, u.top, {key & ~arg_mask: c}).pruned()
         return coeff, arg_exps
 
 
@@ -522,7 +590,7 @@ def _check_power(base: Poly, n: int) -> None:
         raise InputError(
             f"power ^{n} may expand to {bound} terms, above the cap {MAX_POWER_TERMS}"
         )
-    bits = n * max(map(_coeff_bits, base.terms.values()), default=0)
+    bits = n * max(map(_coeff_bits, base.packed.values()), default=0)
     if bits > MAX_POWER_BITS:
         raise InputError(
             f"power ^{n} may give a {bits}-bit coefficient, above the cap {MAX_POWER_BITS}"
@@ -536,11 +604,11 @@ def _power_term_bound(base: Poly, n: int) -> int:
     at most C(k + n*deg, k) monomials; each of its terms is also a product of
     n of the t terms of base, so there are at most C(t + n - 1, n) of them.
     """
-    if len(base.terms) < 2:  # a power of one term or none has at most one
+    if len(base.packed) < 2:  # a power of one term or none has at most one
         return 1
-    k = sum(map(any, zip(*base.terms)))  # the variables base uses
+    k = len(base._occurring())  # the variables base uses
     by_degree = comb(k + n * base.total_degree(), k)
-    return min(by_degree, comb(len(base.terms) + n - 1, n))
+    return min(by_degree, comb(len(base.packed) + n - 1, n))
 
 
 # One match per token: a number, a name or operator, or a character that
@@ -585,13 +653,14 @@ class _Parser:
 
     The context is fixed before the first token is read: the sorted names in
     the token list, zeta atoms excluded.  Every atom, product, power and sum
-    is a term map over it, so nothing is realigned on the way.  A sum adds
-    each term into one map in place, a product is ``kernel.mul_terms``, and
-    a power of several terms is ``Poly.__pow__``; a power of one term scales
-    its key and raises its coefficient.  Every scalar operation runs in the
-    order of the Poly arithmetic the text spells, so values, coefficient
-    types and key order are those of that arithmetic.  ``seen`` lists the
-    names read outside a ``^0``: the result's variables.
+    is a ``Poly`` over it, so nothing is realigned on the way; a key is
+    re-encoded only where the width rule widens its fields.  A sum adds each
+    term into one map in place, a product is ``Poly.__mul__`` and a power of
+    several terms ``Poly.__pow__``; a power of one term multiplies its key
+    and raises its coefficient.  Every scalar operation runs in the order of
+    the Poly arithmetic the text spells, so values, coefficient types and
+    key order are those of that arithmetic.  ``seen`` lists the names read
+    outside a ``^0``: the result's variables.
     """
 
     def __init__(self, tokens):
@@ -601,17 +670,19 @@ class _Parser:
         self.seen = []
         names = [t for t in set(tokens) if type(t) is str and t[0].isalpha()]
         self.vars = tuple(sorted(v for v in names if not _ZETA_RE.fullmatch(v)))
-        self.one = (0,) * len(self.vars)  # the key of the monomial 1
-        self.units = {v: self.one[:i] + (1,) + self.one[i + 1 :] for i, v in enumerate(self.vars)}
+        self.units = {v: 1 << (i * _WIDTH) for i, v in enumerate(self.vars)}
 
     def enter(self):
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise InputError("polynomial nested too deeply")
 
-    def parse_expr(self) -> dict:
-        """Term map of a sum or difference of terms."""
-        terms = self.parse_term()
+    def number(self, c) -> Poly:
+        return _new(self.vars, _WIDTH, 0, {0: c} if c else {})
+
+    def parse_expr(self) -> Poly:
+        """A sum or difference of terms."""
+        acc = self.parse_term()
         while True:
             op = self.tokens[self.i]
             if op == "+":
@@ -619,20 +690,24 @@ class _Parser:
             elif op == "-":
                 into = kernel.sub_into
             else:
-                return terms
+                return acc
             self.i += 1
-            into(terms, self.parse_term())
+            term = self.parse_term()
+            top = max(acc.top, term.top)
+            _, width, terms, other = acc._common(term, top)
+            into(terms, other)  # the parser's own map, or its widened copy
+            acc = _new(self.vars, width, top, terms)
 
-    def parse_term(self) -> dict:
-        """Term map of a product of factors."""
-        terms = self.parse_factor()
+    def parse_term(self) -> Poly:
+        """A product of factors."""
+        acc = self.parse_factor()
         while self.tokens[self.i] == "*":
             self.i += 1
-            terms = kernel.mul_terms(terms, self.parse_factor())
-        return terms
+            acc = acc * self.parse_factor()
+        return acc
 
-    def parse_factor(self) -> dict:
-        """Term map of a signed atom or power of one."""
+    def parse_factor(self) -> Poly:
+        """A signed atom or power of one."""
         tokens = self.tokens
         signs = negate = 0
         tok = tokens[self.i]
@@ -644,41 +719,43 @@ class _Parser:
             tok = tokens[self.i]
         self.i += 1
         mark = len(self.seen)
-        terms = self.parse_atom(tok)
+        base = self.parse_atom(tok)
         if tokens[self.i] == "^":
             n = tokens[self.i + 1]
             self.i += 2
             if type(n) is not int:
                 raise InputError("exponent must be a nonnegative integer")
-            base = Poly(self.vars, terms, _canonical=True)
             _check_power(base, n)
             if not n:
                 del self.seen[mark:]  # names under a ^0 leave the result
-                terms = {self.one: 1}
-            elif len(terms) > 1:
-                terms = (base**n).terms
+                base = self.number(1)
+            elif len(base.packed) > 1:
+                base = base**n
             else:  # one term or none: no product to take
-                terms = {tuple([e * n for e in key]): c**n for key, c in terms.items()}
+                top = base.top * n
+                width = _fit(top, base.width)
+                terms = base._keys_in(self.vars, width)
+                base = _new(self.vars, width, top, {key * n: c**n for key, c in terms.items()})
         self.depth -= signs
-        return kernel.neg_terms(terms) if negate else terms
+        return -base if negate else base
 
-    def parse_atom(self, tok) -> dict:
+    def parse_atom(self, tok) -> Poly:
         if tok == "(":
             self.enter()
-            terms = self.parse_expr()
+            inner = self.parse_expr()
             if self.tokens[self.i] != ")":
                 raise InputError("expected ')' in polynomial")
             self.i += 1
             self.depth -= 1
-            return terms
+            return inner
         unit = self.units.get(tok)
         if unit is not None:
             self.seen.append(tok)
-            return {unit: 1}
+            return _new(self.vars, _WIDTH, 1, {unit: 1})
         if type(tok) is not str:
             if tok is None:
                 raise InputError("unexpected token in polynomial: None")
-            return {self.one: tok} if tok else {}
+            return self.number(tok)
         m = _ZETA_RE.fullmatch(tok)
         if m:
             digits = m.group(1)
@@ -686,7 +763,7 @@ class _Parser:
                 order = int(digits)
             except ValueError:  # more digits than int() converts
                 raise InputError(f"zeta order of {len(digits)} digits is too long") from None
-            return {self.one: narrow(make_root(order))}
+            return self.number(narrow(make_root(order)))
         raise InputError(f"unexpected token in polynomial: {tok!r}")
 
 
@@ -695,14 +772,14 @@ def parse_poly(text: str) -> Poly:
     if not isinstance(text, str) or not text.strip():
         raise InputError("empty polynomial string")
     parser = _Parser(_tokenize(text))
-    terms = parser.parse_expr()
+    p = parser.parse_expr()
     tok = parser.tokens[parser.i]
     if tok is not None:
         raise InputError(f"trailing input in polynomial: {tok!r}")
     vars = tuple(sorted(set(parser.seen)))
     if vars != parser.vars:  # some names were read only under a ^0
-        terms = _align_terms(terms, parser.vars, vars)
-    return Poly(vars, terms, _canonical=True)
+        p = _new(vars, p.width, p.top, _recoded(p.packed, parser.vars, p.width, vars, p.width))
+    return p
 
 
 def as_poly(x) -> Poly:

@@ -36,9 +36,21 @@ PACKAGE = Path("src") / "robyclif"
 MUTANTS = (
     (
         "width check skipped, so a field carries",
-        "matrix.py",
-        "width = _fit(top, max(self.width, other.width))",
-        "width = max(self.width, other.width)",
+        "poly.py",
+        "return vs, _fit(top, max(a.width, b.width))",
+        "return vs, max(a.width, b.width)",
+    ),
+    (
+        "a Poly product keeps its operands' width",
+        "poly.py",
+        "        top = self.top + other.top\n",
+        "        top = max(self.top, other.top)\n",
+    ),
+    (
+        "a one-term power multiplies its key before widening it",
+        "poly.py",
+        "                width = _fit(top, base.width)\n",
+        "                width = base.width\n",
     ),
     (
         "one nonzero dropped from each row",
@@ -90,10 +102,10 @@ MUTANTS = (
         "src = [old_bytes - 1] * (new_step * (max(f for _, f in kept) + 1))",
     ),
     (
-        "a decoded entry loses its last variable",
-        "matrix.py",
-        "used = [i for i in range(len(self.vars)) if occ >> (i * width) & mask]",
-        "used = [i for i in range(len(self.vars) - 1) if occ >> (i * width) & mask]",
+        "a pruned polynomial loses its last variable",
+        "poly.py",
+        "return [i for i in range(len(self.vars)) if occ >> (i * width) & mask]",
+        "return [i for i in range(len(self.vars) - 1) if occ >> (i * width) & mask]",
     ),
     (
         "the Toeplitz band shifted below the diagonal",

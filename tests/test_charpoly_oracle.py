@@ -24,7 +24,10 @@ def sympy_charpoly(m: PolyMatrix, tvar: str = "t") -> Poly:
     R = sympy.polys.rings.ring(",".join(names), QQ)[0]
     rows = [
         [
-            R.from_dict({e: QQ(c.numerator, c.denominator) for e, c in p.aligned(names).items()})
+            R.from_dict({
+                tuple(dict(zip(p.vars, e)).get(v, 0) for v in names): QQ(c.numerator, c.denominator)
+                for e, c in p.terms.items()
+            })
             for p in row
         ]
         for row in m.rows()

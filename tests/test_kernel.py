@@ -3,7 +3,9 @@
 Each kernel result is evaluated at random rational points and compared with
 the same arithmetic done on the evaluated inputs.  Exact values that agree at
 several random points make a wrong term map vanishingly unlikely
-(Schwartz-Zippel), and the exact cases below pin the rest.
+(Schwartz-Zippel), and the exact cases below pin the rest.  Test inputs are
+keyed by exponent tuples; the products pack them (``packed_mul``,
+``packed_matmul``) and decode what the kernel returns.
 """
 
 import random
@@ -61,7 +63,7 @@ def test_add_sub_mul_match_the_evaluator():
         got = {
             "add": kernel.add_terms(a, b),
             "sub": kernel.sub_terms(a, b),
-            "mul": kernel.mul_terms(a, b),
+            "mul": packed_mul(a, b),
         }
         assert (a, b) == (a_copy, b_copy), "an input term map was mutated"
         for terms in got.values():
@@ -88,20 +90,6 @@ def test_neg_and_scale_match_the_evaluator():
             assert evaluate(scaled, p) == evaluate(a, p) * c
     assert kernel.scale_terms(a, 0) == {}
     assert kernel.scale_terms(a, Fraction(0)) == {}
-
-
-def test_mul_into_accumulates():
-    rng = random.Random(13)
-    for trial in range(20):
-        cyc = trial % 3 == 0
-        acc = random_terms(rng, cyclotomic=cyc)
-        before = dict(acc)
-        a = random_terms(rng, cyclotomic=cyc)
-        b = random_terms(rng)
-        kernel.mul_into(acc, a, b)
-        assert_no_zeros(acc)
-        for p in random_points(rng):
-            assert evaluate(acc, p) == evaluate(before, p) + evaluate(a, p) * evaluate(b, p)
 
 
 def test_matmul_matches_naive_triple_loop():
@@ -136,34 +124,43 @@ def test_cancellation_prunes():
     b = {(1, 0): Fraction(-3), (0, 1): Fraction(2)}
     assert kernel.add_terms(a, b) == {(0, 1): Fraction(2)}
     assert kernel.sub_terms(a, a) == {}
-    prod = kernel.mul_terms(
+    prod = packed_mul(
         {(1,): Fraction(1), (0,): Fraction(1)},
         {(1,): Fraction(1), (0,): Fraction(-1)},
     )
     assert prod == {(2,): Fraction(1), (0,): Fraction(-1)}
     acc = {(2,): Fraction(-1)}
-    kernel.mul_into(acc, {(1,): Fraction(1)}, {(1,): Fraction(1)})
+    kernel.add_into(acc, packed_mul({(1,): Fraction(1)}, {(1,): Fraction(1)}))
     assert acc == {}
 
 
-# -- the sparse product against a plain triple loop ------------------------------
+# -- the products on packed keys, fed and read as tuple keys -----------------------
 
 
-def packed_matmul(a, b, n, k, m):
-    """``matmul_terms`` on flat lists of tuple-keyed term maps.
-
-    The keys are packed at the width of a new matrix, widened by bytes until
-    every exponent sum fits, and the product is decoded back to tuples.
-    """
+def packed_width(a: list, b: list) -> int:
+    """The width of a new matrix, widened by bytes until every exponent sum fits."""
     tops = [max((e for t in side for exp in t for e in exp), default=0) for side in (a, b)]
-    nvars = next((len(exp) for t in a + b for exp in t), 0)
     width = matrix._WIDTH
     while sum(tops) >> width:
         width += 8
+    return width
+
+
+def packed_matmul(a, b, n, k, m):
+    """``matmul_terms`` on flat lists of tuple-keyed term maps, decoded back to tuples."""
+    width = packed_width(a, b)
+    nvars = next((len(exp) for t in a + b for exp in t), 0)
     out = kernel.matmul_terms(
         [kernel.pack(t, width) for t in a], [kernel.pack(t, width) for t in b], n, k, m
     )
-    return [kernel.unpack(t, range(nvars), width) for t in out]
+    return [kernel.unpack(t, nvars, width) for t in out]
+
+
+def packed_mul(a: dict, b: dict) -> dict:
+    """``mul_terms`` on two tuple-keyed term maps, decoded back to tuples."""
+    width = packed_width([a], [b])
+    nvars = next((len(exp) for exp in [*a, *b]), 0)
+    return kernel.unpack(kernel.mul_terms(kernel.pack(a, width), kernel.pack(b, width)), nvars, width)
 
 
 DENSITIES = (0.0, 0.02, 0.3, 1.0)
@@ -227,7 +224,7 @@ def test_sparse_matmul_equals_the_triple_loop_key_for_key():
             assert [list(t.items()) for t in got] == [list(t.items()) for t in want], where
 
 
-# -- the two key encodings --------------------------------------------------------
+# -- packed products against the tuple loop ----------------------------------------
 
 
 def naive_mul_terms(a, b):
@@ -276,8 +273,8 @@ def encoding_cases(rng):
 def test_cancelled_keys_are_re_inserted_at_the_end(forced_wide_keys):
     a, b = {(0,): 1, (1,): 1, (2,): 1}, {(0,): 1, (1,): -1, (2,): 1}
     want = [((0,), 1), ((2,), 1), ((4,), 1)]
-    assert list(kernel.mul_terms(a, b).items()) == want
-    # the packed product, at the key width of a new matrix
+    assert list(packed_mul(a, b).items()) == want
+    # the matrix product, at the key width of a new matrix
     assert list(packed_matmul([a], [b], 1, 1, 1)[0].items()) == want
 
 
@@ -285,8 +282,8 @@ def test_both_encodings_equal_the_tuple_loop_key_for_key(forced_wide_keys):
     rng = random.Random(16)
     for name, a, b in encoding_cases(rng):
         a_copy, b_copy = dict(a), dict(b)
-        assert_same_items(kernel.mul_terms(a, b), naive_mul_terms(a, b), name)
-        assert_same_items(kernel.mul_terms(b, a), naive_mul_terms(b, a), name)
+        assert_same_items(packed_mul(a, b), naive_mul_terms(a, b), name)
+        assert_same_items(packed_mul(b, a), naive_mul_terms(b, a), name)
         # a 2x2 product whose entries accumulate across s
         left, right = [a, {}, b, a], [b, a, a, {}]
         got = packed_matmul(left, right, 2, 2, 2)

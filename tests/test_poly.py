@@ -8,6 +8,7 @@ import pytest
 from robyclif.errors import InputError
 from robyclif import kernel
 from robyclif import poly as poly_module
+from robyclif.matrix import PolyMatrix
 from robyclif.poly import (
     MAX_EXPONENT,
     MAX_NESTING,
@@ -15,8 +16,9 @@ from robyclif.poly import (
     MAX_POWER_TERMS,
     HomForm,
     Poly,
-    _align_terms,
+    _coeff_text,
     _power_term_bound,
+    _recoded,
     as_poly,
     parse_poly,
     poly_arith,
@@ -46,19 +48,142 @@ def counted_mul_terms(monkeypatch):
     return calls
 
 
-def old_substitute(p, bindings):
-    """``Poly.substitute`` as it once ran, for key-for-key comparisons.
+# -- the arithmetic Poly ran on exponent tuples, kept as an oracle -----------------
+#
+# Copies of the tuple-keyed product loop (``kernel.mul_into``), the context
+# realignment (``poly._align_terms``), ``Poly.substitute`` and the display as
+# they ran before keys were packed.  They share no key encoding, no width and
+# no kernel call with the code under test.
 
-    It copies the running result once per term (``add_terms``), and it
-    multiplies by the value of a variable bound to itself.
+
+def tuple_add_into(acc, b, sign=1):
+    for exp, c in b.items():
+        cur = acc.get(exp)
+        if cur is None:
+            acc[exp] = c if sign > 0 else -c
+        else:
+            cur = cur + c if sign > 0 else cur - c
+            if cur:
+                acc[exp] = cur
+            else:
+                del acc[exp]
+
+
+def tuple_mul(a, b):
+    """a * b on tuple keys: term by term, the shorter factor outermost (the left on a tie)."""
+    acc = {}
+    if not a or not b:
+        return acc
+    if len(a) > len(b):
+        a, b = b, a
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            cur = acc.get(exp)
+            if cur is None:
+                acc[exp] = c
+            else:
+                cur = cur + c
+                if cur:
+                    acc[exp] = cur
+                else:
+                    del acc[exp]
+    return acc
+
+
+def tuple_align(terms, old_vars, new_vars):
+    """Exponent tuples remapped from old_vars to new_vars; a missing variable is 0."""
+    if old_vars == new_vars or not terms:
+        return terms
+    pos = {v: i for i, v in enumerate(old_vars)}
+    pad = len(old_vars)  # the index of the zero
+    index = [pos.get(v, pad) for v in new_vars]
+    return {tuple([(exp + (0,))[i] for i in index]): c for exp, c in terms.items()}
+
+
+class TuplePoly:
+    """``vars`` and a tuple-keyed ``terms`` map, with the Poly arithmetic of old."""
+
+    def __init__(self, vars, terms):
+        self.vars, self.terms = vars, terms
+
+    @classmethod
+    def variable(cls, name):
+        return cls((name,), {(1,): 1})
+
+    @classmethod
+    def const(cls, c):
+        return cls((), {(): c} if c else {})
+
+    def common(self, other):
+        if self.vars == other.vars:
+            return self.vars, self.terms, other.terms
+        vs = tuple(sorted(set(self.vars) | set(other.vars)))
+        return vs, tuple_align(self.terms, self.vars, vs), tuple_align(other.terms, other.vars, vs)
+
+    def __add__(self, other):
+        vs, a, b = self.common(other)
+        out = dict(a)
+        tuple_add_into(out, b)
+        return TuplePoly(vs, out)
+
+    def __sub__(self, other):
+        vs, a, b = self.common(other)
+        out = dict(a)
+        tuple_add_into(out, b, -1)
+        return TuplePoly(vs, out)
+
+    def __mul__(self, other):
+        vs, a, b = self.common(other)
+        return TuplePoly(vs, tuple_mul(a, b))
+
+    def __pow__(self, n):
+        result, base = None, self
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
+
+    def pruned(self):
+        used = [i for i, v in enumerate(self.vars) if any(e[i] for e in self.terms)]
+        vs = tuple(self.vars[i] for i in used)
+        return TuplePoly(vs, tuple_align(self.terms, self.vars, vs))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        ordered = sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
+        for exp, c in ordered:
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, exp) if e)
+            coeff, negative = _coeff_text(c)
+            body = (mono if coeff == "1" else f"{coeff}*{mono}") if mono else coeff
+            if not parts:
+                parts.append(f"-{body}" if negative else body)
+            else:
+                parts.append(f"- {body}" if negative else f"+ {body}")
+        return " ".join(parts)
+
+
+def old_substitute(p, bindings):
+    """``Poly.substitute`` as it once ran on tuple keys, for key-for-key comparisons.
+
+    It copies the running result once per term, and it multiplies by the
+    value of a variable bound to itself.  p and the values are Polys or
+    TuplePolys; only their ``vars`` and ``terms`` are read.
     """
-    vals = {v: as_poly(b) for v, b in bindings.items() if v in p.vars}
+    vals = {v: b if isinstance(b, TuplePoly) else as_poly(b)
+            for v, b in bindings.items() if v in p.vars}
     keep = tuple(v for v in p.vars if v not in vals)
     new_vars = tuple(sorted(set(keep).union(*(b.vars for b in vals.values()))))
     pos = {v: i for i, v in enumerate(new_vars)}
     keep_idx = [(i, pos[v]) for i, v in enumerate(p.vars) if v not in vals]
     bound = [(i, v) for i, v in enumerate(p.vars) if v in vals]
-    squares = {v: [b.aligned(new_vars)] for v, b in vals.items()}
+    squares = {v: [tuple_align(b.terms, b.vars, new_vars)] for v, b in vals.items()}
     powers = {}
 
     def var_power(v, n):
@@ -67,9 +192,9 @@ def old_substitute(p, bindings):
             sq = squares[v]
             for i in range(n.bit_length()):
                 if i == len(sq):
-                    sq.append(kernel.mul_terms(sq[-1], sq[-1]))
+                    sq.append(tuple_mul(sq[-1], sq[-1]))
                 if n >> i & 1:
-                    power = sq[i] if power is None else kernel.mul_terms(sq[i], power)
+                    power = sq[i] if power is None else tuple_mul(sq[i], power)
             powers[v, n] = power
         return power
 
@@ -81,9 +206,10 @@ def old_substitute(p, bindings):
         acc = {tuple(base_exp): c}
         for i, v in bound:
             if exp[i]:
-                acc = kernel.mul_terms(acc, var_power(v, exp[i]))
-        out = kernel.add_terms(out, acc)
-    return Poly(new_vars, out, _canonical=True)
+                acc = tuple_mul(acc, var_power(v, exp[i]))
+        out = dict(out)
+        tuple_add_into(out, acc)
+    return TuplePoly(new_vars, out)
 
 
 class TestArithmetic:
@@ -264,6 +390,12 @@ class TestSubstitution:
         assert p.evaluate({"x": 2, "y": 3, "q": Fraction(1, 2)}) == Fraction(35, 2)
 
 
+def packed_realign(terms, old_vars, new_vars, width, new_width):
+    """Tuple keys packed over old_vars, re-encoded over new_vars, and decoded."""
+    packed = _recoded(kernel.pack(terms, width), old_vars, width, new_vars, new_width)
+    return kernel.unpack(packed, len(new_vars), new_width)
+
+
 class TestStructure:
     def test_degrees(self):
         p = parse_poly("x^2*y + q")
@@ -310,6 +442,8 @@ class TestStructure:
             {x: 1}
 
     def test_alignment_equals_the_old_loop_key_for_key(self):
+        # the tuple realignment once ran by _align_terms, against the packed
+        # re-encoding every context crossing now takes
         def old_align(terms, old_vars, new_vars):
             # the per-key loop _align_terms once ran
             if old_vars == new_vars or not terms:
@@ -334,9 +468,10 @@ class TestStructure:
                 tuple(rng.randrange(0, 300) for _ in old_vars): rng.choice((1, -2, Fraction(1, 3)))
                 for _ in range(rng.randrange(0, 6))
             }
-            got = _align_terms(terms, old_vars, new_vars)
-            want = old_align(terms, old_vars, new_vars)
-            assert list(got.items()) == list(want.items()), (trial, old_vars, new_vars)
+            for width, new_width in ((16, 16), (16, 24)):
+                got = packed_realign(terms, old_vars, new_vars, width, new_width)
+                want = old_align(terms, old_vars, new_vars)
+                assert list(got.items()) == list(want.items()), (trial, old_vars, new_vars)
 
     def test_alignment_to_a_subset_context_drops_zero_fields(self):
         rng = random.Random(49)
@@ -355,8 +490,9 @@ class TestStructure:
                 tuple(exp[old_vars.index(v)] if v in old_vars else 0 for v in new_vars): c
                 for exp, c in terms.items()
             }
-            got = _align_terms(terms, old_vars, new_vars)
-            assert list(got.items()) == list(want.items()), (trial, old_vars, new_vars)
+            for width, new_width in ((16, 16), (24, 16)):
+                got = packed_realign(terms, old_vars, new_vars, width, new_width)
+                assert list(got.items()) == list(want.items()), (trial, old_vars, new_vars)
 
 
 class TestTextFormat:
@@ -508,16 +644,16 @@ class TestTextFormat:
     )
     def test_factors_over_different_variables_realign_nothing(self, text, monkeypatch):
         calls = Counter()
-        real = poly_module._align_terms
+        real = poly_module._recoder
 
-        def counted(terms, old_vars, new_vars):
-            calls["align"] += 1
-            return real(terms, old_vars, new_vars)
+        def counted(*args):
+            calls["recode"] += 1
+            return real(*args)
 
-        monkeypatch.setattr(poly_module, "_align_terms", counted)
+        monkeypatch.setattr(poly_module, "_recoder", counted)
         p = parse_poly(text)
-        assert calls["align"] == 0
-        monkeypatch.setattr(poly_module, "_align_terms", real)
+        assert calls["recode"] == 0
+        monkeypatch.setattr(poly_module, "_recoder", real)
         names = {v: V(v) for v in ("G1", "t", "w", "x", "y", "z")}
         assert p == eval(text.replace("^", "**"), names)
 
@@ -548,6 +684,80 @@ class TestTextFormat:
         # ... and a dense quadric the count of monomials, C(k + n*deg, k)
         dense = parse_poly("x^2 + x*y + y^2 + x + y + 1")
         assert len((dense ** 3).terms) == _power_term_bound(dense, 3) == 28
+
+
+def running_product(factors):
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = acc * f
+    return acc
+
+
+TX, TY, TC = TuplePoly.variable("x"), TuplePoly.variable("y"), TuplePoly.const
+
+# (name, the Poly under test, the tuple-loop oracle): every case reaches an
+# exponent above 255, where one-byte fields widen, and those marked 65,535
+# above two bytes
+FIELD_WIDTH_CASES = [
+    ("product x^200*x^100", lambda: x**200 * x**100, lambda: TX**200 * TX**100),
+    ("product of two sums", lambda: (x**200 + y) * (x**100 - 2 * y**60),
+     lambda: (TX**200 + TY) * (TX**100 - TC(2) * TY**60)),
+    ("65,535: 66 factors of x^1000", lambda: running_product([x**1000] * 66),
+     lambda: running_product([TX**1000] * 66)),
+    ("65,535: x^70000*x", lambda: Poly.variable("x") ** 70000 * x, lambda: TX**70000 * TX),
+    ("65,535: sum", lambda: x**300 + x**70000 - y**256 + 1,
+     lambda: TX**300 + TX**70000 - TY**256 + TC(1)),
+    ("sum that cancels the widest term", lambda: (x**300 + y) - (x**300 - x**256),
+     lambda: (TX**300 + TY) - (TX**300 - TX**256)),
+    ("power (x^128 + y)^2", lambda: (x**128 + y) ** 2, lambda: (TX**128 + TY) ** 2),
+    ("power (x + y^300 + 1)^3", lambda: (x + y**300 + 1) ** 3,
+     lambda: (TX + TY**300 + TC(1)) ** 3),
+    ("power (x^255 + 1)^257 at 65,535", lambda: (x**255 + 1) ** 257,
+     lambda: (TX**255 + TC(1)) ** 257),
+    ("65,535: power (x^256 + 1)^256", lambda: (x**256 + 1) ** 256,
+     lambda: (TX**256 + TC(1)) ** 256),
+    ("65,535: substitute y^250 + 1 for x in x^300*y + x",
+     lambda: (x**300 * y + x).substitute({"x": y**250 + 1}),
+     lambda: old_substitute(TX**300 * TY + TX, {"x": TY**250 + TC(1)})),
+    ("substitute x^300*y for y in x^2*y^200",
+     lambda: (x**2 * y**200).substitute({"y": x**300 * y}),
+     lambda: old_substitute(TX**2 * TY**200, {"y": TX**300 * TY})),
+    ("65,535: substitute y^2 for x in x^70000 - 3/2",
+     lambda: (x**70000 - Fraction(3, 2)).substitute({"x": y**2}),
+     lambda: old_substitute(TX**70000 - TC(Fraction(3, 2)), {"x": TY**2})),
+    ("parsed x^200*x^100", lambda: parse_poly("x^200*x^100"), lambda: TX**200 * TX**100),
+    ("65,535: parsed 66 factors of x^1000", lambda: parse_poly("*".join(["x^1000"] * 66)),
+     lambda: running_product([TX**1000] * 66)),
+    ("parsed (x^128 + y)^2", lambda: parse_poly("(x^128 + y)^2"), lambda: (TX**128 + TY) ** 2),
+    ("parsed sum of wide products", lambda: parse_poly("x^255*y + x*y^255*x - 3/2*x^256"),
+     lambda: TX**255 * TY + TX * TY**255 * TX - TC(Fraction(3, 2)) * TX**256),
+    ("parsed (x^200 + 1)*(x^100 - y^300)", lambda: parse_poly("(x^200 + 1)*(x^100 - y^300)"),
+     lambda: (TX**200 + TC(1)) * (TX**100 - TY**300)),
+    ("parsed one-term powers", lambda: parse_poly("(x^250*y^2)^4 + (2*x^100)^3"),
+     lambda: (TX**250 * TY**2) ** 4 + (TC(2) * TX**100) ** 3),
+]
+
+
+class TestFieldWidths:
+    """Products, sums, powers, substitutions and parses across 255 and 65,535."""
+
+    @pytest.mark.parametrize("name, build, oracle", FIELD_WIDTH_CASES,
+                             ids=[c[0] for c in FIELD_WIDTH_CASES])
+    def test_equals_the_tuple_loop(self, name, build, oracle):
+        got, want = build(), oracle()
+        top = max(e for exp in want.terms for e in exp)
+        assert top > (65535 if name.startswith("65,535") else 255), name
+        assert got == Poly(want.vars, want.terms), name
+        assert got.vars == want.vars, name
+        assert list(got.terms.items()) == list(want.terms.items()), name
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+        assert str(got) == str(want), name
+        # into a matrix and out again
+        entry = PolyMatrix.from_rows([[got]]).entry(0, 0)
+        pruned = want.pruned()
+        assert entry.vars == pruned.vars, name
+        assert list(entry.terms.items()) == list(pruned.terms.items()), name
+        assert str(entry) == str(got), name
 
 
 class TestHomForm:

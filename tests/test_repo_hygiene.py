@@ -1,6 +1,6 @@
 """Repository hygiene: no generated file tracked in git, no stale README config,
 the matrix layout known to one module only, packed keys encoded and decoded by
-the matrix and kernel modules only, the T-slot read by the Roby module and the
+the polynomial, matrix and kernel modules only, the T-slot read by the Roby module and the
 file format only, and no identity matrix built only to be scaled or added."""
 
 import io
@@ -51,8 +51,8 @@ def test_only_matrix_module_reads_the_flat_layout():
 # loops, the byte conversions they are made of, a matrix's key context, and
 # the aligned term maps of a matrix
 KEY_CODEC = re.compile(
-    r"\b(?:pack|unpack|repacker|_codec|to_bytes|from_bytes|mul_packed|mul_into_packed"
-    r"|matmul_terms|aligned_data)\b|\. (?:width|top)\b"
+    r"\b(?:pack|unpack|repacker|_recoder|_recoded|_keys_in|packed|_codec|to_bytes|from_bytes"
+    r"|mul_packed|mul_into_packed|matmul_terms|aligned_data)\b|\. (?:width|top)\b"
 )
 # nonzeros() hands out packed term maps; elsewhere only the positions are read
 POSITIONS_ONLY = re.compile(r"for \w+ , \w+ , _ in (?:\w+ \. )*nonzeros \( \)")
@@ -65,17 +65,21 @@ def key_codec_uses(text):
     return found + ["nonzeros() terms"] * terms_read
 
 
+KEY_OWNERS = ("poly.py", "matrix.py", "kernel.py")
+
+
 def test_only_matrix_and_kernel_encode_or_decode_keys():
-    # other modules read entries as Polys (entry, rows, first_nonzero) and
+    # other modules read polynomials through terms, sorted_terms and the
+    # degree queries, read entries as Polys (entry, rows, first_nonzero) and
     # ask which variables occur (occurring_vars), so the key encoding can
-    # change in matrix.py and kernel.py alone
+    # change in poly.py, matrix.py and kernel.py alone
     found = [
         f"{path.name}: {use}"
         for path in sorted((ROOT / "src" / "robyclif").glob("*.py"))
-        if path.name not in ("matrix.py", "kernel.py")
+        if path.name not in KEY_OWNERS
         for use in key_codec_uses(path.read_text(encoding="utf-8"))
     ]
-    assert found == [], f"modules encoding or decoding keys outside matrix.py and kernel.py: {found}"
+    assert found == [], f"modules encoding or decoding keys outside {KEY_OWNERS}: {found}"
 
 
 def test_the_key_codec_pattern_matches_what_it_names():
@@ -85,6 +89,8 @@ def test_the_key_codec_pattern_matches_what_it_names():
         "key = int.from_bytes(bytes(exp), 'little')",
         "shift = m.width * i",
         "data = m.aligned_data(vs, width=16)",
+        "keys = p.packed",
+        "terms = p._keys_in(vs, 16)",
         "used = {v for _, _, terms in m.nonzeros() for exp in terms for v, e in zip(m.vars, exp)}",
         "first = next(m.nonzeros())",
     ):

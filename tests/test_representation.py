@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from robyclif.matrix import PolyMatrix
-from robyclif.poly import Poly
+from robyclif.poly import Poly, _new
 from robyclif.scalars import CycScalar, make_root
 
 CONTEXTS = (("x", "y"), ("y", "z"), ("x",), ())
@@ -54,7 +54,8 @@ def poly_pair(rng, names):
     """(narrow, wide) copies of one random polynomial in the context names."""
     terms = {tuple(rng.randrange(3) for _ in names): draw(rng) for _ in range(rng.randrange(5))}
     narrow = Poly(names, terms)
-    old = Poly(names, {e: wide(c) for e, c in terms.items()}, _canonical=True)
+    # the public constructor narrows, so the wide copy is built from the packed map
+    old = _new(names, narrow.width, narrow.top, {k: wide(c) for k, c in narrow.packed.items()})
     assert narrow.vars == old.vars == names
     assert all(type(c) is cheapest_type(c) for c in narrow.terms.values()), narrow
     return narrow, old
