@@ -30,7 +30,8 @@ and the keys stay packed from one operation to the next.
   ``scalar_identity_multiple``, ``__str__``, and ``substitute`` for the
   terms a nonzero binding rewrites) as the Poly of its term map, pruned to
   the variables that occur in it: a re-encoding that drops fields, or none.
-  Keys are decoded to exponent tuples only to build a matrix from them.
+  No key is decoded here; exponent tuples are packed only by the
+  constructor.
 
 The matrices this package builds are mostly empty (assembly actions are
 1-5% nonzero).  So every pass -- product, Kronecker product, sum, scaling,

@@ -201,20 +201,27 @@ class Poly:
         vs, width = _context(self, other, top)
         return vs, width, self._keys_in(vs, width), other._keys_in(vs, width)
 
-    def _occurring(self) -> list:
-        """Indices of the variables with a nonzero exponent in some term."""
+    def _fields(self) -> list:
+        """Per variable, the OR of its exponents over all terms.
+
+        Each is below twice the variable's largest exponent, and zero when
+        the variable occurs in no term.
+        """
         occ = reduce(or_, self.packed, 0)
         width, mask = self.width, (1 << self.width) - 1
-        return [i for i in range(len(self.vars)) if occ >> (i * width) & mask]
+        return [occ >> (i * width) & mask for i in range(len(self.vars))]
 
     def pruned(self) -> "Poly":
-        """Drop variables that appear in no term (canonical minimal context)."""
-        used = self._occurring()
-        if len(used) == len(self.vars):
-            return self
-        vs = tuple(self.vars[i] for i in used)
+        """Drop variables that appear in no term (canonical minimal context).
+
+        The bound becomes the largest of ``_fields``, the least a bound on
+        the keys alone can be.
+        """
+        fields = self._fields()
+        vs = tuple(v for v, f in zip(self.vars, fields) if f)
         width = self.width
-        return _new(vs, width, self.top, _recoded(self.packed, self.vars, width, vs, width))
+        packed = _recoded(self.packed, self.vars, width, vs, width)
+        return _new(vs, width, max(fields, default=0), packed)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -249,7 +256,11 @@ class Poly:
             return NotImplemented
         top = self.top + other.top
         vs, width, a, b = self._common(other, top)
-        return _new(vs, width, top, kernel.mul_terms(a, b))
+        product = _new(vs, width, top, kernel.mul_terms(a, b))
+        # bounded by its own keys, so that bounds do not add up along a chain
+        # of products in different variables and widen fields for nothing
+        product.top = max(product._fields(), default=0)
+        return product
 
     __rmul__ = __mul__
 
@@ -300,11 +311,13 @@ class Poly:
 
         A key is the sum of f_i * 2**(i*width), and 2**width is 1 modulo
         m = 2**width - 1, so the key masked to idx is that sum modulo m.  It
-        is the sum itself, found at C speed, when len(idx) * top < m.
+        is the sum itself, found at C speed, when the ``_fields`` at idx,
+        which bound every term's, sum to less than m.
         """
         width = self.width
         m = (1 << width) - 1
-        if len(idx) * self.top < m:
+        fields = self._fields()
+        if sum(fields[i] for i in idx) < m:
             mask = sum(m << (i * width) for i in idx)
             return map(m.__rmod__, map(mask.__and__, self.packed))
         return [sum(k >> (i * width) & m for i in idx) for k in self.packed]
@@ -606,7 +619,7 @@ def _power_term_bound(base: Poly, n: int) -> int:
     """
     if len(base.packed) < 2:  # a power of one term or none has at most one
         return 1
-    k = len(base._occurring())  # the variables base uses
+    k = sum(map(bool, base._fields()))  # the variables base uses
     by_degree = comb(k + n * base.total_degree(), k)
     return min(by_degree, comb(len(base.packed) + n - 1, n))
 

@@ -104,8 +104,8 @@ MUTANTS = (
     (
         "a pruned polynomial loses its last variable",
         "poly.py",
-        "return [i for i in range(len(self.vars)) if occ >> (i * width) & mask]",
-        "return [i for i in range(len(self.vars) - 1) if occ >> (i * width) & mask]",
+        "return [occ >> (i * width) & mask for i in range(len(self.vars))]",
+        "return [occ >> (i * width) & mask for i in range(len(self.vars) - 1)]",
     ),
     (
         "the Toeplitz band shifted below the diagonal",
