@@ -216,6 +216,8 @@ class PolyMatrix:
 
     def _poly(self, terms: dict) -> Poly:
         """A term map as a Poly over the variables that occur in it."""
+        if not terms:
+            return Poly.zero()
         return _new(self.vars, self.width, self.top, terms).pruned()
 
     # -- access --------------------------------------------------------------------

@@ -198,6 +198,9 @@ class Poly:
 
     def _common(self, other: "Poly", top: int):
         """(vars, width, self's terms, other's terms) in one context holding top."""
+        width = self.width
+        if self.vars == other.vars and width == other.width and not top >> width:
+            return self.vars, width, self.packed, other.packed
         vs, width = _context(self, other, top)
         return vs, width, self._keys_in(vs, width), other._keys_in(vs, width)
 
@@ -249,11 +252,11 @@ class Poly:
         return _new(self.vars, self.width, self.top, kernel.neg_terms(self.packed))
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
+        if not isinstance(other, Poly):
+            if not isinstance(other, Scalar):
+                return NotImplemented
             c = _coerce_coeff(other)
             return _new(self.vars, self.width, self.top, kernel.scale_terms(self.packed, c))
-        if not isinstance(other, Poly):
-            return NotImplemented
         top = self.top + other.top
         vs, width, a, b = self._common(other, top)
         product = _new(vs, width, top, kernel.mul_terms(a, b))
@@ -594,10 +597,12 @@ def _check_power(base: Poly, n: int) -> None:
     """
     if n > MAX_EXPONENT:
         raise InputError(f"power ^{n} is above the exponent cap {MAX_EXPONENT}")
-    largest = max((max(exp, default=0) for exp in base.terms), default=0)
-    top = n * largest
-    if top > MAX_EXPONENT:
-        raise InputError(f"power ^{n} gives exponent {top}, above the cap {MAX_EXPONENT}")
+    # top bounds every exponent, so the exact largest one is decoded only
+    # when that bound passes the cap
+    if n * base.top > MAX_EXPONENT:
+        top = n * max((max(exp, default=0) for exp in base.terms), default=0)
+        if top > MAX_EXPONENT:
+            raise InputError(f"power ^{n} gives exponent {top}, above the cap {MAX_EXPONENT}")
     bound = _power_term_bound(base, n)
     if bound > MAX_POWER_TERMS:
         raise InputError(
