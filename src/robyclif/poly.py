@@ -130,39 +130,20 @@ class Poly:
         if len(vs) != len(vars):
             dup = next(v for i, v in enumerate(vars) if v in vars[:i])
             raise InputError(f"variable {dup!r} appears twice in the context")
-        nvars = len(vs)
         canon: dict = {}
-        if terms:
-            remap = vs != vars
-            pos = {v: i for i, v in enumerate(vs)}
-            idx = [pos[v] for v in vars]
-            for exp, c in terms.items():
-                if len(exp) != len(vars):
-                    raise InputError("exponent tuple width does not match variables")
-                if not all(isinstance(e, int) and e >= 0 for e in exp):
-                    raise InputError(f"exponents must be nonnegative integers, got {exp!r}")
-                c = _coerce_coeff(c)
-                if not c:
-                    continue
-                if remap:
-                    new_exp = [0] * nvars
-                    for i, e in enumerate(exp):
-                        new_exp[idx[i]] = e
-                    key = tuple(new_exp)
-                else:
-                    key = tuple(exp)
-                if key in canon:
-                    acc = canon[key] + c
-                    if acc:
-                        canon[key] = acc
-                    else:
-                        del canon[key]
-                else:
-                    canon[key] = c
+        for exp, c in (terms or {}).items():
+            if len(exp) != len(vars):
+                raise InputError("exponent tuple width does not match variables")
+            if not all(isinstance(e, int) and e >= 0 for e in exp):
+                raise InputError(f"exponents must be nonnegative integers, got {exp!r}")
+            c = _coerce_coeff(c)
+            if c:
+                kernel.add_into(canon, {tuple(exp): c})
         top = max((max(exp) for exp in canon if exp), default=0)
         width = _fit(top, _WIDTH)
         self.vars, self.width, self.top = vs, width, top
-        self.packed = kernel.pack(canon, width)
+        # packed over vars as given, then with the fields moved to sorted order
+        self.packed = _recoded(kernel.pack(canon, width), vars, width, vs, width)
 
     # -- constructors -------------------------------------------------------
 
