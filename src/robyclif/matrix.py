@@ -5,8 +5,8 @@ one context, so products run straight through the kernel's packed loops
 without per-entry alignment.  Coefficients are ``int`` when integral
 (``identity`` stores the int 1), ``Fraction`` when rational and
 ``CycScalar`` only when not in Q.  This module is the only one that knows
-the layout and the keys: other modules read entries through ``entry``,
-``rows``, ``nonzeros`` and ``occurring_vars``.
+the layout, and it shares the keys with ``poly.py`` only: other modules read
+entries through ``entry``, ``rows``, ``nonzeros`` and ``occurring_vars``.
 
 Persistent packed keys.  A matrix's context is ``vars`` (its variable
 names), ``width`` (bits per exponent field, a multiple of 8, 8 for a new
