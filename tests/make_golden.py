@@ -19,6 +19,9 @@ The corpus holds module files and transcripts:
   pipelines (text and ``--json``) and ``robyclif charpoly`` on the demo
   quadric algebra (plain, ``--json`` and ``--restrict``), on the files in
   demo/.
+- ``<stem>.algebra`` and ``<stem>.charpoly.txt`` / ``.json``: the algebra
+  files in ``ALGEBRAS`` and ``robyclif charpoly`` on each, plain and with
+  ``--json``.
 - ``multi_branch_<n>.report.txt`` and ``.report.json``, the report of
   ``run_pipeline`` on the multi-branch quadric cover with n = 1..5 off-line
   variables (``multi_branch_spec`` in ``test_pipeline.py``), and
@@ -71,6 +74,7 @@ from robyclif.roby import (  # noqa: E402
 from robyclif.specfile import parse_roby_module, render_roby_module  # noqa: E402
 from test_pipeline import multi_branch_spec  # noqa: E402
 from test_point_oracle import noncommuting_counterexample  # noqa: E402
+from test_freealg import BENCHMARK_COVERS, UNIT_SECOND_ALGEBRA  # noqa: E402
 
 # stem -> the `roby build` arguments that write the module file
 BUILT = {
@@ -92,6 +96,13 @@ DEMO_RUNS = {
     "quadric.charpoly.txt": ["charpoly", "quadric.algebra"],
     "quadric.charpoly.json": ["charpoly", "quadric.algebra", "--json"],
     "quadric.charpoly_restrict.txt": ["charpoly", "quadric.algebra", "--restrict", "z2 -> 0"],
+}
+
+# stem -> text of the algebra file <stem>.algebra that `charpoly` runs on:
+# the quintic perfbench cover, and an explicit basis whose unit is gamma_2
+ALGEBRAS = {
+    "quintic_cover": f"[algebra]\nmonogenic = {BENCHMARK_COVERS[1]}\nvar = z\n",
+    "unit_second": UNIT_SECOND_ALGEBRA,
 }
 
 # the off-line variable counts of the pinned multi-branch pipeline runs
@@ -247,6 +258,11 @@ def exit2_inputs() -> dict:
     return {f"exit2_{family}.in": text for family, (text, _) in EXIT2_RUNS.items() if text}
 
 
+def charpoly_argv(stem: str, fmt: str) -> list:
+    """The arguments of one `charpoly` run, from inside the directory of its algebra file."""
+    return ["charpoly", f"{stem}.algebra"] + (["--json"] if fmt == "json" else [])
+
+
 def exit2_argv(family: str, fmt: str) -> list:
     """The arguments of one exit-2 run, from inside the directory of its input."""
     _, argv = EXIT2_RUNS[family]
@@ -257,7 +273,8 @@ def exit2_argv(family: str, fmt: str) -> list:
 def main_write() -> int:
     GOLDEN.mkdir(exist_ok=True)
     files = module_files()
-    for name, text in {**files, **exit2_inputs()}.items():
+    algebras = {f"{stem}.algebra": text for stem, text in ALGEBRAS.items()}
+    for name, text in {**files, **exit2_inputs(), **algebras}.items():
         (GOLDEN / name).write_bytes(text.encode("utf-8"))
     cwd = os.getcwd()
     os.chdir(GOLDEN)
@@ -266,6 +283,11 @@ def main_write() -> int:
         outputs.update(
             (f"exit2_{family}.{fmt}", run(exit2_argv(family, fmt)))
             for family in EXIT2_RUNS
+            for fmt in ("txt", "json")
+        )
+        outputs.update(
+            (f"{stem}.charpoly.{fmt}", run(charpoly_argv(stem, fmt)))
+            for stem in ALGEBRAS
             for fmt in ("txt", "json")
         )
     finally:
@@ -278,7 +300,8 @@ def main_write() -> int:
     outputs.update(report_files())
     for name, text in outputs.items():
         (GOLDEN / name).write_bytes(text.encode("utf-8"))
-    print(f"wrote {len(files)} module files, {len(exit2_inputs())} refused inputs and "
+    print(f"wrote {len(files)} module files, {len(algebras)} algebra files, "
+          f"{len(exit2_inputs())} refused inputs and "
           f"{len(outputs)} transcripts and reports to {GOLDEN}")
     return 0
 

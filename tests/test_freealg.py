@@ -93,6 +93,26 @@ BENCHMARK_COVERS = (
     "z^6 - x*z^4 - y*z^3 - x^6 - y^6 - z2^6",
 )
 
+# R[z]/(z^4 - x*z^2 - 2/3*y*z - x*y) in the basis z, 1, z^2, z^3: an algebra
+# file whose unit is the second basis element, so unit_index == 1.
+UNIT_SECOND_ALGEBRA = """\
+[algebra]
+basis = z, one, z2, z3
+unit = 0, 1, 0, 0
+
+[table]
+z*z = 0, 0, 1, 0
+z*one = 1, 0, 0, 0
+z*z2 = 0, 0, 0, 1
+z*z3 = 2/3*y, x*y, x, 0
+one*one = 0, 1, 0, 0
+one*z2 = 0, 0, 1, 0
+one*z3 = 0, 0, 0, 1
+z2*z2 = 2/3*y, x*y, x, 0
+z2*z3 = x*y, 0, 2/3*y, x
+z3*z3 = 2/3*x*y, x^2*y, x^2 + x*y, 2/3*y
+"""
+
 
 def oracle_matrices():
     """(name, matrix): regular representations, edge sizes and random matrices."""

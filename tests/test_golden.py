@@ -12,6 +12,7 @@ from functools import cache
 import pytest
 
 from make_golden import (
+    ALGEBRAS,
     BUILT,
     COMMANDS,
     DEMO,
@@ -19,6 +20,7 @@ from make_golden import (
     EXIT2_RUNS,
     GOLDEN,
     MULTI_BRANCH,
+    charpoly_argv,
     exit2_argv,
     exit2_inputs,
     module_files,
@@ -43,11 +45,13 @@ def golden(name: str) -> bytes:
 
 
 EXIT2 = [(family, fmt) for family in EXIT2_RUNS for fmt in ("txt", "json")]
+CHARPOLY = [(stem, fmt) for stem in ALGEBRAS for fmt in ("txt", "json")]
 
 
 def test_the_corpus_holds_exactly_the_written_files():
     want = set(module_files()) | {f"{s}.{c}.{f}" for s, c, f in RUNS} | set(DEMO_RUNS)
     want |= set(report_files()) | set(exit2_inputs()) | {f"exit2_{f}.{x}" for f, x in EXIT2}
+    want |= {f"{s}.algebra" for s in ALGEBRAS} | {f"{s}.charpoly.{f}" for s, f in CHARPOLY}
     assert {path.name for path in GOLDEN.iterdir()} == want
     assert set(BUILT) <= set(STEMS)
 
@@ -68,6 +72,17 @@ def test_transcript_is_unchanged(monkeypatch, stem, command, fmt):
 def test_demo_transcript_is_unchanged(monkeypatch, name):
     monkeypatch.chdir(DEMO)
     assert run(DEMO_RUNS[name]).encode("utf-8") == golden(name)
+
+
+@pytest.mark.parametrize("stem", list(ALGEBRAS))
+def test_algebra_file_is_unchanged(stem):
+    assert ALGEBRAS[stem].encode("utf-8") == golden(f"{stem}.algebra")
+
+
+@pytest.mark.parametrize("stem, fmt", CHARPOLY, ids=[".".join(r) for r in CHARPOLY])
+def test_charpoly_transcript_is_unchanged(monkeypatch, stem, fmt):
+    monkeypatch.chdir(GOLDEN)
+    assert run(charpoly_argv(stem, fmt)).encode("utf-8") == golden(f"{stem}.charpoly.{fmt}")
 
 
 @pytest.mark.parametrize("name", sorted(report_files()))
