@@ -9,6 +9,16 @@ The characteristic polynomial of the generic element is computed from the
 regular representation by the Berkowitz algorithm, which is division-free, so
 it works verbatim over the polynomial ring.
 
+The unit shift.  Suppose the unit is the basis element gamma_u and its table
+row is the identity, L_u = I; ``unit_index`` is that u, read from the table,
+so it holds for tables built with ``validate=False`` too.  Lemma: then
+rho(a) = G_u*I + rho(a') with a' = a - G_u*gamma_u, so det(t*I - rho(a)) =
+det((t - G_u)*I - rho(a')), that is chi_a(t) = chi_a'(t - G_u), an exact
+identity in R[G, t] with no division and no sampling.  ``char_poly`` runs
+Berkowitz on rho(a'), which lacks G_u, and reads its coefficient column out
+in powers of t - G_u.  With no such u (split algebras, tables that break the
+unit row) it runs on rho(a) itself.
+
 Cayley-Hamilton on the unit column.  Let C send gamma_i to the matrix M_i
 and pass the action laws: C(1) = I and C(gamma_i) C(gamma_j) =
 C(gamma_i gamma_j) for every ordered pair.  Lemma: then C(x w) = C(x) C(w)
@@ -404,19 +414,24 @@ def _berkowitz_column(m: PolyMatrix) -> PolyMatrix:
     return vec
 
 
-def char_poly_of_matrix(m: PolyMatrix, tvar: str = "t") -> Poly:
-    """det(tvar*I - m) as a Poly, computed without divisions.
+def _read_out(column: PolyMatrix, x: Poly) -> Poly:
+    """The polynomial of an (n+1) x 1 coefficient column, descending in x.
 
-    The polynomial is read out once, as the row [t^n ... t 1] times the
-    coefficient column.
+    It is read out once, as the row [x^n ... x 1] times the column.
     """
+    powers = [Poly.const(1)]
+    for _ in range(column.nrows - 1):
+        powers.append(powers[-1] * x)
+    return (PolyMatrix.from_rows([powers[::-1]]) * column).entry(0, 0)
+
+
+def char_poly_of_matrix(m: PolyMatrix, tvar: str = "t") -> Poly:
+    """det(tvar*I - m) as a Poly, computed without divisions."""
     if m.nrows != m.ncols:
         raise InputError("characteristic polynomial needs a square matrix")
     if tvar in m.vars:
         raise InputError(f"matrix entries already involve {tvar!r}")
-    n = m.nrows
-    powers = PolyMatrix.from_rows([[Poly((tvar,), {(n - i,): 1}) for i in range(n + 1)]])
-    return (powers * _berkowitz_column(m)).entry(0, 0)
+    return _read_out(_berkowitz_column(m), Poly.variable(tvar))
 
 
 # -- contract-named operations -----------------------------------------------------
@@ -505,9 +520,20 @@ def char_poly(algebra: FreeAlgebra) -> CharPoly:
     The t^(d-j) coefficient is (-1)^j tr(wedge^j rho) and in particular has
     total degree j in the dual variables; the determinant route computes all
     of them at once.
+
+    When ``unit_index`` is some u, the unit gamma_u has L_u = I, so by the
+    unit shift of the module docstring chi_a(t) = chi_a'(t - G_u) with
+    a' = a - G_u*gamma_u: Berkowitz runs on rho(a'), which lacks G_u, and
+    the column is read out in powers of t - G_u.  When it is None, Berkowitz
+    runs on rho(a) itself.
     """
-    rho = algebra.regular_representation()
-    poly = char_poly_of_matrix(rho, algebra.tvar)
+    duals = [Poly.variable(g) for g in algebra.dual_names]
+    t = Poly.variable(algebra.tvar)
+    u = algebra.unit_index
+    if u is not None:
+        t = t - duals[u]
+        duals[u] = Poly.zero()
+    poly = _read_out(_berkowitz_column(algebra.element_rep(duals)), t)
     return CharPoly(algebra.rank, poly, algebra.tvar, algebra.dual_names)
 
 

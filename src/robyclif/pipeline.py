@@ -96,7 +96,7 @@ class PipelineSpec:
             if p:
                 raise InputError(
                     f"the pipeline restricts along a coordinate line: "
-                    f"bind {v!r} to zero, not {value!r}"
+                    f"bind {v!r} to zero, not {p}"
                 )
             bound[v] = p
         object.__setattr__(self, "line", bound)

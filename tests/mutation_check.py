@@ -1,8 +1,8 @@
 """Mutation check: each hand-written fault in the kernel, the matrix module,
-Berkowitz's characteristic polynomial, the Cayley-Hamilton check on the unit
-column (``freealg.cayley_hamilton_by_laws``), the cyclotomic scalars, the
-polynomial parser or the grade-cycle power identity of ``roby.py`` must make
-the fast test suite fail.
+Berkowitz's characteristic polynomial and its unit shift, the Cayley-Hamilton
+check on the unit column (``freealg.cayley_hamilton_by_laws``), the cyclotomic
+scalars, the polynomial parser or the grade-cycle power identity of
+``roby.py`` must make the fast test suite fail.
 
 Usage, from the root of a checkout:
 
@@ -118,6 +118,18 @@ MUTANTS = (
         "freealg.py",
         "column = [one, -m.submatrix([k], [k])]",
         "column = [one, m.submatrix([k], [k])]",
+    ),
+    (
+        "the unit shift read out in powers of t + G_u",
+        "freealg.py",
+        "        t = t - duals[u]\n",
+        "        t = t + duals[u]\n",
+    ),
+    (
+        "the unit's dual left in rho while the read-out is still shifted",
+        "freealg.py",
+        "        duals[u] = Poly.zero()\n",
+        "",
     ),
     (
         "Cayley-Hamilton decided on the unit column without the laws",

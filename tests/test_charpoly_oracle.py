@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from robyclif.freealg import char_poly_of_matrix, monogenic_algebra, split_algebra
+from robyclif.freealg import char_poly, char_poly_of_matrix, monogenic_algebra, split_algebra
 from robyclif.matrix import PolyMatrix
 from robyclif.poly import Poly, parse_poly
+from robyclif.specfile import parse_algebra
+from test_freealg import UNIT_SECOND_ALGEBRA
 
 sympy = pytest.importorskip("sympy")
 
@@ -75,6 +77,18 @@ def test_fat_cover_on_packed_keys():
     ours = char_poly_of_matrix(rho)
     assert len(ours.terms) > 500
     assert ours == sympy_charpoly(rho)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        pytest.param(monogenic_algebra(parse_poly(QUINTIC), "z"), id="quintic cover"),
+        pytest.param(parse_algebra(UNIT_SECOND_ALGEBRA), id="unit is gamma_2"),
+    ],
+)
+def test_unit_shifted_char_poly(algebra):
+    assert algebra.unit_index is not None
+    assert char_poly(algebra).poly == sympy_charpoly(algebra.regular_representation())
 
 
 @pytest.mark.parametrize("n", [3, 4])

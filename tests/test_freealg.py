@@ -24,6 +24,7 @@ from robyclif.matrix import PolyMatrix
 from robyclif.poly import Poly, parse_poly
 from robyclif.scalars import make_root
 from robyclif.seeds import perturbed_split_algebra
+from robyclif.specfile import parse_algebra
 
 
 def test_charpoly_of_generic_two_by_two():
@@ -174,6 +175,65 @@ def test_the_column_step_makes_no_poly_arithmetic(monkeypatch):
     column = freealg._berkowitz_column(m)
     assert calls == Counter()
     assert column.shape == (6, 1)
+
+
+# -- the unit shift against Berkowitz on the whole regular representation -----------
+
+
+def nilpotent_table(unit_square):
+    """k[z,w]/(z^2, zw, w^2) in the basis 1, z, w, with 1 * 1 = unit_square."""
+    zero = [0, 0, 0]
+    return [
+        [unit_square, [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], zero, zero],
+        [[0, 0, 1], zero, zero],
+    ]
+
+
+def shift_oracle_algebras():
+    """(name, algebra, unit_index): the shifted path and the ones it must leave alone."""
+    for text in BENCHMARK_COVERS:
+        yield text, monogenic_algebra(parse_poly(text), "z"), 0
+    yield "unit is gamma_2", parse_algebra(UNIT_SECOND_ALGEBRA), 1
+    yield "k[z,w]/(z^2, zw, w^2)", FreeAlgebra(["1", "z", "w"], nilpotent_table([1, 0, 0])), 0
+    for d in range(2, 7):
+        yield f"split {d}", split_algebra(d), None
+    # the unit coordinates are e_1, but its row says 1 * 1 = 2: L_1 = diag(2, 1, 1), so
+    # chi is (t - 2*G1)*(t - G1)^2, while a shift by G1 would give (t - G1)^3
+    yield "unit row wrong", FreeAlgebra(
+        ["1", "z", "w"], nilpotent_table([2, 0, 0]), validate=False
+    ), None
+
+
+@pytest.mark.parametrize(
+    "algebra, u", [pytest.param(a, u, id=name) for name, a, u in shift_oracle_algebras()]
+)
+def test_char_poly_equals_berkowitz_on_the_regular_representation(algebra, u):
+    assert algebra.unit_index == u
+    got = char_poly(algebra).poly
+    want = char_poly_of_matrix(algebra.regular_representation(), algebra.tvar)
+    assert got == want
+    assert got.vars == want.vars
+    assert str(got) == str(want)
+
+
+def test_berkowitz_runs_without_the_unit_dual(monkeypatch):
+    seen = []
+    real = freealg._berkowitz_column
+
+    def spy(m):
+        seen.append(m.vars)
+        return real(m)
+
+    monkeypatch.setattr(freealg, "_berkowitz_column", spy)
+    char_poly(parse_algebra(UNIT_SECOND_ALGEBRA))
+    char_poly(monogenic_algebra(parse_poly(BENCHMARK_COVERS[1]), "z"))
+    char_poly(split_algebra(3))
+    assert seen == [
+        ("G1", "G3", "G4", "x", "y"),
+        ("G2", "G3", "G4", "G5", "x", "y", "z2"),
+        ("x1", "x2", "x3"),
+    ]
 
 
 class TestMonogenic:
@@ -421,12 +481,7 @@ class TestLaws:
                         return unit_ok, (i, j)
             return unit_ok, None
 
-        zero = [0, 0, 0]
-        nilpotent = [
-            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-            [[0, 1, 0], zero, zero],
-            [[0, 0, 1], zero, zero],
-        ]
+        nilpotent = nilpotent_table([1, 0, 0])
         # the unit coordinates are e_1, but the unit's row says 1 * z = z + w
         bad_row = [row[:] for row in nilpotent]
         bad_row[0][1] = [0, 1, 1]
