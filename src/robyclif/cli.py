@@ -108,9 +108,16 @@ def _pick_format(args) -> None:
 
 def _cmd_charpoly(args, config: Config) -> int:
     algebra = parse_algebra(_read(args.spec))
+    bindings = parse_bindings(args.restrict) if args.restrict else {}
+    for var, value in bindings.items():
+        if var not in algebra.base_vars:
+            raise InputError(
+                f"--restrict binding '{var} -> {value}' does not bind a base variable; "
+                f"bindings must cover base variables only: {', '.join(algebra.base_vars) or 'none'}"
+            )
     chi = char_poly(algebra)
-    if args.restrict:
-        chi = restrict_char_poly(chi, parse_bindings(args.restrict))
+    if bindings:
+        chi = restrict_char_poly(chi, bindings)
     if args.json:
         doc = json.dumps(
             {

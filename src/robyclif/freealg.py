@@ -19,6 +19,16 @@ Berkowitz on rho(a'), which lacks G_u, and reads its coefficient column out
 in powers of t - G_u.  With no such u (split algebras, tables that break the
 unit row) it runs on rho(a) itself.
 
+The base change.  Let z^d = sum a_k z^k define a monogenic algebra, and give
+each tail coefficient a_k of two or more terms a fresh symbol W_k.  The map
+phi: W_k -> a_k is a ring morphism that fixes the duals and t, and the same
+power loop builds both tables, so the real table is phi of the generic one
+entrywise and rho(a) = phi(rho_W(a)).  Lemma: det(t*I - rho(a)) =
+phi(det(t*I - rho_W(a))), exactly, as phi commutes with every sum and
+product of the determinant.  ``char_poly`` so runs Berkowitz (with the unit
+shift) over the generic table, where no power of a_k is ever expanded, and
+substitutes W_k -> a_k once in the result.
+
 Cayley-Hamilton on the unit column.  Let C send gamma_i to the matrix M_i
 and pass the action laws: C(1) = I and C(gamma_i) C(gamma_j) =
 C(gamma_i gamma_j) for every ordered pair.  Lemma: then C(x w) = C(x) C(w)
@@ -70,11 +80,15 @@ def _check_rank(d: int) -> None:
 
 
 class FreeAlgebra:
-    """Structure constants c[i][j] = coordinates of gamma_i * gamma_j."""
+    """Structure constants c[i][j] = coordinates of gamma_i * gamma_j.
+
+    ``generic`` is None, or (generic algebra, bindings) as set by
+    ``monogenic_algebra`` for ``char_poly``'s base change.
+    """
 
     __slots__ = (
         "rank", "basis_names", "dual_names", "base_vars", "degrees", "table", "unit", "tvar",
-        "left_mult", "unit_index",
+        "left_mult", "unit_index", "generic",
     )
 
     def __init__(
@@ -137,6 +151,7 @@ class FreeAlgebra:
             )
         self.base_vars = tuple(sorted(used))
         self.unit_index = self._find_unit_index()
+        self.generic = None
         if validate:
             self._validate()
 
@@ -270,7 +285,10 @@ class FreeAlgebra:
         return self.element_rep([Poly.variable(g) for g in self.dual_names])
 
     def restrict(self, bindings) -> "FreeAlgebra":
-        """Substitute base variables (e.g. onto a line); laws survive substitution."""
+        """Substitute base variables (e.g. onto a line); laws survive substitution.
+
+        The result has no ``generic`` algebra: its table is taken as given.
+        """
         keys = set(bindings)
         if not keys <= set(self.base_vars):
             raise InputError(f"bindings must cover base variables only, got {sorted(keys)}")
@@ -293,6 +311,7 @@ class FreeAlgebra:
         )
 
     def __eq__(self, other):
+        # ``generic`` is a way to compute, not part of the algebra
         if not isinstance(other, FreeAlgebra):
             return NotImplemented
         if (
@@ -468,7 +487,15 @@ def split_algebra(d: int, *, base_vars=(), dual_names=None, tvar="t") -> FreeAlg
 
 
 def monogenic_algebra(p: Poly, var: str, *, dual_names=None, tvar="t") -> FreeAlgebra:
-    """R[z]/(p(z)) for p monic in var; basis 1, z, ..., z^(d-1)."""
+    """R[z]/(p(z)) for p monic in var; basis 1, z, ..., z^(d-1).
+
+    With z^d = sum a_k z^k, each tail coefficient a_k of two or more terms
+    gets a fresh symbol W_k (``_power_name`` keeps it clear of every base
+    variable, dual and t).  The same power loop then builds the generic
+    table over the W_k, and ``generic`` keeps that algebra, unvalidated,
+    with the bindings W_k -> a_k, for ``char_poly``'s base change.  With no
+    such coefficient ``generic`` stays None.
+    """
     p = as_poly(p)
     if var not in p.vars:
         raise InputError(f"defining polynomial does not involve {var!r}")
@@ -482,6 +509,40 @@ def monogenic_algebra(p: Poly, var: str, *, dual_names=None, tvar="t") -> FreeAl
     # z^d = -(lower part); tail[k] = coefficient of z^k in z^d
     tail = [-(coeffs.get(k, Poly.zero())) for k in range(d)]
     base_vars = tuple(v for v in p.vars if v != var)
+    names = ["1"] if d == 1 else ["1", var] + [_power_name(var, k, base_vars) for k in range(2, d)]
+    graded = p.homogeneous_degree() == d
+    algebra = FreeAlgebra(
+        names,
+        _power_table(tail),
+        base_vars=base_vars,
+        degrees=list(range(d)) if graded else None,
+        dual_names=dual_names,
+        tvar=tvar,
+    )
+    # the generic table is built from pruned coefficients, so a variable that
+    # only fat coefficients bring (z2 in x^6 + y^6 + z2^6) stays out of its keys
+    taken = {*algebra.base_vars, *algebra.dual_names, tvar}
+    bindings = {}
+    generic_tail = []
+    for k, a in enumerate(tail):
+        if len(a.terms) > 1:
+            w = _power_name("W", k, taken)
+            taken.add(w)
+            bindings[w] = a
+            a = Poly.variable(w)
+        generic_tail.append(a.pruned())
+    if bindings:
+        generic = FreeAlgebra(
+            names, _power_table(generic_tail), dual_names=algebra.dual_names, tvar=tvar,
+            validate=False,
+        )
+        algebra.generic = (generic, bindings)
+    return algebra
+
+
+def _power_table(tail) -> list:
+    """The table of R[z]/(z^d - sum tail[k] z^k): gamma_i gamma_j = z^(i+j) reduced."""
+    d = len(tail)
     pows = [[Poly.const(1) if k == i else Poly.zero() for k in range(d)] for i in range(d)]
     for _ in range(d, 2 * d - 1):
         prev = pows[-1]
@@ -490,17 +551,7 @@ def monogenic_algebra(p: Poly, var: str, *, dual_names=None, tvar="t") -> FreeAl
         if top:
             shifted = [shifted[k] + top * tail[k] for k in range(d)]
         pows.append(shifted)
-    table = [[pows[i + j] for j in range(d)] for i in range(d)]
-    names = ["1"] if d == 1 else ["1", var] + [_power_name(var, k, base_vars) for k in range(2, d)]
-    graded = p.homogeneous_degree() == d
-    return FreeAlgebra(
-        names,
-        table,
-        base_vars=base_vars,
-        degrees=list(range(d)) if graded else None,
-        dual_names=dual_names,
-        tvar=tvar,
-    )
+    return [[pows[i + j] for j in range(d)] for i in range(d)]
 
 
 def _power_name(var: str, k: int, taken) -> str:
@@ -526,15 +577,31 @@ def char_poly(algebra: FreeAlgebra) -> CharPoly:
     a' = a - G_u*gamma_u: Berkowitz runs on rho(a'), which lacks G_u, and
     the column is read out in powers of t - G_u.  When it is None, Berkowitz
     runs on rho(a) itself.
+
+    When ``algebra.generic`` holds a generic algebra and its bindings
+    W_k -> a_k (``monogenic_algebra`` with a tail coefficient of two or more
+    terms), the polynomial is taken over the generic algebra, unit shift
+    included, and the bindings are substituted once, by the base change of
+    the module docstring.  Split algebras, explicit tables and tails of
+    one-term coefficients have no generic algebra.
     """
+    if algebra.generic is None:
+        poly = _berkowitz_poly(algebra)
+    else:
+        generic, bindings = algebra.generic
+        poly = _berkowitz_poly(generic).substitute(bindings)
+    return CharPoly(algebra.rank, poly, algebra.tvar, algebra.dual_names)
+
+
+def _berkowitz_poly(algebra: FreeAlgebra) -> Poly:
+    """det(t*I - rho(a)) for the generic element a, with the unit shift when it applies."""
     duals = [Poly.variable(g) for g in algebra.dual_names]
     t = Poly.variable(algebra.tvar)
     u = algebra.unit_index
     if u is not None:
         t = t - duals[u]
         duals[u] = Poly.zero()
-    poly = _read_out(_berkowitz_column(algebra.element_rep(duals)), t)
-    return CharPoly(algebra.rank, poly, algebra.tvar, algebra.dual_names)
+    return _read_out(_berkowitz_column(algebra.element_rep(duals)), t)
 
 
 def restrict_char_poly(chi: CharPoly, bindings) -> CharPoly:

@@ -1,5 +1,6 @@
 """Mutation check: each hand-written fault in the kernel, the matrix module,
-Berkowitz's characteristic polynomial and its unit shift, the Cayley-Hamilton
+Berkowitz's characteristic polynomial, its unit shift and its base change
+over a cover's generic tail (``freealg.monogenic_algebra``), the Cayley-Hamilton
 check on the unit column (``freealg.cayley_hamilton_by_laws``), the cyclotomic
 scalars, the polynomial parser or the grade-cycle power identity of
 ``roby.py`` must make the fast test suite fail.
@@ -130,6 +131,18 @@ MUTANTS = (
         "freealg.py",
         "        duals[u] = Poly.zero()\n",
         "",
+    ),
+    (
+        "a cover's tail symbol W_k bound to a_(k+1)",
+        "freealg.py",
+        "            bindings[w] = a\n",
+        "            bindings[w] = tail[(k + 1) % d]\n",
+    ),
+    (
+        "the last multi-term tail coefficient left unsubstituted",
+        "freealg.py",
+        "poly = _berkowitz_poly(generic).substitute(bindings)",
+        "poly = _berkowitz_poly(generic).substitute(dict([*bindings.items()][:-1]))",
     ),
     (
         "Cayley-Hamilton decided on the unit column without the laws",

@@ -438,6 +438,15 @@ BAD_INPUTS = [
     (None, ["numerology", "--ec", HUGE, HUGE, HUGE], "the interpreter's limit for printing"),
     (None, ["numerology", "--ec", HUGE, HUGE, HUGE, "--json"],
      "the interpreter's limit for printing"),
+    # a binding of anything but a base variable would leave chi unrestricted
+    (QUADRIC_ALGEBRA, ["charpoly", "FILE", "--restrict", "q -> 0"],
+     "--restrict binding 'q -> 0' does not bind a base variable"),
+    (QUADRIC_ALGEBRA, ["charpoly", "FILE", "--restrict", "q -> 0", "--json"],
+     "--restrict binding 'q -> 0' does not bind a base variable"),
+    (QUADRIC_ALGEBRA, ["charpoly", "FILE", "--restrict", "x*y -> 1"],
+     "--restrict binding 'x*y -> 1' does not bind a base variable"),
+    (QUADRIC_ALGEBRA, ["charpoly", "FILE", "--restrict", "z2 -> 0, x*y -> 1", "--json"],
+     "--restrict binding 'x*y -> 1' does not bind a base variable"),
 ]
 
 
@@ -452,7 +461,8 @@ BAD_INPUTS = [
          "roby degree cap", "h1 table cap", "ulrich scan cap",
          "negative ulrich scan", "twist range cap", "far twist range", "huge bidegree",
          "huge bidegree json", "huge bidegree csv", "huge twists", "huge monad",
-         "huge monad json", "huge ec", "huge ec json"],
+         "huge monad json", "huge ec", "huge ec json", "restrict a stray variable",
+         "restrict a stray variable json", "restrict a product", "restrict a product json"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, text, argv, message):
     path = tmp_path / "input"

@@ -4,6 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +24,8 @@ from robyclif.freealg import (
 from robyclif.matrix import PolyMatrix
 from robyclif.poly import Poly, parse_poly
 from robyclif.scalars import make_root
-from robyclif.seeds import perturbed_split_algebra
-from robyclif.specfile import parse_algebra
+from robyclif.seeds import cyclic_cover_seed, perturbed_split_algebra
+from robyclif.specfile import parse_algebra, render_algebra
 
 
 def test_charpoly_of_generic_two_by_two():
@@ -231,9 +232,84 @@ def test_berkowitz_runs_without_the_unit_dual(monkeypatch):
     char_poly(split_algebra(3))
     assert seen == [
         ("G1", "G3", "G4", "x", "y"),
-        ("G2", "G3", "G4", "G5", "x", "y", "z2"),
+        ("G2", "G3", "G4", "G5", "W0", "x", "y"),
         ("x1", "x2", "x3"),
     ]
+
+
+# -- the base change against Berkowitz on the real table ------------------------------
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+# base variables, duals and t already hold the fresh names W0, W1 and W0_
+FRESH_NAME_COLLISIONS = """\
+[algebra]
+monogenic = z^3 - (W0 + W1)*z - W0^3 - W1^3
+var = z
+duals = W2, G2, G3
+tvar = W0_
+"""
+
+
+def base_change_algebras():
+    """(name, algebra, fresh symbols): monogenic algebras with multi-term tail coefficients."""
+    for text in BENCHMARK_COVERS:
+        yield text, monogenic_algebra(parse_poly(text), "z"), ["W0"]
+    yield "quadric demo", parse_algebra((DEMO / "quadric.algebra").read_text()), ["W0"]
+    yield "two fat powers", monogenic_algebra(
+        parse_poly("z^4 - (x+y)*z^2 - x^4 - y^4 - w^4"), "z"
+    ), ["W0", "W2"]
+    yield "fractions", monogenic_algebra(
+        parse_poly("z^3 - (1/2*x + 2/3*y)*z - 3/4*x^3 + 5*y^3"), "z"
+    ), ["W0", "W1"]
+    # Z^2 = (x + zeta3*y)*I, so the cover z^4 = (x + zeta3*y)^2 has zeta in its tail
+    seed = cyclic_cover_seed(PolyMatrix.from_rows([[0, "x + zeta3*y"], [1, 0]]), 4)
+    yield "cyclic cover seed over Q(zeta_3)", seed.source_algebra, ["W0"]
+    yield "fresh-name collisions", parse_algebra(FRESH_NAME_COLLISIONS), ["W0__", "W1_"]
+
+
+@pytest.mark.parametrize(
+    "algebra, fresh", [pytest.param(a, w, id=name) for name, a, w in base_change_algebras()]
+)
+def test_char_poly_over_the_generic_tail_equals_berkowitz_on_the_table(algebra, fresh):
+    generic, bindings = algebra.generic
+    assert sorted(bindings) == fresh
+    assert set(fresh) <= set(generic.base_vars)
+    got = char_poly(algebra).poly
+    table = parse_algebra(render_algebra(algebra))
+    assert table.generic is None and table == algebra
+    for want in (
+        char_poly_of_matrix(algebra.regular_representation(), algebra.tvar),
+        char_poly(table).poly,
+    ):
+        assert got == want
+        assert got.vars == want.vars
+        assert str(got) == str(want)
+
+
+def test_tails_of_one_term_coefficients_keep_the_real_table():
+    for text in ("z^9 - x*z - y", "z^3 - 2/3*x^3", "z^2", "z^5 - x*y*z^2 - zeta5*y^5"):
+        assert monogenic_algebra(parse_poly(text), "z").generic is None, text
+    assert split_algebra(3).generic is None
+    assert parse_algebra(UNIT_SECOND_ALGEBRA).generic is None
+    cover = monogenic_algebra(parse_poly(BENCHMARK_COVERS[0]), "z")
+    assert cover.restrict({"z2": 0}).generic is None
+
+
+def test_the_public_char_poly_is_entered_once_per_call(monkeypatch):
+    calls = []
+    real = freealg.char_poly
+
+    def spy(algebra):
+        calls.append(algebra)
+        return real(algebra)
+
+    monkeypatch.setattr(freealg, "char_poly", spy)
+    for _, algebra, _ in base_change_algebras():
+        calls.clear()
+        chi = freealg.char_poly(algebra)
+        assert calls == [algebra] and chi.rank == algebra.rank
+        assert not {*algebra.generic[1]} & {*chi.poly.vars}
 
 
 class TestMonogenic:
