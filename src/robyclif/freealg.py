@@ -486,8 +486,13 @@ def split_algebra(d: int, *, base_vars=(), dual_names=None, tvar="t") -> FreeAlg
     )
 
 
-def monogenic_algebra(p: Poly, var: str, *, dual_names=None, tvar="t") -> FreeAlgebra:
+def monogenic_algebra(
+    p: Poly, var: str, *, basis_names=None, dual_names=None, tvar="t"
+) -> FreeAlgebra:
     """R[z]/(p(z)) for p monic in var; basis 1, z, ..., z^(d-1).
+
+    The basis is named 1, z, z2, ... (``_power_name`` keeps z^k clear of the
+    base variables) unless ``basis_names`` gives one name per power.
 
     With z^d = sum a_k z^k, each tail coefficient a_k of two or more terms
     gets a fresh symbol W_k (``_power_name`` keeps it clear of every base
@@ -510,6 +515,12 @@ def monogenic_algebra(p: Poly, var: str, *, dual_names=None, tvar="t") -> FreeAl
     tail = [-(coeffs.get(k, Poly.zero())) for k in range(d)]
     base_vars = tuple(v for v in p.vars if v != var)
     names = ["1"] if d == 1 else ["1", var] + [_power_name(var, k, base_vars) for k in range(2, d)]
+    if basis_names is not None:
+        if len(basis_names) != d:
+            raise InputError(
+                f"need {d} basis names for {var}^0..{var}^{d - 1}, got {len(basis_names)}"
+            )
+        names = basis_names
     graded = p.homogeneous_degree() == d
     algebra = FreeAlgebra(
         names,

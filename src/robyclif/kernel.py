@@ -19,7 +19,8 @@ them.
 
 Both product loops run term by term with the shorter factor outermost (the
 left one on a tie), so a product's key order depends on its operands' key
-order only.
+order only.  ``power`` is the one binary-power chain, for any operand with
+a product.
 """
 
 from __future__ import annotations
@@ -103,6 +104,23 @@ def mul_terms(a: dict, b: dict) -> dict:
 
 
 # -- key codecs ---------------------------------------------------------------------
+
+
+def power(base, n: int):
+    """base ** n for n >= 1 by binary powering, with base's own product.
+
+    The chain starts from the first factor and squares only while bits
+    remain, so it makes (bit_length - 1) + (popcount - 1) products.  Polys,
+    matrices and cyclotomic scalars raise their powers through it.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 def pack(terms: dict, width: int) -> dict:

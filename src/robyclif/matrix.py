@@ -141,6 +141,34 @@ class PolyMatrix:
         return _make(n, n, vars, width, top, data)
 
     @classmethod
+    def cyclic_shift(cls, blocks) -> "PolyMatrix":
+        """Block j of d at block (j + 1 mod d, j); every other block is zero.
+
+        A block is a w x w matrix, or anything ``as_poly`` accepts when
+        w = 1.  Only the blocks' nonzero slots are written, in the context
+        ``from_rows`` gives the whole grid.
+        """
+        shapes = {b.shape if isinstance(b, PolyMatrix) else (1, 1) for b in blocks}
+        w = max(shapes, default=(0, 0))[0]
+        if shapes != {(w, w)}:
+            raise InputError("a cyclic shift needs square blocks of one size")
+        d = len(blocks)
+        n = d * w
+        cells = []  # (first slot of the block, row, column, Poly)
+        for j, b in enumerate(blocks):
+            corner = (j + 1) % d * w * n + j * w
+            if isinstance(b, PolyMatrix):
+                cells += [(corner, r, c, b.entry(r, c)) for r, c, _ in b.nonzeros()]
+            else:
+                cells.append((corner, 0, 0, as_poly(b)))
+        vars, width, top = _context_of([p for *_, p in cells])
+        data = [{}] * (n * n)
+        for corner, r, c, p in cells:
+            if p:
+                data[corner + r * n + c] = p._keys_in(vars, width)
+        return _make(n, n, vars, width, top, data)
+
+    @classmethod
     def combination(cls, pairs, n: int) -> "PolyMatrix":
         """Sum of c * M over (coefficient, n x n matrix) pairs.
 
@@ -349,26 +377,14 @@ class PolyMatrix:
         return NotImplemented
 
     def pow(self, n: int) -> "PolyMatrix":
-        """Binary exponentiation; n >= 0, square matrix.
-
-        The chain starts from the first factor and squares only while bits
-        remain, so it does (bit_length - 1) + (popcount - 1) products.
-        """
+        """Binary exponentiation (``kernel.power``); n >= 0, square matrix."""
         if self.nrows != self.ncols:
             raise InputError("only square matrices can be raised to a power")
         if not isinstance(n, int) or n < 0:
             raise InputError("matrix powers must be nonnegative integers")
         if not n:
             return PolyMatrix.identity(self.nrows)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return kernel.power(self, n)
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product; left factor indexes the outer blocks."""

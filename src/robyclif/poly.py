@@ -261,16 +261,7 @@ class Poly:
             raise InputError("polynomial powers must be nonnegative integers")
         if not n:
             return Poly.const(1)
-        # from the first factor, squaring only while bits remain
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return kernel.power(self, n)
 
     # -- queries ---------------------------------------------------------------
 

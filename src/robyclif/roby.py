@@ -5,9 +5,12 @@ phi(m)^e = F(m)*I; the variant targeting a characteristic polynomial carries
 one action per algebra basis element plus a T-slot and satisfies
 psi(a, rT)^d = chi(a, r)*I.  Both flavors live in one class here: the T-slot
 is one more action, bound to t the way each gamma_i is bound to its dual
-variable, so every consumer reads one list of (name, target variable,
-matrix) triples.  Every identity is verified symbolically on a generic
-element with fresh coefficients, never sampled numerically.
+variable, and the module stores one tuple of (name, target variable,
+matrix) triples, which every consumer reads.  Every module built here is a
+cyclic shift per action, eps_r -> (slot factor)*eps_(r+1)
+(``PolyMatrix.cyclic_shift``), and the twisted tensor puts them onto a
+seed.  Every identity is verified symbolically on a generic element with
+fresh coefficients, never sampled numerically.
 
 The power identity on one grade cycle.  A module is Z/dZ-graded and its
 generic element G has degree 1, so G maps V_g to V_{g+1} and G^d is block
@@ -73,31 +76,20 @@ def fresh_names(prefix: str, count: int, avoid) -> list:
 class GradedRobyModule:
     """Action matrices with a Z/eZ grading, targeting a form or a char poly.
 
-    ``target_vars`` name the variables of ``target_poly`` substituted by the
-    generic coefficients during verification, parallel to ``actions``.  For
-    form targets they coincide with ``action_names``; for characteristic
-    polynomial targets the actions are named by algebra basis elements while
-    the target lives in the dual variables, plus ``tvar`` for the T-slot.
-
-    ``named_actions`` holds one (name, target variable, matrix) triple per
-    action, then ("T", tvar, tslot) when there is a T-slot: the generic
-    element, the variable set, the grading check and the twisted tensor
-    read it and need no T-slot branch of their own.  ``actions`` and
-    ``target_vars`` keep the basis actions only.
+    ``named_actions`` is the one store: a (name, target variable, matrix)
+    triple per basis action, then ("T", tvar, T-slot) last when there is a
+    T-slot.  The target variable is the variable of ``target_poly`` that the
+    action's generic coefficient replaces during verification: the action's
+    own name for a form target, its dual variable (and ``tvar`` for the
+    T-slot) for a characteristic polynomial target.  The generic element,
+    the variable set, the grading check and the twisted tensor read the
+    triples and need no T-slot branch of their own.  ``action_names``,
+    ``actions``, ``target_vars`` (basis actions only) and ``tslot`` are
+    read-only views of them; ``has_tslot`` is ``tvar is not None``.
     """
 
     __slots__ = (
-        "degree",
-        "dim",
-        "grading",
-        "action_names",
-        "target_vars",
-        "actions",
-        "tslot",
-        "tvar",
-        "named_actions",
-        "target_poly",
-        "source_algebra",
+        "degree", "dim", "grading", "tvar", "named_actions", "target_poly", "source_algebra"
     )
 
     def __init__(
@@ -120,17 +112,15 @@ class GradedRobyModule:
         if degree > MAX_EXPONENT:
             raise InputError(f"Roby degree {degree} exceeds the cap of {MAX_EXPONENT}")
         self.degree = degree
-        self.action_names = tuple(action_names)
-        if not self.action_names:
+        names = tuple(action_names)
+        if not names:
             raise InputError("a Roby module needs at least one action")
-        if len(set(self.action_names)) != len(self.action_names):
+        if len(set(names)) != len(names):
             raise InputError("duplicate action names")
-        self.actions = [
-            m if isinstance(m, PolyMatrix) else PolyMatrix.from_rows(m) for m in actions
-        ]
-        if len(self.actions) != len(self.action_names):
+        actions = [m if isinstance(m, PolyMatrix) else PolyMatrix.from_rows(m) for m in actions]
+        if len(actions) != len(names):
             raise InputError("need exactly one action matrix per name")
-        dims = {m.nrows for m in self.actions} | {m.ncols for m in self.actions}
+        dims = {m.nrows for m in actions} | {m.ncols for m in actions}
         if len(dims) != 1:
             raise InputError("action matrices must be square and of equal size")
         self.dim = dims.pop()
@@ -139,45 +129,65 @@ class GradedRobyModule:
         self.grading = tuple(int(g) % degree for g in grading)
         if len(self.grading) != self.dim:
             raise InputError("grading length must equal the module dimension")
-        self.target_vars = tuple(target_vars) if target_vars is not None else self.action_names
-        if len(self.target_vars) != len(self.action_names):
+        target_vars = tuple(target_vars) if target_vars is not None else names
+        if len(target_vars) != len(names):
             raise InputError("target variables must parallel the actions")
         if (tslot is None) != (tvar is None):
             raise InputError("a T-slot needs a t-variable name and vice versa")
-        if tslot is not None and not isinstance(tslot, PolyMatrix):
-            tslot = PolyMatrix.from_rows(tslot)
-        if tslot is not None and tslot.shape != (self.dim, self.dim):
-            raise InputError("T-slot shape does not match the module")
-        if tvar is not None and tvar in self.target_vars:
-            raise InputError(f"{tvar!r} cannot double as a dual variable")
-        self.tslot = tslot
-        self.tvar = tvar
-        self.named_actions = tuple(zip(self.action_names, self.target_vars, self.actions))
+        named = tuple(zip(names, target_vars, actions))
         if tslot is not None:
-            self.named_actions += (("T", tvar, tslot),)
+            if not isinstance(tslot, PolyMatrix):
+                tslot = PolyMatrix.from_rows(tslot)
+            if tslot.shape != (self.dim, self.dim):
+                raise InputError("T-slot shape does not match the module")
+            if tvar in target_vars:
+                raise InputError(f"{tvar!r} cannot double as a dual variable")
+            named += (("T", tvar, tslot),)
+        self.tvar = tvar
+        self.named_actions = named
         if not isinstance(target_poly, Poly):
             raise InputError("target must be a Poly")
         self.target_poly = target_poly
         if source_algebra is not None:
-            if source_algebra.basis_names != self.action_names:
+            if source_algebra.basis_names != names:
                 raise InputError("source algebra basis does not match the action names")
-            if source_algebra.dual_names != self.target_vars:
+            if source_algebra.dual_names != target_vars:
                 raise InputError("source algebra duals do not match the target variables")
             if tvar is not None and source_algebra.tvar != tvar:
                 raise InputError("source algebra uses a different t-variable")
         self.source_algebra = source_algebra
 
-    # -- access ------------------------------------------------------------
+    # -- views of named_actions ------------------------------------------------
 
     @property
     def has_tslot(self) -> bool:
-        return self.tslot is not None
+        return self.tvar is not None
+
+    @property
+    def _basis(self) -> tuple:
+        return self.named_actions[: len(self.named_actions) - self.has_tslot]
+
+    @property
+    def action_names(self) -> tuple:
+        return tuple(n for n, _, _ in self._basis)
+
+    @property
+    def target_vars(self) -> tuple:
+        return tuple(v for _, v, _ in self._basis)
+
+    @property
+    def actions(self) -> list:
+        return [m for _, _, m in self._basis]
+
+    @property
+    def tslot(self) -> PolyMatrix | None:
+        return self.named_actions[-1][2] if self.has_tslot else None
 
     def action(self, name: str) -> PolyMatrix:
-        try:
-            return self.actions[self.action_names.index(name)]
-        except ValueError:
-            raise InputError(f"no action named {name!r}") from None
+        for n, _, m in self._basis:
+            if n == name:
+                return m
+        raise InputError(f"no action named {name!r}")
 
     def with_source(self, algebra: FreeAlgebra) -> "GradedRobyModule":
         """Attach (or replace) the source algebra; names must line up."""
@@ -303,19 +313,10 @@ def monomial_roby(form: HomForm, factors=None) -> GradedRobyModule:
         check = check * c * Poly.variable(v)
     if check != form.underlying:
         raise InputError("factor product does not reproduce the form")
-    rows = {
-        v: [[Poly.zero() for _ in range(e)] for _ in range(e)] for v in form.arg_vars
-    }
-    for j, (c, v) in enumerate(factors):
-        rows[v][(j + 1) % e][j] = c
-    actions = [PolyMatrix.from_rows(rows[v]) for v in form.arg_vars]
-    return GradedRobyModule(
-        e,
-        _cyclic_grading(e, e),
-        form.arg_vars,
-        actions,
-        form.underlying,
-    )
+    actions = [
+        PolyMatrix.cyclic_shift([c if u == v else 0 for c, u in factors]) for v in form.arg_vars
+    ]
+    return GradedRobyModule(e, _cyclic_grading(e, e), form.arg_vars, actions, form.underlying)
 
 
 def monomial_charpoly_roby(spec: MonomialSpec, algebra: FreeAlgebra) -> GradedRobyModule:
@@ -337,23 +338,21 @@ def monomial_charpoly_roby(spec: MonomialSpec, algebra: FreeAlgebra) -> GradedRo
                     f"factor {s + 1} must be homogeneous of degree {want} "
                     f"(the degree of {algebra.basis_names[k - 1]}), got {c}"
                 )
-    i = spec.t_exp
-    *grids, tgrid = [[[Poly.zero()] * d for _ in range(d)] for _ in range(d + 1)]
-    for r in range(1, d + 1):  # r indexes eps_r, column r-1
-        if r <= i:
-            tgrid[r % d][r - 1] = Poly.const(1)
-        else:
-            c = spec.factors[r - i - 1]
-            p = spec.dual_indices[r - i - 1]
-            grids[p - 1][r % d][r - 1] = c
+    # eps_(j+1) moves under T for j < i, and under gamma_k times factor j - i after
+    owners = [0] * spec.t_exp + list(spec.dual_indices)  # 0 is T, k is gamma_k
+    slots = [1] * spec.t_exp + list(spec.factors)
+
+    def shift(k):
+        return PolyMatrix.cyclic_shift([c if o == k else 0 for o, c in zip(owners, slots)])
+
     return GradedRobyModule(
         d,
         _cyclic_grading(d, d),
         algebra.basis_names,
-        [PolyMatrix.from_rows(g) for g in grids],
+        [shift(k) for k in range(1, d + 1)],
         spec.value(algebra.dual_names, algebra.tvar),
         target_vars=algebra.dual_names,
-        tslot=PolyMatrix.from_rows(tgrid),
+        tslot=shift(0),
         tvar=algebra.tvar,
         source_algebra=algebra,
     )
@@ -368,19 +367,19 @@ def split_roby(d: int, *, dual_names=None) -> GradedRobyModule:
     if d < 2:
         raise InputError("split modules need rank >= 2")
     algebra = split_algebra(d, dual_names=dual_names)
-    *grids, tgrid = [[[Poly.zero()] * d for _ in range(d)] for _ in range(d + 1)]
-    for j0 in range(d):  # column j0 is w_{j0+1}
-        tgrid[(j0 + 1) % d][j0] = Poly.const(1)
-        i = (j0 + 1) % d  # the index with i = j+1, zero-based
-        grids[i][(j0 + 1) % d][j0] = Poly.const(-1)
+    # zero-based, block j of action i is -1 exactly when i = j + 1 mod d
+    actions = [
+        PolyMatrix.cyclic_shift([-1 if (j + 1) % d == i else 0 for j in range(d)])
+        for i in range(d)
+    ]
     return GradedRobyModule(
         d,
         _cyclic_grading(d, d),
         algebra.basis_names,
-        [PolyMatrix.from_rows(g) for g in grids],
+        actions,
         char_poly(algebra).poly,
         target_vars=algebra.dual_names,
-        tslot=PolyMatrix.from_rows(tgrid),
+        tslot=PolyMatrix.cyclic_shift([1] * d),
         tvar=algebra.tvar,
         source_algebra=algebra,
     )
@@ -424,31 +423,20 @@ def twisted_tensor(
         raise InputError(f"the twist must be an exact scalar, got {type(xi).__name__}")
     if require_primitive and not is_primitive_root(xi, e):
         raise InputError(f"the twist must be a primitive root of unity of order {e}")
-    if m1.has_tslot:
-        if (m1.action_names, m1.target_vars, m1.tvar) != (
-            m2.action_names,
-            m2.target_vars,
-            m2.tvar,
-        ):
-            raise InputError("char-poly modules must share basis and dual names")
-        names = m1.action_names
-        tvars = m1.target_vars
-        pairs = [(a, b) for (_, _, a), (_, _, b) in zip(m1.named_actions, m2.named_actions)]
-    else:
-        names = list(m1.action_names)
-        names.extend(v for v in m2.action_names if v not in m1.action_names)
-        names = tuple(names)
-        tvars = names
-        z1 = PolyMatrix.zeros(m1.dim, m1.dim)
-        z2 = PolyMatrix.zeros(m2.dim, m2.dim)
-        a1 = {n: a for n, a in zip(m1.action_names, m1.actions)}
-        a2 = {n: a for n, a in zip(m2.action_names, m2.actions)}
-        pairs = [(a1.get(n, z1), a2.get(n, z2)) for n in names]
-
+    if m1.has_tslot and [t[:2] for t in m1.named_actions] != [t[:2] for t in m2.named_actions]:
+        raise InputError("char-poly modules must share basis and dual names")
+    # the union of both sides' named actions, in order; a side without one acts by 0
+    left = {n: (v, a) for n, v, a in m1.named_actions}
+    right = {n: (v, b) for n, v, b in m2.named_actions}
     eye2 = PolyMatrix.identity(m2.dim)
     dxi = PolyMatrix.diagonal([xi ** g for g in m1.grading])
-    actions = [a.kron(eye2) + dxi.kron(b) for a, b in pairs]
-    tslot = actions.pop() if m1.has_tslot else None
+    named = []
+    for n in dict.fromkeys([*left, *right]):
+        v, a = left[n] if n in left else (right[n][0], PolyMatrix.zeros(m1.dim, m1.dim))
+        b = right[n][1] if n in right else PolyMatrix.zeros(m2.dim, m2.dim)
+        named.append((n, v, a.kron(eye2) + dxi.kron(b)))
+    names, tvars, actions = zip(*named)
+    k = len(named) - m1.has_tslot
     grading = [
         (g1 + g2) % e for g1 in m1.grading for g2 in m2.grading
     ]
@@ -462,11 +450,11 @@ def twisted_tensor(
     return GradedRobyModule(
         e,
         grading,
-        names,
-        actions,
+        names[:k],
+        actions[:k],
         m1.target_poly + m2.target_poly,
-        target_vars=tvars,
-        tslot=tslot,
+        target_vars=tvars[:k],
+        tslot=actions[k] if k < len(named) else None,
         tvar=m1.tvar,
         source_algebra=source,
     )

@@ -41,6 +41,7 @@ from math import gcd
 from operator import add, neg, sub
 
 from .errors import InputError
+from .kernel import power
 
 __all__ = [
     "CycScalar",
@@ -340,16 +341,7 @@ class CycScalar:
             return self._inverse() ** (-n)
         if not n:
             return CycScalar(self.order, [1])
-        # from the first factor, squaring only while bits remain
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return power(self, n)
 
     # -- comparison and display -------------------------------------------
 

@@ -61,27 +61,12 @@ def form_element_matrix(module: GradedRobyModule) -> PolyMatrix:
     return module.generic_matrix(module.action_names)
 
 
-def _block_shift(blocks, w: int) -> PolyMatrix:
-    # blocks[j] occupies block row (j+1) mod d, block column j
-    d = len(blocks)
-    n = d * w
-    rows = [[Poly.zero()] * n for _ in range(n)]
-    for j, b in enumerate(blocks):
-        r0 = ((j + 1) % d) * w
-        c0 = j * w
-        for r in range(w):
-            for c in range(w):
-                p = b.entry(r, c)
-                if p:
-                    rows[r0 + r][c0 + c] = p
-    return PolyMatrix.from_rows(rows)
-
-
 def cyclic_cover_seed(
     zmat,
     cover_degree: int,
     *,
     var: str = "z",
+    basis_names=None,
     dual_names=None,
     tvar: str = "t",
 ) -> GradedRobyModule:
@@ -95,7 +80,8 @@ def cyclic_cover_seed(
     commuting, so its d-th power is diag of the full product over j.  That
     product is invariant under Z -> zeta Z, hence a polynomial in
     Z^d = q*I, and counting eigenvalues it is exactly the characteristic
-    polynomial of the cover algebra.  Dimension d*w for Z of size w.
+    polynomial of the cover algebra.  Dimension d*w for Z of size w.  The
+    names go to ``monogenic_algebra``.
     """
     if not isinstance(zmat, PolyMatrix):
         zmat = PolyMatrix.from_rows(zmat)
@@ -113,17 +99,18 @@ def cyclic_cover_seed(
     if q is None:
         raise InputError(f"matrix root does not satisfy Z^{d} = q*identity")
     relation = Poly.variable(var) ** d - q
-    algebra = monogenic_algebra(relation, var, dual_names=dual_names, tvar=tvar)
+    algebra = monogenic_algebra(
+        relation, var, basis_names=basis_names, dual_names=dual_names, tvar=tvar
+    )
     zeta = make_root(d)
     w = nrows
     powers = [PolyMatrix.identity(w)]
     for _ in range(d - 1):
         powers.append(powers[-1] * zmat)
-    actions = []
-    for k in range(d):
-        blocks = [powers[k].scaled(-(zeta ** (j * k))) for j in range(d)]
-        actions.append(_block_shift(blocks, w))
-    tslot = _block_shift([PolyMatrix.identity(w)] * d, w)
+    actions = [
+        PolyMatrix.cyclic_shift([powers[k].scaled(-(zeta ** (j * k))) for j in range(d)])
+        for k in range(d)
+    ]
     grading = [j for j in range(d) for _ in range(w)]
     return GradedRobyModule(
         d,
@@ -132,13 +119,15 @@ def cyclic_cover_seed(
         actions,
         char_poly(algebra).poly,
         target_vars=algebra.dual_names,
-        tslot=tslot,
+        tslot=PolyMatrix.cyclic_shift([PolyMatrix.identity(w)] * d),
         tvar=tvar,
         source_algebra=algebra,
     )
 
 
-def mf_seed(f, g, *, var: str = "z", dual_names=None, tvar: str = "t") -> GradedRobyModule:
+def mf_seed(
+    f, g, *, var: str = "z", basis_names=None, dual_names=None, tvar: str = "t"
+) -> GradedRobyModule:
     """Rank-2 matrix-factorization seed for the double cover var^2 = f*g.
 
     [[0, f], [g, 0]] squares to f*g * identity, so the cover construction
@@ -149,7 +138,9 @@ def mf_seed(f, g, *, var: str = "z", dual_names=None, tvar: str = "t") -> Graded
     if not f or not g:
         raise InputError("both factors must be nonzero")
     zmat = PolyMatrix.from_rows([[Poly.zero(), f], [g, Poly.zero()]])
-    return cyclic_cover_seed(zmat, 2, var=var, dual_names=dual_names, tvar=tvar)
+    return cyclic_cover_seed(
+        zmat, 2, var=var, basis_names=basis_names, dual_names=dual_names, tvar=tvar
+    )
 
 
 def perturbed_split_algebra(h, *, dual_names=("x1", "x2"), tvar: str = "t") -> FreeAlgebra:

@@ -404,9 +404,13 @@ def parse_bindings(value: str) -> dict:
 
 
 def _build_seed(expr: str, algebra: FreeAlgebra, base_dir):
+    """A builder seed in the algebra's basis, dual and t names, or a module file's own."""
     expr = expr.strip()
     if expr == "split":
         return split_roby(algebra.rank, dual_names=algebra.dual_names)
+    names = dict(
+        basis_names=algebra.basis_names, dual_names=algebra.dual_names, tvar=algebra.tvar
+    )
     for builder in ("mf", "companion"):
         if expr.startswith(builder + "(") and expr.endswith(")"):
             args = _split_list(expr[len(builder) + 1 : -1])
@@ -414,21 +418,14 @@ def _build_seed(expr: str, algebra: FreeAlgebra, base_dir):
                 if len(args) not in (2, 3):
                     raise InputError("mf takes two factors and an optional variable")
                 var = args[2] if len(args) == 3 else "z"
-                return mf_seed(
-                    parse_poly(args[0]),
-                    parse_poly(args[1]),
-                    var=var,
-                    dual_names=algebra.dual_names,
-                    tvar=algebra.tvar,
-                )
+                return mf_seed(parse_poly(args[0]), parse_poly(args[1]), var=var, **names)
             if len(args) != 3:
                 raise InputError("companion takes a polynomial, a variable, and a degree")
             return cyclic_cover_seed(
                 companion_matrix(parse_poly(args[0]), args[1]),
                 _int(args[2], "cover degree"),
                 var=args[1],
-                dual_names=algebra.dual_names,
-                tvar=algebra.tvar,
+                **names,
             )
     path = Path(expr)
     if base_dir is not None and not path.is_absolute():

@@ -213,6 +213,12 @@ MUTANTS = (
         "    offender = next(((i, j, m.entry(i, j).pruned()) for i, j, _ in reversed([*m.nonzeros()])), None)\n",
     ),
     (
+        "a cyclic shift puts block j at block row j, not j + 1 mod d",
+        "matrix.py",
+        "corner = (j + 1) % d * w * n + j * w",
+        "corner = j * w * n + j * w",
+    ),
+    (
         "the grade cycle decides a zero target",
         "roby.py",
         "    if not c:\n        return False\n",

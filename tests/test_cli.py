@@ -9,7 +9,7 @@ from robyclif.cli import main
 from robyclif.matrix import PolyMatrix
 from robyclif.report import comparable_dict
 from robyclif.roby import GradedRobyModule
-from robyclif.seeds import mf_seed, perturbed_split_algebra
+from robyclif.seeds import companion_matrix, cyclic_cover_seed, mf_seed, perturbed_split_algebra
 from robyclif.specfile import render_algebra, render_roby_module
 
 QUADRIC_ALGEBRA = "[algebra]\nmonogenic = z^2 - x*y - z2^2\nvar = z\n"
@@ -21,6 +21,16 @@ line = z2 -> 0
 
 [algebra]
 monogenic = z^2 - x*y - z2^2
+var = z
+"""
+
+CUBIC_PIPELINE = """\
+[pipeline]
+seed = companion(z^3 - x^3 - y^3, z, 3)
+line = z2 -> 0
+
+[algebra]
+monogenic = z^3 - x^3 - y^3 - z2^3
 var = z
 """
 
@@ -280,6 +290,26 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "dimension 2048" in err and "cap 1024" in err
         assert "Traceback" not in err
+
+    def test_cubic_cover_with_a_companion_seed_reaches_the_cap(self, tmp_path, capsys):
+        # the algebra names z^2 "z2_" (z2 is a base variable); the builder seed
+        # takes that name, so the run gets as far as the assembly's cap
+        path = tmp_path / "cubic.pipeline"
+        path.write_text(CUBIC_PIPELINE)
+        assert main(["pipeline", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "dimension 6561" in err and "6 deviation monomials" in err and "cap 1024" in err
+        assert "Traceback" not in err
+
+    def test_cubic_cover_with_a_seed_file_keeps_its_names(self, tmp_path, capsys):
+        seed = cyclic_cover_seed(companion_matrix("z^3 - x^3 - y^3", "z"), 3)
+        assert seed.action_names == ("1", "z", "z2")
+        (tmp_path / "seed.roby").write_text(render_roby_module(seed))
+        path = tmp_path / "byfile.pipeline"
+        path.write_text(CUBIC_PIPELINE.replace("companion(z^3 - x^3 - y^3, z, 3)", "seed.roby"))
+        assert main(["pipeline", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "source algebra basis does not match the action names" in err
 
     def test_seed_file_relative_to_spec(self, tmp_path, capsys):
         (tmp_path / "seed.roby").write_text(render_roby_module(mf_seed("x", "y")))

@@ -1,4 +1,5 @@
-"""Matrices over sparse polynomials: powering, Kronecker products, scalar tests."""
+"""Matrices over sparse polynomials: powering, Kronecker products, cyclic shifts,
+scalar tests."""
 
 import copy
 import random
@@ -9,9 +10,12 @@ import pytest
 
 from robyclif import kernel
 from robyclif.errors import InputError
+from robyclif.freealg import monogenic_algebra
 from robyclif.matrix import PolyMatrix, is_scalar_multiple_of_identity, matpoly_pow
-from robyclif.poly import Poly, as_poly, parse_poly
+from robyclif.poly import HomForm, Poly, as_poly, parse_poly
+from robyclif.roby import MonomialSpec, monomial_charpoly_roby, monomial_roby, split_roby
 from robyclif.scalars import make_root
+from robyclif.seeds import companion_matrix, cyclic_cover_seed
 
 x = Poly.variable("x")
 y = Poly.variable("y")
@@ -648,6 +652,155 @@ def test_pow_does_one_product_per_step(monkeypatch):
     assert m.pow(0) == PolyMatrix.identity(4)
 
 
+# -- cyclic shifts: the grid builders they replaced are the oracle -----------------
+
+
+def same_matrix(got, want, where):
+    assert got == want, where
+    assert (got.vars, got.width, got.top) == (want.vars, want.width, want.top), where
+    assert [list(t) for t in got.data] == [list(t) for t in want.data], where
+
+
+def old_block_shift(blocks, w):
+    # seeds._block_shift as it was: blocks[j] occupies block row (j+1) mod d,
+    # block column j
+    d = len(blocks)
+    n = d * w
+    rows = [[Poly.zero()] * n for _ in range(n)]
+    for j, b in enumerate(blocks):
+        r0 = ((j + 1) % d) * w
+        c0 = j * w
+        for r in range(w):
+            for c in range(w):
+                p = b.entry(r, c)
+                if p:
+                    rows[r0 + r][c0 + c] = p
+    return PolyMatrix.from_rows(rows)
+
+
+def old_monomial_actions(factors, arg_vars):
+    # roby.monomial_roby's grid loop as it was
+    e = len(factors)
+    rows = {
+        v: [[Poly.zero() for _ in range(e)] for _ in range(e)] for v in arg_vars
+    }
+    for j, (c, v) in enumerate(factors):
+        rows[v][(j + 1) % e][j] = c
+    return [PolyMatrix.from_rows(rows[v]) for v in arg_vars]
+
+
+def old_charpoly_actions(spec):
+    # roby.monomial_charpoly_roby's grid loop as it was, the T-slot last
+    d, i = spec.d, spec.t_exp
+    *grids, tgrid = [[[Poly.zero()] * d for _ in range(d)] for _ in range(d + 1)]
+    for r in range(1, d + 1):  # r indexes eps_r, column r-1
+        if r <= i:
+            tgrid[r % d][r - 1] = Poly.const(1)
+        else:
+            c = spec.factors[r - i - 1]
+            p = spec.dual_indices[r - i - 1]
+            grids[p - 1][r % d][r - 1] = c
+    return [PolyMatrix.from_rows(g) for g in grids + [tgrid]]
+
+
+def old_split_actions(d):
+    # roby.split_roby's grid loop as it was, the T-slot last
+    *grids, tgrid = [[[Poly.zero()] * d for _ in range(d)] for _ in range(d + 1)]
+    for j0 in range(d):  # column j0 is w_{j0+1}
+        tgrid[(j0 + 1) % d][j0] = Poly.const(1)
+        i = (j0 + 1) % d  # the index with i = j+1, zero-based
+        grids[i][(j0 + 1) % d][j0] = Poly.const(-1)
+    return [PolyMatrix.from_rows(g) for g in grids + [tgrid]]
+
+
+# w = 1 blocks: zero weights (one with a variable but no term), scalars,
+# zeta-weights, and exponents past the 8-bit field
+SHIFT_WEIGHTS = (0, Poly.zero(), "x - x", 1, -1, Fraction(3, 2), "zeta3", "-zeta5^2*y",
+                 "x - 2*y", "x^300 + z", "y^256")
+
+
+def test_cyclic_shift_of_polynomials_equals_the_grid():
+    rng = random.Random(61)
+    for trial in range(200):
+        d = rng.randrange(1, 6)
+        weights = [rng.choice(SHIFT_WEIGHTS) for _ in range(d)]
+        if rng.random() < 0.3:
+            weights = [make_root(d) ** rng.randrange(d) * rng.choice((1, -1)) for _ in range(d)]
+        grid = [[0] * d for _ in range(d)]
+        for j, p in enumerate(weights):
+            grid[(j + 1) % d][j] = p
+        same_matrix(PolyMatrix.cyclic_shift(weights), PolyMatrix.from_rows(grid),
+                    f"trial {trial}: {weights}")
+
+
+def test_cyclic_shift_of_blocks_equals_the_old_block_shift():
+    rng = random.Random(62)
+    seen = Counter()
+    for trial in range(200):
+        d, w = rng.randrange(1, 5), rng.randrange(1, 4)
+        zeta = make_root(max(d, 2))
+        blocks = []
+        for j in range(d):
+            b = random_matrix(rng, w, w, rng.choice(DENSITIES))
+            weight = rng.choice((1, 0, -(zeta ** j), zeta ** (j * j), "x^300"))
+            seen["zero"] += weight == 0
+            seen["zeta"] += not isinstance(weight, (int, str))
+            blocks.append(b.scaled(weight) if rng.random() < 0.7 else b)
+        same_matrix(PolyMatrix.cyclic_shift(blocks), old_block_shift(blocks, w),
+                    f"trial {trial}: d={d}, w={w}")
+    assert seen["zero"] and seen["zeta"]
+
+
+def test_builders_equal_their_old_grids():
+    for d in range(2, 7):
+        split = split_roby(d)
+        for got, want in zip(split.actions + [split.tslot], old_split_actions(d)):
+            same_matrix(got, want, f"split {d}")
+
+    factors = [("q", "x"), (1, "y"), ("-zeta3", "x"), ("x - x + 2", "y")]
+    form = HomForm(parse_poly("-q*zeta3*2*x^2*y^2"), 4, ("x", "y", "w"))
+    module = monomial_roby(form, factors)
+    want = old_monomial_actions([(as_poly(c), v) for c, v in factors], form.arg_vars)
+    for got, old in zip(module.actions, want):
+        same_matrix(got, old, "monomial form")
+
+    algebra = monogenic_algebra(parse_poly("z^3 - x*z - y^300"), "z")
+    for spec in (
+        MonomialSpec(3, 0, ("x", 1, "zeta3*y^2"), (2, 3, 2)),
+        MonomialSpec(3, 1, ("y", 0), (1, 3)),
+        MonomialSpec(3, 2, ("x - x",), (3,)),
+    ):
+        module = monomial_charpoly_roby(spec, algebra)
+        for got, old in zip(module.actions + [module.tslot], old_charpoly_actions(spec)):
+            same_matrix(got, old, f"charpoly monomial {spec}")
+
+    for zmat, d in (
+        (companion_matrix("z^3 - x^3 - y^3", "z"), 3),
+        (PolyMatrix.from_rows([[0, "x"], ["y", 0]]), 4),
+    ):
+        seed = cyclic_cover_seed(zmat, d)
+        w, zeta = zmat.nrows, make_root(d)
+        powers = [PolyMatrix.identity(w)]
+        for _ in range(d - 1):
+            powers.append(powers[-1] * zmat)
+        want = [old_block_shift([powers[k].scaled(-(zeta ** (j * k))) for j in range(d)], w)
+                for k in range(d)]
+        want.append(old_block_shift([PolyMatrix.identity(w)] * d, w))
+        for got, old in zip(seed.actions + [seed.tslot], want):
+            same_matrix(got, old, f"cyclic seed of {zmat}, d={d}")
+
+
+def test_cyclic_shift_refuses_blocks_of_mixed_or_oblong_shape():
+    with pytest.raises(InputError, match="square blocks of one size"):
+        PolyMatrix.cyclic_shift([PolyMatrix.identity(2), PolyMatrix.identity(3)])
+    with pytest.raises(InputError, match="square blocks of one size"):
+        PolyMatrix.cyclic_shift([PolyMatrix.identity(2), "x"])
+    with pytest.raises(InputError, match="square blocks of one size"):
+        PolyMatrix.cyclic_shift([PolyMatrix.zeros(1, 2)] * 2)
+    with pytest.raises(InputError, match="square blocks of one size"):
+        PolyMatrix.cyclic_shift([])
+
+
 # -- an independent oracle: nested loops over name-keyed monomials ---------------
 #
 # A plain polynomial maps a monomial, the sorted tuple of its (name, exponent)
@@ -861,6 +1014,8 @@ def test_operations_agree_with_nested_loops_over_plain_dicts():
         test_queries_equal_their_old_loops,
         test_arithmetic_passes_equal_their_old_listcomps,
         test_operations_agree_with_nested_loops_over_plain_dicts,
+        test_cyclic_shift_of_polynomials_equals_the_grid,
+        test_cyclic_shift_of_blocks_equals_the_old_block_shift,
     ],
     ids=lambda check: check.__name__,
 )

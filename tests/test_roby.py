@@ -1,6 +1,7 @@
 """Roby module constructions, twisted tensors, and the verifiers."""
 
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -39,6 +40,8 @@ from robyclif.roby import (
     zero_roby,
 )
 from robyclif.scalars import make_root
+from robyclif.seeds import companion_matrix, cyclic_cover_seed, mf_seed
+from robyclif.specfile import parse_roby_module
 
 
 def form(text, degree, arg_vars):
@@ -291,6 +294,38 @@ class TestTwistedTensor:
         m2 = monomial_roby(form("x^2", 2, ("x",)))
         with pytest.raises(InputError, match="form module"):
             twisted_tensor(m1, m2, -1)
+
+    def test_form_module_with_charpoly_module_refused(self):
+        m1 = monomial_roby(form("x^2", 2, ("x",)))
+        with pytest.raises(InputError, match="form module with a char-poly module"):
+            twisted_tensor(m1, split_roby(2), -1)
+
+    def test_charpoly_modules_with_other_names_refused(self):
+        s = split_roby(2)
+        renamed = GradedRobyModule(
+            2, s.grading, ("f1", "f2"), s.actions, s.target_poly,
+            target_vars=s.target_vars, tslot=s.tslot, tvar=s.tvar,
+        )
+        other_duals = split_roby(2, dual_names=("h1", "h2"))
+        for m in (renamed, other_duals):
+            with pytest.raises(InputError, match="share basis and dual names"):
+                twisted_tensor(s, m, -1)
+            with pytest.raises(InputError, match="share basis and dual names"):
+                twisted_tensor(m, s, -1)
+
+    def test_form_names_are_the_union_in_order_with_zero_fill(self):
+        m1 = monomial_roby(form("x*y", 2, ("x", "y")))
+        m2 = monomial_roby(form("y*z", 2, ("y", "z")))
+        t = twisted_tensor(m1, m2, -1)
+        assert t.action_names == t.target_vars == ("x", "y", "z")
+        assert [n for n, _, _ in t.named_actions] == ["x", "y", "z"]
+        eye = PolyMatrix.identity(2)
+        sign = PolyMatrix.diagonal([-1, 1])  # xi^g over m1's grading (1, 0)
+        assert t.action("x") == m1.action("x").kron(eye)
+        assert t.action("y") == m1.action("y").kron(eye) + sign.kron(m2.action("y"))
+        assert t.action("z") == sign.kron(m2.action("z"))
+        assert t.target_poly == parse_poly("x*y + y*z")
+        assert verify_roby(t).ok
 
     def test_split_tensor_split(self):
         s = split_roby(2)
@@ -779,6 +814,51 @@ class TestFreshNames:
         # base coefficients named like the fresh generics must not collide
         m = monomial_roby(form("s1*x^2*y", 3, ("x", "y")))
         assert verify_roby(m).ok
+
+
+def view_fixtures():
+    """One module of each builder, a tensor of forms and a parsed module file."""
+    quadric = monogenic_algebra(parse_poly("z^2 - x*y - z2^2"), "z")
+    return {
+        "split": split_roby(3),
+        "mf": mf_seed("x", "y"),
+        "cyclic": cyclic_cover_seed(companion_matrix("z^3 - x^3 - y^3", "z"), 3),
+        "monomial": monomial_charpoly_roby(MonomialSpec(2, 1, ("z2",), (2,)), quadric),
+        "form": monomial_roby(form("q*x^2*y", 3, ("x", "y", "w"))),
+        "form tensor": twisted_tensor(
+            monomial_roby(form("x^2", 2, ("x",))), monomial_roby(form("y^2", 2, ("y",))), -1
+        ),
+        "parsed": parse_roby_module(
+            (Path(__file__).parent / "golden" / "cyclic_z3_x_y.roby").read_text()
+        ),
+    }
+
+
+class TestOneStore:
+    @pytest.mark.parametrize("name", list(view_fixtures()))
+    def test_views_read_the_named_actions(self, name):
+        m = view_fixtures()[name]
+        named = m.named_actions
+        assert m.has_tslot == (m.tvar is not None)
+        basis = named[:-1] if m.has_tslot else named
+        assert m.action_names == tuple(n for n, _, _ in basis)
+        assert m.target_vars == tuple(v for _, v, _ in basis)
+        assert len(m.actions) == len(basis)
+        assert all(a is b for a, (_, _, b) in zip(m.actions, basis))
+        if m.has_tslot:
+            assert named[-1][:2] == ("T", m.tvar)
+            assert m.tslot is named[-1][2]
+        else:
+            assert m.tslot is None
+        for n, _, a in basis:
+            assert m.action(n) is a
+
+    def test_the_views_are_not_stored(self):
+        assert not {"actions", "target_vars", "tslot"} & set(GradedRobyModule.__slots__)
+        m = split_roby(2)
+        for attr in ("actions", "target_vars", "tslot", "has_tslot"):
+            with pytest.raises(AttributeError):
+                setattr(m, attr, None)
 
 
 class TestModuleConstruction:

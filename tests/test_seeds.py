@@ -172,6 +172,16 @@ class TestCyclicCoverSeed:
         with pytest.raises(InputError, match="cover variable"):
             cyclic_cover_seed(mat([[0, "z"], ["z", 0]]), 2)
 
+    def test_basis_names_name_the_powers(self):
+        seed = cyclic_cover_seed(
+            companion_matrix("z^3 - x^3 - y^3", "z"), 3, basis_names=("1", "z", "z2_")
+        )
+        assert seed.action_names == seed.source_algebra.basis_names == ("1", "z", "z2_")
+        assert seed.target_poly == self.cubic_seed().target_poly
+        assert mf_seed("x", "y", basis_names=("u", "v")).action_names == ("u", "v")
+        with pytest.raises(InputError, match="need 2 basis names for z\\^0..z\\^1, got 3"):
+            mf_seed("x", "y", basis_names=("1", "z", "z2"))
+
     def test_rank_cap_comes_before_the_power(self, monkeypatch):
         def no_power(self, n):
             raise AssertionError("Z^d was built before the rank cap")

@@ -242,6 +242,19 @@ class TestPipelineFiles:
         assert spec.seed.dim == 4
         assert run_pipeline(spec).report.ok
 
+    def test_builder_seeds_take_the_algebra_names(self):
+        # z2 is a base variable, so the algebra names z^2 "z2_"; a module file
+        # keeps its own names (test_cli has its refusal)
+        text = (
+            "[pipeline]\nseed = companion(z^3 - x^3 - y^3, z, 3)\nline = z2 -> 0\n\n"
+            "[algebra]\nmonogenic = z^3 - x^3 - y^3 - z2^3\nvar = z\n"
+            "duals = a, b, c\ntvar = s\n"
+        )
+        spec = parse_pipeline(text)
+        assert spec.algebra.basis_names == ("1", "z", "z2_")
+        assert spec.seed.action_names == spec.algebra.basis_names
+        assert spec.seed.target_vars == ("a", "b", "c") and spec.seed.tvar == "s"
+
     def test_seed_file_reference(self, tmp_path):
         seed_path = tmp_path / "seed.roby"
         seed_path.write_text(render_roby_module(mf_seed("x", "y")))
