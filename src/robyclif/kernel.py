@@ -103,9 +103,6 @@ def mul_terms(a: dict, b: dict) -> dict:
     return out
 
 
-# -- key codecs ---------------------------------------------------------------------
-
-
 def power(base, n: int):
     """base ** n for n >= 1 by binary powering, with base's own product.
 
@@ -121,6 +118,9 @@ def power(base, n: int):
         if not n:
             return result
         base = base * base
+
+
+# -- key codecs ---------------------------------------------------------------------
 
 
 def pack(terms: dict, width: int) -> dict:

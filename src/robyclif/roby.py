@@ -425,36 +425,32 @@ def twisted_tensor(
         raise InputError(f"the twist must be a primitive root of unity of order {e}")
     if m1.has_tslot and [t[:2] for t in m1.named_actions] != [t[:2] for t in m2.named_actions]:
         raise InputError("char-poly modules must share basis and dual names")
-    # the union of both sides' named actions, in order; a side without one acts by 0
-    left = {n: (v, a) for n, v, a in m1.named_actions}
-    right = {n: (v, b) for n, v, b in m2.named_actions}
     eye2 = PolyMatrix.identity(m2.dim)
     dxi = PolyMatrix.diagonal([xi ** g for g in m1.grading])
+    # the union of both sides' basis actions, in order; a side without one acts
+    # by 0.  The T-slot pairs by position: a basis action may be named "T" too.
+    left = {n: (v, a) for n, v, a in m1._basis}
+    right = {n: (v, b) for n, v, b in m2._basis}
     named = []
     for n in dict.fromkeys([*left, *right]):
-        v, a = left[n] if n in left else (right[n][0], PolyMatrix.zeros(m1.dim, m1.dim))
-        b = right[n][1] if n in right else PolyMatrix.zeros(m2.dim, m2.dim)
-        named.append((n, v, a.kron(eye2) + dxi.kron(b)))
+        v, a = left.get(n) or (None, PolyMatrix.zeros(m1.dim, m1.dim))
+        w, b = right.get(n) or (None, PolyMatrix.zeros(m2.dim, m2.dim))
+        if v and w and v != w:
+            raise InputError(f"action {n} has target variables {v!r} and {w!r}")
+        named.append((n, v or w, a.kron(eye2) + dxi.kron(b)))
     names, tvars, actions = zip(*named)
-    k = len(named) - m1.has_tslot
-    grading = [
-        (g1 + g2) % e for g1 in m1.grading for g2 in m2.grading
-    ]
-    source = None
-    if (
-        m1.source_algebra is not None
-        and m2.source_algebra is not None
-        and m1.source_algebra == m2.source_algebra
-    ):
-        source = m1.source_algebra
+    tslot = m1.tslot.kron(eye2) + dxi.kron(m2.tslot) if m1.has_tslot else None
+    grading = [(g1 + g2) % e for g1 in m1.grading for g2 in m2.grading]
+    # a shared source algebra survives; None never equals an algebra
+    source = m1.source_algebra if m1.source_algebra == m2.source_algebra else None
     return GradedRobyModule(
         e,
         grading,
-        names[:k],
-        actions[:k],
+        names,
+        actions,
         m1.target_poly + m2.target_poly,
-        target_vars=tvars[:k],
-        tslot=actions[k] if k < len(named) else None,
+        target_vars=tvars,
+        tslot=tslot,
         tvar=m1.tvar,
         source_algebra=source,
     )

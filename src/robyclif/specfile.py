@@ -414,18 +414,21 @@ def _build_seed(expr: str, algebra: FreeAlgebra, base_dir):
     for builder in ("mf", "companion"):
         if expr.startswith(builder + "(") and expr.endswith(")"):
             args = _split_list(expr[len(builder) + 1 : -1])
+            if builder == "mf" and len(args) not in (2, 3):
+                raise InputError("mf takes two factors and an optional variable")
+            if builder == "companion" and len(args) != 3:
+                raise InputError("companion takes a polynomial, a variable, and a degree")
+            degree = 2 if builder == "mf" else _int(args[2], "cover degree")
+            # the same refusal PipelineSpec gives, before the names are sized by it
+            if degree != algebra.rank:
+                raise InputError(
+                    f"seed degree {degree} does not match the algebra rank {algebra.rank}"
+                )
             if builder == "mf":
-                if len(args) not in (2, 3):
-                    raise InputError("mf takes two factors and an optional variable")
                 var = args[2] if len(args) == 3 else "z"
                 return mf_seed(parse_poly(args[0]), parse_poly(args[1]), var=var, **names)
-            if len(args) != 3:
-                raise InputError("companion takes a polynomial, a variable, and a degree")
             return cyclic_cover_seed(
-                companion_matrix(parse_poly(args[0]), args[1]),
-                _int(args[2], "cover degree"),
-                var=args[1],
-                **names,
+                companion_matrix(parse_poly(args[0]), args[1]), degree, var=args[1], **names
             )
     path = Path(expr)
     if base_dir is not None and not path.is_absolute():

@@ -311,6 +311,14 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "source algebra basis does not match the action names" in err
 
+    def test_algebra_variable_named_T(self, tmp_path, capsys):
+        # the basis (1, T) shares a name with the T-slot of every module
+        text = QUADRIC_PIPELINE.replace("mf(x, y)", "mf(x, y, T)").replace("z", "T")
+        path = tmp_path / "t.pipeline"
+        path.write_text(text.replace("T2", "z2"))
+        assert main(["pipeline", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("overall: PASS\n")
+
     def test_seed_file_relative_to_spec(self, tmp_path, capsys):
         (tmp_path / "seed.roby").write_text(render_roby_module(mf_seed("x", "y")))
         text = QUADRIC_PIPELINE.replace("mf(x, y)", "seed.roby")
@@ -469,6 +477,11 @@ BAD_INPUTS = [
     (None, ["numerology", "--ec", HUGE, HUGE, HUGE, "--json"],
      "the interpreter's limit for printing"),
     # a binding of anything but a base variable would leave chi unrestricted
+    # a builder seed of the wrong degree is refused before it is named
+    (CUBIC_PIPELINE.replace("companion(z^3 - x^3 - y^3, z, 3)", "mf(x, y)"), ["pipeline", "FILE"],
+     "seed degree 2 does not match the algebra rank 3"),
+    (CUBIC_PIPELINE.replace("z^3 - x^3 - y^3, z, 3", "z^2 - x*y, z, 2"), ["pipeline", "FILE"],
+     "seed degree 2 does not match the algebra rank 3"),
     (QUADRIC_ALGEBRA, ["charpoly", "FILE", "--restrict", "q -> 0"],
      "--restrict binding 'q -> 0' does not bind a base variable"),
     (QUADRIC_ALGEBRA, ["charpoly", "FILE", "--restrict", "q -> 0", "--json"],
@@ -491,7 +504,8 @@ BAD_INPUTS = [
          "roby degree cap", "h1 table cap", "ulrich scan cap",
          "negative ulrich scan", "twist range cap", "far twist range", "huge bidegree",
          "huge bidegree json", "huge bidegree csv", "huge twists", "huge monad",
-         "huge monad json", "huge ec", "huge ec json", "restrict a stray variable",
+         "huge monad json", "huge ec", "huge ec json", "mf seed degree",
+         "companion seed degree", "restrict a stray variable",
          "restrict a stray variable json", "restrict a product", "restrict a product json"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, text, argv, message):

@@ -327,6 +327,43 @@ class TestTwistedTensor:
         assert t.target_poly == parse_poly("x*y + y*z")
         assert verify_roby(t).ok
 
+    def test_a_basis_action_named_T_pairs_by_position(self):
+        # z^2 - x*y - z2^2 in the variable T has the basis (1, T): one basis
+        # action shares its name with the T-slot, and neither may be lost
+        seed = mf_seed("x", "y", var="T")
+        assert seed.action_names == seed.source_algebra.basis_names == ("1", "T")
+        bare = GradedRobyModule(
+            2, seed.grading, seed.action_names, seed.actions, seed.target_poly,
+            target_vars=seed.target_vars, tslot=seed.tslot, tvar=seed.tvar,
+        )
+        eye = PolyMatrix.identity(seed.dim)
+        dxi = PolyMatrix.diagonal([(-1) ** g for g in seed.grading])
+        for m in (seed, bare):
+            t = twisted_tensor(m, m, -1)
+            assert [n for n, _, _ in t.named_actions] == ["1", "T", "T"]
+            assert t.source_algebra is m.source_algebra
+            assert t.action("T") == seed.action("T").kron(eye) + dxi.kron(seed.action("T"))
+            assert t.tslot == seed.tslot.kron(eye) + dxi.kron(seed.tslot)
+            assert t.tslot != t.action("T")
+            assert verify_roby(t).ok
+
+    def test_form_actions_keep_their_own_target_variables(self):
+        m1 = monomial_roby(form("x^2", 2, ("x",)))
+        y2 = monomial_roby(form("y^2", 2, ("y",)))
+        m2 = GradedRobyModule(2, y2.grading, ("y",), y2.actions, parse_poly("b^2"),
+                              target_vars=("b",))
+        t = twisted_tensor(m1, m2, -1)
+        assert t.action_names == ("x", "y")
+        assert t.target_vars == ("x", "b")
+        assert verify_roby(t).ok
+
+    def test_form_shared_action_with_other_target_variables_refused(self):
+        m1 = monomial_roby(form("x^2", 2, ("x",)))
+        m2 = GradedRobyModule(2, m1.grading, ("x",), m1.actions, parse_poly("a^2"),
+                              target_vars=("a",))
+        with pytest.raises(InputError, match="action x has target variables 'x' and 'a'"):
+            twisted_tensor(m1, m2, -1)
+
     def test_split_tensor_split(self):
         s = split_roby(2)
         t = twisted_tensor(s, s, -1)
