@@ -31,6 +31,9 @@ The corpus holds module files and transcripts:
   ``verify_char_morphism`` and ``verify_filtered_pseudo`` reports (trivial
   filtration) of the non-commuting pair C(z) = E23, C(w) = E12, which fails
   multiplicativity.
+- ``<stem>.txt``, ``.json`` and ``.csv`` for each stem in ``NUMERIC_RUNS``:
+  one ``robyclif cohom`` or ``robyclif numerology`` run, plain and in each
+  of its pinned output formats.  These runs read no file.
 - ``exit2_<family>.txt`` and ``.json``: one refused input per family of
   ``InputError`` in ``EXIT2_RUNS``, named after the module that refuses it,
   plain and with ``--json``, run on the input file ``exit2_<family>.in``
@@ -133,6 +136,21 @@ EXIT2_RUNS = {
     ),
     "report": ('{"checks": 5}\n', ["report", "FILE"]),
     "surfnum": (None, ["cohom", "--table", "100000000"]),
+}
+
+# stem -> (arguments of one `cohom` or `numerology` run, the formats it is pinned in)
+NUMERIC_RUNS = {
+    "cohom_bidegree_1_0": (["cohom", "--bidegree", "1", "0"], ("txt", "json", "csv")),
+    # h1 = 4
+    "cohom_bidegree_m3_1": (["cohom", "--bidegree", "-3", "1"], ("txt", "json", "csv")),
+    "cohom_table_3": (["cohom", "--table", "3"], ("txt", "json", "csv")),
+    "cohom_ulrich_scan_2": (["cohom", "--ulrich-scan", "2"], ("txt", "json", "csv")),
+    "cohom_twists_3_m2_m6_2": (["cohom", "--twists", "3", "-2", "-6", "2"], ("txt", "json", "csv")),
+    # the Lefschetz pattern check fails: exit 1
+    "cohom_twists_0_3_m6_2": (["cohom", "--twists", "0", "3", "-6", "2"], ("txt", "json", "csv")),
+    "numerology_monad_1_2_2": (["numerology", "--monad", "1", "2", "2"], ("txt", "json")),
+    "numerology_ec_1_1_2": (["numerology", "--ec", "1", "1", "2"], ("txt", "json")),
+    "numerology_beta_1_3_3": (["numerology", "--beta", "1/3", "3"], ("txt", "json", "csv")),
 }
 
 # the one masking rule: the pipeline report's wall-clock time
@@ -270,6 +288,12 @@ def exit2_argv(family: str, fmt: str) -> list:
     return argv + (["--json"] if fmt == "json" else [])
 
 
+def numeric_argv(stem: str, fmt: str) -> list:
+    """The arguments of one pinned `cohom` or `numerology` run in one format."""
+    argv, _ = NUMERIC_RUNS[stem]
+    return argv + ([] if fmt == "txt" else [f"--{fmt}"])
+
+
 def main_write() -> int:
     GOLDEN.mkdir(exist_ok=True)
     files = module_files()
@@ -289,6 +313,11 @@ def main_write() -> int:
             (f"{stem}.charpoly.{fmt}", run(charpoly_argv(stem, fmt)))
             for stem in ALGEBRAS
             for fmt in ("txt", "json")
+        )
+        outputs.update(
+            (f"{stem}.{fmt}", run(numeric_argv(stem, fmt)))
+            for stem, (_, fmts) in NUMERIC_RUNS.items()
+            for fmt in fmts
         )
     finally:
         os.chdir(cwd)

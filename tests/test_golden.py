@@ -20,10 +20,12 @@ from make_golden import (
     EXIT2_RUNS,
     GOLDEN,
     MULTI_BRANCH,
+    NUMERIC_RUNS,
     charpoly_argv,
     exit2_argv,
     exit2_inputs,
     module_files,
+    numeric_argv,
     report_files,
     run,
 )
@@ -46,12 +48,14 @@ def golden(name: str) -> bytes:
 
 EXIT2 = [(family, fmt) for family in EXIT2_RUNS for fmt in ("txt", "json")]
 CHARPOLY = [(stem, fmt) for stem in ALGEBRAS for fmt in ("txt", "json")]
+NUMERIC = [(stem, fmt) for stem, (_, fmts) in NUMERIC_RUNS.items() for fmt in fmts]
 
 
 def test_the_corpus_holds_exactly_the_written_files():
     want = set(module_files()) | {f"{s}.{c}.{f}" for s, c, f in RUNS} | set(DEMO_RUNS)
     want |= set(report_files()) | set(exit2_inputs()) | {f"exit2_{f}.{x}" for f, x in EXIT2}
     want |= {f"{s}.algebra" for s in ALGEBRAS} | {f"{s}.charpoly.{f}" for s, f in CHARPOLY}
+    want |= {f"{s}.{f}" for s, f in NUMERIC}
     assert {path.name for path in GOLDEN.iterdir()} == want
     assert set(BUILT) <= set(STEMS)
 
@@ -83,6 +87,11 @@ def test_algebra_file_is_unchanged(stem):
 def test_charpoly_transcript_is_unchanged(monkeypatch, stem, fmt):
     monkeypatch.chdir(GOLDEN)
     assert run(charpoly_argv(stem, fmt)).encode("utf-8") == golden(f"{stem}.charpoly.{fmt}")
+
+
+@pytest.mark.parametrize("stem, fmt", NUMERIC, ids=[".".join(r) for r in NUMERIC])
+def test_numeric_transcript_is_unchanged(stem, fmt):
+    assert run(numeric_argv(stem, fmt)).encode("utf-8") == golden(f"{stem}.{fmt}")
 
 
 @pytest.mark.parametrize("name", sorted(report_files()))
