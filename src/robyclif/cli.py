@@ -80,12 +80,22 @@ def _render_report(report: Report, as_json: bool) -> str:
 
 
 def _aligned(rows) -> str:
-    """Right-justified columns; every cell already a string."""
+    """Right-justified columns of the cells' str."""
+    rows = [[str(cell) for cell in row] for row in rows]
     widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
     return "\n".join(
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
         for row in rows
     )
+
+
+def _document(args, data, text: str, csv_rows=None) -> str:
+    """A data command's document: data as JSON, csv_rows comma-joined, or text."""
+    if args.json:
+        return json.dumps(data, indent=2, sort_keys=True)
+    if getattr(args, "csv", False):
+        return "\n".join(",".join(str(cell) for cell in row) for row in csv_rows)
+    return text
 
 
 def _check_printable(*numbers) -> None:
@@ -118,20 +128,9 @@ def _cmd_charpoly(args, config: Config) -> int:
     chi = char_poly(algebra)
     if bindings:
         chi = restrict_char_poly(chi, bindings)
-    if args.json:
-        doc = json.dumps(
-            {
-                "rank": chi.rank,
-                "tvar": chi.tvar,
-                "duals": list(chi.dual_names),
-                "poly": str(chi.poly),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    else:
-        doc = str(chi.poly)
-    _emit(doc, args, config)
+    poly = str(chi.poly)
+    data = {"rank": chi.rank, "tvar": chi.tvar, "duals": list(chi.dual_names), "poly": poly}
+    _emit(_document(args, data, poly), args, config)
     return 0
 
 
@@ -190,123 +189,63 @@ def _cmd_pipeline(args, config: Config) -> int:
 
 def _cmd_cohom(args, config: Config) -> int:
     _pick_format(args)
+    ok = True
     if args.bidegree is not None:
         a, b = args.bidegree
         h0, h1, h2 = p1xp1_cohomology(a, b)
         chi = h0 - h1 + h2
         _check_printable(a, b, h0, h1, h2, chi)
-        if args.json:
-            doc = json.dumps(
-                {"a": a, "b": b, "h0": h0, "h1": h1, "h2": h2, "chi": chi},
-                indent=2,
-                sort_keys=True,
-            )
-        elif args.csv:
-            doc = f"{a},{b},{h0},{h1},{h2},{chi}"
-        else:
-            doc = _aligned(
-                [
-                    ["O({}, {})".format(a, b), "h0", "h1", "h2", "chi"],
-                    ["", str(h0), str(h1), str(h2), str(chi)],
-                ]
-            )
-        _emit(doc, args, config)
-        return 0
-    if args.table is not None:
+        data = {"a": a, "b": b, "h0": h0, "h1": h1, "h2": h2, "chi": chi}
+        text = _aligned([[f"O({a}, {b})", "h0", "h1", "h2", "chi"], ["", h0, h1, h2, chi]])
+        rows = [[a, b, h0, h1, h2, chi]]
+    elif args.table is not None:
         table = quadric_h1_table(args.table)
-        if args.json:
-            doc = json.dumps(
-                {"s": args.table, "h1": {str(k): v for k, v in table.items()}},
-                indent=2,
-                sort_keys=True,
-            )
-        elif args.csv:
-            doc = "\n".join(f"{k},{v}" for k, v in table.items())
-        else:
-            doc = _aligned(
-                [
-                    ["k"] + [str(k) for k in table],
-                    ["h1"] + [str(v) for v in table.values()],
-                ]
-            )
-        _emit(doc, args, config)
-        return 0
-    if args.ulrich_scan is not None:
-        rows = [
-            {"a": a, "b": b, "h0": h0, "class": verdict.value}
-            for a, b, h0, verdict in quadric_ulrich_scan(args.ulrich_scan)
-        ]
-        if args.json:
-            doc = json.dumps(rows, indent=2, sort_keys=True)
-        elif args.csv:
-            doc = "\n".join(
-                f"{r['a']},{r['b']},{r['h0']},{r['class']}" for r in rows
-            )
-        else:
-            cells = [["a", "b", "h0", "class"]] + [
-                [str(r["a"]), str(r["b"]), str(r["h0"]), r["class"]] for r in rows
-            ]
-            doc = _aligned(cells)
-        _emit(doc, args, config)
-        return 0
-    a, b, lo, hi = args.twists
-    seq = quadric_twist_h1(a, b, lo, hi)
-    _check_printable(*seq.values())
-    report = wlp_check(seq)
-    if args.json:
-        data = report.to_dict()
-        data["h1"] = {str(k): v for k, v in seq.items()}
-        doc = json.dumps(data, indent=2, sort_keys=True)
-    elif args.csv:
-        doc = "\n".join(f"{k},{v}" for k, v in seq.items())
+        data = {"s": args.table, "h1": {str(k): v for k, v in table.items()}}
+        text = _aligned([["k", *table], ["h1", *table.values()]])
+        rows = table.items()
+    elif args.ulrich_scan is not None:
+        rows = [[a, b, h0, v.value] for a, b, h0, v in quadric_ulrich_scan(args.ulrich_scan)]
+        data = [dict(zip(("a", "b", "h0", "class"), row)) for row in rows]
+        text = _aligned([["a", "b", "h0", "class"], *rows])
     else:
-        table = _aligned(
-            [
-                ["i"] + [str(k) for k in seq],
-                ["h1"] + [str(v) for v in seq.values()],
-            ]
-        )
-        doc = table + "\n\n" + report.to_text()
-    _emit(doc, args, config)
-    return 0 if report.ok else 1
+        a, b, lo, hi = args.twists
+        seq = quadric_twist_h1(a, b, lo, hi)
+        _check_printable(*seq.values())
+        report = wlp_check(seq)
+        ok = report.ok
+        data = {**report.to_dict(), "h1": {str(k): v for k, v in seq.items()}}
+        text = _aligned([["i", *seq], ["h1", *seq.values()]]) + "\n\n" + report.to_text()
+        rows = seq.items()
+    _emit(_document(args, data, text, rows), args, config)
+    return 0 if ok else 1
 
 
 def _cmd_numerology(args, config: Config) -> int:
     _pick_format(args)
+    if args.csv and args.beta is None:
+        mode = "--monad" if args.monad is not None else "--ec"
+        raise InputError(f"numerology {mode} has no CSV output; --beta is the only mode with one")
     if args.monad is not None:
         r, d, m = args.monad
         shape = monad_shape(BundleNumerics(rank=r, degree=d, m=m))
         _check_printable(*shape.shape, shape.chi)
-        if args.json:
-            doc = json.dumps(
-                {"shape": list(shape.shape), "chi": shape.chi},
-                indent=2,
-                sort_keys=True,
-            )
-        else:
-            doc = "monad shape {}\nchi = {}".format(shape.shape, shape.chi)
-        _emit(doc, args, config)
-        return 0
-    if args.ec is not None:
+        data = {"shape": list(shape.shape), "chi": shape.chi}
+        doc = _document(args, data, f"monad shape {shape.shape}\nchi = {shape.chi}")
+    elif args.ec is not None:
         chi_e, r_e, r_f = args.ec
         value = ec_tensor(chi_e, r_e, r_f)
         _check_printable(value)
+        # compact JSON, unlike every other document
         doc = json.dumps({"chi": value}) if args.json else f"chi(E (x) F) = {value}"
-        _emit(doc, args, config)
-        return 0
-    beta0, steps = args.beta
-    try:
-        steps = int(steps)
-    except ValueError:
-        raise InputError(f"step count must be a non-negative integer, got {steps!r}") from None
-    seq = [decimal_str(v) for v in beta_sequence(beta0, steps)]
-    if args.json:
-        doc = json.dumps({"beta": seq}, indent=2, sort_keys=True)
-    elif args.csv:
-        doc = "\n".join(f"{m},{v}" for m, v in enumerate(seq))
     else:
-        rows = [["m", "beta_m"]] + [[str(m), v] for m, v in enumerate(seq)]
-        doc = _aligned(rows)
+        beta0, steps = args.beta
+        try:
+            steps = int(steps)
+        except ValueError:
+            raise InputError(f"step count must be a non-negative integer, got {steps!r}") from None
+        rows = list(enumerate(decimal_str(v) for v in beta_sequence(beta0, steps)))
+        data = {"beta": [v for _, v in rows]}
+        doc = _document(args, data, _aligned([["m", "beta_m"], *rows]), rows)
     _emit(doc, args, config)
     return 0
 

@@ -189,6 +189,26 @@ class GradedRobyModule:
                 return m
         raise InputError(f"no action named {name!r}")
 
+    @classmethod
+    def over(cls, algebra: FreeAlgebra, grading, actions, tslot, target=None) -> "GradedRobyModule":
+        """The T-slot module of ``algebra``, one action per basis element.
+
+        Its degree is the algebra's rank; its action names, dual variables,
+        t-variable and source algebra are the algebra's, and its target
+        defaults to the algebra's characteristic polynomial.
+        """
+        return cls(
+            algebra.rank,
+            grading,
+            algebra.basis_names,
+            actions,
+            char_poly(algebra).poly if target is None else target,
+            target_vars=algebra.dual_names,
+            tslot=tslot,
+            tvar=algebra.tvar,
+            source_algebra=algebra,
+        )
+
     def with_source(self, algebra: FreeAlgebra) -> "GradedRobyModule":
         """Attach (or replace) the source algebra; names must line up."""
         return GradedRobyModule(
@@ -345,16 +365,12 @@ def monomial_charpoly_roby(spec: MonomialSpec, algebra: FreeAlgebra) -> GradedRo
     def shift(k):
         return PolyMatrix.cyclic_shift([c if o == k else 0 for o, c in zip(owners, slots)])
 
-    return GradedRobyModule(
-        d,
+    return GradedRobyModule.over(
+        algebra,
         _cyclic_grading(d, d),
-        algebra.basis_names,
         [shift(k) for k in range(1, d + 1)],
+        shift(0),
         spec.value(algebra.dual_names, algebra.tvar),
-        target_vars=algebra.dual_names,
-        tslot=shift(0),
-        tvar=algebra.tvar,
-        source_algebra=algebra,
     )
 
 
@@ -372,16 +388,8 @@ def split_roby(d: int, *, dual_names=None) -> GradedRobyModule:
         PolyMatrix.cyclic_shift([-1 if (j + 1) % d == i else 0 for j in range(d)])
         for i in range(d)
     ]
-    return GradedRobyModule(
-        d,
-        _cyclic_grading(d, d),
-        algebra.basis_names,
-        actions,
-        char_poly(algebra).poly,
-        target_vars=algebra.dual_names,
-        tslot=PolyMatrix.cyclic_shift([1] * d),
-        tvar=algebra.tvar,
-        source_algebra=algebra,
+    return GradedRobyModule.over(
+        algebra, _cyclic_grading(d, d), actions, PolyMatrix.cyclic_shift([1] * d)
     )
 
 
@@ -839,17 +847,7 @@ def induce_roby(
     ]
     new_tslot = split_module.tslot.kron(PolyMatrix.identity(w))
     grading = [g for g in split_module.grading for _ in range(w)]
-    module = GradedRobyModule(
-        d,
-        grading,
-        a.basis_names,
-        new_actions,
-        char_poly(a).poly,
-        target_vars=a.dual_names,
-        tslot=new_tslot,
-        tvar=a.tvar,
-        source_algebra=a,
-    )
+    module = GradedRobyModule.over(a, grading, new_actions, new_tslot)
     report = verify_roby(module)
     if not report.ok:
         raise VerificationError(

@@ -10,7 +10,7 @@ the rank-2 matrix factorizations of a double cover as the smallest case.
 from __future__ import annotations
 
 from .errors import InputError
-from .freealg import FreeAlgebra, _check_rank, char_poly, monogenic_algebra
+from .freealg import FreeAlgebra, _check_rank, monogenic_algebra
 from .matrix import PolyMatrix
 from .poly import Poly, as_poly
 from .roby import GradedRobyModule
@@ -112,17 +112,8 @@ def cyclic_cover_seed(
         for k in range(d)
     ]
     grading = [j for j in range(d) for _ in range(w)]
-    return GradedRobyModule(
-        d,
-        grading,
-        algebra.basis_names,
-        actions,
-        char_poly(algebra).poly,
-        target_vars=algebra.dual_names,
-        tslot=PolyMatrix.cyclic_shift([PolyMatrix.identity(w)] * d),
-        tvar=tvar,
-        source_algebra=algebra,
-    )
+    tslot = PolyMatrix.cyclic_shift([PolyMatrix.identity(w)] * d)
+    return GradedRobyModule.over(algebra, grading, actions, tslot)
 
 
 def mf_seed(

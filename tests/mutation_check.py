@@ -2,8 +2,9 @@
 Berkowitz's characteristic polynomial, its unit shift and its base change
 over a cover's generic tail (``freealg.monogenic_algebra``), the Cayley-Hamilton
 check on the unit column (``freealg.cayley_hamilton_by_laws``), the cyclotomic
-scalars, the polynomial parser or the grade-cycle power identity of
-``roby.py`` must make the fast test suite fail.
+scalars, the polynomial parser, the grade-cycle power identity of
+``roby.py``, the char-poly module constructor ``GradedRobyModule.over`` or
+the CLI's one document renderer must make the fast test suite fail.
 
 Usage, from the root of a checkout:
 
@@ -236,6 +237,18 @@ MUTANTS = (
         "    if any(grading[r] != (grading[col] + 1) % d for r, col, _ in m.nonzeros()):\n"
         "        return False\n",
         "",
+    ),
+    (
+        "a char-poly module built over an algebra takes its basis names as duals",
+        "roby.py",
+        "            target_vars=algebra.dual_names,\n",
+        "            target_vars=algebra.basis_names,\n",
+    ),
+    (
+        "the CLI's JSON documents written with unsorted keys",
+        "cli.py",
+        "return json.dumps(data, indent=2, sort_keys=True)",
+        "return json.dumps(data, indent=2)",
     ),
 )
 

@@ -476,6 +476,11 @@ BAD_INPUTS = [
     (None, ["numerology", "--ec", HUGE, HUGE, HUGE], "the interpreter's limit for printing"),
     (None, ["numerology", "--ec", HUGE, HUGE, HUGE, "--json"],
      "the interpreter's limit for printing"),
+    # only --beta has CSV output; the others are refused before any arithmetic
+    (None, ["numerology", "--monad", "1", "2", "2", "--csv"],
+     "numerology --monad has no CSV output; --beta is the only mode with one"),
+    (None, ["numerology", "--ec", HUGE, HUGE, HUGE, "--csv"],
+     "numerology --ec has no CSV output; --beta is the only mode with one"),
     # a binding of anything but a base variable would leave chi unrestricted
     # a builder seed of the wrong degree is refused before it is named
     (CUBIC_PIPELINE.replace("companion(z^3 - x^3 - y^3, z, 3)", "mf(x, y)"), ["pipeline", "FILE"],
@@ -504,8 +509,8 @@ BAD_INPUTS = [
          "roby degree cap", "h1 table cap", "ulrich scan cap",
          "negative ulrich scan", "twist range cap", "far twist range", "huge bidegree",
          "huge bidegree json", "huge bidegree csv", "huge twists", "huge monad",
-         "huge monad json", "huge ec", "huge ec json", "mf seed degree",
-         "companion seed degree", "restrict a stray variable",
+         "huge monad json", "huge ec", "huge ec json", "monad csv", "ec csv",
+         "mf seed degree", "companion seed degree", "restrict a stray variable",
          "restrict a stray variable json", "restrict a product", "restrict a product json"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, text, argv, message):
