@@ -10,8 +10,9 @@ changed and why.
 The corpus holds module files and transcripts:
 
 - ``<stem>.roby``: a module file.  The five built modules are the standard
-  output of ``robyclif roby build``; the four failing ones are built in
-  Python below and written with ``render_roby_module``.
+  output of ``robyclif roby build``; the four failing ones and the four
+  split3 modules of ``CHI_REPLACED`` are built in Python below and written
+  with ``render_roby_module``.
 - ``<stem>.<command>.txt`` and ``<stem>.<command>.json``: one run of
   ``robyclif roby verify`` or ``robyclif charmor`` on that file, plain and
   with ``--json``, as its exit code, standard output and standard error.
@@ -89,6 +90,15 @@ BUILT = {
 }
 
 COMMANDS = {"verify": ["roby", "verify"], "charmor": ["charmor"]}
+
+# stem -> what is added to split3's target; each sum is refused as a
+# characteristic polynomial by `charmor` (exit 2) and fails the power identity
+CHI_REPLACED = {
+    "chi_leading_2_split3": "t^3",  # 2*t^3 leads: not monic
+    "chi_leading_x_split3": "x*t^3",  # (1 + x)*t^3 leads: not monic
+    "chi_t4_split3": "t^4",  # a t^4 term above the rank
+    "chi_t2_x1_squared_split3": "t^2*x1 - t^2*x1^2",  # t^2*x1 becomes t^2*x1^2
+}
 
 # transcript name -> arguments of one run from inside demo/
 DEMO_RUNS = {
@@ -203,7 +213,7 @@ def tampered_in_block(module: GradedRobyModule, g: int) -> GradedRobyModule:
 
 
 def failing_modules(built: dict) -> dict:
-    """stem -> module file text of the four cases that must fail."""
+    """stem -> module file text of the eight cases that must fail."""
     # y1^3 + y2^3 tensored with the twist 1, not a primitive cube root
     m1, m2 = (monomial_roby(HomForm(parse_poly(f"{v}^3"), 3, (v,))) for v in ("y1", "y2"))
     untwisted = twisted_tensor(m1, m2, 1, require_primitive=False)
@@ -215,6 +225,10 @@ def failing_modules(built: dict) -> dict:
     r, c = next((r, c) for r in range(t.nrows) for c in range(t.ncols) if t.entry(r, c))
     nonmonic = replaced(split, tslot=t + unit(t.nrows, r, c))
     tampered = tampered_in_block(parse_roby_module(built["cyclic_z3_x_y"]), 0)
+    chi_replaced = [
+        (stem, replaced(split, target_poly=split.target_poly + parse_poly(added)))
+        for stem, added in CHI_REPLACED.items()
+    ]
     return {
         name: render_roby_module(m)
         for name, m in (
@@ -222,6 +236,7 @@ def failing_modules(built: dict) -> dict:
             ("misgraded_split3", misgraded),
             ("nonmonic_tslot_split3", nonmonic),
             ("tampered_cyclic_z3_x_y", tampered),
+            *chi_replaced,
         )
     }
 

@@ -12,6 +12,7 @@ from robyclif import freealg
 from robyclif.errors import InputError
 from robyclif.freealg import (
     MAX_RANK,
+    CharPoly,
     FreeAlgebra,
     cayley_hamilton_check,
     char_poly,
@@ -705,3 +706,108 @@ class TestCayleyHamilton:
         chi = char_poly(split_algebra(3))
         with pytest.raises(InputError):
             cayley_hamilton_check(split_algebra(2), chi)
+
+
+# -- CharPoly's shape check against the per-coefficient loop --------------------------
+
+
+def old_charpoly_check(rank, poly, tvar, dual_names):
+    """The refusal message of the loop CharPoly ran on every chi, or None to accept."""
+    coeffs = poly.coefficient_map(tvar)
+    top = coeffs.get(rank)
+    if top is None or top != 1:
+        return "characteristic polynomial must be monic of degree rank"
+    for k, c in coeffs.items():
+        if c and c.homogeneous_degree(dual_names) != rank - k:
+            return (
+                f"t^{k} coefficient is not homogeneous of degree "
+                f"{rank - k} in the dual variables: {c}"
+            )
+    return None
+
+
+def new_charpoly_check(rank, poly, tvar, dual_names):
+    try:
+        CharPoly(rank, poly, tvar, dual_names)
+    except InputError as e:
+        return str(e)
+    return None
+
+
+def real_charpolys():
+    """Characteristic polynomials of split and cover algebras, Q(zeta_3) included."""
+    algebras = [split_algebra(d) for d in range(1, 6)]
+    algebras += [monogenic_algebra(parse_poly(text), "z") for text in BENCHMARK_COVERS]
+    algebras.append(parse_algebra((DEMO / "quadric.algebra").read_text()))
+    seed = cyclic_cover_seed(PolyMatrix.from_rows([[0, "x + zeta3*y"], [1, 0]]), 4)
+    algebras.append(seed.source_algebra)
+    return [char_poly(a) for a in algebras]
+
+
+def perturbed_charpolys(count, seed):
+    """(rank, poly, tvar, duals): seeded perturbations of real characteristic polynomials.
+
+    Each adds, drops or rescales terms (of the right or a wrong degree, with
+    rational or cyclotomic coefficients, some times a base variable), or
+    takes the rank off by one, or names a t-variable absent from chi; about
+    a third of them stay valid.
+    """
+    rng = random.Random(seed)
+    zeta = make_root(3)
+    scalars = (
+        lambda: rng.choice((-2, -1, 1, 2, 3)),
+        lambda: Fraction(rng.choice((-3, -1, 1, 5)), rng.choice((2, 3))),
+        lambda: zeta ** rng.randrange(1, 3) * rng.choice((-1, 1, 2)),
+    )
+    sources = real_charpolys()
+    # the three benchmark covers hold 900 to 5,200 terms: draw them less often
+    weights = [1 if len(chi.poly.terms) > 500 else 4 for chi in sources]
+    for chi in rng.choices(sources, weights, k=count):
+        rank, poly, tvar, duals = chi.rank, chi.poly, chi.tvar, chi.dual_names
+        t = Poly.variable(tvar)
+        for _ in range(rng.choice((0, 1, 1, 1, 2))):
+            kind = rng.choice((0, 0, 1, 2, 3, 4))
+            c = rng.choice(scalars)()
+            if kind == 0:  # add c * t^k * (a dual monomial of degree near rank - k) * x^b
+                k = rng.randrange(rank + 2)
+                j = max(0, rank - k + rng.choice((-1, 0, 1)))
+                term = t ** k * Poly.variable("x") ** rng.choice((0, 0, 1)) * c
+                for _ in range(j):
+                    term = term * Poly.variable(rng.choice(duals))
+                poly = poly + term
+            elif kind in (1, 2) and poly:  # drop a term, or scale it by c
+                exp, coeff = rng.choice(list(poly.terms.items()))
+                term = Poly(poly.vars, {exp: coeff})
+                poly = poly - term if kind == 1 else poly + term * (c - 1)
+            elif kind == 3:  # change the t^rank coefficient by c or c * x
+                poly = poly + t ** rank * c * Poly.variable("x") ** rng.choice((0, 1))
+            else:  # take the rank off by one, or name an absent t-variable
+                rank, tvar = rng.choice(((rank + 1, tvar), (max(rank - 1, 0), tvar), (rank, "s")))
+        yield rank, poly, tvar, duals
+
+
+def edge_charpolys():
+    """(rank, poly, tvar, duals): rank 0, the zero polynomial and absent t-variables."""
+    duals = ("x1", "x2")
+    for text in ("1", "0", "2", "t", "x1", "x", "1 + x"):
+        yield 0, parse_poly(text), "t", duals
+        yield 0, parse_poly(text), "s", duals
+    for rank in range(4):
+        yield rank, Poly.zero(), "t", duals
+    for rank in (1, 2):
+        yield rank, parse_poly("x1*x2"), "t", duals
+        yield rank, char_poly(split_algebra(2)).poly, "s", duals
+    yield 2, char_poly(split_algebra(2)).poly, "t", ()
+
+
+def test_charpoly_decides_as_the_per_coefficient_loop():
+    cases = [*perturbed_charpolys(2400, 2311), *edge_charpolys()]
+    verdicts = Counter()
+    for rank, poly, tvar, duals in cases:
+        want = old_charpoly_check(rank, poly, tvar, duals)
+        assert new_charpoly_check(rank, poly, tvar, duals) == want, (rank, str(poly), tvar)
+        verdicts[want if want is None else want.split(" ")[0]] += 1
+    assert len(cases) >= 2000
+    assert verdicts[None] >= 500
+    assert verdicts["characteristic"] >= 300
+    assert sum(n for key, n in verdicts.items() if key and key.startswith("t^")) >= 300

@@ -14,6 +14,7 @@ import pytest
 from make_golden import (
     ALGEBRAS,
     BUILT,
+    CHI_REPLACED,
     COMMANDS,
     DEMO,
     DEMO_RUNS,
@@ -58,6 +59,16 @@ def test_the_corpus_holds_exactly_the_written_files():
     want |= {f"{s}.{f}" for s, f in NUMERIC}
     assert {path.name for path in GOLDEN.iterdir()} == want
     assert set(BUILT) <= set(STEMS)
+    assert set(CHI_REPLACED) <= set(STEMS)
+
+
+@pytest.mark.parametrize("stem", list(CHI_REPLACED))
+def test_a_replaced_target_is_refused_as_a_characteristic_polynomial(stem):
+    for fmt in ("txt", "json"):
+        refusal = golden(f"{stem}.charmor.{fmt}")
+        assert refusal.startswith(b"[exit 2]\n[stdout]\n[stderr]\nerror: ")
+        assert b"monic of degree rank" in refusal or b"not homogeneous" in refusal
+        assert golden(f"{stem}.verify.{fmt}").startswith(b"[exit 1]\n")
 
 
 @pytest.mark.parametrize("name", [f"{stem}.roby" for stem in STEMS])
