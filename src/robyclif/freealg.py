@@ -29,6 +29,17 @@ product of the determinant.  ``char_poly`` so runs Berkowitz (with the unit
 shift) over the generic table, where no power of a_k is ever expanded, and
 substitutes W_k -> a_k once in the result.
 
+The shape check.  Write chi = sum_k c_k t^k with no t in any c_k, and let
+the duals be distinct names other than t.  Lemma: for rank d >= 1, c_d = 1,
+c_k = 0 for k > d and each nonzero c_k is a form of degree d - k in the
+duals exactly when (1) chi is homogeneous of degree d in (t, duals) and (2)
+chi - t^d has t-degree below d.  (1) says each term of c_k t^k has dual
+degree d - k; (2) says chi - t^d has no term at t^k for k >= d, that is
+c_d - 1 = 0 and c_k = 0 above d.  Both are whole-polynomial queries on the
+packed keys, so ``CharPoly`` accepts chi on them without splitting it into
+coefficients; only when one fails does its per-coefficient loop run, to
+decide the edge cases (rank 0, a chi without t) and word the refusal.
+
 Cayley-Hamilton on the unit column.  Let C send gamma_i to the matrix M_i
 and pass the action laws: C(1) = I and C(gamma_i) C(gamma_j) =
 C(gamma_i gamma_j) for every ordered pair.  Lemma: then C(x w) = C(x) C(w)
@@ -334,7 +345,15 @@ class FreeAlgebra:
 
 @dataclass
 class CharPoly:
-    """det(t*I - rho(generic)): monic of degree rank in t, over R[duals]."""
+    """det(t*I - rho(generic)): monic of degree rank in t, over R[duals].
+
+    The shape check of the module docstring: for rank >= 1, chi is monic of
+    degree rank with each t^k coefficient a form of degree rank - k in the
+    duals exactly when chi is homogeneous of degree rank in (t, duals) and
+    chi - t^rank has t-degree below rank.  Those two queries accept chi;
+    when one fails, the per-coefficient loop decides and words the refusal.
+    A t-variable among the duals, or a repeated dual, is refused first.
+    """
 
     rank: int
     poly: Poly
@@ -343,6 +362,19 @@ class CharPoly:
 
     def __post_init__(self):
         self.dual_names = tuple(self.dual_names)
+        if len(set(self.dual_names)) != len(self.dual_names):
+            raise InputError("need one distinct dual variable per basis element")
+        if self.tvar in self.dual_names:
+            raise InputError(f"{self.tvar!r} cannot double as a dual variable")
+        poly, tvar, rank = self.poly, self.tvar, self.rank
+        # t^rank is built as one term, so the check makes no kernel product;
+        # a chi without t (rank 0 among them) is left to the loop
+        if (
+            tvar in poly.vars
+            and poly.homogeneous_degree((tvar, *self.dual_names)) == rank
+            and (poly - Poly((tvar,), {(rank,): 1})).degree_in(tvar) < rank
+        ):
+            return
         coeffs = self.coefficients()
         top = coeffs.get(self.rank)
         if top is None or top != 1:

@@ -1,10 +1,11 @@
 """Mutation check: each hand-written fault in the kernel, the matrix module,
 Berkowitz's characteristic polynomial, its unit shift and its base change
-over a cover's generic tail (``freealg.monogenic_algebra``), the Cayley-Hamilton
-check on the unit column (``freealg.cayley_hamilton_by_laws``), the cyclotomic
-scalars, the polynomial parser, the grade-cycle power identity of
-``roby.py``, the char-poly module constructor ``GradedRobyModule.over`` or
-the CLI's one document renderer must make the fast test suite fail.
+over a cover's generic tail (``freealg.monogenic_algebra``), the two-query
+shape check of ``CharPoly``, the Cayley-Hamilton check on the unit column
+(``freealg.cayley_hamilton_by_laws``), the cyclotomic scalars, the
+polynomial parser, the grade-cycle power identity of ``roby.py``, the
+char-poly module constructor ``GradedRobyModule.over`` or the CLI's one
+document renderer must make the fast test suite fail.
 
 Usage, from the root of a checkout:
 
@@ -243,6 +244,18 @@ MUTANTS = (
         "roby.py",
         "            target_vars=algebra.dual_names,\n",
         "            target_vars=algebra.basis_names,\n",
+    ),
+    (
+        "CharPoly accepts chi whose t^rank coefficient is not 1",
+        "freealg.py",
+        "            and (poly - Poly((tvar,), {(rank,): 1})).degree_in(tvar) < rank\n",
+        "            and (poly - Poly((tvar,), {(rank,): 1})).degree_in(tvar) <= rank\n",
+    ),
+    (
+        "CharPoly's homogeneity query leaves t out, so every chi takes the loop",
+        "freealg.py",
+        "poly.homogeneous_degree((tvar, *self.dual_names)) == rank",
+        "poly.homogeneous_degree(self.dual_names) == rank",
     ),
     (
         "the CLI's JSON documents written with unsorted keys",

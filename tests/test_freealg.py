@@ -811,3 +811,39 @@ def test_charpoly_decides_as_the_per_coefficient_loop():
     assert verdicts[None] >= 500
     assert verdicts["characteristic"] >= 300
     assert sum(n for key, n in verdicts.items() if key and key.startswith("t^")) >= 300
+
+
+def test_a_t_variable_among_the_duals_is_refused():
+    with pytest.raises(InputError, match="^'t' cannot double as a dual variable$"):
+        CharPoly(2, parse_poly("t^2 - t*G2"), "t", ("t", "G2"))
+    with pytest.raises(InputError, match="^'t' cannot double as a dual variable$"):
+        CharPoly(2, parse_poly("t^2 - G1*G2"), "t", ("G1", "t"))
+
+
+def test_repeated_dual_names_are_refused():
+    with pytest.raises(InputError, match="^need one distinct dual variable per basis element$"):
+        CharPoly(2, parse_poly("t^2 - 2*G1*t + G1^2"), "t", ("G1", "G1"))
+    # the repeat is refused before any coefficient is read, so before the doubling t
+    with pytest.raises(InputError, match="^need one distinct dual variable per basis element$"):
+        CharPoly(3, Poly.zero(), "t", ("t", "t", "G1"))
+
+
+def test_a_valid_charpoly_is_not_split_into_coefficients(monkeypatch):
+    calls = []
+    real = Poly.coefficient_map
+
+    def spy(self, var):
+        calls.append(var)
+        return real(self, var)
+
+    algebras = [monogenic_algebra(parse_poly(text), "z") for text in BENCHMARK_COVERS]
+    algebras += [split_algebra(d) for d in range(2, 11)]
+    monkeypatch.setattr(Poly, "coefficient_map", spy)
+    for algebra in algebras:
+        chi = char_poly(algebra)
+        CharPoly(chi.rank, chi.poly, chi.tvar, chi.dual_names)
+    assert calls == []
+    # a refusal still runs the loop, which words it
+    with pytest.raises(InputError, match="monic"):
+        CharPoly(2, parse_poly("2*t^2 - x1*x2"), "t", ("x1", "x2"))
+    assert calls == ["t"]
