@@ -748,9 +748,9 @@ def perturbed_charpolys(count, seed):
     """(rank, poly, tvar, duals): seeded perturbations of real characteristic polynomials.
 
     Each adds, drops or rescales terms (of the right or a wrong degree, with
-    rational or cyclotomic coefficients, some times a base variable), or
+    rational or cyclotomic coefficients, some multiplied by x), or
     takes the rank off by one, or names a t-variable absent from chi; about
-    a third of them stay valid.
+    two fifths of them stay valid.
     """
     rng = random.Random(seed)
     zeta = make_root(3)
