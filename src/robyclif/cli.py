@@ -150,6 +150,8 @@ def _cmd_roby_build(args, config: Config) -> int:
         module = cyclic_cover_seed(
             companion_matrix(args.poly, args.var), args.cover, var=args.var
         )
+    if args.json:
+        raise InputError("roby build writes a module spec file; it has no --json output")
     _emit(render_roby_module(module), args, config)
     return 0
 
@@ -166,8 +168,7 @@ def _cmd_charmor(args, config: Config) -> int:
     cm = char_morphism(module)
     report = verify_char_morphism(cm)
     report.meta["matrices"] = {
-        name: [[str(m.entry(r, c)) for c in range(m.ncols)] for r in range(m.nrows)]
-        for name, m in zip(cm.source.basis_names, cm.matrices)
+        name: m.cell_texts() for name, m in zip(cm.source.basis_names, cm.matrices)
     }
     _emit(_render_report(report, args.json), args, config)
     return 0 if report.ok else 1

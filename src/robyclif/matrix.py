@@ -6,7 +6,8 @@ without per-entry alignment.  Coefficients are ``int`` when integral
 (``identity`` stores the int 1), ``Fraction`` when rational and
 ``CycScalar`` only when not in Q.  This module is the only one that knows
 the layout, and it shares the keys with ``poly.py`` only: other modules read
-entries through ``entry``, ``rows``, ``nonzeros`` and ``occurring_vars``.
+entries through ``entry``, ``rows``, ``nonzeros``, ``occurring_vars`` and
+``cell_texts``, which prints only the nonzero slots.
 
 Persistent packed keys.  A matrix's context is ``vars`` (its variable
 names), ``width`` (bits per exponent field, a multiple of 8, 8 for a new
@@ -27,7 +28,7 @@ and the keys stay packed from one operation to the next.
   itself when the keys would not change.  A Poly's map enters a matrix the
   same way, or is shared when its keys already fit.
 - A polynomial leaves the matrix (``entry``, ``rows``, ``first_nonzero``,
-  ``scalar_identity_multiple``, ``__str__``, and ``substitute`` for the
+  ``scalar_identity_multiple``, ``cell_texts``, and ``substitute`` for the
   terms a nonzero binding rewrites) as the Poly of its term map, pruned to
   the variables that occur in it: a re-encoding that drops fields, or none.
   No key is decoded here; exponent tuples are packed only by the
@@ -261,6 +262,20 @@ class PolyMatrix:
         for i in range(self.nrows):
             yield [self.entry(i, j) for j in range(self.ncols)]
 
+    def cell_texts(self) -> list:
+        """Rows of entry text: ``"0"`` for an empty slot, ``str(entry)`` for a nonzero.
+
+        Only the nonzero slots become polynomials.
+        """
+        n, rows = self.ncols, []
+        for i in range(self.nrows):
+            row = self.data[i * n : (i + 1) * n]
+            texts = ["0"] * n
+            for j in nonempty(row):
+                texts[j] = str(self._poly(row[j]))
+            rows.append(texts)
+        return rows
+
     def nonzeros(self):
         """(i, j, terms) for each nonzero entry, in row-major order.
 
@@ -484,10 +499,7 @@ class PolyMatrix:
     __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
-        rows = []
-        for i in range(self.nrows):
-            rows.append("[" + ", ".join(str(self.entry(i, j)) for j in range(self.ncols)) + "]")
-        return "[" + ", ".join(rows) + "]"
+        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in self.cell_texts()) + "]"
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.nrows}x{self.ncols})"

@@ -30,6 +30,23 @@ Arithmetic costs about as much as the coefficients it touches:
 - Results are built without the constructor's checks.  Their coefficients
   are narrowed (an integral ``Fraction`` becomes an ``int``) only when a
   ``Fraction`` occurs among them, so ``int`` arithmetic pays nothing for it.
+
+Same-order products and sums repeat: a check over Q(zeta_e) multiplies the
+same few coefficients again and again (a diagonal module of dim 125 makes
+about 1,200 products, of which about 100 are distinct).  So :func:`_product`
+and :func:`_sum` are memoized, each by a ``functools.lru_cache`` of
+``CACHE_SIZE`` entries, and a repeat costs one lookup.  This is exact:
+
+- a same-order result depends only on the order and the two reduced
+  coefficient tuples, and the order is part of the key;
+- the tuples are canonical: the constructor and :func:`_reduced` store an
+  integral value as ``int``, never as a ``Fraction``, and a non-integral one
+  as a ``Fraction`` in lowest terms, so equal keys hold equal values of the
+  same types;
+- results are immutable, so one result may be handed to every caller.
+
+The caches are bounded (least recently used entries go first), so a long
+run over many fields holds at most ``2 * CACHE_SIZE`` results.
 """
 
 from __future__ import annotations
@@ -57,6 +74,9 @@ __all__ = [
 
 # Largest cyclotomic order any CycScalar may have: roots, literals, lcm lifts.
 ORDER_CAP = 128
+
+# Entries in each of the same-order product and sum caches.
+CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +218,8 @@ class CycScalar:
     Instances are immutable.  Arithmetic against int/Fraction acts on the
     coefficients directly; arithmetic between different orders lifts both to
     the lcm order.  Unhashable on purpose: equal values can live at different
-    orders, and nothing in this package keys on scalars.
+    orders, and nothing in this package keys on scalars (the product and sum
+    caches key on an order and two coefficient tuples).
     """
 
     __slots__ = ("order", "coeffs")
@@ -256,14 +277,14 @@ class CycScalar:
 
     def __add__(self, other):
         if type(other) is CycScalar and other.order == self.order:
-            return _reduced(self.order, tuple(map(add, self.coeffs, other.coeffs)))
+            return _sum(self.order, self.coeffs, other.coeffs)
         f = _rational(other)
         if f is not None:
             return _reduced(self.order, (self.coeffs[0] + f,) + self.coeffs[1:])
         if not isinstance(other, CycScalar):
             return NotImplemented
         a, b = self._paired(other)
-        return _reduced(a.order, tuple(map(add, a.coeffs, b.coeffs)))
+        return _sum(a.order, a.coeffs, b.coeffs)
 
     __radd__ = __add__
 
@@ -387,6 +408,13 @@ def _reduced(order: int, coeffs: tuple) -> CycScalar:
     return x
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _sum(order: int, a: tuple, b: tuple) -> CycScalar:
+    """a + b in Q(zeta_order), for coefficient tuples reduced mod Phi_order."""
+    return _reduced(order, tuple(map(add, a, b)))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _product(order: int, a: tuple, b: tuple) -> CycScalar:
     """a * b in Q(zeta_order), for coefficient tuples reduced mod Phi_order."""
     d = len(a)

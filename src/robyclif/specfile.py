@@ -149,10 +149,7 @@ def _matrix_rows(section: _Section, read) -> PolyMatrix:
 
 
 def _matrix_lines(m: PolyMatrix) -> list:
-    return [
-        "row = " + ", ".join(str(m.entry(r, c)) for c in range(m.ncols))
-        for r in range(m.nrows)
-    ]
+    return ["row = " + ", ".join(row) for row in m.cell_texts()]
 
 
 def spec_kind(text: str) -> str:

@@ -2,8 +2,9 @@
 Berkowitz's characteristic polynomial, its unit shift and its base change
 over a cover's generic tail (``freealg.monogenic_algebra``), the two-query
 shape check of ``CharPoly``, the Cayley-Hamilton check on the unit column
-(``freealg.cayley_hamilton_by_laws``), the cyclotomic scalars, the
-polynomial parser, the grade-cycle power identity of ``roby.py``, the
+(``freealg.cayley_hamilton_by_laws``), the cyclotomic scalars and their
+product cache, the matrix printer ``PolyMatrix.cell_texts``, the polynomial
+parser, the grade-cycle power identity of ``roby.py``, the
 char-poly module constructor ``GradedRobyModule.over`` or the CLI's one
 document renderer must make the fast test suite fail.
 
@@ -191,6 +192,23 @@ MUTANTS = (
         "    x = _reduced(order, ())\n    x.coeffs = tuple(low)\n    return x",
     ),
     (
+        "the cyclotomic product cache keyed without the order",
+        "scalars.py",
+        "@lru_cache(maxsize=CACHE_SIZE)\ndef _product(",
+        "def _keyed_without_order(fn):\n"
+        "    orders = []\n\n"
+        "    @lru_cache(maxsize=CACHE_SIZE)\n"
+        "    def by_tuples(a, b):\n"
+        "        return fn(orders[-1], a, b)\n\n"
+        "    def cached(order, a, b):\n"
+        "        orders.append(order)\n"
+        "        return by_tuples(a, b)\n\n"
+        "    cached.__wrapped__ = fn\n"
+        "    cached.cache_info, cached.cache_clear = by_tuples.cache_info, by_tuples.cache_clear\n"
+        "    return cached\n\n\n"
+        "@_keyed_without_order\ndef _product(",
+    ),
+    (
         "a name under a ^0 kept in the parsed variables",
         "poly.py",
         "                del self.seen[mark:]  # names under a ^0 leave the result\n",
@@ -213,6 +231,12 @@ MUTANTS = (
         "matrix.py",
         "    offender = m.first_nonzero()\n",
         "    offender = next(((i, j, m.entry(i, j).pruned()) for i, j, _ in reversed([*m.nonzeros()])), None)\n",
+    ),
+    (
+        "cell_texts writes 0 for a row's last nonzero",
+        "matrix.py",
+        "            for j in nonempty(row):\n",
+        "            for j in [*nonempty(row)][:-1]:\n",
     ),
     (
         "a cyclic shift puts block j at block row j, not j + 1 mod d",

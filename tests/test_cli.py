@@ -495,6 +495,11 @@ BAD_INPUTS = [
      "--restrict binding 'x*y -> 1' does not bind a base variable"),
     (QUADRIC_ALGEBRA, ["charpoly", "FILE", "--restrict", "z2 -> 0, x*y -> 1", "--json"],
      "--restrict binding 'x*y -> 1' does not bind a base variable"),
+    # a built module has only its spec text, so --json is refused after the build's own checks
+    (None, ["roby", "build", "--kind", "split", "--degree", "2", "--json"],
+     "roby build writes a module spec file; it has no --json output"),
+    (None, ["roby", "build", "--kind", "split", "--degree", "2", "--json", "--out", "FILE"],
+     "roby build writes a module spec file; it has no --json output"),
 ]
 
 
@@ -511,13 +516,15 @@ BAD_INPUTS = [
          "huge bidegree json", "huge bidegree csv", "huge twists", "huge monad",
          "huge monad json", "huge ec", "huge ec json", "monad csv", "ec csv",
          "mf seed degree", "companion seed degree", "restrict a stray variable",
-         "restrict a stray variable json", "restrict a product", "restrict a product json"],
+         "restrict a stray variable json", "restrict a product", "restrict a product json",
+         "roby build json", "roby build json out"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, text, argv, message):
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text)
     assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    assert path.exists() == (text is not None)  # a refused command writes no file
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -149,6 +149,19 @@ def test_display_is_row_major_nested_lists():
     assert str(m) == "[[x, 0], [1, y]]"
 
 
+def test_cell_texts_print_each_entry_and_zero_for_an_empty_slot():
+    m = PolyMatrix.from_rows([[x, 0, 0], [0, 0, make_root(3) * y], [0, 0, 0]])
+    assert m.cell_texts() == [["x", "0", "0"], ["0", "0", "(zeta3)*y"], ["0", "0", "0"]]
+    assert PolyMatrix.zeros(0, 3).cell_texts() == [] and PolyMatrix.zeros(2, 0).cell_texts() == [[], []]
+    rng = random.Random(5150)
+    for density in DENSITIES:
+        for rows, cols in ((1, 1), (3, 5), (6, 2)):
+            m = random_matrix(rng, rows, cols, density)
+            want = [[str(e) for e in row] for row in m.rows()]
+            assert m.cell_texts() == want, (density, rows, cols)
+            assert str(m) == "[" + ", ".join("[" + ", ".join(r) + "]" for r in want) + "]"
+
+
 # -- sparse passes: independent oracles, work counts, no mutation ----------------
 
 VARS = ("x", "y", "z")

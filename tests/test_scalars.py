@@ -504,3 +504,75 @@ def test_sympy_agrees_with_the_oracle_and_the_products():
             want = [Fraction(str(c)) for c in reversed(rem.all_coeffs())] if not rem.is_zero else []
             want += [Fraction(0)] * (euler_phi(e) - len(want))
             assert list((a * b).coeffs) == want, (a, b)
+
+
+# -- the same-order product and sum caches -------------------------------------
+
+CACHES = {"*": scalars._product, "+": scalars._sum}
+
+
+def _clear_caches():
+    for cached in CACHES.values():
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("e", ORACLE_ORDERS)
+def test_cached_products_and_sums_equal_the_uncached_functions(e):
+    rng = random.Random(3000 + e)
+    pool = [_random_cyc(rng, e) for _ in range(4)]
+    pool += [make_root(e), CycScalar(e, [Fraction(1, 2)]), CycScalar(e, [0, 2])]
+    _clear_caches()
+    for x in pool:
+        for y in pool:
+            for op, cached in CACHES.items():
+                want = cached.__wrapped__(e, x.coeffs, y.coeffs)
+                hits = cached.cache_info().hits
+                for _ in range(2):  # a miss, then a hit
+                    got = x * y if op == "*" else x + y
+                    where = f"x={x!r} {op} y={y!r}"
+                    assert type(got) is CycScalar and got == want, where
+                    assert got.order == want.order == e, where
+                    assert type(got.coeffs) is tuple and got.coeffs == want.coeffs, where
+                    assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), where
+                assert cached.cache_info().hits > hits, where
+
+
+def test_the_order_is_part_of_the_cache_key():
+    # one pair of tuples, (0, 1) and (0, 1), read in three fields of width 2
+    _clear_caches()
+    squares, doubles = {}, {}
+    for e in (3, 4, 6):
+        z = CycScalar(e, [0, 1])
+        squares[e], doubles[e] = z * z, z + z
+    assert {e: (v.order, v.coeffs) for e, v in squares.items()} == {
+        3: (3, (-1, -1)), 4: (4, (-1, 0)), 6: (6, (-1, 1)),
+    }
+    assert {e: (v.order, v.coeffs) for e, v in doubles.items()} == {
+        3: (3, (0, 2)), 4: (4, (0, 2)), 6: (6, (0, 2)),
+    }
+
+
+def test_a_cached_result_is_unchanged_by_later_arithmetic():
+    _clear_caches()
+    z = make_root(5)
+    square, double = z * z, z + z
+    kept = [(v.order, v.coeffs) for v in (square, double)]
+    acc = square
+    for k in range(30):
+        acc = acc * square + double - z / (k + 1)
+        acc = -(acc * Fraction(1, 3)) + square * double
+    assert [(v.order, v.coeffs) for v in (square, double)] == kept
+    assert z * z is square and z + z is double  # each repeat is the cached value itself
+    assert [(v.order, v.coeffs) for v in (z * z, z + z)] == kept
+
+
+def test_both_caches_are_bounded():
+    _clear_caches()
+    for cached in CACHES.values():
+        assert isinstance(cached.cache_info().maxsize, int)
+        assert cached.cache_info().maxsize == scalars.CACHE_SIZE
+    for n in range(scalars.CACHE_SIZE + 10):
+        CycScalar(4, [n, 1]) * CycScalar(4, [1, n])
+        CycScalar(4, [n, 1]) + CycScalar(4, [1, n])
+    for cached in CACHES.values():
+        assert cached.cache_info().currsize == scalars.CACHE_SIZE
