@@ -218,6 +218,11 @@ def _cmd_cohom(args, config: Config) -> int:
         text = _aligned([["i", *seq], ["h1", *seq.values()]]) + "\n\n" + report.to_text()
         rows = seq.items()
     _emit(_document(args, data, text, rows), args, config)
+    if not ok and args.csv:
+        # the CSV rows carry no report, so the failed check is named here
+        bad = report.first_failure()
+        why = f" ({bad.detail})" if bad.detail else ""
+        print(f"error: {report.title} failed: {bad.name}{why}", file=sys.stderr)
     return 0 if ok else 1
 
 

@@ -208,11 +208,6 @@ class FreeAlgebra:
 
     # -- algebra operations --------------------------------------------------
 
-    @property
-    def unit_is_first_basis_element(self) -> bool:
-        """False for presentations like the split one, where the unit is a sum."""
-        return self.unit[0] == 1 and not any(self.unit[1:])
-
     def _find_unit_index(self):
         """The index u with unit = e_u and c[u][j] = c[j][u] = e_j for all j, or None.
 

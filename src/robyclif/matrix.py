@@ -22,11 +22,11 @@ and the keys stay packed from one operation to the next.
   would reach 2**width, the operands are first re-encoded at the least
   wider multiple of 8 bits that holds it, so a field never carries and no
   exponent is refused.
-- Contexts meet where Polys meet (``poly._context``), and keys cross
-  through ``aligned_data``, which re-encodes them into a larger ``vars`` or
-  a wider field with one gather of bytes per key, and returns the list
-  itself when the keys would not change.  A Poly's map enters a matrix the
-  same way, or is shared when its keys already fit.
+- Contexts meet in one join, ``poly._context``, and a matrix built from
+  Polys is written by one cell writer, ``_from_cells``.  Keys cross through
+  ``aligned_data``, which re-encodes them into a larger ``vars`` or a wider
+  field with one gather of bytes per key, and returns the list itself when
+  the keys would not change; a Poly's map enters likewise, or is shared.
 - A polynomial leaves the matrix (``entry``, ``rows``, ``first_nonzero``,
   ``scalar_identity_multiple``, ``cell_texts``, and ``substitute`` for the
   terms a nonzero binding rewrites) as the Poly of its term map, pruned to
@@ -72,17 +72,25 @@ from .poly import (
 
 __all__ = ["PolyMatrix", "matpoly_pow", "is_scalar_multiple_of_identity", "check_vanishes"]
 
-def _context_of(polys: list):
-    """(vars, width, top) of the least context holding the polys."""
-    vars = tuple(sorted({v for p in polys for v in p.vars}))
-    top = max((p.top for p in polys), default=0)
-    return vars, _fit(top, max([_WIDTH] + [p.width for p in polys])), top
-
-
 def _make(nrows: int, ncols: int, vars: tuple, width: int, top: int, data: list) -> "PolyMatrix":
     m = object.__new__(PolyMatrix)
     m.nrows, m.ncols, m.vars, m.width, m.top, m.data = nrows, ncols, vars, width, top, data
     return m
+
+
+def _from_cells(nrows: int, ncols: int, cells: list) -> "PolyMatrix":
+    """The matrix with Poly p at each (slot, p) of cells, every other slot empty.
+
+    The context holds every given Poly, zeros included, so a zero entry
+    such as ``x - x`` still puts its variables in ``vars``.
+    """
+    top = max((p.top for _, p in cells), default=0)
+    vars, width = _context([p for _, p in cells], top)
+    data = [{}] * (nrows * ncols)
+    for k, p in cells:
+        if p:
+            data[k] = p._keys_in(vars, width)
+    return _make(nrows, ncols, vars, width, top, data)
 
 
 class PolyMatrix:
@@ -109,37 +117,25 @@ class PolyMatrix:
     @classmethod
     def from_rows(cls, rows) -> "PolyMatrix":
         """Build from nested lists of Poly / scalar / polynomial strings."""
-        grid = []
-        for row in rows:
-            grid.append([as_poly(x) for x in row])
-        nrows = len(grid)
+        grid = [[as_poly(x) for x in row] for row in rows]
         ncols = len(grid[0]) if grid else 0
         if any(len(r) != ncols for r in grid):
             raise InputError("ragged rows in matrix literal")
-        polys = [p for row in grid for p in row]
-        vars, width, top = _context_of(polys)
-        return _make(nrows, ncols, vars, width, top, [p._keys_in(vars, width) for p in polys])
+        return _from_cells(len(grid), ncols, [*enumerate(chain.from_iterable(grid))])
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
-        data = [{}] * (n * n)
-        for i in range(n):
-            data[i * n + i] = {0: 1}
-        return _make(n, n, (), _WIDTH, 0, data)
+        return cls.diagonal([Poly.const(1)] * n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "PolyMatrix":
-        return _make(nrows, ncols, (), _WIDTH, 0, [{}] * (nrows * ncols))
+        return _from_cells(nrows, ncols, [])
 
     @classmethod
     def diagonal(cls, entries) -> "PolyMatrix":
         polys = [as_poly(x) for x in entries]
         n = len(polys)
-        vars, width, top = _context_of(polys)
-        data = [{}] * (n * n)
-        for i, p in enumerate(polys):
-            data[i * n + i] = p._keys_in(vars, width)
-        return _make(n, n, vars, width, top, data)
+        return _from_cells(n, n, [(i * (n + 1), p) for i, p in enumerate(polys)])
 
     @classmethod
     def cyclic_shift(cls, blocks) -> "PolyMatrix":
@@ -155,19 +151,14 @@ class PolyMatrix:
             raise InputError("a cyclic shift needs square blocks of one size")
         d = len(blocks)
         n = d * w
-        cells = []  # (first slot of the block, row, column, Poly)
+        cells = []
         for j, b in enumerate(blocks):
             corner = (j + 1) % d * w * n + j * w
             if isinstance(b, PolyMatrix):
-                cells += [(corner, r, c, b.entry(r, c)) for r, c, _ in b.nonzeros()]
+                cells += [(corner + r * n + c, b.entry(r, c)) for r, c, _ in b.nonzeros()]
             else:
-                cells.append((corner, 0, 0, as_poly(b)))
-        vars, width, top = _context_of([p for *_, p in cells])
-        data = [{}] * (n * n)
-        for corner, r, c, p in cells:
-            if p:
-                data[corner + r * n + c] = p._keys_in(vars, width)
-        return _make(n, n, vars, width, top, data)
+                cells.append((corner, as_poly(b)))
+        return _from_cells(n, n, cells)
 
     @classmethod
     def combination(cls, pairs, n: int) -> "PolyMatrix":
@@ -185,9 +176,8 @@ class PolyMatrix:
             p = as_poly(c)
             if p:
                 terms.append((p, m))
-        vs = tuple(sorted({v for p, m in terms for v in p.vars + m.vars}))
         top = max((m.top + p.top for p, m in terms), default=0)
-        width = _fit(top, max((m.width for _, m in terms), default=_WIDTH))
+        vs, width = _context([*chain.from_iterable(terms)], top)
         data = [{}] * (n * n)
         for p, m in terms:
             pt = p._keys_in(vs, width)
@@ -205,9 +195,8 @@ class PolyMatrix:
         for i >= j and zero above the diagonal.  Entries are shared, not
         copied, and no key is decoded.
         """
-        vs = tuple(sorted(set().union(*(c.vars for c in column))))
         top = max((c.top for c in column), default=0)
-        width = _fit(top, max((c.width for c in column), default=_WIDTH))
+        vs, width = _context(column, top)
         col = [c.aligned_data(vs, width=width)[0] for c in column]
         data: list = []
         for i in range(len(col)):
@@ -232,16 +221,14 @@ class PolyMatrix:
 
     def _common(self, other: "PolyMatrix", top: int):
         """(vars, width, self's data, other's data) in one context holding top."""
-        vs, width = _context(self, other, top)
+        vs, width = _context((self, other), top)
         return vs, width, self.aligned_data(vs, width=width), other.aligned_data(vs, width=width)
 
-    def _writable(self, data: list) -> list:
-        """data, or a copy if it is self's own list.
-
-        ``aligned_data`` returns either ``self.data`` or a fresh list; an
-        output may be written into the fresh one, so it is copied only once.
-        """
-        return list(data) if data is self.data else data
+    def _meet(self, p: Poly, top: int):
+        """(vars, width, data to write into, p's terms) in one context holding top."""
+        vs, width = _context((self, p), top)
+        data = self.aligned_data(vs, width=width)  # self.data itself, or a fresh list
+        return vs, width, list(data) if data is self.data else data, p._keys_in(vs, width)
 
     def _poly(self, terms: dict) -> Poly:
         """A term map as a Poly over the variables that occur in it."""
@@ -308,31 +295,25 @@ class PolyMatrix:
 
     # -- arithmetic -------------------------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, sign: str, terms_op, lone_op):
+        """self + or - other: terms_op on two slots' terms, lone_op on other's alone."""
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         if self.shape != other.shape:
-            raise InputError(f"shape mismatch: {self.shape} + {other.shape}")
+            raise InputError(f"shape mismatch: {self.shape} {sign} {other.shape}")
         top = max(self.top, other.top)
         vs, width, a, b = self._common(other, top)
-        data = self._writable(a)
+        data = list(a) if a is self.data else a  # an output is written into a fresh list
         for k in nonempty(b):
             x = data[k]
-            data[k] = kernel.add_terms(x, b[k]) if x else b[k]
+            data[k] = terms_op(x, b[k]) if x else lone_op(b[k])
         return _make(self.nrows, self.ncols, vs, width, top, data)
 
+    def __add__(self, other):
+        return self._sum(other, "+", kernel.add_terms, lambda t: t)
+
     def __sub__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise InputError(f"shape mismatch: {self.shape} - {other.shape}")
-        top = max(self.top, other.top)
-        vs, width, a, b = self._common(other, top)
-        data = self._writable(a)
-        for k in nonempty(b):
-            x = data[k]
-            data[k] = kernel.sub_terms(x, b[k]) if x else kernel.neg_terms(b[k])
-        return _make(self.nrows, self.ncols, vs, width, top, data)
+        return self._sum(other, "-", kernel.sub_terms, kernel.neg_terms)
 
     def __neg__(self):
         data = map_nonempty(self.data, kernel.neg_terms)
@@ -346,9 +327,7 @@ class PolyMatrix:
             return _make(self.nrows, self.ncols, self.vars, self.width, self.top, data)
         p = as_poly(c)
         top = self.top + p.top
-        vs, width = _context(self, p, top)
-        pt = p._keys_in(vs, width)
-        data = self._writable(self.aligned_data(vs, width=width))
+        vs, width, data, pt = self._meet(p, top)
         update_nonempty(data, lambda t: kernel.mul_terms(t, pt))
         return _make(self.nrows, self.ncols, vs, width, top, data)
 
@@ -365,9 +344,7 @@ class PolyMatrix:
             raise InputError(f"shape mismatch: {self.shape} + scalar * identity")
         p = as_poly(c)
         top = max(self.top, p.top)
-        vs, width = _context(self, p, top)
-        pt = p._keys_in(vs, width)
-        data = self._writable(self.aligned_data(vs, width=width))
+        vs, width, data, pt = self._meet(p, top)
         if pt:
             for k in range(0, n * n, n + 1):
                 x = data[k]
@@ -432,9 +409,10 @@ class PolyMatrix:
         present = self.occurring_vars()
         vals = {v: as_poly(b) for v, b in bindings.items() if v in present}
         # each entry's Poly substitution keeps its unbound variables and gains
-        # those of the values it substitutes; vs is their union over entries
-        kept = {v for v in present if v not in vals}
-        vs = tuple(sorted(kept.union(*(p.vars for p in vals.values()))))
+        # those of the values it substitutes; vs is their union over entries,
+        # where a zero Poly over the kept variables meets the values
+        kept = _new(tuple(v for v in present if v not in vals), width, 0, {})
+        vs, _ = _context([kept, *vals.values()], 0)
         fields = [((1 << width) - 1) << (i * width) for i in range(len(names))]
         zero_mask = sum(f for f, v in zip(fields, names) if v in vals and not vals[v])
         bound_mask = sum(f for f, v in zip(fields, names) if vals.get(v))

@@ -13,9 +13,9 @@ exponent tuples.
 ``PolyMatrix`` stores the same keys under the same width rule: a result's
 bound is the sum of its operands' bounds for a product and the larger one
 for a sum, and its operands are first widened to the least multiple of 8
-bits that holds it (``_fit``), so a field never carries.  Contexts meet in
-``_context``, and keys cross between contexts through one cached
-``kernel.repacker`` (``_recoder``), or unchanged.
+bits that holds it (``_fit``), so a field never carries.  Polys and
+matrices meet in one join, ``_context``, and keys cross between contexts
+through one cached ``kernel.repacker`` (``_recoder``), or unchanged.
 
 The textual syntax is ``3/2*x^2*y - z2`` with variables matching
 ``[a-zA-Z][a-zA-Z0-9_]*``; the reserved atoms ``zeta2``, ``zeta3``, ... parse
@@ -86,13 +86,21 @@ def _fit(top: int, width: int) -> int:
     return width
 
 
-def _context(a, b, top: int) -> tuple:
-    """(vars, width) where a and b meet: their variables, fields that hold top.
-
-    a and b are Polys or matrices; the width is at least both of theirs.
+def _context(parts, top: int) -> tuple:
+    """(vars, width) where Polys or matrices meet: the sorted union of their
+    variables, and fields of at least ``_WIDTH`` and each part's width that
+    hold top.  Parts with equal ``vars`` share theirs, with no set built.
     """
-    vs = a.vars if a.vars == b.vars else tuple(sorted(set(a.vars) | set(b.vars)))
-    return vs, _fit(top, max(a.width, b.width))
+    vs = parts[0].vars if parts else ()
+    width = _WIDTH
+    for p in parts:
+        if p.vars != vs:
+            vs = None
+        if p.width > width:
+            width = p.width
+    if vs is None:
+        vs = tuple(sorted({v for p in parts for v in p.vars}))
+    return vs, _fit(top, width)
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +190,7 @@ class Poly:
         width = self.width
         if self.vars == other.vars and width == other.width and not top >> width:
             return self.vars, width, self.packed, other.packed
-        vs, width = _context(self, other, top)
+        vs, width = _context((self, other), top)
         return vs, width, self._keys_in(vs, width), other._keys_in(vs, width)
 
     def _fields(self) -> list:
@@ -371,7 +379,8 @@ class Poly:
         if not vals:
             return self
         keep = tuple(v for v in self.vars if v not in vals)
-        new_vars = tuple(sorted(set(keep).union(*(p.vars for p in vals.values()))))
+        # a zero Poly over the kept variables meets the values
+        new_vars, _ = _context([_new(keep, _WIDTH, 0, {}), *vals.values()], 0)
         pos = {v: i for i, v in enumerate(new_vars)}
         keep_idx = [(i, pos[v]) for i, v in enumerate(self.vars) if v not in vals]
         bound = [(i, v, vals[v].top) for i, v in enumerate(self.vars) if v in vals]

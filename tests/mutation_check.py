@@ -1,4 +1,5 @@
-"""Mutation check: each hand-written fault in the kernel, the matrix module,
+"""Mutation check: each hand-written fault in the kernel, the context join
+``poly._context``, the matrix module,
 Berkowitz's characteristic polynomial, its unit shift and its base change
 over a cover's generic tail (``freealg.monogenic_algebra``), the two-query
 shape check of ``CharPoly``, the Cayley-Hamilton check on the unit column
@@ -41,8 +42,20 @@ MUTANTS = (
     (
         "width check skipped, so a field carries",
         "poly.py",
-        "return vs, _fit(top, max(a.width, b.width))",
-        "return vs, max(a.width, b.width)",
+        "    return vs, _fit(top, width)\n",
+        "    return vs, width\n",
+    ),
+    (
+        "the context join keeps the first part's variables when the parts differ",
+        "poly.py",
+        "        vs = tuple(sorted({v for p in parts for v in p.vars}))\n",
+        "        vs = parts[0].vars\n",
+    ),
+    (
+        "the context join's width ignores the parts' widths",
+        "poly.py",
+        "        if p.width > width:\n            width = p.width\n",
+        "",
     ),
     (
         "a Poly product keeps its operands' width",
@@ -84,8 +97,8 @@ MUTANTS = (
     (
         "a sum written into an input map",
         "matrix.py",
-        "data[k] = kernel.add_terms(x, b[k]) if x else b[k]",
-        "data[k] = (kernel.add_into(x, b[k]) or x) if x else b[k]",
+        'self._sum(other, "+", kernel.add_terms, lambda t: t)',
+        'self._sum(other, "+", lambda x, y: kernel.add_into(x, y) or x, lambda t: t)',
     ),
     (
         "the last row skipped",

@@ -356,6 +356,17 @@ class TestCohom:
         assert "weak Lefschetz pattern" in text
         assert "overall: PASS" in text
 
+    def test_failed_twists_csv_names_the_first_failed_check(self, capsys):
+        assert main(["cohom", "--twists", "0", "3", "-6", "2", "--csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[3:5] == ["-3,2", "-2,2"]
+        assert err == (
+            "error: weak Lefschetz pattern failed: monotone_up_to_minus_two "
+            "(h1 drops from i=-2 to i=-1)\n"
+        )
+        assert main(["cohom", "--twists", "3", "-2", "-6", "2", "--csv"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_json_csv_conflict(self, capsys):
         assert main(["cohom", "--table", "2", "--json", "--csv"]) == 2
 

@@ -375,11 +375,11 @@ class TestSplit:
 
     def test_unit_is_the_sum_of_idempotents(self):
         a = split_algebra(3)
-        assert not a.unit_is_first_basis_element
+        assert a.unit != a._basis_coords(0)
         assert a.element_rep(a.unit) == PolyMatrix.identity(3)
         # while a monogenic presentation keeps the unit at gamma_1
         b = monogenic_algebra(parse_poly("z^2 - q"), "z")
-        assert b.unit_is_first_basis_element
+        assert b.unit == b._basis_coords(0)
 
     def test_regular_representation_is_diagonal(self):
         a = split_algebra(3)

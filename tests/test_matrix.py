@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 from robyclif import kernel
+from robyclif import matrix as matrix_module
 from robyclif.errors import InputError
 from robyclif.freealg import monogenic_algebra
-from robyclif.matrix import PolyMatrix, is_scalar_multiple_of_identity, matpoly_pow
-from robyclif.poly import HomForm, Poly, as_poly, parse_poly
+from robyclif.matrix import PolyMatrix, _make, is_scalar_multiple_of_identity, matpoly_pow
+from robyclif.poly import HomForm, Poly, _fit, as_poly, parse_poly
 from robyclif.roby import MonomialSpec, monomial_charpoly_roby, monomial_roby, split_roby
 from robyclif.scalars import make_root
 from robyclif.seeds import companion_matrix, cyclic_cover_seed
@@ -814,6 +815,223 @@ def test_cyclic_shift_refuses_blocks_of_mixed_or_oblong_shape():
         PolyMatrix.cyclic_shift([])
 
 
+# -- one context join: the joins each builder made of its own, as reference code --
+#
+# Before poly._context took every join, from_rows, diagonal, identity and
+# cyclic_shift joined their entries in matrix._context_of, combination and
+# toeplitz inlined a join each, and +, -, scaled and plus_scalar met in a
+# two-operand join.  The builders below are those bodies as they were.
+
+
+def old_context_of(polys):
+    vars = tuple(sorted({v for p in polys for v in p.vars}))
+    top = max((p.top for p in polys), default=0)
+    return vars, _fit(top, max([matrix_module._WIDTH] + [p.width for p in polys])), top
+
+
+def old_pair_context(a, b, top):
+    vs = a.vars if a.vars == b.vars else tuple(sorted(set(a.vars) | set(b.vars)))
+    return vs, _fit(top, max(a.width, b.width))
+
+
+def old_writable(m, data):
+    return list(data) if data is m.data else data
+
+
+def old_from_rows(rows):
+    grid = [[as_poly(x) for x in row] for row in rows]
+    polys = [p for row in grid for p in row]
+    vars, width, top = old_context_of(polys)
+    ncols = len(grid[0]) if grid else 0
+    return _make(len(grid), ncols, vars, width, top, [p._keys_in(vars, width) for p in polys])
+
+
+def old_identity(n):
+    data = [{}] * (n * n)
+    for i in range(n):
+        data[i * n + i] = {0: 1}
+    return _make(n, n, (), matrix_module._WIDTH, 0, data)
+
+
+def old_diagonal(entries):
+    polys = [as_poly(x) for x in entries]
+    n = len(polys)
+    vars, width, top = old_context_of(polys)
+    data = [{}] * (n * n)
+    for i, p in enumerate(polys):
+        data[i * n + i] = p._keys_in(vars, width)
+    return _make(n, n, vars, width, top, data)
+
+
+def old_cyclic_shift(blocks):
+    w = blocks[0].nrows if isinstance(blocks[0], PolyMatrix) else 1
+    d = len(blocks)
+    n = d * w
+    cells = []
+    for j, b in enumerate(blocks):
+        corner = (j + 1) % d * w * n + j * w
+        if isinstance(b, PolyMatrix):
+            cells += [(corner, r, c, b.entry(r, c)) for r, c, _ in b.nonzeros()]
+        else:
+            cells.append((corner, 0, 0, as_poly(b)))
+    vars, width, top = old_context_of([p for *_, p in cells])
+    data = [{}] * (n * n)
+    for corner, r, c, p in cells:
+        if p:
+            data[corner + r * n + c] = p._keys_in(vars, width)
+    return _make(n, n, vars, width, top, data)
+
+
+def old_combination(pairs, n):
+    terms = [(as_poly(c), m) for c, m in pairs if as_poly(c)]
+    vs = tuple(sorted({v for p, m in terms for v in p.vars + m.vars}))
+    top = max((m.top + p.top for p, m in terms), default=0)
+    width = _fit(top, max((m.width for _, m in terms), default=matrix_module._WIDTH))
+    data = [{}] * (n * n)
+    for p, m in terms:
+        pt = p._keys_in(vs, width)
+        src = m.aligned_data(vs, width=width)
+        for k in kernel.nonempty(src):
+            t = kernel.mul_terms(src[k], pt)
+            data[k] = kernel.add_terms(data[k], t) if data[k] else t
+    return _make(n, n, vs, width, top, data)
+
+
+def old_toeplitz(column, ncols):
+    vs = tuple(sorted(set().union(*(c.vars for c in column))))
+    top = max((c.top for c in column), default=0)
+    width = _fit(top, max((c.width for c in column), default=matrix_module._WIDTH))
+    col = [c.aligned_data(vs, width=width)[0] for c in column]
+    data: list = []
+    for i in range(len(col)):
+        lower = min(i + 1, ncols)
+        data += [col[i - j] for j in range(lower)] + [{}] * (ncols - lower)
+    return _make(len(col), ncols, vs, width, top, data)
+
+
+def old_sum(a, b, pair_op, lone_op):
+    top = max(a.top, b.top)
+    vs, width = old_pair_context(a, b, top)
+    data = old_writable(a, a.aligned_data(vs, width=width))
+    other = b.aligned_data(vs, width=width)
+    for k in kernel.nonempty(other):
+        x = data[k]
+        data[k] = pair_op(x, other[k]) if x else lone_op(other[k])
+    return _make(a.nrows, a.ncols, vs, width, top, data)
+
+
+def old_scaled(m, c):
+    p = as_poly(c)
+    top = m.top + p.top
+    vs, width = old_pair_context(m, p, top)
+    pt = p._keys_in(vs, width)
+    data = old_writable(m, m.aligned_data(vs, width=width))
+    kernel.update_nonempty(data, lambda t: kernel.mul_terms(t, pt))
+    return _make(m.nrows, m.ncols, vs, width, top, data)
+
+
+def old_plus_scalar(m, c):
+    n = m.nrows
+    p = as_poly(c)
+    top = max(m.top, p.top)
+    vs, width = old_pair_context(m, p, top)
+    pt = p._keys_in(vs, width)
+    data = old_writable(m, m.aligned_data(vs, width=width))
+    if pt:
+        for k in range(0, n * n, n + 1):
+            x = data[k]
+            data[k] = kernel.add_terms(x, pt) if x else pt
+    return _make(n, n, vs, width, top, data)
+
+
+def same_build(got, want, where):
+    """Equal shape, context and term maps, with keys and coefficient types in order."""
+    assert (got.shape, got.vars, got.width, got.top) == (
+        want.shape, want.vars, want.width, want.top), where
+    assert [[(k, c, type(c)) for k, c in t.items()] for t in got.data] == [
+        [(k, c, type(c)) for k, c in t.items()] for t in want.data], where
+
+
+JOIN_VARS = ("w", "x", "y", "z")
+
+
+def join_entry(rng):
+    """A Poly, string or scalar: zeros with and without stray variables,
+    constants, zeta-weights, exponents on both sides of the 8-bit field, and
+    a product whose field is wider than its exponents need.
+    """
+    v, u = rng.sample(JOIN_VARS, 2)
+    return rng.choice((
+        lambda: 0,
+        lambda: Poly.zero(),
+        lambda: f"{v} - {v}",
+        lambda: parse_poly(f"{v}*{u} - {u}*{v}"),
+        lambda: rng.randrange(-3, 4),
+        lambda: Fraction(rng.randrange(-5, 6), rng.randrange(1, 5)),
+        lambda: make_root(3) * rng.randrange(1, 3),
+        lambda: f"{v} - 2*{u}",
+        lambda: f"{v}^{rng.choice(BIG_EXPONENTS)} + 1/2",
+        lambda: Poly.variable(v) ** 128 * Poly.variable(u) ** 128,
+        lambda: Poly.variable(v),
+    ))()
+
+
+def join_matrix(rng, rows, cols):
+    return PolyMatrix.from_rows([[join_entry(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_every_builder_joins_contexts_as_before():
+    rng = random.Random(2501)
+    seen = Counter()
+    for trial in range(150):
+        r, c = rng.choice(((0, 0), (1, 0), (2, 0), (1, 1), (2, 3), (3, 2), (3, 3)))
+        n = rng.randrange(0, 4)
+        rows = [[join_entry(rng) for _ in range(c)] for _ in range(r)]
+        a, b = join_matrix(rng, r, c), join_matrix(rng, r, c)
+        if rng.random() < 0.3:  # 0 x n and n x 0 operands, keyed over no variables
+            a = b = PolyMatrix.zeros(0, c) if rng.random() < 0.5 else PolyMatrix.zeros(r, 0)
+        entries = [join_entry(rng) for _ in range(n)]
+        square = join_matrix(rng, n, n)
+        coefficient = as_poly(join_entry(rng))
+        w = rng.randrange(0, 3)
+        blocks = ([join_entry(rng) for _ in range(rng.randrange(1, 4))] if w == 1 else
+                  [join_matrix(rng, w, w) for _ in range(rng.randrange(1, 4))])
+        column = [join_matrix(rng, 1, 1) for _ in range(rng.randrange(0, 5))]
+        pairs = [(join_entry(rng), join_matrix(rng, n, n)) for _ in range(rng.randrange(0, 4))]
+        checks = {
+            "from_rows": (lambda: PolyMatrix.from_rows(rows), lambda: old_from_rows(rows)),
+            "identity": (lambda: PolyMatrix.identity(n), lambda: old_identity(n)),
+            "diagonal": (lambda: PolyMatrix.diagonal(entries), lambda: old_diagonal(entries)),
+            "cyclic_shift": (lambda: PolyMatrix.cyclic_shift(blocks),
+                             lambda: old_cyclic_shift(blocks)),
+            "toeplitz": (lambda: PolyMatrix.toeplitz(column, n), lambda: old_toeplitz(column, n)),
+            "+": (lambda: a + b, lambda: old_sum(a, b, kernel.add_terms, lambda t: t)),
+            "-": (lambda: a - b, lambda: old_sum(a, b, kernel.sub_terms, kernel.neg_terms)),
+            "scaled": (lambda: a.scaled(coefficient), lambda: old_scaled(a, coefficient)),
+            "plus_scalar": (lambda: square.plus_scalar(coefficient),
+                            lambda: old_plus_scalar(square, coefficient)),
+        }
+        for name, (new, old) in checks.items():
+            same_build(new(), old(), f"trial {trial}: {name}")
+        got, want = PolyMatrix.combination(pairs, n), old_combination(pairs, n)
+        # one change: the join also holds each coefficient's field width, as
+        # the running sum of scaled matrices always did
+        coefficients = [p for p in (as_poly(c) for c, _ in pairs) if p]
+        assert got.width == max([want.width] + [p.width for p in coefficients]), trial
+        widened = want.aligned_data(want.vars, width=got.width)
+        same_build(got, _make(n, n, want.vars, got.width, want.top, widened),
+                   f"trial {trial}: combination")
+        seen["combination wider than before"] += got.width > want.width
+        seen["stray zero"] += any(isinstance(e, str) and "-" in e and not as_poly(e)
+                                  for row in rows for e in row)
+        seen["0 x n"] += 0 in a.shape
+        seen["wide field"] += any(m.width > matrix_module._WIDTH for m in (a, b, square))
+    expected = {"stray zero", "0 x n"}
+    if matrix_module._WIDTH == 8:  # 24-bit fields hold every exponent drawn here
+        expected |= {"combination wider than before", "wide field"}
+    assert {k for k, v in seen.items() if v} >= expected, seen
+
+
 # -- an independent oracle: nested loops over name-keyed monomials ---------------
 #
 # A plain polynomial maps a monomial, the sorted tuple of its (name, exponent)
@@ -1029,6 +1247,7 @@ def test_operations_agree_with_nested_loops_over_plain_dicts():
         test_operations_agree_with_nested_loops_over_plain_dicts,
         test_cyclic_shift_of_polynomials_equals_the_grid,
         test_cyclic_shift_of_blocks_equals_the_old_block_shift,
+        test_every_builder_joins_contexts_as_before,
     ],
     ids=lambda check: check.__name__,
 )

@@ -1,6 +1,7 @@
 """Repository hygiene: no generated file tracked in git, no stale README config,
 the matrix layout known to one module only, packed keys encoded and decoded by
-the polynomial, matrix and kernel modules only, the T-slot read by the Roby module and the
+the polynomial, matrix and kernel modules only, variable contexts joined by the
+polynomial module only, the T-slot read by the Roby module and the
 file format only, and no identity matrix built only to be scaled or added."""
 
 import io
@@ -103,6 +104,63 @@ def test_the_key_codec_pattern_matches_what_it_names():
         "width = len(header)",
     ):
         assert not key_codec_uses(line), line
+
+
+def variable_unions(text):
+    """Line numbers of the ``sorted(...)`` calls in Python source whose
+    argument mentions ``.vars`` and unions it into a set: a set display or
+    comprehension, ``.union(...)``, ``|`` or ``+``.  Comments and strings
+    are not read.
+    """
+    kept = (tokenize.NAME, tokenize.OP)
+    toks = [t for t in tokenize.generate_tokens(io.StringIO(text).readline) if t.type in kept]
+    found = []
+    for i, tok in enumerate(toks[:-1]):
+        if tok.string != "sorted" or toks[i + 1].string != "(":
+            continue
+        depth, j = 0, i + 1
+        while True:  # j ends on the parenthesis that closes sorted(
+            depth += {"(": 1, ")": -1}.get(toks[j].string, 0)
+            if not depth:
+                break
+            j += 1
+        arg = " ".join(t.string for t in toks[i + 2 : j])
+        if re.search(r"\. vars\b", arg) and re.search(r"\{|\. union \(|\||\+", arg):
+            found.append(tok.start[0])
+    return found
+
+
+def test_only_poly_module_joins_variable_contexts():
+    # Polys and matrices meet in poly._context, so the rule for where
+    # contexts meet can change in poly.py alone
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted((ROOT / "src" / "robyclif").glob("*.py"))
+        if path.name != "poly.py"
+        for number in variable_unions(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [], f"variable contexts joined outside poly.py: {found}"
+
+
+def test_the_variable_union_pattern_matches_what_it_names():
+    for line in (
+        "vars = tuple(sorted({v for p in polys for v in p.vars}))",
+        "vs = tuple(sorted({v for p, m in terms for v in p.vars + m.vars}))",
+        "vs = tuple(sorted(set().union(*(c.vars for c in column))))",
+        "vs = tuple(sorted(kept.union(*(p.vars for p in vals.values()))))",
+        "vs = tuple(sorted(set(a.vars) | set(b.vars)))",
+        "vs = tuple(sorted(set(a.vars + b.vars)))",
+        "vs = tuple(sorted(\n    {*a.vars, *b.vars}\n))",
+    ):
+        assert variable_unions(line) == [1], line
+    for line in (
+        "extra = sorted(set(relations.vars) - set(self.vars))",
+        "names = sorted(self.vars)",
+        "vs, width = _context([p, *column], top)",
+        "order = sorted({v for v in names})",
+        '"""sorted({v for p in ps for v in p.vars})"""  # sorted(set(a.vars) | set(b.vars))',
+    ):
+        assert variable_unions(line) == [], line
 
 
 def test_only_roby_and_specfile_read_the_tslot():
