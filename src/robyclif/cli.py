@@ -180,8 +180,7 @@ def _cmd_pipeline(args, config: Config) -> int:
     )
     result = run_pipeline(spec)
     stype = splitting_type(
-        underlying_line_module(result.restricted, line_vars=spec.line_vars),
-        window_pad=config.degree_window_pad,
+        underlying_line_module(result.restricted, line_vars=spec.line_vars)
     )
     result.report.meta["splitting_type"] = str(stype)
     _emit(_render_report(result.report, args.json), args, config)

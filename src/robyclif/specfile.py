@@ -81,14 +81,12 @@ def _parse_sections(text: str) -> list:
     return sections
 
 
-def _pairs_map(section: _Section, allowed, repeated=()) -> dict:
+def _pairs_map(section: _Section, allowed) -> dict:
     out: dict = {}
     for key, value in section.pairs:
         if key not in allowed:
             raise InputError(f"[{section.name}] does not take a key {key!r}")
-        if key in repeated:
-            out.setdefault(key, []).append(value)
-        elif key in out:
+        if key in out:
             raise InputError(f"[{section.name}] repeats the key {key!r}")
         else:
             out[key] = value
@@ -462,7 +460,6 @@ def parse_pipeline(text: str, *, base_dir=None) -> PipelineSpec:
 class Config:
     """Optional knobs shared by the CLI; environment variables are never read."""
 
-    degree_window_pad: int = 0
     out_dir: str | None = None
 
 
@@ -470,12 +467,4 @@ def parse_config(text: str) -> Config:
     sections = _parse_sections(text)
     if len(sections) != 1 or sections[0].name != "config":
         raise InputError("a config file holds exactly one [config] section")
-    m = _pairs_map(sections[0], allowed={"degree_window_pad", "out_dir"})
-    return Config(
-        degree_window_pad=(
-            _int(m["degree_window_pad"], "degree_window_pad")
-            if "degree_window_pad" in m
-            else 0
-        ),
-        out_dir=m.get("out_dir"),
-    )
+    return Config(out_dir=_pairs_map(sections[0], allowed={"out_dir"}).get("out_dir"))

@@ -6,8 +6,9 @@ shape check of ``CharPoly``, the Cayley-Hamilton check on the unit column
 (``freealg.cayley_hamilton_by_laws``), the cyclotomic scalars and their
 product cache, the matrix printer ``PolyMatrix.cell_texts``, the polynomial
 parser, the grade-cycle power identity of ``roby.py``, the
-char-poly module constructor ``GradedRobyModule.over`` or the CLI's one
-document renderer must make the fast test suite fail.
+char-poly module constructor ``GradedRobyModule.over``, the splitting-type
+scan of ``linegeom.py`` or the CLI's one document renderer must make the
+fast test suite fail.
 
 Usage, from the root of a checkout:
 
@@ -293,6 +294,24 @@ MUTANTS = (
         "freealg.py",
         "poly.homogeneous_degree((tvar, *self.dual_names)) == rank",
         "poly.homogeneous_degree(self.dual_names) == rank",
+    ),
+    (
+        "the splitting-type scan stops at K0 without waiting for the rank",
+        "linegeom.py",
+        "        if k >= top and delta == rank:\n",
+        "        if k >= top:\n",
+    ),
+    (
+        "K0 ignores the relation degrees",
+        "linegeom.py",
+        "    top = max(module.gen_degrees + module.rel_degrees)\n",
+        "    top = max(module.gen_degrees)\n",
+    ),
+    (
+        "the drop check stops short of K0, not at the scan's last degree",
+        "linegeom.py",
+        "        if delta < prev_delta:\n",
+        "        if delta < prev_delta and k < top:\n",
     ),
     (
         "the CLI's JSON documents written with unsorted keys",

@@ -560,6 +560,16 @@ class TestConfig:
         assert "does not take a key 'field_order_cap'" in err
         assert "Traceback" not in err
 
+    def test_window_padding_is_not_a_config_key(self, quadric_pipeline_file,
+                                                tmp_path, capsys):
+        # the splitting-type scan derives its window from the presentation
+        conf = tmp_path / "conf"
+        conf.write_text("[config]\ndegree_window_pad = 0\n")
+        assert main(["--config", str(conf), "pipeline", quadric_pipeline_file]) == 2
+        assert capsys.readouterr() == (
+            "", "error: [config] does not take a key 'degree_window_pad'\n"
+        )
+
     def test_bad_config_file(self, quadric_algebra_file, tmp_path, capsys):
         conf = tmp_path / "conf"
         conf.write_text("[algebra]\nsplit = 2\n")

@@ -1,10 +1,14 @@
 """Hilbert functions, splitting types, and line restriction."""
 
+import time
+
 import pytest
 
+from robyclif import linegeom
 from robyclif.errors import InputError
 from robyclif.freealg import char_poly
 from robyclif.linegeom import (
+    MAX_SCAN_PAST,
     GradedModuleP1,
     SplittingType,
     hilbert_function,
@@ -15,13 +19,19 @@ from robyclif.linegeom import (
     underlying_line_module,
 )
 from robyclif.matrix import PolyMatrix
-from robyclif.poly import parse_poly
+from robyclif.poly import Poly, parse_poly
 from robyclif.roby import CharMorphism, char_morphism
 from robyclif.seeds import mf_seed, perturbed_split_algebra
 
 
 def coker(gen_degrees, rows, **kw):
     return GradedModuleP1(gen_degrees, PolyMatrix.from_rows(rows), **kw)
+
+
+def timed(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
 
 
 class TestHilbertFunction:
@@ -110,9 +120,57 @@ class TestSplittingType:
         with pytest.raises(InputError, match="torsion or missing saturation"):
             splitting_type(coker([0, 0], [["x"], ["-y"]]))
 
-    def test_negative_padding_rejected(self):
-        with pytest.raises(InputError, match="padding"):
-            splitting_type(GradedModuleP1.free([0]), window_pad=-1)
+    @pytest.mark.parametrize("gen, relation", [(-10, "x^15"), (-4, "x^4")])
+    def test_torsion_above_a_negative_generator_is_rejected(self, gen, relation):
+        # the increment drops only at the relation's degree K0, far above
+        # the generator's
+        with pytest.raises(InputError, match="torsion or missing saturation"):
+            splitting_type(coker([gen], [[relation]]))
+
+    def test_relation_above_every_generator_is_scanned(self):
+        # S/(x, y^2) + S(-1): the increment reaches the rank 1 at the top
+        # generator degree 1 and drops at the relation y^2 in degree 2
+        with pytest.raises(InputError, match="drops from 1 to 0 at degree 2"):
+            splitting_type(coker([0, 1], [["x", "y^2"], [0, 0]]))
+
+    def test_scan_runs_past_k0_until_the_rank(self):
+        # k + S(-1)^2: K0 = 1, but the syzygy (y, -x) of the two relations
+        # lies in degree 2, where the increment first reaches the rank 2.
+        # The sheaf is O(-1)^2; the Hilbert function cannot see the torsion,
+        # so this twist pair is a known defect, pinned as it is
+        m = coker([0, 1, 1], [["x", "y"], [0, 0], [0, 0]], rel_degrees=[1, 1])
+        assert splitting_type(m).twists == (0, -2)
+
+    def test_free_module_scans_one_degree(self, monkeypatch):
+        m = GradedModuleP1.free([0] * 1024)
+        calls = []
+        real = linegeom._rank_of_rows
+        monkeypatch.setattr(linegeom, "_rank_of_rows", lambda rows: calls.append(1) or real(rows))
+        assert splitting_type(m).twists == (0,) * 1024
+        assert len(calls) == 1
+        monkeypatch.undo()
+        best = min(timed(splitting_type, m) for _ in range(5))
+        assert best <= 0.005, f"free rank-1024 scan took {best * 1e3:.1f} ms"
+
+
+class TestScanCap:
+    @staticmethod
+    def syzygy_at_twice(d):
+        """Columns (x^d, 0, 0), (y^d, 0, 0) on generators 0, d, d: syzygy at 2d."""
+        x, y = Poly(("x", "y"), {(d, 0): 1}), Poly(("x", "y"), {(0, d): 1})
+        zero = Poly.zero()
+        return GradedModuleP1([0, d, d], PolyMatrix.from_rows([[x, y], [zero, zero], [zero, zero]]))
+
+    def test_at_the_cap(self):
+        d = MAX_SCAN_PAST
+        assert splitting_type(self.syzygy_at_twice(d)).twists == (0, -2 * d)
+
+    def test_past_the_cap_is_refused_quickly(self):
+        d = MAX_SCAN_PAST + 1
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=f"{MAX_SCAN_PAST} degrees past .* degree {d}"):
+            splitting_type(self.syzygy_at_twice(d))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestModuleValidation:

@@ -11,16 +11,19 @@ from robyclif.cli import main
 
 from robyclif.errors import InputError, VerificationError
 from robyclif.freealg import char_poly, monogenic_algebra, restrict_char_poly
-from robyclif.linegeom import _rank_of_rows
+from robyclif.linegeom import _rank_of_rows, restrict_to_line
 from robyclif.matrix import PolyMatrix
 from robyclif.pipeline import (
     MAX_ASSEMBLY_DIM,
     PipelineSpec,
+    _quotients_match,
     deviation_monomials,
     run_pipeline,
 )
 from robyclif.poly import Poly, parse_poly
 from robyclif.roby import (
+    CharMorphism,
+    Filtration,
     GradedRobyModule,
     char_morphism,
     split_roby,
@@ -256,6 +259,34 @@ class TestUngradedPipeline:
             eye = PolyMatrix.identity(len(idx) // 2)
             for big, small in zip(result.restricted.matrices, seed_cm.matrices):
                 assert big.submatrix(idx, idx) == small.kron(eye)
+
+
+class TestQuotientsMatch:
+    """Both refusals of the seed-block comparison, on the quadric's run."""
+
+    def quadric_run(self):
+        spec = quadric_spec()
+        result = run_pipeline(spec)
+        return result, restrict_to_line(char_morphism(result.seed), spec.line)
+
+    def test_level_not_a_multiple_of_the_seed_dimension(self):
+        result, seed_line = self.quadric_run()
+        uneven = Filtration.from_levels([0, 0, 0, 1, 1, 1, 1, 1])
+        assert _quotients_match(result.restricted, seed_line, uneven) == (
+            False, "level 0 has dimension 3, not a multiple of the seed dimension 4"
+        )
+
+    def test_one_planted_wrong_entry(self):
+        result, seed_line = self.quadric_run()
+        level, idx = result.filtration.quotients()[1]
+        m = result.restricted.matrices[1]
+        rows = [[m.entry(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
+        rows[idx[0]][idx[1]] += 1
+        matrices = [result.restricted.matrices[0], PolyMatrix.from_rows(rows)]
+        tampered = CharMorphism(result.restricted.source, matrices, result.restricted.charpoly)
+        assert _quotients_match(tampered, seed_line, result.filtration) == (
+            False, f"level {level}: quotient of C(z) is not a seed block"
+        )
 
 
 class TestPipelineErrors:

@@ -411,6 +411,23 @@ class TestStructure:
         mixed = x * x * q + y * y
         assert mixed.homogeneous_degree(("x", "y")) == 2
 
+    @pytest.mark.parametrize("terms", [
+        {(200, 100): 1, (1, 0): 1},  # x^200*y^100 + x
+        {(200, 100): 1, (150, 150): -2},
+        {(254, 254, 254): 1, (0, 0, 1): 3},
+    ])
+    def test_degrees_whose_field_maxima_pass_the_mask(self, terms):
+        p = Poly(("q", "x", "y")[-len(next(iter(terms))):], terms)
+        # 8-bit fields whose bounds sum past 255, so _degrees sums each key's fields
+        assert p.width == 8 and sum(p._fields()) >= 255
+        sums = [sum(exp) for exp in p.terms]
+        assert p.total_degree() == max(sums)
+        assert p.homogeneous_degree() == (sums[0] if len(set(sums)) == 1 else None)
+        in_xy = [sum(e for v, e in zip(p.vars, exp) if v in ("x", "y")) for exp in p.terms]
+        assert p.homogeneous_degree(("x", "y")) == (
+            in_xy[0] if len(set(in_xy)) == 1 else None
+        )
+
     def test_coefficient_map(self):
         p = x * x * y + 2 * x * x + y ** 3
         m = p.coefficient_map("x")

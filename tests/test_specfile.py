@@ -1,7 +1,10 @@
 """Round trips and validation errors for the sectioned text formats."""
 
+import re
+
 import pytest
 
+from robyclif.cli import main
 from robyclif.errors import InputError
 from robyclif.freealg import FreeAlgebra, monogenic_algebra, split_algebra
 from robyclif.linegeom import GradedModuleP1
@@ -171,6 +174,15 @@ class TestRobyModuleFiles:
             parse_roby_module(text)
 
 
+class TestUnwritableNames:
+    # every name a command builds is a variable name, so only a caller of
+    # the render functions can meet this refusal
+    def test_basis_name_with_a_separator(self):
+        algebra = monogenic_algebra(parse_poly("z^2 - x"), "z", basis_names=["1", "z z"])
+        with pytest.raises(InputError, match="basis name 'z z' cannot be written in a spec file"):
+            render_algebra(algebra)
+
+
 class TestLineModuleFiles:
     def test_free_round_trip(self):
         m = GradedModuleP1([0, -1, 2])
@@ -197,6 +209,16 @@ class TestLineModuleFiles:
     def test_generators_required(self):
         with pytest.raises(InputError, match="needs 'generators'"):
             parse_line_module("[module]\nvars = x, y\n")
+
+    # no command reads a line-module file, so these refusals are met here
+    @pytest.mark.parametrize("text, message", [
+        ("[relations]\nrow = x\n", "a line-module file starts with a [module] section"),
+        ("[module]\ngenerators = 0\n\n[roby]\ndegree = 2\n",
+         "line 4: unexpected section [roby] in a module file"),
+    ])
+    def test_sections_enforced(self, text, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            parse_line_module(text)
 
     def test_duplicate_relations_rejected(self):
         text = (
@@ -287,22 +309,18 @@ class TestPipelineFiles:
 class TestConfigFiles:
     def test_defaults(self):
         assert parse_config("[config]\n") == Config()
-        assert Config().degree_window_pad == 0
         assert Config().out_dir is None
 
     def test_values(self):
-        cfg = parse_config(
-            "[config]\ndegree_window_pad = 3\nout_dir = out\n"
-        )
-        assert cfg == Config(degree_window_pad=3, out_dir="out")
+        assert parse_config("[config]\nout_dir = out\n") == Config(out_dir="out")
 
     def test_single_section_enforced(self):
         with pytest.raises(InputError, match="exactly one \\[config\\]"):
             parse_config("[config]\n\n[algebra]\nsplit = 2\n")
 
-    def test_non_integer_value_rejected(self):
-        with pytest.raises(InputError, match="must be an integer"):
-            parse_config("[config]\ndegree_window_pad = many\n")
+    def test_window_padding_is_not_a_key(self):
+        with pytest.raises(InputError, match="does not take a key 'degree_window_pad'"):
+            parse_config("[config]\ndegree_window_pad = 0\n")
 
 
 class TestSpecKind:
@@ -314,3 +332,87 @@ class TestSpecKind:
     def test_empty_file(self):
         with pytest.raises(InputError, match="no sections"):
             spec_kind("# only a comment\n")
+
+
+ROBY_HEAD = "[roby]\ndegree = 2\ngrading = 0, 1\ntarget = a^2\n\n"
+ACTION = "[action a]\nrow = 0, 1\nrow = 1, 0\n"
+SEEDED = "[pipeline]\nseed = {}\n\n[algebra]\nmonogenic = z^2 - x*y\nvar = z\n"
+EXPLICIT = "[algebra]\nbasis = 1, e\nunit = 1, 0\n"
+TABLE = "[table]\n1*1 = 1, 0\n1*e = 0, 1\ne*e = x, 0\n"
+
+# every refusal of a spec file, and the two of roby build, as the command
+# line sees it: (file text or None, argv with FILE for its path, message)
+REFUSALS = [
+    # section and pair grammar
+    pytest.param("[algebra\nsplit = 2\n", ["charpoly", "FILE"],
+                 "line 1: unterminated section header", id="unterminated header"),
+    pytest.param("[ ]\nsplit = 2\n", ["charpoly", "FILE"],
+                 "line 1: empty section header", id="empty header"),
+    pytest.param("[algebra]\nsplit 2\n", ["charpoly", "FILE"],
+                 "line 2: expected 'key = value', got 'split 2'", id="pair without ="),
+    pytest.param("[algebra]\nsplit = 2\nsplit = 3\n", ["charpoly", "FILE"],
+                 "[algebra] repeats the key 'split'", id="repeated key"),
+    pytest.param("[algebra]\nsplit = 2\nduals = p,, q\n", ["charpoly", "FILE"],
+                 "empty entry in the list 'p,, q'", id="empty list entry"),
+    pytest.param("[algebra]\nsplit = two\n", ["charpoly", "FILE"],
+                 "split rank must be an integer, got 'two'", id="not an integer"),
+    # matrices
+    pytest.param(ROBY_HEAD + ACTION + "col = 1, 0\n", ["roby", "verify", "FILE"],
+                 "[action] takes only 'row = ...' lines, got 'col'", id="matrix key"),
+    pytest.param(ROBY_HEAD + "[action a]\n", ["roby", "verify", "FILE"],
+                 "[action] has no rows", id="matrix without rows"),
+    # algebras
+    pytest.param("[algebra]\nsplit = 2\n\n[unit]\n", ["charpoly", "FILE"],
+                 "line 4: unexpected section [unit]", id="stray algebra section"),
+    pytest.param(TABLE, ["charpoly", "FILE"],
+                 "need exactly one [algebra] section", id="no algebra section"),
+    pytest.param(EXPLICIT + "\n" + TABLE + "\n" + TABLE, ["charpoly", "FILE"],
+                 "need at most one [table] section", id="two tables"),
+    pytest.param("[algebra]\nsplit = 2\ndegrees = 0, 1\n", ["charpoly", "FILE"],
+                 "'degrees' only applies to an explicit basis", id="degrees on a split"),
+    pytest.param("[algebra]\nsplit = 2\n\n" + TABLE, ["charpoly", "FILE"],
+                 "a split algebra takes no [table] section", id="table on a split"),
+    pytest.param("[algebra]\nsplit = 2\nvar = z\n", ["charpoly", "FILE"],
+                 "'var' only applies to a monogenic algebra", id="var on a split"),
+    pytest.param(EXPLICIT + "var = z\n\n" + TABLE, ["charpoly", "FILE"],
+                 "'var' only applies to a monogenic algebra", id="var on a basis"),
+    pytest.param(EXPLICIT, ["charpoly", "FILE"],
+                 "an explicit algebra needs a [table] section", id="basis without table"),
+    pytest.param("[algebra]\nbasis = e, e\n\n[table]\ne*e = 1, 0\n", ["charpoly", "FILE"],
+                 "duplicate basis name 'e'", id="duplicate basis name"),
+    pytest.param(EXPLICIT + "\n" + TABLE.replace("e*e", "e+e"), ["charpoly", "FILE"],
+                 "[table] keys are products 'a*b' over the basis, got 'e+e'",
+                 id="table key not a product"),
+    # modules
+    pytest.param("[roby]\ndegree = 2\ngrading = 0, 1\n\n" + ACTION, ["roby", "verify", "FILE"],
+                 "[roby] needs 'target'", id="module key missing"),
+    pytest.param(ROBY_HEAD + ACTION + "\n[tslot]\nrow = 1\n\n[tslot]\nrow = 1\n",
+                 ["roby", "verify", "FILE"], "duplicate [tslot] section", id="two tslots"),
+    pytest.param(ROBY_HEAD + ACTION + "\n[pipeline]\nseed = split\n", ["roby", "verify", "FILE"],
+                 "line 10: unexpected section [pipeline] in a module file",
+                 id="stray module section"),
+    # seeds and pipelines
+    pytest.param(SEEDED.format("mf(x)"), ["pipeline", "FILE"],
+                 "mf takes two factors and an optional variable", id="mf arity"),
+    pytest.param(SEEDED.format("companion(z^2 - x*y, z)"), ["pipeline", "FILE"],
+                 "companion takes a polynomial, a variable, and a degree", id="companion arity"),
+    pytest.param("[algebra]\nsplit = 2\n", ["pipeline", "FILE"],
+                 "a pipeline file starts with a [pipeline] section", id="pipeline head"),
+    pytest.param(SEEDED.replace("seed = {}", "line = z2 -> 0"), ["pipeline", "FILE"],
+                 "[pipeline] needs a seed", id="pipeline without seed"),
+    pytest.param(None, ["roby", "build", "--kind", "mf", "--f", "x"],
+                 "building a matrix-factorization module needs --f and --g", id="mf without g"),
+    pytest.param(None, ["roby", "build", "--kind", "cyclic", "--poly", "z^2 - x"],
+                 "building a cyclic-cover module needs --poly and --cover",
+                 id="cyclic without cover"),
+]
+
+
+@pytest.mark.parametrize("text, argv, message", REFUSALS)
+def test_refusal_exits_two(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    # one error line is the whole of stderr, so no traceback was printed
+    assert capsys.readouterr() == ("", f"error: {message}\n")
