@@ -397,11 +397,21 @@ class CharPoly:
         return CharPoly(self.rank, self.poly.substitute(bindings), self.tvar, self.dual_names)
 
     def bound_coefficients(self, gamma_values) -> dict:
-        """Map t-exponent -> coefficient with Gamma_i -> gamma_values[i]."""
+        """Map t-exponent -> coefficient with Gamma_i -> gamma_values[i].
+
+        A dual bound to itself is dropped from the bindings, and when none
+        is left the coefficients are returned unsubstituted: the same Polys
+        that substituting the identity gives, with no call made for them.
+        """
         if len(gamma_values) != self.rank:
             raise InputError("need one value per dual variable")
-        bindings = dict(zip(self.dual_names, gamma_values))
-        return {j: c.substitute(bindings) for j, c in self.coefficients().items()}
+        bindings = {
+            v: g for v, g in zip(self.dual_names, gamma_values) if as_poly(g) != Poly.variable(v)
+        }
+        coeffs = self.coefficients()
+        if not bindings:
+            return coeffs
+        return {j: c.substitute(bindings) for j, c in coeffs.items()}
 
     def evaluate_matrix(self, m: PolyMatrix, gamma_values) -> PolyMatrix:
         """chi with t -> m and Gamma_i -> gamma_values[i], by Horner."""

@@ -23,8 +23,9 @@ stays at the rank, the Hilbert function beyond k is fixed, and no degree
 above k adds a twist or a drop: the verdict equals that of every longer
 window.  ``splitting_type`` therefore scans from one below the least
 generator degree (where h vanishes) to the first k >= K0 with d(k) equal to
-the rank, and refuses a presentation whose scan would pass K0 by more than
-``MAX_SCAN_PAST``.
+the rank.  It refuses a presentation whose scan would cover more than
+``MAX_SCAN_SPREAD`` degrees up to K0, before any degree is scanned, or pass
+K0 by more than ``MAX_SCAN_PAST``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,17 @@ __all__ = [
 # and D = 257 refused in 0.19 s, where D = 512 would take 0.45-0.61 s and
 # D = 1000 2.3-2.8 s.
 MAX_SCAN_PAST = 256
+
+# Most degrees the scan may cover up to K0, from one below the least
+# generator degree (top - lo in ``splitting_type``), refused before any
+# degree is scanned: nothing else bounds how far apart the generator degrees
+# lie.  The tests, demos and benchmark inputs span 16 degrees at most, apart
+# from the two tests of MAX_SCAN_PAST, which span 257 and 258.  Each degree with a
+# relation active solves a system whose rows grow with the degree: on a
+# 2-CPU VM with Python 3.11, generators in degrees -511, -510, -510 and 0 with
+# relations x and y on the first (active from degree -510) span 512 degrees
+# in 0.44-0.54 s, where a span of 1,024 takes 2.1 s.
+MAX_SCAN_SPREAD = 512
 
 
 @dataclass(frozen=True)
@@ -281,6 +293,11 @@ def splitting_type(module: GradedModuleP1) -> SplittingType:
     """
     lo = min(module.gen_degrees) - 1
     top = max(module.gen_degrees + module.rel_degrees)
+    if top - lo > MAX_SCAN_SPREAD:
+        raise InputError(
+            f"the scan would run over {top - lo} degrees, from {lo} to the largest "
+            f"generator or relation degree {top}, above the cap {MAX_SCAN_SPREAD}"
+        )
     rank = module.ngens - _generic_rank(module.relations)
     twists = []
     prev_h = prev_delta = 0

@@ -41,7 +41,9 @@ finds the nonzero slots in one C-level pass (``compress`` over the slot
 indices, or a list copy or slice) and runs Python code only per nonzero,
 in row-major order.  What remains O(rows * cols) is allocating and copying
 the flat list.  A linear combination sum c_i * M_i is one ``combination``
-call, which reads each matrix once; self + c * I is one ``plus_scalar``
+call, which reads each matrix once; a sum of D (x) M (x) I with diagonal D
+is one ``kron_sum`` call, which writes each nonzero of each M on its cells
+with no Kronecker product; self + c * I is one ``plus_scalar``
 call, which runs Python code on the n diagonal slots only.  Entries are
 read-only: matrices share term maps with each other (``submatrix``,
 ``transpose``, sums with an empty side, the diagonal of ``plus_scalar``) and
@@ -91,6 +93,21 @@ def _from_cells(nrows: int, ncols: int, cells: list) -> "PolyMatrix":
         if p:
             data[k] = p._keys_in(vars, width)
     return _make(nrows, ncols, vars, width, top, data)
+
+
+def _add_run(data: list, start: int, count: int, step: int, t: dict) -> None:
+    """Add the term map t into count cells from start, step apart.
+
+    A run no earlier term touched is one slice assignment; otherwise each
+    cell gains t through ``add_terms``, or holds it where it was empty.
+    """
+    stop = start + count * step
+    if any(data[start:stop:step]):
+        for k in range(start, stop, step):
+            x = data[k]
+            data[k] = kernel.add_terms(x, t) if x else t
+    else:
+        data[start:stop:step] = [t] * count
 
 
 class PolyMatrix:
@@ -185,6 +202,42 @@ class PolyMatrix:
             for k in nonempty(src):
                 t = kernel.mul_terms(src[k], pt)
                 data[k] = kernel.add_terms(data[k], t) if data[k] else t
+        return _make(n, n, vs, width, top, data)
+
+    @classmethod
+    def kron_sum(cls, terms, phases, n: int) -> "PolyMatrix":
+        """Sum of D ⊗ M ⊗ I_w over (classes, M) terms, each n x n.
+
+        D is diag(phases[c] for c in classes), M is square, and w is what
+        makes the side n.  One pass over M's nonzeros writes each term: a
+        nonzero is scaled once per phase class that occurs, and lands on a run
+        of w cells, stride n + 1, per prefix index of that class.  A cell an
+        earlier term wrote gains the new terms through ``add_terms``, so the
+        term maps and ``vars`` equal those of the running sum of
+        ``diagonal(D).kron(M).kron(identity(w))`` over the terms.
+        """
+        scales = [_coerce_coeff(c) for c in phases]
+        for classes, m in terms:
+            size = len(classes) * m.nrows
+            if m.nrows != m.ncols or not size or n % size:
+                raise InputError(f"a {m.shape} matrix by {len(classes)} phases does not tile {n}")
+        top = max((m.top for _, m in terms), default=0)
+        vs, width = _context([m for _, m in terms], top)
+        data = [{}] * (n * n)
+        for classes, m in terms:
+            src, d = m.aligned_data(vs, width=width), m.nrows
+            w = n // (len(classes) * d)
+            starts: dict = {}  # phase class -> first cell of each prefix's diagonal block
+            for p, c in enumerate(classes):
+                if scales[c]:
+                    starts.setdefault(c, []).append(p * d * w * (n + 1))
+            for k in nonempty(src):
+                r, col = divmod(k, d)
+                offset = r * w * n + col * w
+                for c, firsts in starts.items():
+                    t = src[k] if scales[c] == 1 else kernel.scale_terms(src[k], scales[c])
+                    for first in firsts:
+                        _add_run(data, first + offset, w, n + 1, t)
         return _make(n, n, vs, width, top, data)
 
     @classmethod

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import InputError, VerificationError
 from .freealg import CharPoly, FreeAlgebra, char_poly, restrict_char_poly
@@ -32,7 +33,7 @@ from .roby import (
     in_ideal,
     monomial_charpoly_roby,
     reindex_for_line,
-    twisted_tensor,
+    twisted_tensor_all,
     verify_char_morphism,
     verify_filtered_pseudo,
     verify_roby,
@@ -276,17 +277,16 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
     )
     report.meta["monomials"] = len(monomials)
 
-    # depth label: the seed contributes 0, factor slot eps_r contributes d - r;
-    # on the line every factor action strictly lowers the total depth or kills,
-    # so accumulating flags from depth 0 upward gives an invariant filtration
-    assembly = seed
-    labels = [0] * seed.dim
-    if monomials:
-        xi = make_root(d)
-        for m in monomials:
-            assembly = twisted_tensor(assembly, monomial_charpoly_roby(m, algebra), xi)
-            labels = [a + r for a in labels for r in range(d - 1, -1, -1)]
-    filtration = Filtration.from_levels(labels)
+    # the assembly is one twisted tensor of the seed and every factor.  Its
+    # basis vector (i_0, ..., i_k), seed-major, has as depth label the sum
+    # over factors of d - r for its slot eps_r (r = i_j + 1); the seed adds
+    # 0.  On the line every factor action strictly lowers the total depth or
+    # kills, so accumulating flags from depth 0 upward gives an invariant
+    # filtration
+    factors = [monomial_charpoly_roby(m, algebra) for m in monomials]
+    assembly = twisted_tensor_all([seed, *factors], make_root(d))
+    depths = [range(d - 1, -1, -1)] * len(factors)
+    filtration = Filtration.from_levels(map(sum, product([0] * seed.dim, *depths)))
 
     _merge(report, verify_roby(assembly), "assembly_")
     morphism = char_morphism(assembly)

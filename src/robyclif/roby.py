@@ -24,6 +24,19 @@ these conditions with d - 1 products of blocks; this is a proof, not a
 sample.  When it cannot decide (c = 0, unequal classes, an ungraded entry)
 or P_0 differs from c*I, the full power G^d is formed and checked, so a
 failing report names its first offending entry of G^d - c*I.
+
+The twisted tensor in one pass.  On seed-major indices (i_0, ..., i_k) of
+M_0 (x) ... (x) M_k, with D_l = diag(xi^g_l), each action is
+
+    gamma = sum_j (D_0 (x) ... (x) D_(j-1)) (x) gamma_j (x) I (x) ... (x) I,
+
+the left fold of the two-factor product: a prefix (i_0, ..., i_(j-1)) has
+grade G = g_0(i_0) + ... + g_(j-1)(i_(j-1)) mod e, and the fold's phase
+there is xi^G.  Family j puts a nonzero gamma_j(r, c), times xi^G, on cells
+whose row and column agree outside slot j and read r and c there.  An
+entry of a graded action raises the grade by one, so r != c and row and
+column differ in slot j alone: two families never share a cell.  Only
+diagonal entries of ungraded actions meet, on the diagonal, and add.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ __all__ = [
     "split_roby",
     "zero_roby",
     "twisted_tensor",
+    "twisted_tensor_all",
     "char_morphism",
     "verify_roby",
     "verify_char_morphism",
@@ -197,30 +211,18 @@ class GradedRobyModule:
         t-variable and source algebra are the algebra's, and its target
         defaults to the algebra's characteristic polynomial.
         """
+        chi = char_poly(algebra).poly if target is None else target
         return cls(
-            algebra.rank,
-            grading,
-            algebra.basis_names,
-            actions,
-            char_poly(algebra).poly if target is None else target,
+            algebra.rank, grading, algebra.basis_names, actions, chi,
             target_vars=algebra.dual_names,
-            tslot=tslot,
-            tvar=algebra.tvar,
-            source_algebra=algebra,
+            tslot=tslot, tvar=algebra.tvar, source_algebra=algebra,
         )
 
     def with_source(self, algebra: FreeAlgebra) -> "GradedRobyModule":
         """Attach (or replace) the source algebra; names must line up."""
         return GradedRobyModule(
-            self.degree,
-            self.grading,
-            self.action_names,
-            self.actions,
-            self.target_poly,
-            target_vars=self.target_vars,
-            tslot=self.tslot,
-            tvar=self.tvar,
-            source_algebra=algebra,
+            self.degree, self.grading, self.action_names, self.actions, self.target_poly,
+            target_vars=self.target_vars, tslot=self.tslot, tvar=self.tvar, source_algebra=algebra,
         )
 
     def generic_matrix(self, coeff_names) -> PolyMatrix:
@@ -396,71 +398,77 @@ def split_roby(d: int, *, dual_names=None) -> GradedRobyModule:
 def zero_roby(degree: int, action_names) -> GradedRobyModule:
     """The rank-one module of the zero form: all actions vanish."""
     names = tuple(action_names)
-    return GradedRobyModule(
-        degree,
-        (0,),
-        names,
-        [PolyMatrix.zeros(1, 1) for _ in names],
-        Poly.zero(),
-    )
+    return GradedRobyModule(degree, (0,), names, [PolyMatrix.zeros(1, 1)] * len(names), Poly.zero())
 
 
 # -- twisted tensor product --------------------------------------------------
 
 
 def twisted_tensor(
-    m1: GradedRobyModule,
-    m2: GradedRobyModule,
-    xi,
-    *,
-    require_primitive: bool = True,
+    m1: GradedRobyModule, m2: GradedRobyModule, xi, *, require_primitive: bool = True
 ) -> GradedRobyModule:
     """phi(m)(w1 (x) w2) = phi1(m)w1 (x) w2 + xi^deg(w1) w1 (x) phi2(m)w2.
 
-    Targets add; gradings add mod e.  xi must be a primitive e-th root of
-    unity for the Roby identity to survive (the mixed terms cancel through
-    q-binomial coefficients); pass require_primitive=False only to build the
+    The two-factor case of ``twisted_tensor_all``.  Targets add; gradings
+    add mod e.  xi must be a primitive e-th root of unity for the Roby
+    identity to survive: the mixed terms of the e-th power carry the
+    xi-binomial coefficients [e choose i]_xi, 0 < i < e, which vanish
+    exactly then.  Pass require_primitive=False only to build the
     documented failing counterexample.
     """
-    if m1.degree != m2.degree:
-        raise InputError(f"cannot tensor degrees {m1.degree} and {m2.degree}")
-    e = m1.degree
-    if m1.has_tslot != m2.has_tslot:
-        raise InputError("cannot tensor a form module with a char-poly module")
-    if not isinstance(xi, (int, Fraction, CycScalar)):
-        raise InputError(f"the twist must be an exact scalar, got {type(xi).__name__}")
-    if require_primitive and not is_primitive_root(xi, e):
-        raise InputError(f"the twist must be a primitive root of unity of order {e}")
-    if m1.has_tslot and [t[:2] for t in m1.named_actions] != [t[:2] for t in m2.named_actions]:
-        raise InputError("char-poly modules must share basis and dual names")
-    eye2 = PolyMatrix.identity(m2.dim)
-    dxi = PolyMatrix.diagonal([xi ** g for g in m1.grading])
-    # the union of both sides' basis actions, in order; a side without one acts
-    # by 0.  The T-slot pairs by position: a basis action may be named "T" too.
-    left = {n: (v, a) for n, v, a in m1._basis}
-    right = {n: (v, b) for n, v, b in m2._basis}
-    named = []
-    for n in dict.fromkeys([*left, *right]):
-        v, a = left.get(n) or (None, PolyMatrix.zeros(m1.dim, m1.dim))
-        w, b = right.get(n) or (None, PolyMatrix.zeros(m2.dim, m2.dim))
-        if v and w and v != w:
-            raise InputError(f"action {n} has target variables {v!r} and {w!r}")
-        named.append((n, v or w, a.kron(eye2) + dxi.kron(b)))
-    names, tvars, actions = zip(*named)
-    tslot = m1.tslot.kron(eye2) + dxi.kron(m2.tslot) if m1.has_tslot else None
-    grading = [(g1 + g2) % e for g1 in m1.grading for g2 in m2.grading]
-    # a shared source algebra survives; None never equals an algebra
-    source = m1.source_algebra if m1.source_algebra == m2.source_algebra else None
+    return twisted_tensor_all((m1, m2), xi, require_primitive=require_primitive)
+
+
+def twisted_tensor_all(modules, xi, *, require_primitive: bool = True) -> GradedRobyModule:
+    """M_0 (x) M_1 (x) ... (x) M_k in one pass: ``twisted_tensor`` folded from the left.
+
+    The fold's refusals come in its order, before any matrix is built.
+    Basis actions are the union of the factors' in order, a missing one
+    acting by 0; the T-slots pair by position (a basis action may be named
+    "T").  A source algebra survives when every factor shares it.
+    """
+    if not modules:
+        raise InputError("a twisted tensor needs at least one module")
+    first, e = modules[0], modules[0].degree
+    tvars = {n: v for n, v, _ in first._basis}
+    names = [t[:2] for t in first.named_actions]
+    for m in modules[1:]:
+        if m.degree != e:
+            raise InputError(f"cannot tensor degrees {e} and {m.degree}")
+        if first.has_tslot != m.has_tslot:
+            raise InputError("cannot tensor a form module with a char-poly module")
+        if not isinstance(xi, (int, Fraction, CycScalar)):
+            raise InputError(f"the twist must be an exact scalar, got {type(xi).__name__}")
+        if require_primitive and not is_primitive_root(xi, e):
+            raise InputError(f"the twist must be a primitive root of unity of order {e}")
+        if first.has_tslot and names != [t[:2] for t in m.named_actions]:
+            raise InputError("char-poly modules must share basis and dual names")
+        right = {n: w for n, w, _ in m._basis}
+        for n, v in tvars.items():
+            if v and right.get(n) and v != right[n]:
+                raise InputError(f"action {n} has target variables {v!r} and {right[n]!r}")
+        tvars.update((n, tvars.get(n) or w) for n, w in right.items())
+    # classes[j][p] is the grade of prefix p = (i_0, ..., i_(j-1)) of factor
+    # j, whose phase is xi^classes[j][p]; the last list is the grading
+    classes = [(0,)]
+    for m in modules:
+        classes.append([(a + g) % e for a in classes[-1] for g in m.grading])
+    tables = [{n: a for n, _, a in m._basis} for m in modules]
+    columns = [[t.get(n) for t in tables] for n in tvars]
+    if first.has_tslot:
+        columns.append([m.tslot for m in modules])
+    phases, dim = [xi ** g for g in range(e)], len(classes[-1])
+    mats = [
+        PolyMatrix.kron_sum([(c, a) for c, a in zip(classes, col) if a is not None], phases, dim)
+        for col in columns
+    ]
+    source = first.source_algebra
+    shared = all(m.source_algebra == source for m in modules)
     return GradedRobyModule(
-        e,
-        grading,
-        names,
-        actions,
-        m1.target_poly + m2.target_poly,
-        target_vars=tvars,
-        tslot=tslot,
-        tvar=m1.tvar,
-        source_algebra=source,
+        e, classes[-1], tvars, mats[: len(tvars)],
+        sum((m.target_poly for m in modules[1:]), first.target_poly),
+        target_vars=tvars.values(), tslot=mats[-1] if first.has_tslot else None,
+        tvar=first.tvar, source_algebra=source if shared else None,
     )
 
 
@@ -528,9 +536,7 @@ def char_morphism(module: GradedRobyModule) -> CharMorphism:
         report.add("tslot_invertible", False, detail="action(T)^d is not the identity")
         raise VerificationError("action(T)^d != I; target cannot be monic", report=report)
     matrices = [-(a * t_inv) for a in module.actions]
-    chi = CharPoly(
-        d, module.target_poly, module.tvar, module.target_vars
-    )
+    chi = CharPoly(d, module.target_poly, module.tvar, module.target_vars)
     return CharMorphism(module.source_algebra, matrices, chi)
 
 
@@ -543,11 +549,8 @@ def _graded_check(report: Report, module: GradedRobyModule) -> None:
     for name, _, m in module.named_actions:
         for r, c, _ in m.nonzeros():
             if g[r] != (g[c] + 1) % e:
-                report.add(
-                    "graded",
-                    False,
-                    detail=f"action {name} entry ({r},{c}) breaks the grading",
-                )
+                detail = f"action {name} entry ({r},{c}) breaks the grading"
+                report.add("graded", False, detail=detail)
                 return
     report.add("graded", True)
 
@@ -861,13 +864,7 @@ def induce_roby(
         diag = PolyMatrix.identity(d).kron(mb)
         for p, cmat in enumerate(cm.matrices):
             if cmat * diag != diag * cmat:
-                linearity.add(
-                    "module_morphism",
-                    False,
-                    detail=f"C({a.basis_names[p]}) fails to commute with "
-                    f"{b.basis_names[i]}",
-                )
-                raise VerificationError(
-                    "characteristic morphism is not B-linear", report=linearity
-                )
+                detail = f"C({a.basis_names[p]}) fails to commute with {b.basis_names[i]}"
+                linearity.add("module_morphism", False, detail=detail)
+                raise VerificationError("characteristic morphism is not B-linear", report=linearity)
     return module

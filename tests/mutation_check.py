@@ -6,9 +6,11 @@ shape check of ``CharPoly``, the Cayley-Hamilton check on the unit column
 (``freealg.cayley_hamilton_by_laws``), the cyclotomic scalars and their
 product cache, the matrix printer ``PolyMatrix.cell_texts``, the polynomial
 parser, the grade-cycle power identity of ``roby.py``, the
-char-poly module constructor ``GradedRobyModule.over``, the splitting-type
-scan of ``linegeom.py`` or the CLI's one document renderer must make the
-fast test suite fail.
+char-poly module constructor ``GradedRobyModule.over``, the phases of the
+one-pass twisted tensor ``roby.twisted_tensor_all``, the sum its cell writer
+``PolyMatrix.kron_sum`` makes where two families share a cell, the
+splitting-type scan of ``linegeom.py`` or the CLI's one document renderer
+must make the fast test suite fail.
 
 Usage, from the root of a checkout:
 
@@ -312,6 +314,18 @@ MUTANTS = (
         "linegeom.py",
         "        if delta < prev_delta:\n",
         "        if delta < prev_delta and k < top:\n",
+    ),
+    (
+        "the one-pass twisted tensor's phases skip the seed's grading",
+        "roby.py",
+        "    classes = [(0,)]\n    for m in modules:\n",
+        "    classes = [(0,), [0] * first.dim]\n    for m in modules[1:]:\n",
+    ),
+    (
+        "a cell two tensor families share keeps the last family written",
+        "matrix.py",
+        "            data[k] = kernel.add_terms(x, t) if x else t\n",
+        "            data[k] = t\n",
     ),
     (
         "the CLI's JSON documents written with unsorted keys",

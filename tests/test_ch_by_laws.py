@@ -215,3 +215,25 @@ def test_a_passing_charmor_makes_no_full_size_product(products, monkeypatch, cap
     assert cli.main(["charmor", "cyclic_z3_x_y.roby"]) == 0
     capsys.readouterr()
     assert products == [((3, 3), (3, 1))] * 3
+
+
+def test_identity_bindings_make_no_substitution(monkeypatch):
+    # cayley_hamilton_check binds each dual to itself; bound_coefficients
+    # drops such bindings and substitutes only what is left
+    algebra = monogenic_algebra(parse_poly("z^6 - x*z^4 - y*z^3 - x^6 - y^6"), "z")
+    chi = char_poly(algebra)
+    calls = []
+    real = Poly.substitute
+    monkeypatch.setattr(Poly, "substitute", lambda p, b: calls.append(dict(b)) or real(p, b))
+    duals = [Poly.variable(g) for g in algebra.dual_names]
+    assert chi.bound_coefficients(duals) == chi.coefficients()
+    assert calls == []
+    assert cayley_hamilton_check(algebra, chi).ok
+    assert calls == []
+    # a binding that moves one dual keeps only that one
+    moved = [Poly.variable("w"), *duals[1:]]
+    bound = chi.bound_coefficients(moved)
+    assert calls and all(b == {algebra.dual_names[0]: moved[0]} for b in calls)
+    monkeypatch.undo()
+    full = dict(zip(algebra.dual_names, moved))
+    assert bound == {j: c.substitute(full) for j, c in chi.coefficients().items()}

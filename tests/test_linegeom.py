@@ -9,6 +9,7 @@ from robyclif.errors import InputError
 from robyclif.freealg import char_poly
 from robyclif.linegeom import (
     MAX_SCAN_PAST,
+    MAX_SCAN_SPREAD,
     GradedModuleP1,
     SplittingType,
     hilbert_function,
@@ -171,6 +172,36 @@ class TestScanCap:
         with pytest.raises(InputError, match=f"{MAX_SCAN_PAST} degrees past .* degree {d}"):
             splitting_type(self.syzygy_at_twice(d))
         assert time.perf_counter() - start < 1.0
+
+
+class TestSpreadCap:
+    """The scan covers top - lo degrees up to K0, lo one below the least generator."""
+
+    def test_at_the_cap(self):
+        low = 1 - MAX_SCAN_SPREAD  # lo = -MAX_SCAN_SPREAD, K0 = 0
+        assert splitting_type(GradedModuleP1.free([low, 0])).twists == (-low, 0)
+        # relations x and y on the lowest generator stay active over the scan
+        m = coker([low, low + 1, low + 1, 0], [["x", "y"], [0, 0], [0, 0], [0, 0]])
+        assert splitting_type(m).twists == (-low, -low - 2, 0)
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            lambda: GradedModuleP1.free([-MAX_SCAN_SPREAD, 0]),
+            lambda: GradedModuleP1.free([-200000, 0]),
+            # the span reaches K0 through a relation degree
+            lambda: coker([0, 0], [[f"x^{MAX_SCAN_SPREAD}"], [f"y^{MAX_SCAN_SPREAD}"]]),
+        ],
+    )
+    def test_past_the_cap_is_refused_before_the_scan(self, module, monkeypatch):
+        m = module()
+        monkeypatch.setattr(linegeom, "_hilbert_from", lambda *a: pytest.fail("the scan started"))
+        with pytest.raises(InputError, match=f"over \\d+ degrees.*above the cap {MAX_SCAN_SPREAD}"):
+            splitting_type(m)
+
+    def test_one_past_the_cap_names_its_span(self):
+        with pytest.raises(InputError, match=f"over {MAX_SCAN_SPREAD + 1} degrees, from "):
+            splitting_type(GradedModuleP1.free([-MAX_SCAN_SPREAD, 0]))
 
 
 class TestModuleValidation:

@@ -338,6 +338,45 @@ def test_combination_checks_shapes():
     assert PolyMatrix.combination([], 3) == PolyMatrix.zeros(3, 3)
 
 
+def test_kron_sum_equals_the_running_sum_of_kronecker_products():
+    # dense random matrices put entries on the diagonal, so terms share cells
+    rng = random.Random(46)
+    contexts = [VARS, ("w", "y"), (), ("a",)]
+    phase_sets = [[1, -1], [1, 0, Fraction(2, 3)], [make_root(3) ** g for g in range(3)], [2, 5]]
+    for trial in range(80):
+        phases = rng.choice(phase_sets)
+        n = rng.choice([1, 2, 4, 6, 8, 12])
+        terms = []
+        for _ in range(rng.randrange(0, 4)):
+            prefix = rng.choice([p for p in range(1, n + 1) if n % p == 0])
+            d = rng.choice([q for q in range(1, n // prefix + 1) if n // prefix % q == 0])
+            classes = [rng.randrange(len(phases)) for _ in range(prefix)]
+            m = random_matrix(rng, d, d, rng.choice(DENSITIES), vars=rng.choice(contexts))
+            terms.append((classes, m))
+        got = PolyMatrix.kron_sum(terms, phases, n)
+        want = PolyMatrix.zeros(n, n)
+        for classes, m in terms:
+            w = n // (len(classes) * m.nrows)
+            dxi = PolyMatrix.diagonal([phases[c] for c in classes])
+            want = want + dxi.kron(m).kron(PolyMatrix.identity(w))
+        where = f"trial {trial}: n={n}, phases {phases!r}"
+        assert got.vars == want.vars, where
+        assert decoded(got) == decoded(want), where
+    a = random_matrix(rng, 4, 4, 0.4)
+    b = random_matrix(rng, 4, 4, 0.4, vars=("w", "x"))
+    kron_sum = lambda: PolyMatrix.kron_sum([((0, 1), a), ((0,), b), ((1,), a)], [1, -1], 8)
+    assert_operands_unchanged({"kron_sum": kron_sum}, a, b)
+
+
+def test_kron_sum_checks_shapes():
+    with pytest.raises(InputError, match="does not tile 6"):
+        PolyMatrix.kron_sum([((0, 0), PolyMatrix.identity(2))], [1], 6)
+    with pytest.raises(InputError, match="does not tile 4"):
+        PolyMatrix.kron_sum([((0,), PolyMatrix.zeros(2, 1))], [1], 4)
+    with pytest.raises(InputError, match="does not tile 4"):
+        PolyMatrix.kron_sum([((0,), PolyMatrix.zeros(0, 0))], [1], 4)
+    assert PolyMatrix.kron_sum([], [1], 3) == PolyMatrix.zeros(3, 3)
+
 
 def coefficient_types(m):
     return [[type(v) for v in t.values()] for t in m.data]
