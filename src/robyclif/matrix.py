@@ -28,11 +28,11 @@ and the keys stay packed from one operation to the next.
   field with one gather of bytes per key, and returns the list itself when
   the keys would not change; a Poly's map enters likewise, or is shared.
 - A polynomial leaves the matrix (``entry``, ``rows``, ``first_nonzero``,
-  ``scalar_identity_multiple``, ``cell_texts``, and ``substitute`` for the
-  terms a nonzero binding rewrites) as the Poly of its term map, pruned to
-  the variables that occur in it: a re-encoding that drops fields, or none.
-  No key is decoded here; exponent tuples are packed only by the
-  constructor.
+  ``scalar_identity_multiple``, ``cell_texts``) as the Poly of its term
+  map, pruned to the variables that occur in it: a re-encoding that drops
+  fields, or none.  ``substitute`` hands the nonzero entries' maps to
+  ``poly._substituted`` and writes back what it returns.  No key is decoded
+  here; exponent tuples are packed only by the constructor.
 
 The matrices this package builds are mostly empty (assembly actions are
 1-5% nonzero).  So every pass -- product, Kronecker product, sum, scaling,
@@ -64,11 +64,12 @@ from .poly import (
     Poly,
     Scalar,
     _coerce_coeff,
+    _bound_values,
     _context,
     _fit,
     _new,
-    _recoded,
     _recoder,
+    _substituted,
     as_poly,
 )
 
@@ -449,51 +450,24 @@ class PolyMatrix:
         return _make(n, m, vs, width, top, data)
 
     def substitute(self, bindings) -> "PolyMatrix":
-        """Entrywise simultaneous substitution var -> value.
+        """Entrywise simultaneous substitution var -> value (``poly._substituted``).
 
         Values are anything ``as_poly`` accepts.  Entry by entry, the result
-        and its ``vars`` equal those of substituting each entry's ``Poly``.
-        On packed keys, a term with a nonzero field under a variable bound
-        to zero is dropped by one mask test, and a term with no other bound
-        variable keeps its key, re-encoded; only the remaining terms are
-        decoded and substituted as a ``Poly``.
+        equals substituting each entry's ``Poly``; its ``vars`` are the
+        occurring unbound variables joined with the values' variables.
         """
-        width, names = self.width, self.vars
-        present = self.occurring_vars()
-        vals = {v: as_poly(b) for v, b in bindings.items() if v in present}
-        # each entry's Poly substitution keeps its unbound variables and gains
-        # those of the values it substitutes; vs is their union over entries,
-        # where a zero Poly over the kept variables meets the values
-        kept = _new(tuple(v for v in present if v not in vals), width, 0, {})
-        vs, _ = _context([kept, *vals.values()], 0)
-        fields = [((1 << width) - 1) << (i * width) for i in range(len(names))]
-        zero_mask = sum(f for f, v in zip(fields, names) if v in vals and not vals[v])
-        bound_mask = sum(f for f, v in zip(fields, names) if vals.get(v))
-        nonzero = {v: p for v, p in vals.items() if p}
-        results = []  # (slot, terms over self's keys with no bound variable, or a Poly)
-        top = 0
-        for k in nonempty(self.data):
-            terms = self.data[k]
-            occ = reduce(or_, terms)
-            if occ & zero_mask:
-                terms = {e: c for e, c in terms.items() if not e & zero_mask}
-                if not terms:
-                    continue
-                occ = reduce(or_, terms)
-            if occ & bound_mask:
-                p = self._poly(terms).substitute(nonzero)
-                top = max(top, p.top)
-                results.append((k, p))
-            else:
-                top = max(top, self.top)
-                results.append((k, terms))
-        width = _fit(top, width)
+        slots = list(nonempty(self.data))
+        # the nonzero entries as one row: its variables are found with no
+        # second scan of the empty slots
+        entries = [*map(self.data.__getitem__, slots)]
+        row = _make(1, len(slots), self.vars, self.width, self.top, entries)
+        names = row.occurring_vars()
+        vals = _bound_values(bindings, names)
+        vs, width, top, maps = _substituted(entries, self.vars, self.width, names, vals)
         data = [{}] * len(self.data)
-        for k, r in results:
-            if isinstance(r, Poly):
-                data[k] = r._keys_in(vs, width)
-            else:
-                data[k] = _recoded(r, names, self.width, vs, width)
+        for k, t in zip(slots, maps):
+            if t:
+                data[k] = t
         return _make(self.nrows, self.ncols, vs, width, top, data)
 
     # -- queries --------------------------------------------------------------------------

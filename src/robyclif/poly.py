@@ -17,6 +17,17 @@ bits that holds it (``_fit``), so a field never carries.  Polys and
 matrices meet in one join, ``_context``, and keys cross between contexts
 through one cached ``kernel.repacker`` (``_recoder``), or unchanged.
 
+Substitution is one routine on packed keys, ``_substituted``, over a list
+of term maps in one context; ``Poly.substitute`` calls it on its one map
+and ``PolyMatrix.substitute`` on its nonzero entries.  Terms under a
+variable bound to zero are dropped by one mask test, and a map whose OR of
+keys misses those fields is kept whole.  A map with no other bound
+variable is re-encoded whole by ``_recoder``.  The other maps' terms are
+grouped by their bits under the bound variables: each group is re-encoded
+once, those bits cleared, and multiplied once by its product of the
+values' powers.  The products are built by binary powering over squares,
+in one memo for the call that every map shares, so each is built once.
+
 The textual syntax is ``3/2*x^2*y - z2`` with variables matching
 ``[a-zA-Z][a-zA-Z0-9_]*``; the reserved atoms ``zeta2``, ``zeta3``, ... parse
 to primitive roots of unity so cyclotomic coefficients round-trip.
@@ -124,6 +135,83 @@ def _new(vars: tuple, width: int, top: int, packed: dict) -> "Poly":
     p = object.__new__(Poly)
     p.vars, p.width, p.top, p.packed = vars, width, top, packed
     return p
+
+
+def _bound_values(bindings, names) -> dict:
+    """The values bound to names, as Polys, less those of a variable to itself."""
+    vals = {}
+    for v, b in bindings.items():
+        if v in names:
+            p = as_poly(b)
+            if p.vars != (v,) or p.packed != {1: 1} or type(p.packed[1]) is not int:
+                vals[v] = p
+    return vals
+
+
+def _substituted(maps: list, vars: tuple, width: int, names: tuple, vals: dict):
+    """Substitute vals into packed term maps over (vars, width), all at once.
+
+    names holds the variables the results may keep and vals the values of
+    some of them.  Returns the results' (vars, width, top, maps): the unbound
+    names joined with the values' variables, in one context for every map.
+    """
+    keep = tuple(v for v in names if v not in vals)
+    # a zero Poly over the kept variables meets the values
+    new_vars, _ = _context([_new(keep, _WIDTH, 0, {}), *vals.values()], 0)
+    mask = (1 << width) - 1
+    bound = [(i * width, vals[v]) for i, v in enumerate(vars) if vals.get(v)]
+    bound_mask = sum(mask << s for s, _ in bound)
+    zero_mask = sum(mask << (i * width) for i, v in enumerate(vars) if v in vals and not vals[v])
+    # on the old keys: drop the terms a zero kills, group the others by their
+    # bits under the bound variables, and bound the results' exponents by
+    # the kept fields' OR plus each group's exponents times its values' tops.
+    # A map emptied here becomes the one shared empty map, so that emptied
+    # dicts kept alive do not trigger garbage collections.
+    whole, grouped, occ_all, top, empty = [], {}, 0, 0, {}
+    for terms in maps:
+        occ = reduce(or_, terms, 0)
+        if occ & zero_mask:
+            terms = {k: c for k, c in terms.items() if not k & zero_mask}
+            occ = reduce(or_, terms, 0)
+        occ_all |= occ
+        if occ & bound_mask:
+            groups = grouped[len(whole)] = {}
+            for k, c in terms.items():
+                g = k & bound_mask
+                groups.setdefault(g, {})[k ^ g] = c
+            top = max(top, *(sum((g >> s & mask) * p.top for s, p in bound) for g in groups))
+            terms = empty
+        whole.append(terms or empty)
+    kept = occ_all & ~bound_mask
+    top += max((kept >> s & mask for s in range(0, len(vars) * width, width)), default=0)
+    new_width = _fit(max([top, *(p.top for p in vals.values())]), width)
+    recode = _recoder(vars, width, new_vars, new_width)
+    # bits g under the bound variables -> their product of the values' powers,
+    # built by binary powering: a lone bit squares the one below it
+    powers = {1 << s: p._keys_in(new_vars, new_width) for s, p in bound}
+
+    def power(g: int) -> dict:
+        p = powers.get(g)
+        if p is None:
+            low = g & -g
+            a, b = (g >> 1, g >> 1) if low == g else (low, g - low)
+            p = powers[g] = kernel.mul_terms(power(a), power(b))
+        return p
+
+    out = [recode(t) if t else t for t in whole] if recode else whole
+    for i, groups in grouped.items():
+        acc = None
+        for g, rest in groups.items():
+            if recode:
+                rest = recode(rest)
+            if g:
+                rest = kernel.mul_terms(rest, power(g))
+            if acc is None:
+                acc = rest
+            else:
+                kernel.add_into(acc, rest)
+        out[i] = acc
+    return new_vars, new_width, top, out
 
 
 class Poly:
@@ -363,64 +451,19 @@ class Poly:
         }
 
     def substitute(self, bindings) -> "Poly":
-        """Simultaneous substitution var -> value; a ring morphism.
+        """Simultaneous substitution var -> value (``_substituted``); a ring morphism.
 
         Each value is anything ``as_poly`` accepts: a Poly, a polynomial
-        string, or a scalar.  A variable bound to itself is left unbound:
-        the result has the same terms, in the same order, with coefficients
-        of the same types, and no product is taken for it.
+        string, or a scalar.  A variable bound to itself is left unbound, so
+        when every binding is one the result is self.
         """
-        vals = {}
-        for v, b in bindings.items():
-            if v in self.vars:
-                p = as_poly(b)
-                if p.vars != (v,) or p.packed != {1: 1} or type(p.packed[1]) is not int:
-                    vals[v] = p
+        vals = _bound_values(bindings, self.vars)
         if not vals:
             return self
-        keep = tuple(v for v in self.vars if v not in vals)
-        # a zero Poly over the kept variables meets the values
-        new_vars, _ = _context([_new(keep, _WIDTH, 0, {}), *vals.values()], 0)
-        pos = {v: i for i, v in enumerate(new_vars)}
-        keep_idx = [(i, pos[v]) for i, v in enumerate(self.vars) if v not in vals]
-        bound = [(i, v, vals[v].top) for i, v in enumerate(self.vars) if v in vals]
-        terms = self.terms
-        # a term's exponents in the result: at most its largest kept one plus
-        # e * top for each value raised to e
-        top = max(
-            (
-                max([exp[i] for i, _ in keep_idx], default=0)
-                + sum(exp[i] * vtop for i, _, vtop in bound)
-                for exp in terms
-            ),
-            default=0,
+        vs, width, top, (packed,) = _substituted(
+            [self.packed], self.vars, self.width, self.vars, vals
         )
-        width = _fit(max(top, *(p.top for p in vals.values())), self.width)
-        # squares[v][i] is value(v)^(2^i); each power used is built once by
-        # binary powering over them, and no power goes unused
-        squares = {v: [p._keys_in(new_vars, width)] for v, p in vals.items()}
-        powers: dict = {}
-
-        def var_power(v: str, n: int):
-            power = powers.get((v, n))
-            if power is None:
-                sq = squares[v]
-                for i in range(n.bit_length()):
-                    if i == len(sq):
-                        sq.append(kernel.mul_terms(sq[-1], sq[-1]))
-                    if n >> i & 1:
-                        power = sq[i] if power is None else kernel.mul_terms(sq[i], power)
-                powers[v, n] = power
-            return power
-
-        out: dict = {}
-        for exp, c in terms.items():
-            acc = {sum(exp[i] << (j * width) for i, j in keep_idx): c}
-            for i, v, _ in bound:
-                if exp[i]:
-                    acc = kernel.mul_terms(acc, var_power(v, exp[i]))
-            kernel.add_into(out, acc)
-        return _new(new_vars, width, top, out)
+        return _new(vs, width, top, packed)
 
     def evaluate(self, bindings):
         """Substitute scalars for every variable and return the scalar value."""
@@ -464,29 +507,11 @@ def _coeff_text(c) -> tuple[str, bool]:
     if isinstance(c, CycScalar):
         r = c.as_rational()
         if r is None:
-            return _cyc_expr(c), False
+            return str(c), False
         c = r
     if c < 0:
         return decimal_str(-c), True
     return decimal_str(c), False
-
-
-def _cyc_expr(c: CycScalar) -> str:
-    """A parenthesized zeta-expression that re-parses to c."""
-    parts = []
-    for i, coeff in enumerate(c.coeffs):
-        if not coeff:
-            continue
-        if i == 0:
-            atom = decimal_str(abs(coeff))
-        else:
-            zeta = f"zeta{c.order}" if i == 1 else f"zeta{c.order}^{i}"
-            atom = zeta if abs(coeff) == 1 else f"{decimal_str(abs(coeff))}*{zeta}"
-        if not parts:
-            parts.append(f"-{atom}" if coeff < 0 else atom)
-        else:
-            parts.append(f"- {atom}" if coeff < 0 else f"+ {atom}")
-    return "(" + " ".join(parts) + ")"
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,6 @@ __all__ = [
     "make_root",
     "cyc_arith",
     "is_primitive_root",
-    "parse_scalar",
-    "scalar_to_string",
     "decimal_str",
 ]
 
@@ -388,10 +386,30 @@ class CycScalar:
         return any(self.coeffs)
 
     def __str__(self) -> str:
-        return scalar_to_string(self)
+        """The value as ``parse_poly`` reads it.
+
+        A rational value prints as the rational, any other as a
+        parenthesized zeta-expression such as ``(1 - 2*zeta6^2)``.
+        """
+        r = self.as_rational()
+        if r is not None:
+            return decimal_str(r)
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            atom = decimal_str(abs(c))
+            if i:
+                zeta = f"zeta{self.order}" if i == 1 else f"zeta{self.order}^{i}"
+                atom = zeta if abs(c) == 1 else f"{atom}*{zeta}"
+            if not parts:
+                parts.append(f"-{atom}" if c < 0 else atom)
+            else:
+                parts.append(f"- {atom}" if c < 0 else f"+ {atom}")
+        return "(" + " ".join(parts) + ")"
 
     def __repr__(self) -> str:
-        return f"CycScalar({scalar_to_string(self)!r})"
+        return f"CycScalar({str(self)!r})"
 
 
 def _reduced(order: int, coeffs: tuple) -> CycScalar:
@@ -493,45 +511,3 @@ def decimal_str(x) -> str:
                     f"digits, the interpreter's limit for printing an integer"
                 )
     return str(x)
-
-
-def scalar_to_string(x) -> str:
-    """Serialize a scalar: rationals as ``p/q``, cyclotomics as ``poly(e; ...)``."""
-    f = _rational(x)
-    if f is not None:
-        return decimal_str(f)
-    if isinstance(x, CycScalar):
-        r = x.as_rational()
-        if r is not None:
-            return decimal_str(r)
-        body = ", ".join(decimal_str(c) for c in x.coeffs)
-        return f"poly({x.order}; {body})"
-    raise InputError(f"not a scalar: {x!r}")
-
-
-def parse_scalar(s: str):
-    """Inverse of :func:`scalar_to_string`."""
-    s = s.strip()
-    if s.startswith("poly(") and s.endswith(")"):
-        inner = s[5:-1]
-        head, sep, tail = inner.partition(";")
-        if not sep:
-            raise InputError(f"malformed cyclotomic literal: {s!r}")
-        try:
-            order = int(head.strip())
-            coeffs = [_fraction(part.strip(), s) for part in tail.split(",")] if tail.strip() else []
-        except ValueError as exc:
-            raise InputError(f"malformed cyclotomic literal: {s!r}") from exc
-        return CycScalar(order, coeffs)
-    try:
-        return _rational(_fraction(s, s))
-    except ValueError as exc:
-        raise InputError(f"malformed scalar literal: {s!r}") from exc
-
-
-def _fraction(text: str, literal: str) -> Fraction:
-    """Fraction(text); a zero denominator is an InputError naming the literal."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise InputError(f"the scalar literal {literal!r} has a zero denominator") from None

@@ -1,5 +1,6 @@
 """Mutation check: each hand-written fault in the kernel, the context join
-``poly._context``, the matrix module,
+``poly._context``, the one substitution routine ``poly._substituted`` (its
+zero-binding mask, its groups and its whole-map shortcut), the matrix module,
 Berkowitz's characteristic polynomial, its unit shift and its base change
 over a cover's generic tail (``freealg.monogenic_algebra``), the two-query
 shape check of ``CharPoly``, the Cayley-Hamilton check on the unit column
@@ -111,9 +112,21 @@ MUTANTS = (
     ),
     (
         "terms killed by a zero binding kept",
-        "matrix.py",
-        "            if occ & zero_mask:",
-        "            if False:",
+        "poly.py",
+        "        if occ & zero_mask:\n",
+        "        if False:\n",
+    ),
+    (
+        "a substitution group keeps its bound bits in its keys",
+        "poly.py",
+        "                groups.setdefault(g, {})[k ^ g] = c\n",
+        "                groups.setdefault(g, {})[k] = c\n",
+    ),
+    (
+        "the whole-map shortcut of a substitution passes a one-term map with a bound variable",
+        "poly.py",
+        "        if occ & bound_mask:\n",
+        "        if occ & bound_mask and len(terms) > 1:\n",
     ),
     (
         "a re-encoded key's new fields filled from its top byte, not with zeros",

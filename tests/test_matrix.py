@@ -1206,6 +1206,10 @@ ORACLE_BINDINGS = (
     {"y": "zeta3*x", "x": 0},
     {"x": "y", "y": "x"},
     {"q": 5},
+    {"x": 0, "y": "3/2*w", "z": "y - w"},  # mixed zero and nonzero bindings
+    {"z": "z + y"},  # a value sharing a kept variable
+    {"y": "w^2", "x": "x*w"},  # values widening fields past 8 bits
+    {"z": "zeta5*x - zeta3", "x": "zeta4*w"},  # cyclotomic values
 )
 
 

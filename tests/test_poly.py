@@ -8,6 +8,7 @@ import pytest
 from robyclif.errors import InputError
 from robyclif import kernel
 from robyclif import poly as poly_module
+from robyclif.freealg import _berkowitz_poly, monogenic_algebra
 from robyclif.matrix import PolyMatrix
 from robyclif.poly import (
     MAX_EXPONENT,
@@ -212,6 +213,11 @@ def old_substitute(p, bindings):
     return TuplePoly(new_vars, out)
 
 
+def typed_terms(p):
+    """vars and {exponents: (coefficient, its type)}: a result up to its key order."""
+    return p.vars, {exp: (c, type(c)) for exp, c in p.terms.items()}
+
+
 class TestArithmetic:
     def test_difference_of_squares(self):
         assert poly_arith(x + y, x - y, "mul") == x * x - y * y
@@ -269,6 +275,17 @@ class TestArithmetic:
                 assert got.vars == want.vars, (p, n)
                 assert list(got.terms.items()) == list(want.terms.items()), (p, n)
             assert p ** 0 == 1
+
+
+# (name, polynomial, bindings), each checked against the tuple loop
+SUBSTITUTION_CASES = [
+    ("mixed zero and nonzero bindings", "x^3*y*z - 2*x*z^2 + y^4*w - 3/4*x*y + z",
+     {"x": 0, "y": "z - 1", "z": "2*w", "q": 0}),
+    ("a value sharing a kept variable", "x^3*y - x*y^2 + 5*x^2 + y", {"x": "x + y"}),
+    ("values widening fields past 8 bits", "x^200*y + x^3 - y^100*x",
+     {"x": "y^2 + z", "y": "y + 1"}),
+    ("cyclotomic values", "x^2*y - 2/3*x*y^3 + 7*x", {"x": "zeta3*y - 1", "y": "zeta4 + z"}),
+]
 
 
 class TestSubstitution:
@@ -345,8 +362,7 @@ class TestSubstitution:
             copied.clear()
             got = p.substitute(bindings)
             monkeypatch.setattr(kernel, "add_terms", real_add_terms)
-            assert got.vars == want.vars, trial
-            assert list(got.terms.items()) == list(want.terms.items()), trial
+            assert typed_terms(got) == typed_terms(want), trial
             assert copied["entries"] == 0, trial  # no running-result copies
 
     def test_a_variable_bound_to_itself_is_left_unbound(self, counted_mul_terms):
@@ -363,9 +379,6 @@ class TestSubstitution:
             }
             return Poly(names, terms)
 
-        def snapshot(p):
-            return p.vars, [(k, c, type(c)) for k, c in p.terms.items()]
-
         for trial in range(40):
             p = rand_poly(rng.randint(0, 40))
             # an unnarrowed Fraction(1) coefficient is a value, not the variable
@@ -374,11 +387,49 @@ class TestSubstitution:
             counted_mul_terms.clear()
             got = p.substitute(identity)
             assert counted_mul_terms["mul_terms"] == 0, trial
-            assert snapshot(got) == snapshot(old_substitute(p, identity)), trial
+            assert typed_terms(got) == typed_terms(old_substitute(p, identity)), trial
             mixed = dict(identity)
             mixed[rng.choice(names)] = rng.choice(["y + G2", "3/2", "x - 1", "zeta4*q", "2*1/2*x"])
             got = p.substitute(mixed)
-            assert snapshot(got) == snapshot(old_substitute(p, mixed)), trial
+            assert typed_terms(got) == typed_terms(old_substitute(p, mixed)), trial
+
+    @pytest.mark.parametrize("name, text, bindings", SUBSTITUTION_CASES,
+                             ids=[c[0] for c in SUBSTITUTION_CASES])
+    def test_equals_the_old_loop(self, name, text, bindings):
+        p = parse_poly(text)
+        want = old_substitute(p, bindings)
+        assert typed_terms(p.substitute(bindings)) == typed_terms(want), name
+        # entrywise, among other entries of one matrix
+        other = parse_poly("x*y - 1")
+        got = PolyMatrix.from_rows([[p, other], [0, p]]).substitute(bindings)
+        assert got.entry(0, 0) == got.entry(1, 1) == Poly(want.vars, want.terms), name
+        assert got.entry(0, 1) == other.substitute(bindings) and not got.entry(1, 0), name
+
+    def test_a_matrix_builds_each_power_once(self, counted_mul_terms):
+        # 36 entries, each with one group under x (x^4 or x^5): one product per
+        # entry, and x^2, x^4 and x^5 = x * x^4 once for the whole matrix
+        m = PolyMatrix.from_rows(
+            [[f"{i + 1}*x^{4 + (i + j) % 2}*y^{j} + z^{i}" for j in range(6)] for i in range(6)]
+        )
+        counted_mul_terms.clear()
+        got = m.substitute({"x": "y + 1"})
+        assert counted_mul_terms["mul_terms"] == 36 + 3
+        assert list(got.rows()) == [[e.substitute({"x": "y + 1"}) for e in row] for row in m.rows()]
+
+    def test_chi_takes_one_product_per_group_plus_the_powers(self, counted_mul_terms):
+        text = "z^6 - x*z^4 - y*z^3 - x^6 - y^6 - z2^6"  # the sextic_mixed cover
+        generic, bindings = monogenic_algebra(parse_poly(text), "z").generic
+        chi = _berkowitz_poly(generic)
+        bound = [chi.vars.index(v) for v in bindings]
+        groups = {tuple(exp[i] for i in bound) for exp in chi.terms} - {(0,) * len(bound)}
+        # binary powering: the squares of each value, then one product per
+        # further bit of a group's exponents
+        squares = sum(max(g[k] for g in groups).bit_length() - 1 for k in range(len(bound)))
+        joins = sum(sum(bin(e).count("1") for e in g) - 1 for g in groups)
+        counted_mul_terms.clear()
+        got = chi.substitute(bindings)
+        assert counted_mul_terms["mul_terms"] <= len(groups) + squares + joins
+        assert typed_terms(got) == typed_terms(old_substitute(chi, bindings))
 
     def test_simultaneous_not_sequential(self):
         p = x + y
