@@ -43,18 +43,21 @@ in row-major order.  What remains O(rows * cols) is allocating and copying
 the flat list.  A linear combination sum c_i * M_i is one ``combination``
 call, which reads each matrix once; a sum of D (x) M (x) I with diagonal D
 is one ``kron_sum`` call, which writes each nonzero of each M on its cells
-with no Kronecker product; self + c * I is one ``plus_scalar``
-call, which runs Python code on the n diagonal slots only.  Entries are
-read-only: matrices share term maps with each other (``submatrix``,
-``transpose``, sums with an empty side, the diagonal of ``plus_scalar``) and
-an empty slot may be one shared empty map.
+with no Kronecker product, and ``is_twisted_sum`` checks a finished sum
+against its factors, one strided slice per run, sharing no code with
+``kron_sum``; self + c * I is one ``plus_scalar`` call, which runs Python
+code on the n diagonal slots only.  ``nnz`` counts the nonzero slots with
+one C-level count.  Entries are read-only: matrices share term maps with
+each other (``submatrix``, ``transpose``, sums with an empty side, the
+diagonal of ``plus_scalar``) and an empty slot may be one shared empty map.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import chain, compress
-from operator import or_
+from math import prod
+from operator import not_, or_
 
 from . import kernel
 from .errors import InputError
@@ -474,6 +477,56 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.data)
+
+    def nnz(self) -> int:
+        """The number of nonzero entries, counted at C speed."""
+        data = self.data
+        empty = next(compress(data, map(not_, data)), None)
+        return len(data) if empty is None else len(data) - data.count(empty)
+
+    def is_twisted_sum(self, factors, phases) -> bool:
+        """True when self = sum_j (D_0 ⊗ ... ⊗ D_(j-1)) ⊗ M_j ⊗ I ⊗ ... ⊗ I.
+
+        ``factors`` lists (grading, M_j) per tensor slot, M_0 outermost.
+        D_l is the diagonal of grading_l, so the D_l before slot j put on a
+        cell the phase phases[g], g its prefix's grade sum mod len(phases).
+        A certificate read off self that shares nothing with ``kron_sum``:
+        each nonzero (r, c) of each M_j, times each prefix's phase, is
+        compared with the run of stored cells it must fill (indices that
+        read r and c in slot j and agree elsewhere, stride n + 1), and
+        self's nonzero count must equal the runs' total.  With no diagonal
+        nonzero in any M_j and no zero phase the runs are disjoint, so the
+        two checks give equality; otherwise, when the sizes do not tile
+        self, or when self's keys cannot hold an M_j's variables or
+        exponents, the answer is False.  Python work is one step per run.
+        """
+        n, e = self.nrows, len(phases)
+        scales = [_coerce_coeff(c) for c in phases]
+        if n != self.ncols or not all(scales) or prod(m.nrows for _, m in factors) != n:
+            return False
+        data, known = self.data, set(self.vars)
+        prefix, want = [0], 0  # prefix[p]: the grade sum of prefix p before slot j
+        for grading, m in factors:
+            d = m.nrows
+            if m.ncols != d or len(grading) != d or m.top >> self.width:
+                return False
+            if not known.issuperset(m.occurring_vars()):
+                return False
+            w = n // (len(prefix) * d)
+            src, grades = m.aligned_data(self.vars, width=self.width), set(prefix)
+            for k in nonempty(src):
+                r, c = divmod(k, d)
+                if r == c:
+                    return False
+                runs = {g: [kernel.scale_terms(src[k], scales[g])] * w for g in grades}
+                offset = r * w * n + c * w
+                for p, g in enumerate(prefix):
+                    first = p * d * w * (n + 1) + offset
+                    if data[first : first + w * (n + 1) : n + 1] != runs[g]:
+                        return False
+                want += len(prefix) * w
+            prefix = [(a + g) % e for a in prefix for g in grading]
+        return self.nnz() == want
 
     def first_nonzero(self):
         """(i, j, Poly) of the first nonzero entry in row-major order, or None."""

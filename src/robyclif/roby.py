@@ -37,12 +37,42 @@ whose row and column agree outside slot j and read r and c there.  An
 entry of a graded action raises the grade by one, so r != c and row and
 column differ in slot j alone: two families never share a cell.  Only
 diagonal entries of ungraded actions meet, on the diagonal, and add.
+
+The power identity from the factors.  The xi-binomial lemma: if YX =
+xi*XY with xi a primitive e-th root of unity, (X + Y)^e = X^e + Y^e, since
+every coefficient [e choose i]_xi with 0 < i < e vanishes.  In the sum
+above put X_j = (D_0 (x) ... (x) D_(j-1)) (x) G_j (x) I for the generic
+elements G_j.  A graded G_l raises the grade by one, so D_l G_l = xi*G_l D_l,
+and X_j X_l = xi*X_l X_j for l < j; by induction G^e = sum_j X_j^e, and
+X_j^e = I (x) G_j^e (x) I because D_l^e = I.  So ``verify_roby`` given
+``tensor_of=(modules, xi)`` writes the graded and power-identity rows as
+true, with no product of the module's size, when
+
+(i) each factor passes its own ``verify_roby``;
+(ii) every factor has the module's degree e, and xi is an exact primitive
+     e-th root of unity;
+(iii) every factor has exactly the module's (name, target variable) pairs
+     and t-variable, T last.  A factor without some action would check its
+     identity with that action's target variable free, as a constant of
+     its entries or target, while the module binds it to a fresh
+     coefficient; with (iii) the factors' checks and the module's bind the
+     same variables, and G = sum_j X_j term by term;
+(iv) the module's grading is sum_l g_l(i_l) mod e on seed-major indices;
+(v) each action equals the sum above, cell by cell, by the O(nnz)
+    certificate ``PolyMatrix.is_twisted_sum``, which reads the finished
+    matrices and shares no code with ``twisted_tensor_all``;
+(vi) the factors' targets sum to the module's target, so c = sum_j c_j.
+
+Then every nonzero raises the grade by one, and G^e = sum_j c_j*I = c*I.
+When any condition fails the module is checked itself, as without
+``tensor_of``, so a failing report is the same either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import InputError, VerificationError
 from .freealg import CharPoly, FreeAlgebra, cayley_hamilton_by_laws, char_poly, split_algebra
@@ -555,6 +585,21 @@ def _graded_check(report: Report, module: GradedRobyModule) -> None:
     report.add("graded", True)
 
 
+def _power_check(report: Report, module: GradedRobyModule) -> None:
+    avoid = module.all_vars()
+    named = module.named_actions
+    coeffs = fresh_names("s", len(module.actions), avoid)
+    coeffs += fresh_names("r", len(named) - len(coeffs), avoid | set(coeffs))
+    bindings = {v: Poly.variable(c) for (_, v, _), c in zip(named, coeffs)}
+    generic = module.generic_matrix(coeffs)
+    value = module.target_poly.substitute(bindings)
+    if _cycle_is_scalar(generic, module.grading, module.degree, value):
+        report.add("power_identity", True)
+    else:
+        power = generic.pow(module.degree)
+        check_vanishes(report, "power_identity", power.plus_scalar(-value))
+
+
 def _cycle_is_scalar(m: PolyMatrix, grading, d: int, c) -> bool:
     """True only when m^d = c*I follows from one grade cycle.
 
@@ -576,28 +621,55 @@ def _cycle_is_scalar(m: PolyMatrix, grading, d: int, c) -> bool:
     return cycle.plus_scalar(-c).is_zero()
 
 
-def verify_roby(module: GradedRobyModule) -> Report:
+def _tensor_lemma(module: GradedRobyModule, modules, xi) -> bool:
+    """True only when the xi-binomial lemma proves module graded with G^e = c*I.
+
+    Conditions (i)-(vi) of the module docstring, cheapest first; False
+    means only that the lemma does not decide, and the caller then checks
+    the module itself.
+    """
+    e = module.degree
+    pairs = (module.tvar, [t[:2] for t in module.named_actions])
+    if not isinstance(xi, (int, Fraction, CycScalar)):
+        return False
+    if not is_primitive_root(xi, e):
+        return False
+    if any(m.degree != e or (m.tvar, [t[:2] for t in m.named_actions]) != pairs for m in modules):
+        return False
+    if sum((m.target_poly for m in modules), Poly.zero()) != module.target_poly:
+        return False
+    if module.grading != tuple(sum(gs) % e for gs in product(*(m.grading for m in modules))):
+        return False
+    if not all(verify_roby(m).ok for m in modules):
+        return False
+    phases = [xi ** g for g in range(e)]
+    return all(
+        a.is_twisted_sum([(m.grading, m.named_actions[i][2]) for m in modules], phases)
+        for i, (_, _, a) in enumerate(module.named_actions)
+    )
+
+
+def verify_roby(module: GradedRobyModule, *, tensor_of=None) -> Report:
     """Gradedness plus the power identity on a generic element, both exact.
 
-    The power identity G^d = c*I is decided on one grade cycle when the
-    lemma of the module docstring applies and P_0 = c*I.  Otherwise (c = 0,
-    unequal grade classes, an ungraded entry, or P_0 != c*I) G^d is formed
-    in full, and a failure names the first nonzero entry of G^d - c*I.
+    ``tensor_of`` is (modules, xi) when module was built as the twisted
+    tensor of modules over xi.  When the xi-binomial lemma of the module
+    docstring then applies, both rows are decided from the factors and an
+    O(nnz) certificate, with no product of the module's size.  Otherwise,
+    and always without ``tensor_of``, the module itself is checked: the
+    power identity G^d = c*I is decided on one grade cycle when that lemma
+    applies and P_0 = c*I, and in every other case (c = 0, unequal grade
+    classes, an ungraded entry, or P_0 != c*I) G^d is formed in full, so a
+    failure names the first nonzero entry of G^d - c*I.  A failing report
+    is the same with or without ``tensor_of``.
     """
     report = Report(title=f"roby module: degree {module.degree}, dim {module.dim}")
-    _graded_check(report, module)
-    avoid = module.all_vars()
-    named = module.named_actions
-    coeffs = fresh_names("s", len(module.actions), avoid)
-    coeffs += fresh_names("r", len(named) - len(coeffs), avoid | set(coeffs))
-    bindings = {v: Poly.variable(c) for (_, v, _), c in zip(named, coeffs)}
-    generic = module.generic_matrix(coeffs)
-    value = module.target_poly.substitute(bindings)
-    if _cycle_is_scalar(generic, module.grading, module.degree, value):
+    if tensor_of is not None and _tensor_lemma(module, *tensor_of):
+        report.add("graded", True)
         report.add("power_identity", True)
     else:
-        power = generic.pow(module.degree)
-        check_vanishes(report, "power_identity", power.plus_scalar(-value))
+        _graded_check(report, module)
+        _power_check(report, module)
     report.meta["dim"] = module.dim
     report.meta["degree"] = module.degree
     report.meta["actions"] = list(module.action_names)

@@ -10,6 +10,8 @@ parser, the grade-cycle power identity of ``roby.py``, the
 char-poly module constructor ``GradedRobyModule.over``, the phases of the
 one-pass twisted tensor ``roby.twisted_tensor_all``, the sum its cell writer
 ``PolyMatrix.kron_sum`` makes where two families share a cell, the
+xi-binomial lemma that decides an assembly's Roby identity from its factors
+(``roby._tensor_lemma``) and its certificate ``PolyMatrix.is_twisted_sum``, the
 splitting-type scan of ``linegeom.py`` or the CLI's one document renderer
 must make the fast test suite fail.
 
@@ -339,6 +341,56 @@ MUTANTS = (
         "matrix.py",
         "            data[k] = kernel.add_terms(x, t) if x else t\n",
         "            data[k] = t\n",
+    ),
+    (
+        "the tensor certificate compares the factor entries without their phases",
+        "matrix.py",
+        "runs = {g: [kernel.scale_terms(src[k], scales[g])] * w for g in grades}",
+        "runs = {g: [src[k]] * w for g in grades}",
+    ),
+    (
+        "the tensor certificate skips the nonzero count",
+        "matrix.py",
+        "        return self.nnz() == want\n",
+        "        return True\n",
+    ),
+    (
+        "the tensor certificate accepts a diagonal nonzero",
+        "matrix.py",
+        "                if r == c:\n                    return False\n",
+        "",
+    ),
+    (
+        "the tensor certificate re-encodes a factor variable the matrix cannot hold",
+        "matrix.py",
+        "            if not known.issuperset(m.occurring_vars()):\n                return False\n",
+        "",
+    ),
+    (
+        "the tensor lemma is accepted with a twist that is not primitive",
+        "roby.py",
+        "    if not is_primitive_root(xi, e):\n        return False\n",
+        "",
+    ),
+    (
+        "the tensor lemma drops the target-sum check",
+        "roby.py",
+        "    if sum((m.target_poly for m in modules), Poly.zero()) != module.target_poly:\n"
+        "        return False\n",
+        "",
+    ),
+    (
+        "the tensor lemma skips the grading comparison",
+        "roby.py",
+        "    if module.grading != tuple(sum(gs) % e for gs in product(*(m.grading for m in modules))):\n"
+        "        return False\n",
+        "",
+    ),
+    (
+        "the tensor lemma trusts the factors without their own checks",
+        "roby.py",
+        "    if not all(verify_roby(m).ok for m in modules):\n        return False\n",
+        "",
     ),
     (
         "the CLI's JSON documents written with unsorted keys",

@@ -77,9 +77,11 @@ def mat_comb(coeffs, mats, n):
     out = [[0] * n for _ in range(n)]
     for c, m in zip(coeffs, mats):
         if c:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] = out[i][j] + c * m[i][j]
+            # zero entries add nothing, so only the nonzero ones are scaled
+            for out_row, row in zip(out, m):
+                for j, x in enumerate(row):
+                    if x:
+                        out_row[j] = out_row[j] + c * x
     return out
 
 
