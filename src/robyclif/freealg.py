@@ -293,7 +293,8 @@ class FreeAlgebra:
     def restrict(self, bindings) -> "FreeAlgebra":
         """Substitute base variables (e.g. onto a line); laws survive substitution.
 
-        The result has no ``generic`` algebra: its table is taken as given.
+        Substitution is a ring morphism, so the result is not validated again;
+        degrees are kept only when nothing is bound.  It has no ``generic`` algebra.
         """
         keys = set(bindings)
         if not keys <= set(self.base_vars):
@@ -314,6 +315,7 @@ class FreeAlgebra:
             degrees=None if bindings else self.degrees,
             dual_names=self.dual_names,
             tvar=self.tvar,
+            validate=False,
         )
 
     def __eq__(self, other):

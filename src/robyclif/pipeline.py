@@ -203,13 +203,11 @@ def _merge(report: Report, sub: Report, prefix: str) -> None:
         )
 
 
-def _quotients_match(
-    restricted: CharMorphism, seed_line: CharMorphism, filtration: Filtration
-) -> tuple:
+def _quotients_match(restricted: CharMorphism, seed_matrices, quotients) -> tuple:
     # sorted-index quotients come out seed-major, so each block is a Kronecker
     # product of the seed matrix with an identity
-    w = seed_line.dim
-    for level, idx in filtration.quotients():
+    w = seed_matrices[0].nrows
+    for level, idx in quotients:
         if len(idx) % w:
             return False, (
                 f"level {level} has dimension {len(idx)}, "
@@ -217,7 +215,7 @@ def _quotients_match(
             )
         eye = PolyMatrix.identity(len(idx) // w)
         for name, big, small in zip(
-            seed_line.source.basis_names, restricted.matrices, seed_line.matrices
+            restricted.source.basis_names, restricted.matrices, seed_matrices
         ):
             if big.submatrix(idx, idx) != small.kron(eye):
                 return False, f"level {level}: quotient of C({name}) is not a seed block"
@@ -286,13 +284,12 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
     # basis vector (i_0, ..., i_k), seed-major, has as depth label the sum
     # over factors of d - r for its slot eps_r (r = i_j + 1); the seed adds
     # 0.  On the line every factor action strictly lowers the total depth or
-    # kills, so accumulating flags from depth 0 upward gives an invariant
-    # filtration
+    # kills, so these labels give an invariant filtration
     modules = [seed, *(monomial_charpoly_roby(m, algebra) for m in monomials)]
     xi = make_root(d)
     assembly = twisted_tensor_all(modules, xi)
     depths = [range(d - 1, -1, -1)] * len(monomials)
-    filtration = Filtration.from_levels(map(sum, product([0] * seed.dim, *depths)))
+    filtration = Filtration(map(sum, product([0] * seed.dim, *depths)))
 
     _merge(report, verify_roby(assembly, tensor_of=(modules, xi)), "assembly_")
     morphism = char_morphism(assembly)
@@ -300,16 +297,17 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
 
     restricted = restrict_to_line(morphism, spec.line, line_vars=spec.line_vars)
     _merge(report, verify_filtered_pseudo(restricted, filtration), "restricted_")
-    seed_line = restrict_to_line(
-        char_morphism(seed), spec.line, line_vars=spec.line_vars
-    )
-    ok, why = _quotients_match(restricted, seed_line, filtration)
+    # the line binds base variables only, so the seed's C-matrices restrict
+    # entrywise; its restricted algebra would be the morphism's again
+    seed_line = [m.substitute(spec.line) for m in char_morphism(seed).matrices]
+    quotients = filtration.quotients()
+    ok, why = _quotients_match(restricted, seed_line, quotients)
     _require(report, "quotients_match_seed", ok, detail=why)
 
     report.meta["dim"] = assembly.dim
     report.meta["seed_dim"] = seed.dim
-    report.meta["levels"] = [level for level, _ in filtration.quotients()]
-    report.meta["quotient_dims"] = [len(idx) for _, idx in filtration.quotients()]
+    report.meta["levels"] = [level for level, _ in quotients]
+    report.meta["quotient_dims"] = [len(idx) for _, idx in quotients]
     report.meta["timing_ms"] = int((time.monotonic() - t0) * 1000)
     return PipelineResult(
         report,

@@ -677,7 +677,7 @@ def verify_roby(module: GradedRobyModule, *, tensor_of=None) -> Report:
     return report
 
 
-def verify_char_morphism(cm: CharMorphism, chi: CharPoly | None = None) -> Report:
+def verify_char_morphism(cm: CharMorphism) -> Report:
     """Cayley-Hamilton for the generic element; unit and multiplicativity too.
 
     Only the Cayley-Hamilton identity is required: a characteristic morphism
@@ -689,10 +689,7 @@ def verify_char_morphism(cm: CharMorphism, chi: CharPoly | None = None) -> Repor
     whenever that column is nonzero, chi(C(a)) is formed in full and a
     failure names its first nonzero entry.
     """
-    if chi is None:
-        chi = cm.charpoly
-    if len(cm.matrices) != chi.rank:
-        raise InputError("matrix count must equal the characteristic polynomial rank")
+    chi = cm.charpoly
     report = Report(title=f"characteristic morphism: rank {chi.rank}, dim {cm.dim}")
     algebra = cm.source
     avoid = cm.all_vars()
@@ -723,57 +720,36 @@ def _product_detail(algebra: FreeAlgebra, pair) -> str:
 
 @dataclass(frozen=True)
 class Filtration:
-    """An increasing chain of coordinate subspaces exhausting the module."""
+    """A coordinate filtration, stored as the level of each basis vector.
 
-    dim: int
-    flags: tuple
-    levels: tuple = ()
+    The flag at level l holds every basis vector labelled at most l, so the
+    flags increase and exhaust the module, and entry (r, c) of a matrix
+    leaves a flag exactly when labels[r] > labels[c].
+    """
+
+    labels: tuple
 
     def __post_init__(self):
-        flags = tuple(frozenset(int(i) for i in f) for f in self.flags)
-        object.__setattr__(self, "flags", flags)
-        levels = tuple(self.levels) if self.levels else tuple(range(len(flags)))
-        object.__setattr__(self, "levels", levels)
-        if not flags:
-            raise InputError("a filtration needs at least one flag")
-        if len(levels) != len(flags):
-            raise InputError("need one level label per flag")
-        if list(levels) != sorted(set(levels)):
-            raise InputError("level labels must strictly increase")
-        if any(i < 0 or i >= self.dim for f in flags for i in f):
-            raise InputError("flag indices out of range")
-        prev: frozenset = frozenset()
-        for f in flags:
-            if not prev < f:
-                raise InputError("flags must strictly increase")
-            prev = f
-        if flags[-1] != frozenset(range(self.dim)):
-            raise InputError("the last flag must be the whole space")
+        object.__setattr__(self, "labels", tuple(self.labels))
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+    @property
+    def levels(self) -> tuple:
+        return tuple(sorted(set(self.labels)))
 
     @classmethod
     def trivial(cls, dim: int) -> "Filtration":
-        return cls(dim, (range(dim),))
-
-    @classmethod
-    def from_levels(cls, labels) -> "Filtration":
-        """Build flags from a per-basis-vector level labeling."""
-        labels = list(labels)
-        cuts = sorted(set(labels))
-        flags = []
-        acc: set = set()
-        for level in cuts:
-            acc |= {i for i, l in enumerate(labels) if l == level}
-            flags.append(frozenset(acc))
-        return cls(len(labels), flags, tuple(cuts))
+        return cls((0,) * dim)
 
     def quotients(self):
-        """(level, sorted index list) per graded piece, flag-adapted order."""
-        prev: frozenset = frozenset()
-        out = []
-        for level, f in zip(self.levels, self.flags):
-            out.append((level, sorted(f - prev)))
-            prev = f
-        return out
+        """(level, sorted index list) per graded piece, levels ascending."""
+        pieces: dict = {}
+        for i, level in enumerate(self.labels):
+            pieces.setdefault(level, []).append(i)
+        return sorted(pieces.items())
 
 
 def verify_filtered_pseudo(cm: CharMorphism, filtration: Filtration) -> Report:
@@ -781,20 +757,13 @@ def verify_filtered_pseudo(cm: CharMorphism, filtration: Filtration) -> Report:
     if filtration.dim != cm.dim:
         raise InputError("filtration dimension does not match the morphism")
     algebra = cm.source
-    report = Report(
-        title=f"filtered pseudomorphism: dim {cm.dim}, {len(filtration.flags)} flags"
-    )
+    labels = filtration.labels
     quotients = filtration.quotients()
-    # entry (r, c) leaves a flag iff some flag holds c but not r; the first
-    # such flag is the one that first holds c
-    first = [0] * cm.dim
-    for k, (_, idx) in enumerate(quotients):
-        for i in idx:
-            first[i] = k
+    report = Report(title=f"filtered pseudomorphism: dim {cm.dim}, {len(quotients)} flags")
     detail = ""
     for name, m in zip(algebra.basis_names, cm.matrices):
         leak = min(
-            ((first[c], c, r) for r, c, _ in m.nonzeros() if first[r] > first[c]),
+            ((labels[c], c, r) for r, c, _ in m.nonzeros() if labels[r] > labels[c]),
             default=None,
         )
         if leak is not None:

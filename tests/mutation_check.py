@@ -11,7 +11,10 @@ char-poly module constructor ``GradedRobyModule.over``, the phases of the
 one-pass twisted tensor ``roby.twisted_tensor_all``, the sum its cell writer
 ``PolyMatrix.kron_sum`` makes where two families share a cell, the
 xi-binomial lemma that decides an assembly's Roby identity from its factors
-(``roby._tensor_lemma``) and its certificate ``PolyMatrix.is_twisted_sum``, the
+(``roby._tensor_lemma``) and its certificate ``PolyMatrix.is_twisted_sum``, a
+filtration's graded pieces and flag-leak scan (``roby.Filtration.quotients``,
+``roby.verify_filtered_pseudo``), the pipeline's comparison of its quotients
+with the seed restricted to the line (``pipeline.run_pipeline``), the
 splitting-type scan of ``linegeom.py`` or the CLI's one document renderer
 must make the fast test suite fail.
 
@@ -391,6 +394,24 @@ MUTANTS = (
         "roby.py",
         "    if not all(verify_roby(m).ok for m in modules):\n        return False\n",
         "",
+    ),
+    (
+        "the leak scan counts an entry within one level as leaving a flag",
+        "roby.py",
+        "if labels[r] > labels[c]),",
+        "if labels[r] >= labels[c]),",
+    ),
+    (
+        "quotients() lists the levels in descending order",
+        "roby.py",
+        "        return sorted(pieces.items())\n",
+        "        return sorted(pieces.items(), reverse=True)\n",
+    ),
+    (
+        "the seed's C-matrices are compared without the line restriction",
+        "pipeline.py",
+        "    seed_line = [m.substitute(spec.line) for m in char_morphism(seed).matrices]\n",
+        "    seed_line = char_morphism(seed).matrices\n",
     ),
     (
         "the CLI's JSON documents written with unsorted keys",

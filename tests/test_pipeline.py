@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from robyclif.cli import main
 
 from robyclif.errors import InputError, VerificationError
-from robyclif.freealg import char_poly, monogenic_algebra, restrict_char_poly
+from robyclif.freealg import FreeAlgebra, char_poly, monogenic_algebra, restrict_char_poly
 from robyclif.linegeom import _rank_of_rows, restrict_to_line
 from robyclif.matrix import PolyMatrix
 from robyclif.pipeline import (
@@ -30,7 +31,7 @@ from robyclif.roby import (
     verify_filtered_pseudo,
 )
 from robyclif.scalars import cyc_arith, make_root
-from robyclif.seeds import mf_seed, perturbed_split_algebra
+from robyclif.seeds import cyclic_cover_seed, mf_seed, perturbed_split_algebra
 from robyclif.specfile import parse_pipeline, render_roby_module
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -271,8 +272,8 @@ class TestQuotientsMatch:
 
     def test_level_not_a_multiple_of_the_seed_dimension(self):
         result, seed_line = self.quadric_run()
-        uneven = Filtration.from_levels([0, 0, 0, 1, 1, 1, 1, 1])
-        assert _quotients_match(result.restricted, seed_line, uneven) == (
+        uneven = Filtration([0, 0, 0, 1, 1, 1, 1, 1]).quotients()
+        assert _quotients_match(result.restricted, seed_line.matrices, uneven) == (
             False, "level 0 has dimension 3, not a multiple of the seed dimension 4"
         )
 
@@ -284,9 +285,94 @@ class TestQuotientsMatch:
         rows[idx[0]][idx[1]] += 1
         matrices = [result.restricted.matrices[0], PolyMatrix.from_rows(rows)]
         tampered = CharMorphism(result.restricted.source, matrices, result.restricted.charpoly)
-        assert _quotients_match(tampered, seed_line, result.filtration) == (
+        quotients = result.filtration.quotients()
+        assert _quotients_match(tampered, seed_line.matrices, quotients) == (
             False, f"level {level}: quotient of C(z) is not a seed block"
         )
+
+
+class TestSeedOnTheLine:
+    """The seed's C-matrices are compared after the line restriction."""
+
+    def bound_seed_spec(self):
+        # the mf seed of xy conjugated by [[1, z2], [0, 1]]: Z^2 = xy*I, and
+        # Z holds z2, which the line binds
+        alg = quadric_algebra()
+        z = [["z2*y", "x - z2^2*y"], ["y", "-z2*y"]]
+        seed = cyclic_cover_seed(z, 2, basis_names=alg.basis_names, dual_names=alg.dual_names)
+        return PipelineSpec(alg, {"z2": 0}, seed)
+
+    def test_a_seed_holding_a_bound_variable_passes(self):
+        result = run_pipeline(self.bound_seed_spec())
+        assert result.report.ok
+        assert result.report.meta["dim"] == 8
+        assert result.report.meta["quotient_dims"] == [4, 4]
+        assert "z2" in char_morphism(result.seed).all_vars()
+
+    def test_the_unrestricted_seed_matrices_are_not_its_blocks(self):
+        result = run_pipeline(self.bound_seed_spec())
+        quotients = result.filtration.quotients()
+        unrestricted = char_morphism(result.seed).matrices
+        assert _quotients_match(result.restricted, unrestricted, quotients) == (
+            False, "level 0: quotient of C(z) is not a seed block"
+        )
+
+
+GOLDEN_SPECS = {
+    **{f"multi_branch_spec({n})": partial(multi_branch_spec, n) for n in range(1, 6)},
+    **{
+        name: partial(lambda path: parse_pipeline(path.read_text()), ROOT / "demo" / name)
+        for name in ("quadric.pipeline", "perturbed_split.pipeline")
+    },
+}
+
+
+class TestOneRestriction:
+    """Each run restricts its algebra once, and takes the laws as given."""
+
+    def spy(self, monkeypatch):
+        # per FreeAlgebra.restrict call: (result, calls of _validate and of
+        # action_laws made inside it)
+        calls, counts = [], {"_validate": 0, "action_laws": 0}
+        for name in counts:
+            def counted(*args, _real=getattr(FreeAlgebra, name), _name=name, **kw):
+                counts[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(FreeAlgebra, name, counted)
+        restrict = FreeAlgebra.restrict
+
+        def spied(self, bindings):
+            before = dict(counts)
+            out = restrict(self, bindings)
+            calls.append((out, {k: counts[k] - before[k] for k in counts}))
+            return out
+
+        monkeypatch.setattr(FreeAlgebra, "restrict", spied)
+        return calls
+
+    def test_multi_branch_3_restricts_once_unvalidated(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        assert run_pipeline(multi_branch_spec(3)).report.ok
+        assert [made for _, made in calls] == [{"_validate": 0, "action_laws": 0}]
+
+    @pytest.mark.parametrize("name", list(GOLDEN_SPECS))
+    def test_each_restriction_equals_a_validated_rebuild(self, name, monkeypatch):
+        spec = GOLDEN_SPECS[name]()
+        calls = self.spy(monkeypatch)
+        assert run_pipeline(spec).report.ok
+        assert len(calls) == 1
+        for out, made in calls:
+            assert made["action_laws"] == 0
+            rebuilt = FreeAlgebra(
+                out.basis_names,
+                out.table,
+                base_vars=out.base_vars,
+                unit=out.unit,
+                degrees=out.degrees,
+                dual_names=out.dual_names,
+                tvar=out.tvar,
+            )
+            assert out == rebuilt
 
 
 class TestPipelineErrors:

@@ -210,13 +210,16 @@ def roby_point_verdict(module, rng):
 
     The base variables, each s_i and r get random rationals; the target is
     evaluated with its i-th dual variable at s_i and its t-variable at r.
+    As in ``verify_roby``, those names are bound in the target only: where
+    one also occurs in a matrix, it takes a point value there like any
+    other variable.
     """
     mats = list(module.actions)
     bound = list(module.target_vars)
     if module.tslot is not None:
         mats.append(module.tslot)
         bound.append(module.tvar)
-    base = set(module.target_poly.vars).union(*(m.vars for m in mats)) - set(bound)
+    base = (set(module.target_poly.vars) - set(bound)).union(*(m.vars for m in mats))
     n = module.dim
     for _ in range(POINTS):
         point = {v: random_rational(rng) for v in sorted(base)}

@@ -505,19 +505,12 @@ class TestFiltration:
             char_poly(alg),
         )
 
-    def test_flag_validation(self):
-        with pytest.raises(InputError, match="strictly increase"):
-            Filtration(2, ({0, 1}, {1}))
-        with pytest.raises(InputError, match="whole space"):
-            Filtration(3, ({0}, {0, 1}))
-        with pytest.raises(InputError, match="out of range"):
-            Filtration(2, ({0, 5}, {0, 1, 5}))
-        with pytest.raises(InputError, match="level"):
-            Filtration(2, ({0}, {0, 1}), levels=(3, 1))
-
-    def test_from_levels(self):
-        f = Filtration.from_levels([1, 0, 1, 0])
+    def test_quotients_group_equal_labels(self):
+        f = Filtration([1, 0, 1, 0])
+        assert f.labels == (1, 0, 1, 0)
+        assert (f.dim, f.levels) == (4, (0, 1))
         assert f.quotients() == [(0, [1, 3]), (1, [0, 2])]
+        assert Filtration.trivial(3).quotients() == [(0, [0, 1, 2])]
 
     def test_noncommuting_products_are_checked_in_both_orders(self):
         # B = k[z,w]/(z^2, zw, w^2) with C(z) = E23, C(w) = E12: C(z) C(w) = 0
@@ -548,7 +541,7 @@ class TestFiltration:
 
     def test_flag_filtration_fixes_the_remark_example(self):
         cm = self.remark_morphism()
-        report = verify_filtered_pseudo(cm, Filtration(2, ({0}, {0, 1})))
+        report = verify_filtered_pseudo(cm, Filtration([0, 1]))
         assert report.ok
         assert report.get("flags_preserved").ok
         assert report.get("quotient_unit").ok
@@ -562,7 +555,7 @@ class TestFiltration:
 
     def test_wrong_flag_leaks(self):
         cm = self.remark_morphism()
-        report = verify_filtered_pseudo(cm, Filtration(2, ({1}, {0, 1})))
+        report = verify_filtered_pseudo(cm, Filtration([1, 0]))
         assert not report.ok
         assert not report.get("flags_preserved").ok
         assert "leaves a flag" in report.get("flags_preserved").detail
@@ -577,9 +570,12 @@ class TestFiltration:
 
     def test_flag_check_matches_the_nested_loop(self):
         def nested_loop(cm, filtration):
-            # the flag scan verify_filtered_pseudo once ran, kept as the oracle
+            # the flag scan verify_filtered_pseudo once ran, kept as the oracle;
+            # the flag at level l holds every vector labelled at most l
+            labels = filtration.labels
+            flags = [{i for i in range(cm.dim) if labels[i] <= lv} for lv in filtration.levels]
             for name, m in zip(cm.source.basis_names, cm.matrices):
-                for f in filtration.flags:
+                for f in flags:
                     for c in sorted(f):
                         for r in range(cm.dim):
                             if r not in f and m.data[r * m.ncols + c]:
@@ -593,11 +589,16 @@ class TestFiltration:
         for trial in range(300):
             n = rng.randrange(1, 8)
             if rng.random() < 0.5:
-                filtration = Filtration.from_levels([rng.randrange(0, 4) for _ in range(n)])
+                filtration = Filtration([rng.randrange(0, 4) for _ in range(n)])
             else:
+                # a chain cut from a random order: vector order[i] first lies
+                # in the flag of the first cut past i
                 order = rng.sample(range(n), n)
                 cuts = sorted(rng.sample(range(1, n), rng.randrange(0, n))) + [n]
-                filtration = Filtration(n, [order[:k] for k in cuts])
+                labels = [0] * n
+                for i, v in enumerate(order):
+                    labels[v] = next(k for k, cut in enumerate(cuts) if i < cut)
+                filtration = Filtration(labels)
             level = {i: k for k, (_, idx) in enumerate(filtration.quotients()) for i in idx}
 
             def entry(r, c):

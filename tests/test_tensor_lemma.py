@@ -214,10 +214,6 @@ CASES = {
 }
 
 
-# the point oracle gives each target variable a coefficient and each other
-# variable a value, so it cannot evaluate a variable that is both
-NO_POINT_ORACLE = ("a factor without an action",)
-
 
 def lemma_applies(modules):
     """Whether the lemma should decide a seeded case: every factor passes, one name list."""
@@ -237,9 +233,8 @@ def test_the_lemma_path_reports_what_the_full_check_reports(name):
     if holds is not None:
         assert full.ok == holds
     assert full.ok or not decided  # the lemma decides only identities that hold
-    if name not in NO_POINT_ORACLE:
-        rng = random.Random(sum(map(ord, name)))
-        assert roby_point_verdict(module, rng) == full.get("power_identity").ok
+    rng = random.Random(sum(map(ord, name)))
+    assert roby_point_verdict(module, rng) == full.get("power_identity").ok
 
 
 def test_the_tampered_assemblies_start_from_decided_ones():
