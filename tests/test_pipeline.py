@@ -321,24 +321,26 @@ class TestSeedOnTheLine:
 GOLDEN_SPECS = {
     **{f"multi_branch_spec({n})": partial(multi_branch_spec, n) for n in range(1, 6)},
     **{
-        name: partial(lambda path: parse_pipeline(path.read_text()), ROOT / "demo" / name)
+        name: lambda name=name: parse_pipeline((ROOT / "demo" / name).read_text())
         for name in ("quadric.pipeline", "perturbed_split.pipeline")
     },
 }
 
 
 class TestOneRestriction:
-    """Each run restricts its algebra once, and takes the laws as given."""
+    """Each golden run restricts its algebra once, and takes the laws as given."""
 
-    def spy(self, monkeypatch):
-        # per FreeAlgebra.restrict call: (result, calls of _validate and of
-        # action_laws made inside it)
+    @pytest.mark.parametrize("name", list(GOLDEN_SPECS))
+    def test_one_unvalidated_restriction_equal_to_a_validated_rebuild(self, name, monkeypatch):
+        spec = GOLDEN_SPECS[name]()
+        # per FreeAlgebra.restrict call: its result, and the calls of
+        # _validate and action_laws made inside it
         calls, counts = [], {"_validate": 0, "action_laws": 0}
-        for name in counts:
-            def counted(*args, _real=getattr(FreeAlgebra, name), _name=name, **kw):
-                counts[_name] += 1
-                return _real(*args, **kw)
-            monkeypatch.setattr(FreeAlgebra, name, counted)
+        for law in counts:
+            def counted(*args, _real=getattr(FreeAlgebra, law), _law=law):
+                counts[_law] += 1
+                return _real(*args)
+            monkeypatch.setattr(FreeAlgebra, law, counted)
         restrict = FreeAlgebra.restrict
 
         def spied(self, bindings):
@@ -348,31 +350,19 @@ class TestOneRestriction:
             return out
 
         monkeypatch.setattr(FreeAlgebra, "restrict", spied)
-        return calls
-
-    def test_multi_branch_3_restricts_once_unvalidated(self, monkeypatch):
-        calls = self.spy(monkeypatch)
-        assert run_pipeline(multi_branch_spec(3)).report.ok
-        assert [made for _, made in calls] == [{"_validate": 0, "action_laws": 0}]
-
-    @pytest.mark.parametrize("name", list(GOLDEN_SPECS))
-    def test_each_restriction_equals_a_validated_rebuild(self, name, monkeypatch):
-        spec = GOLDEN_SPECS[name]()
-        calls = self.spy(monkeypatch)
         assert run_pipeline(spec).report.ok
-        assert len(calls) == 1
-        for out, made in calls:
-            assert made["action_laws"] == 0
-            rebuilt = FreeAlgebra(
-                out.basis_names,
-                out.table,
-                base_vars=out.base_vars,
-                unit=out.unit,
-                degrees=out.degrees,
-                dual_names=out.dual_names,
-                tvar=out.tvar,
-            )
-            assert out == rebuilt
+        assert [made for _, made in calls] == [{"_validate": 0, "action_laws": 0}]
+        out = calls[0][0]
+        rebuilt = FreeAlgebra(
+            out.basis_names,
+            out.table,
+            base_vars=out.base_vars,
+            unit=out.unit,
+            degrees=out.degrees,
+            dual_names=out.dual_names,
+            tvar=out.tvar,
+        )
+        assert out == rebuilt
 
 
 class TestPipelineErrors:
