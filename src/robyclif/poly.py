@@ -3,12 +3,15 @@
 A ``Poly`` is a canonical term map in one context: sorted variable names
 ``vars``, a field ``width`` (a multiple of 8 bits) and an exponent bound
 ``top`` below 2**width.  A key packs exponent i of ``vars`` into bits
-[i*width, (i+1)*width) of one int, and a coefficient is stored in the
-cheapest exact type that holds it (``int`` when integral, ``Fraction`` when
-rational, ``CycScalar`` only when not in Q).  Canonical means no explicit
-zero terms ever get stored, so two polynomials are equal exactly when their
-term maps are equal in a shared context.  ``terms`` decodes the keys to
-exponent tuples.
+[i*width, (i+1)*width) of one int.  A coefficient is an exact scalar
+(``int``, ``Fraction`` or ``CycScalar``): a number, zeta atom or constructor
+input is stored in the cheapest type that holds it (``scalars.narrow``), but
+sums and products keep the type their operands' arithmetic gives, so a
+rational value can be held as an integral ``Fraction`` (``1/2*2*x``) or a
+``CycScalar`` (``zeta4^2*x``); equality and printing go by value alone.
+Canonical means no explicit zero terms ever get stored, so two polynomials
+are equal exactly when their term maps are equal in a shared context.
+``terms`` decodes the keys to exponent tuples.
 
 ``PolyMatrix`` stores the same keys under the same width rule: a result's
 bound is the sum of its operands' bounds for a product and the larger one
@@ -32,13 +35,16 @@ The textual syntax is ``3/2*x^2*y - z2`` with variables matching
 ``[a-zA-Z][a-zA-Z0-9_]*``; the reserved atoms ``zeta2``, ``zeta3``, ... parse
 to primitive roots of unity so cyclotomic coefficients round-trip.
 
-Parsing is one pass in one variable context: one ``finditer`` over the
-text, then one descent in which every atom, product, power and sum is a
-``Poly`` over the sorted names of the text.  Each term of a sum is added
-into a single map in place, and no key is realigned until the result drops
-the names its text mentions only under a ``^0``.  So parsing costs in
-proportion to the text, plus the expansion of any product or power of
-factors with several terms.
+Parsing is one pass in one variable context, the sorted names of the
+text: one ``findall`` over the text, then one descent.  A term of one-term
+factors (numbers, names, zeta atoms and their powers) is read as one packed
+key and one coefficient: a product adds keys and multiplies coefficients in
+text order, a power multiplies its key and raises its coefficient, and the
+term is added into the sum's map in place.  A ``Poly`` is built only for a
+parenthesized sum of several terms, its powers and products, and the sum
+itself, and no key is realigned until the result drops the names its text
+mentions only under a ``^0``.  So parsing costs in proportion to the text,
+plus the expansion of any product or power of factors with several terms.
 """
 
 from __future__ import annotations
@@ -589,32 +595,52 @@ MAX_POWER_BITS = 100_000
 
 def _coeff_bits(c) -> int:
     """Bit length of a coefficient's largest numerator or denominator."""
+    if type(c) is int:
+        return abs(c).bit_length()
     parts = c.coeffs if isinstance(c, CycScalar) else (c,)
     return max(
         max(abs(x.numerator).bit_length(), x.denominator.bit_length()) for x in parts if x
     )
 
 
-def _check_power(base: Poly, n: int) -> None:
+def _largest(key: int, width: int) -> int:
+    """The largest exponent in a packed key."""
+    if width == _WIDTH:
+        return max(key.to_bytes((key.bit_length() + 7) >> 3, "little"), default=0)
+    mask, top = (1 << width) - 1, 0
+    while key:
+        top = max(top, key & mask)
+        key >>= width
+    return top
+
+
+def _check_power(base, n: int) -> None:
     """Refuse base**n before expanding it if it could pass a cap.
 
+    base is a Poly or the parser's one-term (key, coefficient, width, top).
     N is checked first and alone, so every later bound is computed, and
     printed, only for N at most ``MAX_EXPONENT``.
     """
     if n > MAX_EXPONENT:
         raise InputError(f"power ^{n} is above the exponent cap {MAX_EXPONENT}")
-    # top bounds every exponent, so the exact largest one is decoded only
-    # when that bound passes the cap
-    if n * base.top > MAX_EXPONENT:
-        top = n * max((max(exp, default=0) for exp in base.terms), default=0)
+    if type(base) is tuple:
+        key, c, width, top = base
+        packed = {key: c} if c else {}
+    else:
+        packed, width, top = base.packed, base.width, base.top
+    # top bounds every exponent, so the exact largest one is found only when
+    # that bound passes the cap
+    if n * top > MAX_EXPONENT:
+        top = n * max((_largest(k, width) for k in packed), default=0)
         if top > MAX_EXPONENT:
             raise InputError(f"power ^{n} gives exponent {top}, above the cap {MAX_EXPONENT}")
-    bound = _power_term_bound(base, n)
-    if bound > MAX_POWER_TERMS:
-        raise InputError(
-            f"power ^{n} may expand to {bound} terms, above the cap {MAX_POWER_TERMS}"
-        )
-    bits = n * max(map(_coeff_bits, base.packed.values()), default=0)
+    if len(packed) > 1:
+        bound = _power_term_bound(base, n)
+        if bound > MAX_POWER_TERMS:
+            raise InputError(
+                f"power ^{n} may expand to {bound} terms, above the cap {MAX_POWER_TERMS}"
+            )
+    bits = n * max(map(_coeff_bits, packed.values()), default=0)
     if bits > MAX_POWER_BITS:
         raise InputError(
             f"power ^{n} may give a {bits}-bit coefficient, above the cap {MAX_POWER_BITS}"
@@ -659,32 +685,47 @@ def _tokenize(text: str) -> list:
 
     A number is its value; a name or an operator is its text.
     """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        number, word, bad = m.groups()
-        if word is not None:
-            tokens.append(word)
-        elif number is not None:
-            tokens.append(_number(number))
-        else:
-            raise InputError(f"cannot tokenize polynomial at: {text[m.start():]!r}")
+    tokens = [
+        word or (_number(number) if number else _untokenizable(text))
+        for number, word, _ in _TOKEN_RE.findall(text)
+    ]
     tokens.append(None)
     return tokens
+
+
+def _untokenizable(text: str):
+    """Raise for the first character of text that starts no token."""
+    m = next(m for m in _TOKEN_RE.finditer(text) if m.group(3))
+    raise InputError(f"cannot tokenize polynomial at: {text[m.start():]!r}")
+
+
+# A one-term factor or term of the parser: (packed key, coefficient, width,
+# top), the fields of a one-term Poly over the parser's variables.  A zero
+# coefficient stands for the zero Poly, whose key is 0.
+_ONE = (0, 1, _WIDTH, 0)
+
+
+def _unpacked(x) -> tuple:
+    """(width, top, term map) of a Poly or a one-term tuple of the parser."""
+    if type(x) is tuple:
+        key, c, width, top = x
+        return width, top, ({key: c} if c else {})
+    return x.width, x.top, x.packed
 
 
 class _Parser:
     """Recursive descent over a token list, in one variable context.
 
     The context is fixed before the first token is read: the sorted names in
-    the token list, zeta atoms excluded.  Every atom, product, power and sum
-    is a ``Poly`` over it, so nothing is realigned on the way; a key is
-    re-encoded only where the width rule widens its fields.  A sum adds each
-    term into one map in place, a product is ``Poly.__mul__`` and a power of
-    several terms ``Poly.__pow__``; a power of one term multiplies its key
-    and raises its coefficient.  Every scalar operation runs in the order of
-    the Poly arithmetic the text spells, so values, coefficient types and
-    key order are those of that arithmetic.  ``seen`` lists the names read
-    outside a ``^0``: the result's variables.
+    the token list, zeta atoms excluded.  A factor or term of at most one
+    term is a one-term tuple (see ``_ONE``).  A ``Poly`` over the context is
+    built only for a parenthesized sum of several terms, a power or product
+    of one, and the sum the text spells, which adds each term into one map
+    in place.  Widths, scalar operations and key order follow the Poly
+    arithmetic the text spells (``times`` follows ``Poly.__mul__``), so
+    values, coefficient types and key order are those of that arithmetic; a
+    key is re-encoded only where the width rule widens its fields.  ``seen``
+    lists the names read outside a ``^0``: the result's variables.
     """
 
     def __init__(self, tokens):
@@ -701,36 +742,74 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise InputError("polynomial nested too deeply")
 
-    def number(self, c) -> Poly:
-        return _new(self.vars, _WIDTH, 0, {0: c} if c else {})
+    def widened(self, key: int, width: int, new_width: int) -> int:
+        """A packed key over the parser's variables with new_width-bit fields."""
+        if width == new_width:
+            return key
+        (key,) = _recoded({key: 0}, self.vars, width, self.vars, new_width)
+        return key
 
-    def parse_expr(self) -> Poly:
-        """A sum or difference of terms."""
-        acc = self.parse_term()
-        while True:
-            op = self.tokens[self.i]
-            if op == "+":
-                into = kernel.add_into
-            elif op == "-":
-                into = kernel.sub_into
-            else:
-                return acc
+    def parse_expr(self):
+        """A sum or difference of terms added into one map in place; a lone term as it is."""
+        term = self.parse_term()
+        op = self.tokens[self.i]
+        if op != "+" and op != "-":
+            return term
+        vars = self.vars
+        width, top, terms = _unpacked(term)  # the parser's own map
+        while op == "+" or op == "-":
             self.i += 1
-            term = self.parse_term()
-            top = max(acc.top, term.top)
-            _, width, terms, other = acc._common(term, top)
-            into(terms, other)  # the parser's own map, or its widened copy
-            acc = _new(self.vars, width, top, terms)
+            w, t, other = _unpacked(self.parse_term())
+            top = max(top, t)
+            if w != width or top >> width:
+                new_width = _fit(top, max(width, w))
+                terms = _recoded(terms, vars, width, vars, new_width)
+                width = new_width
+            if w != width:
+                other = _recoded(other, vars, w, vars, width)
+            (kernel.add_into if op == "+" else kernel.sub_into)(terms, other)
+            op = self.tokens[self.i]
+        return _new(vars, width, top, terms)
 
-    def parse_term(self) -> Poly:
-        """A product of factors."""
+    def parse_term(self):
+        """A product of factors, left to right."""
         acc = self.parse_factor()
         while self.tokens[self.i] == "*":
             self.i += 1
-            acc = acc * self.parse_factor()
+            acc = self.times(acc, self.parse_factor())
         return acc
 
-    def parse_factor(self) -> Poly:
+    def times(self, a, b):
+        """a * b, for Polys and one-term tuples, as ``Poly.__mul__`` gives it.
+
+        The fields hold the sum of the two bounds, and the product is then
+        bounded by its own keys.  Two Polys multiply by ``Poly.__mul__``;
+        two one-term factors add keys and multiply coefficients, and a
+        one-term factor and a Poly shift its keys by one key and scale its
+        coefficients, the left operand's coefficient first.
+        """
+        one_a, one_b = type(a) is tuple, type(b) is tuple
+        if not (one_a or one_b):
+            return a * b
+        ka, ca, wa, ta = a if one_a else (0, 1, a.width, a.top)
+        kb, cb, wb, tb = b if one_b else (0, 1, b.width, b.top)
+        top = ta + tb
+        width = wa if wa == wb and not top >> wa else _fit(top, max(wa, wb))
+        if not (ca and cb):
+            return (0, 0, width, 0)
+        ka, kb = self.widened(ka, wa, width), self.widened(kb, wb, width)
+        if one_a and one_b:
+            key = ka + kb
+            return (key, ca * cb, width, _largest(key, width))
+        if one_a:
+            terms = {ka + k: ca * c for k, c in b._keys_in(self.vars, width).items()}
+        else:
+            terms = {k + kb: c * cb for k, c in a._keys_in(self.vars, width).items()}
+        product = _new(self.vars, width, 0, terms)
+        product.top = max(product._fields(), default=0)
+        return product
+
+    def parse_factor(self):
         """A signed atom or power of one."""
         tokens = self.tokens
         signs = negate = 0
@@ -752,18 +831,23 @@ class _Parser:
             _check_power(base, n)
             if not n:
                 del self.seen[mark:]  # names under a ^0 leave the result
-                base = self.number(1)
-            elif len(base.packed) > 1:
+                base = _ONE
+            elif type(base) is not tuple:
                 base = base**n
             else:  # one term or none: no product to take
-                top = base.top * n
-                width = _fit(top, base.width)
-                terms = base._keys_in(self.vars, width)
-                base = _new(self.vars, width, top, {key * n: c**n for key, c in terms.items()})
+                key, c, width, top = base
+                top *= n
+                new_width = _fit(top, width)
+                base = (self.widened(key, width, new_width) * n, c**n, new_width, top)
         self.depth -= signs
-        return -base if negate else base
+        if not negate:
+            return base
+        if type(base) is tuple:
+            key, c, width, top = base
+            return (key, -c, width, top)
+        return -base
 
-    def parse_atom(self, tok) -> Poly:
+    def parse_atom(self, tok):
         if tok == "(":
             self.enter()
             inner = self.parse_expr()
@@ -771,15 +855,19 @@ class _Parser:
                 raise InputError("expected ')' in polynomial")
             self.i += 1
             self.depth -= 1
-            return inner
+            if type(inner) is tuple or len(inner.packed) > 1:
+                return inner
+            # a sum that cancelled down to one term or none
+            key, c = next(iter(inner.packed.items()), (0, 0))
+            return (key, c, inner.width, inner.top)
         unit = self.units.get(tok)
         if unit is not None:
             self.seen.append(tok)
-            return _new(self.vars, _WIDTH, 1, {unit: 1})
+            return (unit, 1, _WIDTH, 1)
         if type(tok) is not str:
             if tok is None:
                 raise InputError("unexpected token in polynomial: None")
-            return self.number(tok)
+            return (0, tok, _WIDTH, 0)
         m = _ZETA_RE.fullmatch(tok)
         if m:
             digits = m.group(1)
@@ -787,7 +875,7 @@ class _Parser:
                 order = int(digits)
             except ValueError:  # more digits than int() converts
                 raise InputError(f"zeta order of {len(digits)} digits is too long") from None
-            return self.number(narrow(make_root(order)))
+            return (0, narrow(make_root(order)), _WIDTH, 0)
         raise InputError(f"unexpected token in polynomial: {tok!r}")
 
 
@@ -800,6 +888,8 @@ def parse_poly(text: str) -> Poly:
     tok = parser.tokens[parser.i]
     if tok is not None:
         raise InputError(f"trailing input in polynomial: {tok!r}")
+    if type(p) is tuple:
+        p = _new(parser.vars, *_unpacked(p))
     vars = tuple(sorted(set(parser.seen)))
     if vars != parser.vars:  # some names were read only under a ^0
         p = _new(vars, p.width, p.top, _recoded(p.packed, parser.vars, p.width, vars, p.width))

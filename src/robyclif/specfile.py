@@ -11,12 +11,13 @@ emits text whose parse yields an equal value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 from .errors import InputError
 from .freealg import FreeAlgebra, monogenic_algebra, split_algebra
 from .linegeom import GradedModuleP1
-from .matrix import PolyMatrix
+from .matrix import PolyMatrix, _from_cells
 from .pipeline import PipelineSpec
 from .poly import Poly, parse_poly
 from .roby import GradedRobyModule, split_roby
@@ -96,8 +97,8 @@ def _pairs_map(section: _Section, allowed) -> dict:
 def _split_list(value: str) -> list:
     if not value.strip():
         return []
-    items = [item.strip() for item in value.split(",")]
-    if any(not item for item in items):
+    items = list(map(str.strip, value.split(",")))
+    if "" in items:
         raise InputError(f"empty entry in the list {value!r}")
     return items
 
@@ -131,19 +132,35 @@ def _matrix_rows(section: _Section, read) -> PolyMatrix:
     """The matrix of a section's 'row = ...' lines.
 
     Cells go through the file's reader, so each distinct cell text is
-    parsed once however often it repeats (a module's matrices are mostly
-    '0').
+    parsed once however often it repeats, and a '0' cell, which the writer
+    puts in every empty slot, is skipped unread (a module's matrices are
+    mostly '0').  Only the cells whose Poly is nonzero or names a variable
+    reach ``_from_cells``: a cell such as 'x - x' still puts x into ``vars``.
+    Every row is read before the row lengths are compared, so a bad cell
+    anywhere is reported before a ragged row.
     """
-    rows = []
+    cells, nrows, ncols, ragged = [], 0, 0, False
     for key, value in section.pairs:
         if key != "row":
             raise InputError(
                 f"[{section.name}] takes only 'row = ...' lines, got {key!r}"
             )
-        rows.append([read(c) for c in _split_list(value)])
-    if not rows:
+        row = _split_list(value)
+        if not nrows:
+            ncols = len(row)
+        elif len(row) != ncols:
+            ragged = True
+        start = nrows * ncols
+        for j in compress(range(len(row)), map("0".__ne__, row)):
+            p = read(row[j])
+            if p or p.vars:
+                cells.append((start + j, p))
+        nrows += 1
+    if not nrows:
         raise InputError(f"[{section.name}] has no rows")
-    return PolyMatrix.from_rows(rows)
+    if ragged:
+        raise InputError("ragged rows in matrix literal")
+    return _from_cells(nrows, ncols, cells)
 
 
 def _matrix_lines(m: PolyMatrix) -> list:

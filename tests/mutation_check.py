@@ -1,22 +1,25 @@
 """Mutation check: each hand-written fault in the kernel, the context join
 ``poly._context``, the one substitution routine ``poly._substituted`` (its
 zero-binding mask, its groups and its whole-map shortcut), the matrix module,
-Berkowitz's characteristic polynomial, its unit shift and its base change
-over a cover's generic tail (``freealg.monogenic_algebra``), the two-query
-shape check of ``CharPoly``, the Cayley-Hamilton check on the unit column
+Berkowitz's characteristic polynomial, its unit shift and its base change over
+a cover's generic tail (``freealg.monogenic_algebra``), the two-query shape
+check of ``CharPoly``, the Cayley-Hamilton check on the unit column
 (``freealg.cayley_hamilton_by_laws``), the cyclotomic scalars and their
 product cache, the matrix printer ``PolyMatrix.cell_texts``, the polynomial
-parser, the grade-cycle power identity of ``roby.py``, the
+parser and its one-term term path (``poly._Parser``: the exponent cap on a
+name's power, the names under a ``^0``, a product's width), the matrix reader
+``specfile._matrix_rows`` (cells that cancel to zero, and reading every row
+before the row lengths), the grade-cycle power identity of ``roby.py``, the
 char-poly module constructor ``GradedRobyModule.over``, the phases of the
 one-pass twisted tensor ``roby.twisted_tensor_all``, the sum its cell writer
-``PolyMatrix.kron_sum`` makes where two families share a cell, the
-xi-binomial lemma that decides an assembly's Roby identity from its factors
+``PolyMatrix.kron_sum`` makes where two families share a cell, the xi-binomial
+lemma that decides an assembly's Roby identity from its factors
 (``roby._tensor_lemma``) and its certificate ``PolyMatrix.is_twisted_sum``, a
 filtration's graded pieces and flag-leak scan (``roby.Filtration.quotients``,
 ``roby.verify_filtered_pseudo``), the pipeline's comparison of its quotients
 with the seed restricted to the line (``pipeline.run_pipeline``), the
-splitting-type scan of ``linegeom.py`` or the CLI's one document renderer
-must make the fast test suite fail.
+splitting-type scan of ``linegeom.py`` or the CLI's one document renderer must
+make the fast test suite fail.
 
 Usage, from the root of a checkout:
 
@@ -75,8 +78,8 @@ MUTANTS = (
     (
         "a one-term power multiplies its key before widening it",
         "poly.py",
-        "                width = _fit(top, base.width)\n",
-        "                width = base.width\n",
+        "                new_width = _fit(top, width)\n",
+        "                new_width = width\n",
     ),
     (
         "one nonzero dropped from each row",
@@ -251,8 +254,40 @@ MUTANTS = (
     (
         "a one-term power leaves its coefficient unraised",
         "poly.py",
-        "c**n for key, c in terms.items()}",
-        "c for key, c in terms.items()}",
+        "* n, c**n, new_width, top)",
+        "* n, c, new_width, top)",
+    ),
+    (
+        "the term path skips the exponent cap on name^n",
+        "poly.py",
+        "    if n > MAX_EXPONENT:\n        raise InputError(f\"power ^{n} is above",
+        "    if n > MAX_EXPONENT and type(base) is not tuple:\n"
+        "        raise InputError(f\"power ^{n} is above",
+    ),
+    (
+        "the term path keeps a name read only under ^0 in the parsed variables",
+        "poly.py",
+        "    vars = tuple(sorted(set(parser.seen)))\n",
+        "    vars = parser.vars\n",
+    ),
+    (
+        "a product of one-term factors keeps the left factor's width",
+        "poly.py",
+        "        width = wa if wa == wb and not top >> wa else _fit(top, max(wa, wb))\n",
+        "        width = wa\n",
+    ),
+    (
+        "the matrix reader drops zero cells that carry variables",
+        "specfile.py",
+        "            if p or p.vars:\n",
+        "            if p:\n",
+    ),
+    (
+        "the matrix reader checks row lengths before reading later rows",
+        "specfile.py",
+        "        elif len(row) != ncols:\n            ragged = True\n",
+        "        elif len(row) != ncols:\n"
+        "            raise InputError(\"ragged rows in matrix literal\")\n",
     ),
     (
         "the parser's context built from a prefix of the tokens",

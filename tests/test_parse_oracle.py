@@ -276,6 +276,10 @@ EDGE_TEXTS = [
     "2*(x+y)*3", "(x+y)*(x-y)*z", "(x+y)*z*(x-y)", "((((x))))", "(((x+1)^2)^2)", "x*(y)",
     "0", "-0", "0^0", "0^3", "1", "-1", "7/1", "0/5", "10/4*x",
     "-G4^4*x^12 - 3*G4^4*x^8*y^4 + G1^4 - 4*G1^3*t + t^4",
+    # one-term products: a field widens inside one term, number powers, a
+    # zeta on both sides of a name, names under ^0, exponents past the cap
+    "x^200*x^100", "x^255*x", "2^10*x^3*3", "(1/2)^3*x*2", "zeta4^3*x*zeta4", "x^0*y*z^0",
+    "x^1000*x",
 ]
 
 INVALID_TEXTS = [
@@ -371,6 +375,30 @@ def test_a_long_sum_copies_no_more_entries_than_it_has_terms(n, copied_entries):
     p = parse_poly(text)
     assert len(p.terms) == n
     assert copied_entries["entries"] <= n
+
+
+@pytest.fixture
+def term_products(monkeypatch):
+    """Calls of ``kernel.mul_terms``, the product of two term maps."""
+    calls = {"mul_terms": 0}
+    real = kernel.mul_terms
+
+    def counted(a, b):
+        calls["mul_terms"] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(kernel, "mul_terms", counted)
+    return calls
+
+
+def test_a_sum_of_monomials_takes_no_term_product(term_products):
+    # each term is a product of one-term factors, read as one key and one
+    # coefficient, so no term map is multiplied
+    text = " + ".join(f"{k + 1}*x^{k % 40}*y^{k // 40}*z" for k in range(2000))
+    p = parse_poly(text)
+    assert term_products["mul_terms"] == 0
+    assert len(p.terms) == 2000
+    assert outcome(lambda _: p, text) == outcome(old_parse_poly, text)
 
 
 # -- render -> parse round trips ---------------------------------------------------------
