@@ -1,11 +1,11 @@
 """Term-map kernel: the hot loops of polynomial and matrix arithmetic.
 
-A term map is a dict from monomial keys to nonzero coefficients: ``int``
-when integral, ``Fraction`` when rational, ``CycScalar`` otherwise (see
-``scalars.narrow``).  Coefficients live in a field, so a product of nonzeros
-is nonzero and only accumulation can cancel.  No function here mutates its
-inputs; ``add_into`` and ``sub_into`` mutate only their accumulator, and
-``update_nonempty`` only the list it is given.
+A term map is a dict from monomial keys to nonzero exact coefficients,
+``int``, ``Fraction`` or ``CycScalar``; the loops here keep the type the
+scalar arithmetic gives and narrow nothing.  Coefficients live in a field,
+so a product of nonzeros is nonzero and only accumulation can cancel.  No
+function here mutates its inputs; ``add_into`` and ``sub_into`` mutate only
+their accumulator, and ``update_nonempty`` only the list it is given.
 
 One key encoding: a packed key is one int with a fixed-width field per
 variable, the first variable in the lowest field, so a monomial product is

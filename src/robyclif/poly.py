@@ -603,6 +603,20 @@ def _coeff_bits(c) -> int:
     )
 
 
+# A one-term factor or term of the parser: (packed key, coefficient, width,
+# top), the fields of a one-term Poly over the parser's variables.  A zero
+# coefficient stands for the zero Poly, whose key is 0.
+_ONE = (0, 1, _WIDTH, 0)
+
+
+def _unpacked(x) -> tuple:
+    """(width, top, term map) of a Poly or a one-term tuple of the parser."""
+    if type(x) is tuple:
+        key, c, width, top = x
+        return width, top, ({key: c} if c else {})
+    return x.width, x.top, x.packed
+
+
 def _largest(key: int, width: int) -> int:
     """The largest exponent in a packed key."""
     if width == _WIDTH:
@@ -623,11 +637,7 @@ def _check_power(base, n: int) -> None:
     """
     if n > MAX_EXPONENT:
         raise InputError(f"power ^{n} is above the exponent cap {MAX_EXPONENT}")
-    if type(base) is tuple:
-        key, c, width, top = base
-        packed = {key: c} if c else {}
-    else:
-        packed, width, top = base.packed, base.width, base.top
+    width, top, packed = _unpacked(base)
     # top bounds every exponent, so the exact largest one is found only when
     # that bound passes the cap
     if n * top > MAX_EXPONENT:
@@ -697,20 +707,6 @@ def _untokenizable(text: str):
     """Raise for the first character of text that starts no token."""
     m = next(m for m in _TOKEN_RE.finditer(text) if m.group(3))
     raise InputError(f"cannot tokenize polynomial at: {text[m.start():]!r}")
-
-
-# A one-term factor or term of the parser: (packed key, coefficient, width,
-# top), the fields of a one-term Poly over the parser's variables.  A zero
-# coefficient stands for the zero Poly, whose key is 0.
-_ONE = (0, 1, _WIDTH, 0)
-
-
-def _unpacked(x) -> tuple:
-    """(width, top, term map) of a Poly or a one-term tuple of the parser."""
-    if type(x) is tuple:
-        key, c, width, top = x
-        return width, top, ({key: c} if c else {})
-    return x.width, x.top, x.packed
 
 
 class _Parser:
@@ -791,6 +787,7 @@ class _Parser:
         one_a, one_b = type(a) is tuple, type(b) is tuple
         if not (one_a or one_b):
             return a * b
+        # a Poly side takes part in the width rule with key 0 and coefficient 1
         ka, ca, wa, ta = a if one_a else (0, 1, a.width, a.top)
         kb, cb, wb, tb = b if one_b else (0, 1, b.width, b.top)
         top = ta + tb

@@ -2,10 +2,11 @@
 
 A ``CycScalar`` is a residue modulo the e-th cyclotomic polynomial Phi_e,
 stored as phi(e) rational coefficients (``int`` when integral, ``Fraction``
-otherwise), so every operation is exact.  Polynomial and matrix coefficients
-are held in the cheapest type that holds their value (:func:`narrow`): ``int``
-when integral, ``Fraction`` when rational and not integral, ``CycScalar`` only
-when the value is not in Q.  ``int / int`` is a float in Python, so every
+otherwise), so every operation is exact.  A scalar entering a polynomial or
+matrix is held in the cheapest type that holds its value (:func:`narrow`):
+``int`` when integral, ``Fraction`` when rational and not integral,
+``CycScalar`` only when the value is not in Q; products and sums of
+coefficients are not narrowed again.  ``int / int`` is a float in Python, so every
 division goes through :func:`exact_div`.  The primitive root returned by
 :func:`make_root` powers the sign twist of the graded tensor product, where
 primitivity is load-bearing; callers can check it with

@@ -1,9 +1,9 @@
 """Mutation check: each hand-written fault in the kernel, the context join
 ``poly._context``, the one substitution routine ``poly._substituted`` (its
 zero-binding mask, its groups and its whole-map shortcut), the matrix module,
-Berkowitz's characteristic polynomial, its unit shift and its base change over
-a cover's generic tail (``freealg.monogenic_algebra``), the two-query shape
-check of ``CharPoly``, the Cayley-Hamilton check on the unit column
+Berkowitz's characteristic polynomial, its unit shift and its base change
+over a cover's generic tail (``freealg.monogenic_algebra``), the two-query
+shape check of ``CharPoly``, the Cayley-Hamilton check on the unit column
 (``freealg.cayley_hamilton_by_laws``), the cyclotomic scalars and their
 product cache, the matrix printer ``PolyMatrix.cell_texts``, the polynomial
 parser and its one-term term path (``poly._Parser``: the exponent cap on a
@@ -12,14 +12,14 @@ name's power, the names under a ``^0``, a product's width), the matrix reader
 before the row lengths), the grade-cycle power identity of ``roby.py``, the
 char-poly module constructor ``GradedRobyModule.over``, the phases of the
 one-pass twisted tensor ``roby.twisted_tensor_all``, the sum its cell writer
-``PolyMatrix.kron_sum`` makes where two families share a cell, the xi-binomial
-lemma that decides an assembly's Roby identity from its factors
+``PolyMatrix.kron_sum`` makes where two families share a cell, the
+xi-binomial lemma that decides an assembly's Roby identity from its factors
 (``roby._tensor_lemma``) and its certificate ``PolyMatrix.is_twisted_sum``, a
 filtration's graded pieces and flag-leak scan (``roby.Filtration.quotients``,
 ``roby.verify_filtered_pseudo``), the pipeline's comparison of its quotients
 with the seed restricted to the line (``pipeline.run_pipeline``), the
-splitting-type scan of ``linegeom.py`` or the CLI's one document renderer must
-make the fast test suite fail.
+splitting-type scan of ``linegeom.py`` or the CLI's one document renderer
+must make the fast test suite fail.
 
 Usage, from the root of a checkout:
 
