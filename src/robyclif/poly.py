@@ -619,8 +619,6 @@ def _unpacked(x) -> tuple:
 
 def _largest(key: int, width: int) -> int:
     """The largest exponent in a packed key."""
-    if width == _WIDTH:
-        return max(key.to_bytes((key.bit_length() + 7) >> 3, "little"), default=0)
     mask, top = (1 << width) - 1, 0
     while key:
         top = max(top, key & mask)
@@ -644,12 +642,11 @@ def _check_power(base, n: int) -> None:
         top = n * max((_largest(k, width) for k in packed), default=0)
         if top > MAX_EXPONENT:
             raise InputError(f"power ^{n} gives exponent {top}, above the cap {MAX_EXPONENT}")
-    if len(packed) > 1:
-        bound = _power_term_bound(base, n)
-        if bound > MAX_POWER_TERMS:
-            raise InputError(
-                f"power ^{n} may expand to {bound} terms, above the cap {MAX_POWER_TERMS}"
-            )
+    bound = _power_term_bound(base, n)
+    if bound > MAX_POWER_TERMS:
+        raise InputError(
+            f"power ^{n} may expand to {bound} terms, above the cap {MAX_POWER_TERMS}"
+        )
     bits = n * max(map(_coeff_bits, packed.values()), default=0)
     if bits > MAX_POWER_BITS:
         raise InputError(
@@ -657,14 +654,15 @@ def _check_power(base, n: int) -> None:
         )
 
 
-def _power_term_bound(base: Poly, n: int) -> int:
+def _power_term_bound(base, n: int) -> int:
     """Upper bound on the number of terms of base**n, without expanding it.
 
-    base**n has total degree at most n*deg in the k variables base uses, so
-    at most C(k + n*deg, k) monomials; each of its terms is also a product of
-    n of the t terms of base, so there are at most C(t + n - 1, n) of them.
+    base is a Poly or the parser's one-term tuple.  base**n has total degree
+    at most n*deg in the k variables base uses, so at most C(k + n*deg, k)
+    monomials; each of its terms is also a product of n of the t terms of
+    base, so there are at most C(t + n - 1, n) of them.
     """
-    if len(base.packed) < 2:  # a power of one term or none has at most one
+    if type(base) is tuple or len(base.packed) < 2:  # one term or none: at most one
         return 1
     k = sum(map(bool, base._fields()))  # the variables base uses
     by_degree = comb(k + n * base.total_degree(), k)
@@ -718,10 +716,10 @@ class _Parser:
     built only for a parenthesized sum of several terms, a power or product
     of one, and the sum the text spells, which adds each term into one map
     in place.  Widths, scalar operations and key order follow the Poly
-    arithmetic the text spells (``times`` follows ``Poly.__mul__``), so
-    values, coefficient types and key order are those of that arithmetic; a
-    key is re-encoded only where the width rule widens its fields.  ``seen``
-    lists the names read outside a ``^0``: the result's variables.
+    arithmetic the text spells, so values, coefficient types and key order
+    are those of that arithmetic; a key is re-encoded only where the width
+    rule widens its fields.  ``seen`` lists the names read outside a ``^0``:
+    the result's variables.
     """
 
     def __init__(self, tokens):
@@ -776,35 +774,27 @@ class _Parser:
         return acc
 
     def times(self, a, b):
-        """a * b, for Polys and one-term tuples, as ``Poly.__mul__`` gives it.
+        """a * b, for Polys and one-term tuples.
 
-        The fields hold the sum of the two bounds, and the product is then
-        bounded by its own keys.  Two Polys multiply by ``Poly.__mul__``;
-        two one-term factors add keys and multiply coefficients, and a
-        one-term factor and a Poly shift its keys by one key and scale its
-        coefficients, the left operand's coefficient first.
+        Two one-term factors add keys and multiply coefficients, in fields
+        that hold the sum of the two bounds, and the product is bounded by
+        its own key, as in ``Poly.__mul__``.  Otherwise the one-term side
+        becomes a Poly and ``Poly.__mul__`` takes the product.
         """
-        one_a, one_b = type(a) is tuple, type(b) is tuple
-        if not (one_a or one_b):
-            return a * b
-        # a Poly side takes part in the width rule with key 0 and coefficient 1
-        ka, ca, wa, ta = a if one_a else (0, 1, a.width, a.top)
-        kb, cb, wb, tb = b if one_b else (0, 1, b.width, b.top)
+        if type(a) is not tuple or type(b) is not tuple:
+            return self.poly(a) * self.poly(b)
+        ka, ca, wa, ta = a
+        kb, cb, wb, tb = b
         top = ta + tb
         width = wa if wa == wb and not top >> wa else _fit(top, max(wa, wb))
         if not (ca and cb):
             return (0, 0, width, 0)
-        ka, kb = self.widened(ka, wa, width), self.widened(kb, wb, width)
-        if one_a and one_b:
-            key = ka + kb
-            return (key, ca * cb, width, _largest(key, width))
-        if one_a:
-            terms = {ka + k: ca * c for k, c in b._keys_in(self.vars, width).items()}
-        else:
-            terms = {k + kb: c * cb for k, c in a._keys_in(self.vars, width).items()}
-        product = _new(self.vars, width, 0, terms)
-        product.top = max(product._fields(), default=0)
-        return product
+        key = self.widened(ka, wa, width) + self.widened(kb, wb, width)
+        return (key, ca * cb, width, _largest(key, width))
+
+    def poly(self, x) -> Poly:
+        """A Poly or a one-term tuple as a Poly over the parser's variables."""
+        return _new(self.vars, *_unpacked(x)) if type(x) is tuple else x
 
     def parse_factor(self):
         """A signed atom or power of one."""
@@ -885,8 +875,7 @@ def parse_poly(text: str) -> Poly:
     tok = parser.tokens[parser.i]
     if tok is not None:
         raise InputError(f"trailing input in polynomial: {tok!r}")
-    if type(p) is tuple:
-        p = _new(parser.vars, *_unpacked(p))
+    p = parser.poly(p)
     vars = tuple(sorted(set(parser.seen)))
     if vars != parser.vars:  # some names were read only under a ^0
         p = _new(vars, p.width, p.top, _recoded(p.packed, parser.vars, p.width, vars, p.width))

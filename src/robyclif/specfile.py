@@ -11,7 +11,6 @@ emits text whose parse yields an equal value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 
 from .errors import InputError
@@ -151,8 +150,10 @@ def _matrix_rows(section: _Section, read) -> PolyMatrix:
         elif len(row) != ncols:
             ragged = True
         start = nrows * ncols
-        for j in compress(range(len(row)), map("0".__ne__, row)):
-            p = read(row[j])
+        for j, text in enumerate(row):
+            if text == "0":
+                continue
+            p = read(text)
             if p or p.vars:
                 cells.append((start + j, p))
         nrows += 1
