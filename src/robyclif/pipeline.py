@@ -229,11 +229,11 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
     user errors and must fail before any tensor work), then decomposition and
     the bound on the assembly's dimension (``MAX_ASSEMBLY_DIM``), assembly,
     morphism extraction, and the filtered checks on the line.  The
-    assembly's Roby identity is checked with its factors and twist passed
-    to ``verify_roby``: the xi-binomial lemma decides it from the factors'
-    own checks and an O(nnz) certificate of the assembly, and when the
-    lemma does not apply the assembly is checked in full, with the same
-    report.
+    assembly records its factors and twist (``twisted_tensor_all``), so
+    ``verify_roby`` decides its Roby identity by the xi-binomial lemma from
+    the factors' own checks and an O(nnz) certificate of the assembly, and
+    when the lemma does not apply checks the assembly in full, with the
+    same report.
     """
     t0 = time.monotonic()
     algebra = spec.algebra
@@ -291,7 +291,7 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
     depths = [range(d - 1, -1, -1)] * len(monomials)
     filtration = Filtration(map(sum, product([0] * seed.dim, *depths)))
 
-    _merge(report, verify_roby(assembly, tensor_of=(modules, xi)), "assembly_")
+    _merge(report, verify_roby(assembly), "assembly_")
     morphism = char_morphism(assembly)
     _merge(report, verify_char_morphism(morphism), "morphism_")
 

@@ -44,19 +44,28 @@ every coefficient [e choose i]_xi with 0 < i < e vanishes.  In the sum
 above put X_j = (D_0 (x) ... (x) D_(j-1)) (x) G_j (x) I for the generic
 elements G_j.  A graded G_l raises the grade by one, so D_l G_l = xi*G_l D_l,
 and X_j X_l = xi*X_l X_j for l < j; by induction G^e = sum_j X_j^e, and
-X_j^e = I (x) G_j^e (x) I because D_l^e = I.  So ``verify_roby`` given
-``tensor_of=(modules, xi)`` writes the graded and power-identity rows as
-true, with no product of the module's size, when
+X_j^e = I (x) G_j^e (x) I because D_l^e = I.  A module built by
+``twisted_tensor_all`` records (modules, xi) as its ``tensor_of``, and
+``verify_roby`` writes its graded and power-identity rows as true, with no
+product of the module's size, when
 
-(i) each factor passes its own ``verify_roby``;
+(i) each factor passes its own ``verify_roby``, by this lemma again when
+    the factor is itself a recorded tensor, as in a binary fold;
 (ii) every factor has the module's degree e, and xi is an exact primitive
      e-th root of unity;
-(iii) every factor has exactly the module's (name, target variable) pairs
-     and t-variable, T last.  A factor without some action would check its
-     identity with that action's target variable free, as a constant of
-     its entries or target, while the module binds it to a fresh
-     coefficient; with (iii) the factors' checks and the module's bind the
-     same variables, and G = sum_j X_j term by term;
+(iii') every factor has the module's t-variable, and its (name, target
+     variable) pairs are the module's, in the module's order with T last,
+     less some pairs that it lacks; no target variable of a lacking pair
+     occurs in the factor's target or matrices.  A check binds each
+     target variable v of the target to the fresh coefficient of the last
+     action aimed at v.  Each action aimed at a variable the factor
+     mentions is one the factor has, in the same order, so the factor's
+     check and the module's bind that variable to the same action.  A
+     lacking action is 0 in slot j, and the factor's check would leave
+     its variable free, but that variable occurs in neither G_j nor c_j.
+     So, with the fresh coefficients renamed, the factor's identity reads
+     X_j^e = c_j*I in the module's variables, and G = sum_j X_j term by
+     term;
 (iv) the module's grading is sum_l g_l(i_l) mod e on seed-major indices;
 (v) each action equals the sum above, cell by cell, by the O(nnz)
     certificate ``PolyMatrix.is_twisted_sum``, which reads the finished
@@ -64,8 +73,9 @@ true, with no product of the module's size, when
 (vi) the factors' targets sum to the module's target, so c = sum_j c_j.
 
 Then every nonzero raises the grade by one, and G^e = sum_j c_j*I = c*I.
-When any condition fails the module is checked itself, as without
-``tensor_of``, so a failing report is the same either way.
+When any condition fails, and for every module without the record (read
+from a file, built by hand), the module is checked itself; a wrong record
+can only send a module there, so a failing report is the same either way.
 """
 
 from __future__ import annotations
@@ -130,10 +140,16 @@ class GradedRobyModule:
     triples and need no T-slot branch of their own.  ``action_names``,
     ``actions``, ``target_vars`` (basis actions only) and ``tslot`` are
     read-only views of them; ``has_tslot`` is ``tvar is not None``.
+
+    ``tensor_of`` is (factors, xi) on a module that ``twisted_tensor_all``
+    built, and None on every other, read from a file or built by hand.
+    ``verify_roby`` tries the xi-binomial lemma on it first; the record is
+    a hint, never trusted, and no view or renderer reads it.
     """
 
     __slots__ = (
-        "degree", "dim", "grading", "tvar", "named_actions", "target_poly", "source_algebra"
+        "degree", "dim", "grading", "tvar", "named_actions", "target_poly", "source_algebra",
+        "tensor_of",
     )
 
     def __init__(
@@ -148,6 +164,7 @@ class GradedRobyModule:
         tslot: PolyMatrix | None = None,
         tvar: str | None = None,
         source_algebra: FreeAlgebra | None = None,
+        tensor_of=None,
     ):
         if not isinstance(degree, int) or degree < 2:
             raise InputError(f"Roby degree must be an integer >= 2, got {degree!r}")
@@ -200,6 +217,7 @@ class GradedRobyModule:
             if tvar is not None and source_algebra.tvar != tvar:
                 raise InputError("source algebra uses a different t-variable")
         self.source_algebra = source_algebra
+        self.tensor_of = tensor_of
 
     # -- views of named_actions ------------------------------------------------
 
@@ -455,7 +473,8 @@ def twisted_tensor_all(modules, xi, *, require_primitive: bool = True) -> Graded
     The fold's refusals come in its order, before any matrix is built.
     Basis actions are the union of the factors' in order, a missing one
     acting by 0; the T-slots pair by position (a basis action may be named
-    "T").  A source algebra survives when every factor shares it.
+    "T").  A source algebra survives when every factor shares it.  The
+    result records (modules, xi) as its ``tensor_of``.
     """
     if not modules:
         raise InputError("a twisted tensor needs at least one module")
@@ -499,6 +518,7 @@ def twisted_tensor_all(modules, xi, *, require_primitive: bool = True) -> Graded
         sum((m.target_poly for m in modules[1:]), first.target_poly),
         target_vars=tvars.values(), tslot=mats[-1] if first.has_tslot else None,
         tvar=first.tvar, source_algebra=source if shared else None,
+        tensor_of=(tuple(modules), xi),
     )
 
 
@@ -621,20 +641,41 @@ def _cycle_is_scalar(m: PolyMatrix, grading, d: int, c) -> bool:
     return cycle.plus_scalar(-c).is_zero()
 
 
+def _binds_alike(factor: GradedRobyModule, module: GradedRobyModule) -> bool:
+    """Condition (iii'): factor's own check binds what module's check binds.
+
+    The factor's (name, target variable) pairs, T-slot included, come in
+    the module's order with one degree and t-variable, and no target
+    variable of a pair it lacks occurs in its target or its matrices.
+    """
+    if factor.degree != module.degree or factor.tvar != module.tvar:
+        return False
+    own = [t[:2] for t in factor.named_actions]
+    kept = set(own)
+    if [t[:2] for t in module.named_actions if t[:2] in kept] != own:
+        return False
+    lacking = {v for n, v, _ in module.named_actions if (n, v) not in kept}
+    if not lacking:
+        return True
+    if any(factor.target_poly.degree_in(v) for v in lacking):
+        return False
+    return all(lacking.isdisjoint(m.occurring_vars()) for _, _, m in factor.named_actions)
+
+
 def _tensor_lemma(module: GradedRobyModule, modules, xi) -> bool:
     """True only when the xi-binomial lemma proves module graded with G^e = c*I.
 
     Conditions (i)-(vi) of the module docstring, cheapest first; False
     means only that the lemma does not decide, and the caller then checks
-    the module itself.
+    the module itself.  In the certificate an action a factor lacks is
+    its zero matrix.
     """
     e = module.degree
-    pairs = (module.tvar, [t[:2] for t in module.named_actions])
     if not isinstance(xi, (int, Fraction, CycScalar)):
         return False
     if not is_primitive_root(xi, e):
         return False
-    if any(m.degree != e or (m.tvar, [t[:2] for t in m.named_actions]) != pairs for m in modules):
+    if not all(_binds_alike(m, module) for m in modules):
         return False
     if sum((m.target_poly for m in modules), Poly.zero()) != module.target_poly:
         return False
@@ -643,28 +684,34 @@ def _tensor_lemma(module: GradedRobyModule, modules, xi) -> bool:
     if not all(verify_roby(m).ok for m in modules):
         return False
     phases = [xi ** g for g in range(e)]
+    # a basis target variable is never the t-variable, so (name, variable)
+    # tells the T-slot from a basis action named "T"
+    tables = [{(n, v): a for n, v, a in m.named_actions} for m in modules]
+    zeros = [PolyMatrix.zeros(m.dim, m.dim) for m in modules]
     return all(
-        a.is_twisted_sum([(m.grading, m.named_actions[i][2]) for m in modules], phases)
-        for i, (_, _, a) in enumerate(module.named_actions)
+        a.is_twisted_sum(
+            [(m.grading, t.get((n, v), z)) for m, t, z in zip(modules, tables, zeros)], phases
+        )
+        for n, v, a in module.named_actions
     )
 
 
-def verify_roby(module: GradedRobyModule, *, tensor_of=None) -> Report:
+def verify_roby(module: GradedRobyModule) -> Report:
     """Gradedness plus the power identity on a generic element, both exact.
 
-    ``tensor_of`` is (modules, xi) when module was built as the twisted
-    tensor of modules over xi.  When the xi-binomial lemma of the module
-    docstring then applies, both rows are decided from the factors and an
-    O(nnz) certificate, with no product of the module's size.  Otherwise,
-    and always without ``tensor_of``, the module itself is checked: the
-    power identity G^d = c*I is decided on one grade cycle when that lemma
-    applies and P_0 = c*I, and in every other case (c = 0, unequal grade
-    classes, an ungraded entry, or P_0 != c*I) G^d is formed in full, so a
-    failure names the first nonzero entry of G^d - c*I.  A failing report
-    is the same with or without ``tensor_of``.
+    A module that ``twisted_tensor_all`` built records its factors and
+    twist.  When the xi-binomial lemma of the module docstring applies to
+    that record, both rows are decided from the factors and an O(nnz)
+    certificate, with no product of the module's size.  Otherwise, and
+    always for a module without the record, the module itself is checked:
+    the power identity G^d = c*I is decided on one grade cycle when that
+    lemma applies and P_0 = c*I, and in every other case (c = 0, unequal
+    grade classes, an ungraded entry, or P_0 != c*I) G^d is formed in
+    full, so a failure names the first nonzero entry of G^d - c*I.  A
+    failing report is the same on either path.
     """
     report = Report(title=f"roby module: degree {module.degree}, dim {module.dim}")
-    if tensor_of is not None and _tensor_lemma(module, *tensor_of):
+    if module.tensor_of is not None and _tensor_lemma(module, *module.tensor_of):
         report.add("graded", True)
         report.add("power_identity", True)
     else:

@@ -13,8 +13,10 @@ before the row lengths), the grade-cycle power identity of ``roby.py``, the
 char-poly module constructor ``GradedRobyModule.over``, the phases of the
 one-pass twisted tensor ``roby.twisted_tensor_all``, the sum its cell writer
 ``PolyMatrix.kron_sum`` makes where two families share a cell, the
-xi-binomial lemma that decides an assembly's Roby identity from its factors
-(``roby._tensor_lemma``) and its certificate ``PolyMatrix.is_twisted_sum``, a
+xi-binomial lemma that decides a twisted tensor's Roby identity from its
+recorded factors (``roby._tensor_lemma``), its condition on the factors'
+bindings (``roby._binds_alike``) and its certificate
+``PolyMatrix.is_twisted_sum``, a
 filtration's graded pieces and flag-leak scan (``roby.Filtration.quotients``,
 ``roby.verify_filtered_pseudo``), the pipeline's comparison of its quotients
 with the seed restricted to the line (``pipeline.run_pipeline``), the
@@ -429,6 +431,32 @@ MUTANTS = (
         "roby.py",
         "    if not all(verify_roby(m).ok for m in modules):\n        return False\n",
         "",
+    ),
+    (
+        "the tensor lemma trusts a recorded module without its certificate",
+        "roby.py",
+        "    return all(\n        a.is_twisted_sum(",
+        "    return True or all(\n        a.is_twisted_sum(",
+    ),
+    (
+        "the binding condition (iii') drops its no-mention rule",
+        "roby.py",
+        "    if any(factor.target_poly.degree_in(v) for v in lacking):\n"
+        "        return False\n"
+        "    return all(lacking.isdisjoint(m.occurring_vars()) for _, _, m in factor.named_actions)\n",
+        "    return True\n",
+    ),
+    (
+        "the binding condition (iii') lets a factor's matrices name a lacking target variable",
+        "roby.py",
+        "    return all(lacking.isdisjoint(m.occurring_vars()) for _, _, m in factor.named_actions)\n",
+        "    return True\n",
+    ),
+    (
+        "the binding condition (iii') compares the factor's pairs as a set, not in order",
+        "roby.py",
+        "    if [t[:2] for t in module.named_actions if t[:2] in kept] != own:\n",
+        "    if not kept.issubset(t[:2] for t in module.named_actions):\n",
     ),
     (
         "the leak scan counts an entry within one level as leaving a flag",

@@ -1,13 +1,15 @@
 """The xi-binomial lemma path of ``verify_roby`` against the full check.
 
-``verify_roby(module, tensor_of=(modules, xi))`` writes the graded and
-power-identity rows from the factors when conditions (i)-(vi) of ``roby.py``
-hold: the factors' own checks, one degree and a primitive twist, the same
-(name, target variable) pairs, the summed grading, the O(nnz) certificate
+A module that ``twisted_tensor_all`` built records (factors, xi) as its
+``tensor_of``, and ``verify_roby`` writes the graded and power-identity rows
+from the factors when conditions (i)-(vi) of ``roby.py`` hold: the factors'
+own checks, one degree and a primitive twist, (name, target variable) pairs
+that bind alike (iii'), the summed grading, the O(nnz) certificate
 ``PolyMatrix.is_twisted_sum`` and the summed target.  Otherwise it checks the
-module itself.  Here every input is verified both ways and the two reports
-must be equal (``comparable_dict``); whether the lemma decided is asserted
-per input, and every verdict is checked against the random-point evaluator
+module itself.  Here every input is verified both ways, once rebuilt with the
+case's record and once rebuilt without any, and the two reports must be
+equal (``comparable_dict``); whether the lemma decided is asserted per input,
+and every verdict is checked against the random-point evaluator
 ``roby_point_verdict`` as well, which shares no code with either path.
 """
 
@@ -24,12 +26,13 @@ from robyclif.roby import (
     GradedRobyModule,
     _tensor_lemma,
     monomial_roby,
+    twisted_tensor,
     twisted_tensor_all,
     verify_roby,
     zero_roby,
 )
 from robyclif.scalars import make_root
-from robyclif.specfile import parse_pipeline
+from robyclif.specfile import parse_pipeline, parse_roby_module, render_roby_module
 
 from make_golden import replaced, unit
 from test_assembly_oracle import diagonal_forms, pipeline_factors, random_form_module
@@ -134,6 +137,16 @@ def tampered_factor(modules, j):
     return [*modules[:j], one_cell(m, cell, lambda p: p + Poly.variable("x")), *modules[j + 1:]]
 
 
+def recorded(module, modules, xi):
+    """The module rebuilt with the record (modules, xi), right or wrong."""
+    return replaced(module, tensor_of=(tuple(modules), xi))
+
+
+def unrecorded(module):
+    """The module rebuilt without a record, so ``verify_roby`` checks it in full."""
+    return replaced(module)
+
+
 def small():
     return pipeline_case(lambda: multi_branch_spec(2))
 
@@ -150,6 +163,44 @@ def missing_action():
     f2 = GradedRobyModule(2, (0, 1), ("b",), [PolyMatrix.from_rows([[0, "a"], [1, 0]])],
                           parse_poly("a*b^2"))
     return twisted_tensor_all([f1, f2], -1), [f1, f2], -1
+
+
+def entry_names_a_lacking_action():
+    # factor 2 has no action a and names a in two entries only: its
+    # action is [[0, P], [P^-1, 0]] with P = [[1, a], [0, 1]], so it squares
+    # to I for every a and the factor passes with a free.  The assembly
+    # passes too, but (iii') refuses a factor that mentions the target
+    # variable of an action it lacks, so the module is checked in full
+    f1 = monomial_roby(HomForm(parse_poly("a^2"), 2, ("a",)))
+    rows = [[0, 0, 1, "a"], [0, 0, 0, 1], [1, "-a", 0, 0], [0, 1, 0, 0]]
+    f2 = GradedRobyModule(2, (0, 0, 1, 1), ("b",), [PolyMatrix.from_rows(rows)], parse_poly("b^2"))
+    return twisted_tensor_all([f1, f2], -1), [f1, f2], -1
+
+
+def shared_variable_out_of_order():
+    # actions a and b both target v, and a check binds v to the coefficient
+    # of the last of them: b in the assembly, a in factor 2, whose pairs are
+    # the assembly's in another order.  Each factor passes under its own
+    # binding, s_b^2 and s_a^2, but G^2 = s_a^2 + s_b^2 misses 2*s_b^2
+    swap, zero = PolyMatrix.cyclic_shift([1, 1]), PolyMatrix.zeros(2, 2)
+    f1 = GradedRobyModule(2, (0, 1), ("a", "b"), [zero, swap], parse_poly("v^2"),
+                          target_vars=("v", "v"))
+    f2 = GradedRobyModule(2, (0, 1), ("b", "a"), [zero, swap], parse_poly("v^2"),
+                          target_vars=("v", "v"))
+    return twisted_tensor_all([f1, f2], -1), [f1, f2], -1
+
+
+def binary_fold(e, s, xi=None, *, require_primitive=True):
+    """The benchmark's diagonal form y1^e + ... + ys^e as s - 1 binary tensors.
+
+    Each step records (the fold so far, the next factor), so the lemma
+    checks the fold so far by its own record in condition (i).
+    """
+    xi = make_root(e) if xi is None else xi
+    acc, *rest = diagonal_forms(e, [f"y{i}" for i in range(1, s + 1)])
+    for nxt in rest:
+        acc = twisted_tensor(acc, nxt, xi, require_primitive=require_primitive)
+    return acc, list(acc.tensor_of[0]), xi
 
 
 def power_forms(e, names):
@@ -186,10 +237,17 @@ CASES = {
     "cubes twisted by zeta_3, claimed as zeta_6": (
         lambda: (twisted_tensor_all(power_forms(3, ("y1", "y2")), make_root(3)),
                  power_forms(3, ("y1", "y2")), make_root(6)), False, True),
+    **{f"Q(zeta_{e})^{s} as binary tensors": (lambda e=e, s=s: binary_fold(e, s), True, True)
+       for e, s in ((3, 4), (4, 3), (5, 3))},
+    "xi = 1 control, cubes as binary tensors": (
+        lambda: binary_fold(3, 3, 1, require_primitive=False), False, False),
     "squares over different names": (
         lambda: (twisted_tensor_all(diagonal_forms(2, ["y1", "y2"]), -1),
-                 diagonal_forms(2, ["y1", "y2"]), -1), False, True),
+                 diagonal_forms(2, ["y1", "y2"]), -1), True, True),
     "a factor without an action": (missing_action, False, False),
+    "a factor naming a lacking action in an entry": (entry_names_a_lacking_action, False, True),
+    "a factor binding a shared target variable out of order": (
+        shared_variable_out_of_order, False, False),
     "assembly built from a tampered factor": (
         lambda: (lambda mods: (twisted_tensor_all(mods, -1), mods, -1))(
             tampered_factor(small()[1], 2)), False, False),
@@ -215,21 +273,35 @@ CASES = {
 
 
 
-def lemma_applies(modules):
-    """Whether the lemma should decide a seeded case: every factor passes, one name list."""
-    pairs = {(m.tvar, tuple(t[:2] for t in m.named_actions)) for m in modules}
-    return len(pairs) == 1 and all(verify_roby(m).ok for m in modules)
+def lemma_applies(module, modules):
+    """Whether the lemma should decide a seeded case: every factor passes and (iii') holds.
+
+    (iii'): each factor's pairs are the module's in order, less some, and
+    no factor mentions the target variable of a pair it lacks.
+    """
+    pairs = [t[:2] for t in module.named_actions]
+    for m in modules:
+        own = [t[:2] for t in m.named_actions]
+        if [p for p in pairs if p in own] != own:
+            return False
+        mentioned = set(m.target_poly.pruned().vars)
+        for _, _, a in m.named_actions:
+            mentioned.update(v for r, c, _ in a.nonzeros() for v in a.entry(r, c).pruned().vars)
+        if any(v in mentioned for n, v in pairs if (n, v) not in own):
+            return False
+    return all(verify_roby(m).ok for m in modules)
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_the_lemma_path_reports_what_the_full_check_reports(name):
     build, decides, holds = CASES[name]
     module, modules, xi = build()
-    full = verify_roby(module)
-    lemma = verify_roby(module, tensor_of=(modules, xi))
+    full = verify_roby(unrecorded(module))
+    lemma = verify_roby(recorded(module, modules, xi))
     assert comparable_dict(lemma.to_dict()) == comparable_dict(full.to_dict())
+    assert comparable_dict(verify_roby(module).to_dict()) == comparable_dict(full.to_dict())
     decided = _tensor_lemma(module, modules, xi)
-    assert decided == (lemma_applies(modules) if decides is None else decides)
+    assert decided == (lemma_applies(module, modules) if decides is None else decides)
     if holds is not None:
         assert full.ok == holds
     assert full.ok or not decided  # the lemma decides only identities that hold
@@ -249,11 +321,26 @@ def test_the_seeded_cases_take_both_paths():
 def test_the_lemma_path_makes_no_product_larger_than_a_factor(monkeypatch):
     assembly, modules, xi = pipeline_case(lambda: multi_branch_spec(6))
     largest = max(m.dim for m in modules)
-    seen = products(monkeypatch, lambda: verify_roby(assembly, tensor_of=(modules, xi)))
+    seen = products(monkeypatch, lambda: verify_roby(assembly))
     assert seen and all(max(*a, *b) <= largest for a, b in seen)
     # the full check of the same assembly multiplies its grade blocks
-    full = products(monkeypatch, lambda: verify_roby(assembly))
+    full = products(monkeypatch, lambda: verify_roby(unrecorded(assembly)))
     assert max(max(*a, *b) for a, b in full) == assembly.dim // assembly.degree
+
+
+def test_a_binary_fold_is_checked_from_its_factors_and_read_back_in_full(monkeypatch):
+    module, _, _ = binary_fold(5, 3)
+    seen = products(monkeypatch, lambda: verify_roby(module))
+    assert seen and all(max(*a, *b) <= 5 for a, b in seen)
+    report = verify_roby(module)
+    assert report.ok
+    # a module read from its file has no record: the full check multiplies
+    # 25 x 25 grade blocks and reports the same
+    read = parse_roby_module(render_roby_module(module))
+    assert read.tensor_of is None
+    full = products(monkeypatch, lambda: verify_roby(read))
+    assert max(max(*a, *b) for a, b in full) == 25
+    assert comparable_dict(verify_roby(read).to_dict()) == comparable_dict(report.to_dict())
 
 
 # -- the certificate on its own ---------------------------------------------------
