@@ -45,7 +45,9 @@ call, which reads each matrix once; a sum of D (x) M (x) I with diagonal D
 is one ``kron_sum`` call, which writes each nonzero of each M on its cells
 with no Kronecker product, and ``is_twisted_sum`` checks a finished sum
 against its factors, one strided slice per run, sharing no code with
-``kron_sum``; self + c * I is one ``plus_scalar`` call, which runs Python
+``kron_sum``; ``is_filtered_kron`` checks in one walk over a matrix's
+nonzeros that it keeps a coordinate filtration and that each level block
+is a seed ⊗ I; self + c * I is one ``plus_scalar`` call, which runs Python
 code on the n diagonal slots only.  ``nnz`` counts the nonzero slots with
 one C-level count.  Entries are read-only: matrices share term maps with
 each other (``submatrix``, ``transpose``, sums with an empty side, the
@@ -527,6 +529,49 @@ class PolyMatrix:
                 want += len(prefix) * w
             prefix = [(a + g) % e for a in prefix for g in grading]
         return self.nnz() == want
+
+    def is_filtered_kron(self, seed: "PolyMatrix", labels) -> bool:
+        """True when no entry leaves a flag of labels and each level block is seed ⊗ I.
+
+        A certificate in one walk over self's nonzeros.  The basis is
+        seed-major, i = s*W + rho with w = seed.nrows and W = n / w, and
+        labels[i] (the level of basis vector i) must depend on rho alone:
+        labels[i] == labels[i % W], an O(n) comparison.  Then self holds
+        when (a) no nonzero (r, c) has labels[r] > labels[c]; (b) every
+        nonzero with labels[r] == labels[c] has rho_r == rho_c and equals
+        seed[s_r, s_c], the seed's keys aligned into self's context; and
+        (c) there are exactly W * nnz(seed) such nonzeros.  Lemma: the
+        indices at a level l are s*W + rho for rho in a set R_l, so its
+        block, sorted, is indexed seed-major by (s, rho) and seed ⊗ I_m,
+        m = |R_l|, has seed[s_r, s_c] at each ((s_r, rho), (s_c, rho)).
+        By (b) each same-level nonzero sits on a distinct nonzero slot of
+        some seed ⊗ I_m and holds that slot's value; these slots number
+        W * nnz(seed) over all levels, so by (c) they are all filled and
+        every level block equals seed ⊗ I_m.  False also when the sizes do
+        not tile or self's keys cannot hold the seed's variables or
+        exponents.
+        """
+        n, w = self.nrows, seed.nrows
+        labels = tuple(labels)
+        if n != self.ncols or seed.ncols != w or not w or n % w or len(labels) != n:
+            return False
+        per = n // w
+        if labels != labels[:per] * w:
+            return False
+        if seed.top >> self.width or not set(self.vars).issuperset(seed.occurring_vars()):
+            return False
+        src, data, count = seed.aligned_data(self.vars, width=self.width), self.data, 0
+        for k in nonempty(data):
+            r, c = divmod(k, n)
+            if labels[r] > labels[c]:
+                return False
+            if labels[r] == labels[c]:
+                s_r, rho_r = divmod(r, per)
+                s_c, rho_c = divmod(c, per)
+                if rho_r != rho_c or data[k] != src[s_r * w + s_c]:
+                    return False
+                count += 1
+        return count == per * seed.nnz()
 
     def first_nonzero(self):
         """(i, j, Poly) of the first nonzero entry in row-major order, or None."""

@@ -57,10 +57,11 @@ product of the module's size, when
      variable) pairs are the module's, in the module's order with T last,
      less some pairs that it lacks; no target variable of a lacking pair
      occurs in the factor's target or matrices.  A check binds each
-     target variable v of the target to the fresh coefficient of the last
-     action aimed at v.  Each action aimed at a variable the factor
-     mentions is one the factor has, in the same order, so the factor's
-     check and the module's bind that variable to the same action.  A
+     target variable v of the target to the fresh coefficient of the one
+     action aimed at v (a module refuses a repeated target variable).
+     The action aimed at a variable the factor mentions is one the factor
+     has, so the factor's check and the module's bind that variable to
+     the same action.  A
      lacking action is 0 in slot j, and the factor's check would leave
      its variable free, but that variable occurs in neither G_j nor c_j.
      So, with the fresh coefficients renamed, the factor's identity reads
@@ -135,7 +136,9 @@ class GradedRobyModule:
     T-slot.  The target variable is the variable of ``target_poly`` that the
     action's generic coefficient replaces during verification: the action's
     own name for a form target, its dual variable (and ``tvar`` for the
-    T-slot) for a characteristic polynomial target.  The generic element,
+    T-slot) for a characteristic polynomial target.  A check binds each
+    target variable to one action's coefficient, so a repeated target
+    variable is refused.  The generic element,
     the variable set, the grading check and the twisted tensor read the
     triples and need no T-slot branch of their own.  ``action_names``,
     ``actions``, ``target_vars`` (basis actions only) and ``tslot`` are
@@ -193,6 +196,9 @@ class GradedRobyModule:
         target_vars = tuple(target_vars) if target_vars is not None else names
         if len(target_vars) != len(names):
             raise InputError("target variables must parallel the actions")
+        # a check binds each target variable to one action's coefficient
+        if len(set(target_vars)) != len(target_vars):
+            raise InputError(f"repeated target variables {target_vars}: one action per variable")
         if (tslot is None) != (tvar is None):
             raise InputError("a T-slot needs a t-variable name and vice versa")
         named = tuple(zip(names, target_vars, actions))
@@ -569,11 +575,12 @@ class CharMorphism:
 
 
 def char_morphism(module: GradedRobyModule) -> CharMorphism:
-    """Extract C(gamma_i) = -action(gamma_i) * action(T)^(d-1).
+    """Extract C(gamma_i) = action(gamma_i) * (-action(T)^(d-1)).
 
-    T^(d-1) is T^(-1) because T^d = I for a monic target; that identity is
-    checked here rather than trusted, and a module whose T-slot is not cyclic
-    (a single-monomial module, say) is rejected.
+    T^(d-1) is negated once, not each product.  It is T^(-1) because T^d
+    = I for a monic target; that identity is checked here rather than
+    trusted, and a module whose T-slot is not cyclic (a single-monomial
+    module, say) is rejected.
     """
     if not module.has_tslot:
         raise InputError("characteristic morphisms need a T-slot target")
@@ -585,7 +592,8 @@ def char_morphism(module: GradedRobyModule) -> CharMorphism:
         report = Report(title="characteristic morphism extraction")
         report.add("tslot_invertible", False, detail="action(T)^d is not the identity")
         raise VerificationError("action(T)^d != I; target cannot be monic", report=report)
-    matrices = [-(a * t_inv) for a in module.actions]
+    neg_inv = -t_inv
+    matrices = [a * neg_inv for a in module.actions]
     chi = CharPoly(d, module.target_poly, module.tvar, module.target_vars)
     return CharMorphism(module.source_algebra, matrices, chi)
 
@@ -799,29 +807,54 @@ class Filtration:
         return sorted(pieces.items())
 
 
-def verify_filtered_pseudo(cm: CharMorphism, filtration: Filtration) -> Report:
-    """Flag preservation plus algebra-morphism laws on each graded quotient."""
+def verify_filtered_pseudo(cm: CharMorphism, filtration: Filtration, *, seed=None) -> Report:
+    """Flag preservation plus algebra-morphism laws on each graded quotient.
+
+    ``seed``, when given, holds one matrix S per algebra basis element, the
+    seed of a seed-major assembly (basis i = s*W + rho, w = dim S, W =
+    dim / w) whose depth labels depend on rho alone.  Each C-matrix is then
+    first read by the certificate ``PolyMatrix.is_filtered_kron``: no entry
+    leaves a flag, and every level block is S ⊗ I_m.  When it holds for
+    every matrix, the flags are kept, and since X -> X ⊗ I_m is an
+    injective unital ring map that commutes with combinations with
+    polynomial coefficients, ``action_laws`` returns the same (unit_ok,
+    first failing pair) on every level's blocks as on the seed: the laws
+    are decided on the seed alone, and the lowest level, the one the
+    per-level loop names first, is the one named.  The report's meta then
+    says ``seed_blocks: True``.  On any leak or mismatch (``seed_blocks:
+    False``), and always without a seed, each level's blocks are cut out
+    and checked, so a failing report is the same either way.
+    """
     if filtration.dim != cm.dim:
         raise InputError("filtration dimension does not match the morphism")
     algebra = cm.source
     labels = filtration.labels
     quotients = filtration.quotients()
     report = Report(title=f"filtered pseudomorphism: dim {cm.dim}, {len(quotients)} flags")
+    certified = seed is not None and len(seed) == len(cm.matrices) and all(
+        m.is_filtered_kron(s, labels) for m, s in zip(cm.matrices, seed)
+    )
     detail = ""
-    for name, m in zip(algebra.basis_names, cm.matrices):
-        leak = min(
-            ((labels[c], c, r) for r, c, _ in m.nonzeros() if labels[r] > labels[c]),
-            default=None,
+    if certified:
+        pieces = [(quotients[0][0], seed)]
+    else:
+        for name, m in zip(algebra.basis_names, cm.matrices):
+            leak = min(
+                ((labels[c], c, r) for r, c, _ in m.nonzeros() if labels[r] > labels[c]),
+                default=None,
+            )
+            if leak is not None:
+                detail = f"C({name}) entry ({leak[2]},{leak[1]}) leaves a flag"
+                break
+        pieces = (
+            (level, [m.submatrix(idx, idx) for m in cm.matrices]) for level, idx in quotients
         )
-        if leak is not None:
-            detail = f"C({name}) entry ({leak[2]},{leak[1]}) leaves a flag"
-            break
     ok = not detail
     report.add("flags_preserved", ok, detail=detail)
     unit_detail, mult_detail = "", ""
     if ok:
-        for level, idx in quotients:
-            unit_ok, pair = algebra.action_laws([m.submatrix(idx, idx) for m in cm.matrices])
+        for level, blocks in pieces:
+            unit_ok, pair = algebra.action_laws(blocks)
             if not unit_ok and not unit_detail:
                 unit_detail = f"quotient at level {level} misses the unit"
             if pair is not None and not mult_detail:
@@ -830,6 +863,8 @@ def verify_filtered_pseudo(cm: CharMorphism, filtration: Filtration) -> Report:
     report.add("quotient_multiplicativity", ok and not mult_detail, detail=mult_detail)
     report.meta["levels"] = [level for level, _ in quotients]
     report.meta["quotient_dims"] = [len(idx) for _, idx in quotients]
+    if seed is not None:
+        report.meta["seed_blocks"] = certified
     return report
 
 

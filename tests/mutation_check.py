@@ -18,10 +18,13 @@ recorded factors (``roby._tensor_lemma``), its condition on the factors'
 bindings (``roby._binds_alike``) and its certificate
 ``PolyMatrix.is_twisted_sum``, a
 filtration's graded pieces and flag-leak scan (``roby.Filtration.quotients``,
-``roby.verify_filtered_pseudo``), the pipeline's comparison of its quotients
-with the seed restricted to the line (``pipeline.run_pipeline``), the
-splitting-type scan of ``linegeom.py`` or the CLI's one document renderer
-must make the fast test suite fail.
+``roby.verify_filtered_pseudo``), the seed-block certificate
+``PolyMatrix.is_filtered_kron`` (its count of same-level nonzeros, its
+rho_r == rho_c test and its periodic-labels test) and the quotients' laws
+decided on the seed only when it holds, the pipeline's comparison of its
+quotients with the seed restricted to the line (``pipeline.run_pipeline``),
+the splitting-type scan of ``linegeom.py`` or the CLI's one document
+renderer must make the fast test suite fail.
 
 Usage, from the root of a checkout:
 
@@ -475,6 +478,32 @@ MUTANTS = (
         "pipeline.py",
         "    seed_line = [m.substitute(spec.line) for m in char_morphism(seed).matrices]\n",
         "    seed_line = char_morphism(seed).matrices\n",
+    ),
+    (
+        "the seed-block certificate drops the count of same-level nonzeros",
+        "matrix.py",
+        "        return count == per * seed.nnz()\n",
+        "        return True\n",
+    ),
+    (
+        "the seed-block certificate accepts a same-level nonzero off its own rho",
+        "matrix.py",
+        "                if rho_r != rho_c or data[k] != src[s_r * w + s_c]:\n",
+        "                if data[k] != src[s_r * w + s_c]:\n",
+    ),
+    (
+        "the seed-block certificate accepts labels that depend on the seed index",
+        "matrix.py",
+        "        if labels != labels[:per] * w:\n            return False\n",
+        "",
+    ),
+    (
+        "the quotients' laws are decided on the seed without the certificate",
+        "roby.py",
+        "    certified = seed is not None and len(seed) == len(cm.matrices) and all(\n"
+        "        m.is_filtered_kron(s, labels) for m, s in zip(cm.matrices, seed)\n"
+        "    )\n",
+        "    certified = seed is not None\n",
     ),
     (
         "the CLI's JSON documents written with unsorted keys",

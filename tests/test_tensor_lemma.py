@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from robyclif.cli import main
+from robyclif.errors import InputError
 from robyclif.matrix import PolyMatrix
 from robyclif.poly import HomForm, Poly, parse_poly
 from robyclif.report import comparable_dict
@@ -177,16 +179,12 @@ def entry_names_a_lacking_action():
     return twisted_tensor_all([f1, f2], -1), [f1, f2], -1
 
 
-def shared_variable_out_of_order():
-    # actions a and b both target v, and a check binds v to the coefficient
-    # of the last of them: b in the assembly, a in factor 2, whose pairs are
-    # the assembly's in another order.  Each factor passes under its own
-    # binding, s_b^2 and s_a^2, but G^2 = s_a^2 + s_b^2 misses 2*s_b^2
-    swap, zero = PolyMatrix.cyclic_shift([1, 1]), PolyMatrix.zeros(2, 2)
-    f1 = GradedRobyModule(2, (0, 1), ("a", "b"), [zero, swap], parse_poly("v^2"),
-                          target_vars=("v", "v"))
-    f2 = GradedRobyModule(2, (0, 1), ("b", "a"), [zero, swap], parse_poly("v^2"),
-                          target_vars=("v", "v"))
+def pairs_out_of_order():
+    # factor 2 has the assembly's (name, target variable) pairs in another
+    # order.  Each target variable is bound to its one action either way,
+    # so both checks pass, but (iii') asks for the module's order
+    f1 = monomial_roby(HomForm(parse_poly("a^2"), 2, ("a", "b")))
+    f2 = monomial_roby(HomForm(parse_poly("b^2"), 2, ("b", "a")))
     return twisted_tensor_all([f1, f2], -1), [f1, f2], -1
 
 
@@ -246,8 +244,7 @@ CASES = {
                  diagonal_forms(2, ["y1", "y2"]), -1), True, True),
     "a factor without an action": (missing_action, False, False),
     "a factor naming a lacking action in an entry": (entry_names_a_lacking_action, False, True),
-    "a factor binding a shared target variable out of order": (
-        shared_variable_out_of_order, False, False),
+    "a factor with its pairs out of order": (pairs_out_of_order, False, True),
     "assembly built from a tampered factor": (
         lambda: (lambda mods: (twisted_tensor_all(mods, -1), mods, -1))(
             tampered_factor(small()[1], 2)), False, False),
@@ -326,6 +323,30 @@ def test_the_lemma_path_makes_no_product_larger_than_a_factor(monkeypatch):
     # the full check of the same assembly multiplies its grade blocks
     full = products(monkeypatch, lambda: verify_roby(unrecorded(assembly)))
     assert max(max(*a, *b) for a, b in full) == assembly.dim // assembly.degree
+
+
+def test_repeated_target_variables_are_refused(tmp_path, capsys):
+    # a check binds a target variable to one action's coefficient, so with
+    # actions a and b both aimed at v the verdict hung on their order
+    swap, zero = PolyMatrix.cyclic_shift([1, 1]), PolyMatrix.zeros(2, 2)
+    for actions in ([zero, swap], [swap, zero]):
+        with pytest.raises(InputError, match="repeated target variables"):
+            GradedRobyModule(2, (0, 1), ("a", "b"), actions, parse_poly("v^2"),
+                             target_vars=("v", "v"))
+    # two factors that aim different actions at v meet in the tensor
+    f1 = GradedRobyModule(2, (0, 1), ("a",), [swap], parse_poly("v^2"), target_vars=("v",))
+    f2 = GradedRobyModule(2, (0, 1), ("b",), [swap], parse_poly("v^2"), target_vars=("v",))
+    with pytest.raises(InputError, match="repeated target variables"):
+        twisted_tensor_all([f1, f2], -1)
+    # read from a file, the module is refused with exit 2
+    good = GradedRobyModule(2, (0, 1), ("a", "b"), [zero, swap], parse_poly("w^2"),
+                            target_vars=("v", "w"))
+    text = render_roby_module(good)
+    assert "target_vars = v, w\n" in text
+    path = tmp_path / "repeated.roby"
+    path.write_text(text.replace("target_vars = v, w\n", "target_vars = v, v\n"))
+    assert main(["roby", "verify", str(path)]) == 2
+    assert "repeated target variables" in capsys.readouterr().err
 
 
 def test_a_binary_fold_is_checked_from_its_factors_and_read_back_in_full(monkeypatch):
