@@ -9,9 +9,9 @@ claimed identity is verified symbolically, never assumed.
 """
 
 from .errors import InputError, RobyclifError, VerificationError
-from .scalars import CycScalar, cyc_arith, is_primitive_root, make_root
-from .poly import HomForm, Poly, parse_poly, poly_arith, substitute
-from .matrix import PolyMatrix, is_scalar_multiple_of_identity, matpoly_pow
+from .scalars import CycScalar, is_primitive_root, make_root
+from .poly import HomForm, Poly, parse_poly
+from .matrix import PolyMatrix
 from .freealg import (
     CharPoly,
     FreeAlgebra,
@@ -19,7 +19,6 @@ from .freealg import (
     char_poly,
     char_poly_of_matrix,
     monogenic_algebra,
-    restrict_char_poly,
     split_algebra,
 )
 from .roby import (
@@ -51,7 +50,6 @@ from .linegeom import (
     SplittingType,
     hilbert_function,
     is_ulrich_on_embedded_curve,
-    is_ulrich_over_line,
     restrict_to_line,
     splitting_type,
     underlying_line_module,
@@ -100,7 +98,6 @@ __all__ = [
     "companion_matrix",
     "comparable_dict",
     "Config",
-    "cyc_arith",
     "cyclic_cover_seed",
     "CycScalar",
     "deviation_monomials",
@@ -115,11 +112,8 @@ __all__ = [
     "induce_roby",
     "InputError",
     "is_primitive_root",
-    "is_scalar_multiple_of_identity",
     "is_ulrich_on_embedded_curve",
-    "is_ulrich_over_line",
     "make_root",
-    "matpoly_pow",
     "mf_seed",
     "monad_shape",
     "MonadShape",
@@ -139,7 +133,6 @@ __all__ = [
     "PipelineResult",
     "PipelineSpec",
     "Poly",
-    "poly_arith",
     "PolyMatrix",
     "quadric_delta_ulrich_test",
     "quadric_h1_table",
@@ -148,7 +141,6 @@ __all__ = [
     "render_line_module",
     "render_roby_module",
     "Report",
-    "restrict_char_poly",
     "restrict_to_line",
     "RobyclifError",
     "run_pipeline",
@@ -157,7 +149,6 @@ __all__ = [
     "split_roby",
     "splitting_type",
     "SplittingType",
-    "substitute",
     "twisted_tensor",
     "UlrichClass",
     "underlying_line_module",

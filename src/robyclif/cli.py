@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import InputError, VerificationError
-from .freealg import char_poly, restrict_char_poly
+from .freealg import char_poly
 from .linegeom import splitting_type, underlying_line_module
 from .report import Report
 from .roby import char_morphism, split_roby, verify_char_morphism, verify_roby
@@ -127,7 +127,7 @@ def _cmd_charpoly(args, config: Config) -> int:
             )
     chi = char_poly(algebra)
     if bindings:
-        chi = restrict_char_poly(chi, bindings)
+        chi = chi.substitute_base(bindings)
     poly = str(chi.poly)
     data = {"rank": chi.rank, "tvar": chi.tvar, "duals": list(chi.dual_names), "poly": poly}
     _emit(_document(args, data, poly), args, config)

@@ -69,10 +69,8 @@ __all__ = [
     "CharPoly",
     "split_algebra",
     "monogenic_algebra",
-    "regular_representation",
     "char_poly",
     "char_poly_of_matrix",
-    "restrict_char_poly",
     "cayley_hamilton_check",
     "cayley_hamilton_by_laws",
     "MAX_RANK",
@@ -492,7 +490,7 @@ def char_poly_of_matrix(m: PolyMatrix, tvar: str = "t") -> Poly:
     return _read_out(_berkowitz_column(m), Poly.variable(tvar))
 
 
-# -- contract-named operations -----------------------------------------------------
+# -- algebras, their characteristic polynomial and Cayley-Hamilton -------------
 
 
 def split_algebra(d: int, *, base_vars=(), dual_names=None, tvar="t") -> FreeAlgebra:
@@ -611,10 +609,6 @@ def _power_name(var: str, k: int, taken) -> str:
     return name
 
 
-def regular_representation(algebra: FreeAlgebra) -> PolyMatrix:
-    return algebra.regular_representation()
-
-
 def char_poly(algebra: FreeAlgebra) -> CharPoly:
     """Characteristic polynomial of the generic element, monic in t.
 
@@ -652,11 +646,6 @@ def _berkowitz_poly(algebra: FreeAlgebra) -> Poly:
         t = t - duals[u]
         duals[u] = Poly.zero()
     return _read_out(_berkowitz_column(algebra.element_rep(duals)), t)
-
-
-def restrict_char_poly(chi: CharPoly, bindings) -> CharPoly:
-    """Substitute base-ring variables only (duals and t are off limits)."""
-    return chi.substitute_base(bindings)
 
 
 def cayley_hamilton_by_laws(algebra: FreeAlgebra, laws, chi: CharPoly, gamma_values) -> bool:

@@ -44,7 +44,6 @@ __all__ = [
     "SplittingType",
     "hilbert_function",
     "is_ulrich_on_embedded_curve",
-    "is_ulrich_over_line",
     "restrict_to_line",
     "splitting_type",
     "underlying_line_module",
@@ -318,11 +317,6 @@ def splitting_type(module: GradedModuleP1) -> SplittingType:
                 f"largest generator or relation degree {top}"
             )
         prev_delta, prev_h = delta, h
-
-
-def is_ulrich_over_line(module: GradedModuleP1) -> bool:
-    """True iff the splitting type is (0, ..., 0)."""
-    return all(a == 0 for a in splitting_type(module).twists)
 
 
 def is_ulrich_on_embedded_curve(stype: SplittingType, e: int) -> bool:

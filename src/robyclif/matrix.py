@@ -78,7 +78,7 @@ from .poly import (
     as_poly,
 )
 
-__all__ = ["PolyMatrix", "matpoly_pow", "is_scalar_multiple_of_identity", "check_vanishes"]
+__all__ = ["PolyMatrix", "check_vanishes"]
 
 def _make(nrows: int, ncols: int, vars: tuple, width: int, top: int, data: list) -> "PolyMatrix":
     m = object.__new__(PolyMatrix)
@@ -616,13 +616,3 @@ def check_vanishes(report, name: str, m: PolyMatrix) -> None:
         offender is None,
         detail="" if offender is None else f"entry ({offender[0]},{offender[1]}): {offender[2]}",
     )
-
-
-def matpoly_pow(m: PolyMatrix, n: int) -> PolyMatrix:
-    """Contract-named wrapper for :meth:`PolyMatrix.pow`."""
-    return m.pow(n)
-
-
-def is_scalar_multiple_of_identity(m: PolyMatrix):
-    """The scalar (as Poly) with m == c*I, or None."""
-    return m.scalar_identity_multiple()

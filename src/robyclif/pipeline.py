@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InputError, VerificationError
-from .freealg import CharPoly, FreeAlgebra, char_poly, restrict_char_poly
+from .freealg import CharPoly, FreeAlgebra, char_poly
 from .linegeom import restrict_to_line
 from .matrix import PolyMatrix
 from .poly import Poly, as_poly
@@ -256,7 +256,7 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
 
     seed = spec.seed.with_source(algebra)
     chi = char_poly(algebra)
-    chi_line = restrict_char_poly(chi, spec.line)
+    chi_line = chi.substitute_base(spec.line)
     report.meta["chi"] = str(chi.poly)
     report.meta["chi_line"] = str(chi_line.poly)
 

@@ -64,8 +64,6 @@ __all__ = [
     "Poly",
     "HomForm",
     "as_poly",
-    "poly_arith",
-    "substitute",
     "parse_poly",
 ]
 
@@ -891,26 +889,3 @@ def as_poly(x) -> Poly:
     if isinstance(x, Scalar):
         return Poly.const(x)
     raise InputError(f"cannot interpret {type(x).__name__} as a polynomial")
-
-
-# -- contract-named entry points ----------------------------------------------
-
-_POLY_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-}
-
-
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    """Ring operation on two polynomials; op in {add, sub, mul}."""
-    try:
-        fn = _POLY_OPS[op]
-    except KeyError:
-        raise InputError(f"unknown polynomial operation {op!r}") from None
-    return fn(a, b)
-
-
-def substitute(p: Poly, bindings) -> Poly:
-    """Simultaneous substitution; see :meth:`Poly.substitute`."""
-    return p.substitute(bindings)

@@ -53,20 +53,17 @@ product of the module's size, when
     the factor is itself a recorded tensor, as in a binary fold;
 (ii) every factor has the module's degree e, and xi is an exact primitive
      e-th root of unity;
-(iii') every factor has the module's t-variable, and its (name, target
-     variable) pairs are the module's, in the module's order with T last,
-     less some pairs that it lacks; no target variable of a lacking pair
-     occurs in the factor's target or matrices.  A check binds each
-     target variable v of the target to the fresh coefficient of the one
-     action aimed at v (a module refuses a repeated target variable).
-     The action aimed at a variable the factor mentions is one the factor
-     has, so the factor's check and the module's bind that variable to
-     the same action.  A
-     lacking action is 0 in slot j, and the factor's check would leave
-     its variable free, but that variable occurs in neither G_j nor c_j.
-     So, with the fresh coefficients renamed, the factor's identity reads
-     X_j^e = c_j*I in the module's variables, and G = sum_j X_j term by
-     term;
+(iii') every factor has the module's t-variable, its (name, target
+     variable) pairs are among the module's, and no target variable of a
+     pair it lacks occurs in its target.  A check binds each target
+     variable v, in the target alone, to the fresh coefficient of the one
+     action aimed at v (a module refuses a repeated target variable); the
+     matrices keep their variables.  So the factor's check and the
+     module's bind each variable of c_j to the same action, whatever the
+     order of the actions, and an action the factor lacks is 0 in slot j.
+     Sending each of the factor's fresh coefficients to the module's, a
+     ring map, turns the factor's identity into X_j^e = c_j*I in the
+     module's variables, and G = sum_j X_j term by term;
 (iv) the module's grading is sum_l g_l(i_l) mod e on seed-major indices;
 (v) each action equals the sum above, cell by cell, by the O(nnz)
     certificate ``PolyMatrix.is_twisted_sum``, which reads the finished
@@ -137,8 +134,8 @@ class GradedRobyModule:
     action's generic coefficient replaces during verification: the action's
     own name for a form target, its dual variable (and ``tvar`` for the
     T-slot) for a characteristic polynomial target.  A check binds each
-    target variable to one action's coefficient, so a repeated target
-    variable is refused.  The generic element,
+    target variable, in the target alone, to one action's coefficient, so
+    a repeated target variable is refused.  The generic element,
     the variable set, the grading check and the twisted tensor read the
     triples and need no T-slot branch of their own.  ``action_names``,
     ``actions``, ``target_vars`` (basis actions only) and ``tslot`` are
@@ -652,22 +649,15 @@ def _cycle_is_scalar(m: PolyMatrix, grading, d: int, c) -> bool:
 def _binds_alike(factor: GradedRobyModule, module: GradedRobyModule) -> bool:
     """Condition (iii'): factor's own check binds what module's check binds.
 
-    The factor's (name, target variable) pairs, T-slot included, come in
-    the module's order with one degree and t-variable, and no target
-    variable of a pair it lacks occurs in its target or its matrices.
+    The factor has the module's degree and t-variable, its (name, target
+    variable) pairs, T-slot included, are among the module's, and no
+    target variable of a pair it lacks occurs in its target.
     """
     if factor.degree != module.degree or factor.tvar != module.tvar:
         return False
-    own = [t[:2] for t in factor.named_actions]
-    kept = set(own)
-    if [t[:2] for t in module.named_actions if t[:2] in kept] != own:
-        return False
-    lacking = {v for n, v, _ in module.named_actions if (n, v) not in kept}
-    if not lacking:
-        return True
-    if any(factor.target_poly.degree_in(v) for v in lacking):
-        return False
-    return all(lacking.isdisjoint(m.occurring_vars()) for _, _, m in factor.named_actions)
+    own = {t[:2] for t in factor.named_actions}
+    pairs = {t[:2] for t in module.named_actions}
+    return own <= pairs and not any(factor.target_poly.degree_in(v) for _, v in pairs - own)
 
 
 def _tensor_lemma(module: GradedRobyModule, modules, xi) -> bool:

@@ -66,7 +66,6 @@ __all__ = [
     "exact_div",
     "narrow",
     "make_root",
-    "cyc_arith",
     "is_primitive_root",
     "decimal_str",
 ]
@@ -476,23 +475,6 @@ def is_primitive_root(x, e: int) -> bool:
             return False
         acc = acc * x
     return acc == 1
-
-
-_ARITH_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": exact_div,
-}
-
-
-def cyc_arith(a, b, op: str):
-    """Dispatch one exact field operation; op in {add, sub, mul, div}."""
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise InputError(f"unknown scalar operation {op!r}") from None
-    return fn(a, b)
 
 
 def decimal_str(x) -> str:

@@ -14,7 +14,6 @@ from robyclif.linegeom import (
     SplittingType,
     hilbert_function,
     is_ulrich_on_embedded_curve,
-    is_ulrich_over_line,
     restrict_to_line,
     splitting_type,
     underlying_line_module,
@@ -240,9 +239,9 @@ class TestModuleValidation:
 
 class TestUlrich:
     def test_over_the_line(self):
-        assert is_ulrich_over_line(GradedModuleP1.free([0, 0, 0]))
-        assert not is_ulrich_over_line(GradedModuleP1.free([1, -1]))
-        assert not is_ulrich_over_line(GradedModuleP1.free([1]))
+        assert is_ulrich_on_embedded_curve(splitting_type(GradedModuleP1.free([0, 0, 0])), 1)
+        assert not is_ulrich_on_embedded_curve(splitting_type(GradedModuleP1.free([1, -1])), 1)
+        assert not is_ulrich_on_embedded_curve(splitting_type(GradedModuleP1.free([1])), 1)
 
     def test_on_an_embedded_curve(self):
         assert is_ulrich_on_embedded_curve(SplittingType((1, 1)), 2)
@@ -308,4 +307,4 @@ class TestUnderlyingModule:
         assert m.gen_degrees == (0, 0, 0, 0)
         assert m.nrels == 0
         assert splitting_type(m).twists == (0, 0, 0, 0)
-        assert is_ulrich_over_line(m)
+        assert is_ulrich_on_embedded_curve(splitting_type(m), 1)

@@ -12,7 +12,7 @@ from robyclif import kernel
 from robyclif import matrix as matrix_module
 from robyclif.errors import InputError
 from robyclif.freealg import monogenic_algebra
-from robyclif.matrix import PolyMatrix, _make, is_scalar_multiple_of_identity, matpoly_pow
+from robyclif.matrix import PolyMatrix, _make
 from robyclif.poly import HomForm, Poly, _fit, as_poly, parse_poly
 from robyclif.roby import MonomialSpec, monomial_charpoly_roby, monomial_roby, split_roby
 from robyclif.scalars import make_root
@@ -25,28 +25,28 @@ c = Poly.variable("c")
 
 def test_identity_powers():
     eye = PolyMatrix.identity(3)
-    assert matpoly_pow(eye, 5) == eye
-    assert matpoly_pow(eye, 0) == eye
+    assert eye.pow(5) == eye
+    assert eye.pow(0) == eye
 
 
 def test_two_by_two_square_root_of_a_form():
     m = PolyMatrix.from_rows([[0, x], [y, 0]])
-    sq = matpoly_pow(m, 2)
-    assert is_scalar_multiple_of_identity(sq) == x * y
+    sq = m.pow(2)
+    assert sq.scalar_identity_multiple() == x * y
 
 
 def test_companion_matrix_of_a_cubic():
     comp = PolyMatrix.from_rows([[0, 0, c], [1, 0, 0], [0, 1, 0]])
-    cube = matpoly_pow(comp, 3)
-    assert is_scalar_multiple_of_identity(cube) == c
+    cube = comp.pow(3)
+    assert cube.scalar_identity_multiple() == c
 
 
 def test_pow_rejects_bad_input():
     rect = PolyMatrix.zeros(2, 3)
     with pytest.raises(InputError):
-        matpoly_pow(rect, 2)
+        rect.pow(2)
     with pytest.raises(InputError):
-        matpoly_pow(PolyMatrix.identity(2), -1)
+        PolyMatrix.identity(2).pow(-1)
 
 
 def test_power_addition_law_on_random_sparse_matrices():
@@ -64,16 +64,16 @@ def test_power_addition_law_on_random_sparse_matrices():
     for _ in range(10):
         m = rand_matrix()
         a, b = rng.randint(0, 3), rng.randint(0, 3)
-        assert matpoly_pow(m, a + b) == matpoly_pow(m, a) * matpoly_pow(m, b)
+        assert m.pow(a + b) == m.pow(a) * m.pow(b)
 
 
 def test_scalar_multiple_detection():
-    assert is_scalar_multiple_of_identity(PolyMatrix.zeros(2, 2)) == Poly.zero()
-    assert is_scalar_multiple_of_identity(PolyMatrix.diagonal([x, x])) == x
-    assert is_scalar_multiple_of_identity(PolyMatrix.diagonal([x, y])) is None
-    assert is_scalar_multiple_of_identity(PolyMatrix.zeros(2, 3)) is None
+    assert PolyMatrix.zeros(2, 2).scalar_identity_multiple() == Poly.zero()
+    assert PolyMatrix.diagonal([x, x]).scalar_identity_multiple() == x
+    assert PolyMatrix.diagonal([x, y]).scalar_identity_multiple() is None
+    assert PolyMatrix.zeros(2, 3).scalar_identity_multiple() is None
     off = PolyMatrix.from_rows([[x, 1], [0, x]])
-    assert is_scalar_multiple_of_identity(off) is None
+    assert off.scalar_identity_multiple() is None
 
 
 def test_addition_and_scaling():

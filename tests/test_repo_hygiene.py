@@ -2,8 +2,12 @@
 the matrix layout known to one module only, packed keys encoded and decoded by
 the polynomial, matrix and kernel modules only, variable contexts joined by the
 polynomial module only, the T-slot read by the Roby module and the
-file format only, and no identity matrix built only to be scaled or added."""
+file format only, no identity matrix built only to be scaled or added, no
+public function that only forwards to a method, and every exported name
+defined."""
 
+import ast
+import importlib
 import io
 import re
 import shutil
@@ -227,3 +231,74 @@ def test_the_scaled_identity_patterns_match_what_they_name():
         '"""m + identity(n).scaled(c)"""  # m - identity(n)',
     ):
         assert not scaled_identity_sums(line), line
+
+
+def forwarders(text):
+    """Names of the public module-level functions of Python source whose body,
+    after the docstring, is only ``return first.method(other, parameters)``.
+    """
+    found = []
+    for node in ast.parse(text).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        params = [a.arg for a in node.args.posonlyargs + node.args.args]
+        if (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Name)
+            and params[:1] == [call.func.value.id]
+            and not call.keywords
+            and [a.id if isinstance(a, ast.Name) else None for a in call.args] == params[1:]
+        ):
+            found.append(node.name)
+    return found
+
+
+def test_no_public_function_only_forwards_to_a_method():
+    # a second public name for one operation is one more concept to learn
+    # and keep in step; callers call the method
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted((ROOT / "src" / "robyclif").glob("*.py"))
+        for name in forwarders(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [], f"public functions that only forward to a method: {found}"
+
+
+def test_the_forwarder_pattern_matches_what_it_names():
+    for text in (
+        "def f(p, bindings):\n    return p.substitute(bindings)\n",
+        'def f(m):\n    """The scalar."""\n    return m.scalar_identity_multiple()\n',
+        "def f(chi: CharPoly, b) -> CharPoly:\n    return chi.substitute_base(b)\n",
+    ):
+        assert forwarders(text) == ["f"], text
+    for text in (
+        "def _f(p, b):\n    return p.substitute(b)\n",
+        "def f(a, b):\n    return twisted_tensor_all([a, b])\n",
+        "def f(p, b):\n    return p.substitute(b, 1)\n",
+        "def f(p, b):\n    return b.substitute(p)\n",
+        "def f(p, b):\n    q = p\n    return q.substitute(b)\n",
+        "def f(p):\n    return p.method(key=1)\n",
+        "class C:\n    def f(self, b):\n        return self.g(b)\n",
+    ):
+        assert forwarders(text) == [], text
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["robyclif"] + [f"robyclif.{p.stem}" for p in sorted((ROOT / "src" / "robyclif").glob("*.py"))
+                    if p.stem != "__init__"],
+)
+def test_every_exported_name_is_defined_once(module):
+    # only ``from robyclif import *`` reads __all__, so a name left behind
+    # there fails nowhere else
+    mod = importlib.import_module(module)
+    names = getattr(mod, "__all__", [])
+    assert [n for n in names if not hasattr(mod, n)] == []
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []

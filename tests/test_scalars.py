@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: construction, field laws, printing."""
 
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -11,9 +12,9 @@ from robyclif.errors import InputError
 from robyclif.scalars import (
     ORDER_CAP,
     CycScalar,
-    cyc_arith,
     cyclotomic_polynomial,
     euler_phi,
+    exact_div,
     is_primitive_root,
     make_root,
 )
@@ -75,21 +76,21 @@ def test_is_primitive_root_rejects_imprimitive_powers():
     assert not is_primitive_root(Fraction(1), 2)
 
 
-def test_cyc_arith_oracles():
+def test_field_operation_oracles():
     z4 = make_root(4)
     z3 = make_root(3)
     z6 = make_root(6)
-    assert cyc_arith(z4, z4, "mul") == -1
-    assert cyc_arith(z3, z3, "div") == 1
+    assert z4 * z4 == -1
+    assert exact_div(z3, z3) == 1
     # |1 + zeta_6|^2 expanded by hand in Q(zeta_6)
-    assert cyc_arith(1 + z6, 1 + z6 ** -1, "mul") == 3
+    assert (1 + z6) * (1 + z6 ** -1) == 3
 
 
-def test_cyc_arith_is_exact_on_every_pairing():
-    # cyc_arith(1, 2, "div") was the float 0.5 while division was plain ``/``
-    assert cyc_arith(1, 2, "div") == Fraction(1, 2)
-    assert type(cyc_arith(1, 2, "div")) is Fraction
-    assert type(cyc_arith(6, -3, "div")) is int and cyc_arith(6, -3, "div") == -2
+def test_field_operations_are_exact_on_every_pairing():
+    # exact_div(1, 2) must not be the float 0.5 of plain ``/``
+    assert exact_div(1, 2) == Fraction(1, 2)
+    assert type(exact_div(1, 2)) is Fraction
+    assert type(exact_div(6, -3)) is int and exact_div(6, -3) == -2
     values = [1, -3, 7, Fraction(1, 2), Fraction(4), make_root(2), make_root(3), 2 - make_root(4)]
 
     def in_q12(v):
@@ -97,10 +98,10 @@ def test_cyc_arith_is_exact_on_every_pairing():
 
     for a in values:
         for b in values:
-            for op in ("add", "sub", "mul", "div"):
-                got = cyc_arith(a, b, op)
+            for op in (operator.add, operator.sub, operator.mul, exact_div):
+                got = op(a, b)
                 assert type(got) in (int, Fraction, CycScalar), (a, b, op, got)
-                assert got == cyc_arith(in_q12(a), in_q12(b), op), (a, b, op, got)
+                assert got == op(in_q12(a), in_q12(b)), (a, b, op, got)
 
 
 def test_reduced_arithmetic_matches_the_full_constructor():
@@ -140,16 +141,11 @@ def test_reduced_arithmetic_matches_the_full_constructor():
         assert all(type(c) is int for c in integral.coeffs)
 
 
-def test_cyc_arith_rejects_unknown_op():
-    with pytest.raises(InputError):
-        cyc_arith(make_root(3), make_root(3), "pow")
-
-
 def test_division_by_zero():
     z = make_root(5)
     zero = z - z
     with pytest.raises(ZeroDivisionError):
-        cyc_arith(z, zero, "div")
+        exact_div(z, zero)
     with pytest.raises(ZeroDivisionError):
         z / 0
 

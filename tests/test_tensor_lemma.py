@@ -170,9 +170,9 @@ def missing_action():
 def entry_names_a_lacking_action():
     # factor 2 has no action a and names a in two entries only: its
     # action is [[0, P], [P^-1, 0]] with P = [[1, a], [0, 1]], so it squares
-    # to I for every a and the factor passes with a free.  The assembly
-    # passes too, but (iii') refuses a factor that mentions the target
-    # variable of an action it lacks, so the module is checked in full
+    # to I for every a and the factor passes with a free.  A check binds a
+    # only in a target, and factor 2's target b^2 has no a, so (iii') holds
+    # and the lemma decides the assembly, which passes
     f1 = monomial_roby(HomForm(parse_poly("a^2"), 2, ("a",)))
     rows = [[0, 0, 1, "a"], [0, 0, 0, 1], [1, "-a", 0, 0], [0, 1, 0, 0]]
     f2 = GradedRobyModule(2, (0, 0, 1, 1), ("b",), [PolyMatrix.from_rows(rows)], parse_poly("b^2"))
@@ -182,7 +182,7 @@ def entry_names_a_lacking_action():
 def pairs_out_of_order():
     # factor 2 has the assembly's (name, target variable) pairs in another
     # order.  Each target variable is bound to its one action either way,
-    # so both checks pass, but (iii') asks for the module's order
+    # so both checks pass and (iii') holds
     f1 = monomial_roby(HomForm(parse_poly("a^2"), 2, ("a", "b")))
     f2 = monomial_roby(HomForm(parse_poly("b^2"), 2, ("b", "a")))
     return twisted_tensor_all([f1, f2], -1), [f1, f2], -1
@@ -243,8 +243,8 @@ CASES = {
         lambda: (twisted_tensor_all(diagonal_forms(2, ["y1", "y2"]), -1),
                  diagonal_forms(2, ["y1", "y2"]), -1), True, True),
     "a factor without an action": (missing_action, False, False),
-    "a factor naming a lacking action in an entry": (entry_names_a_lacking_action, False, True),
-    "a factor with its pairs out of order": (pairs_out_of_order, False, True),
+    "a factor naming a lacking action in an entry": (entry_names_a_lacking_action, True, True),
+    "a factor with its pairs out of order": (pairs_out_of_order, True, True),
     "assembly built from a tampered factor": (
         lambda: (lambda mods: (twisted_tensor_all(mods, -1), mods, -1))(
             tampered_factor(small()[1], 2)), False, False),
@@ -273,18 +273,15 @@ CASES = {
 def lemma_applies(module, modules):
     """Whether the lemma should decide a seeded case: every factor passes and (iii') holds.
 
-    (iii'): each factor's pairs are the module's in order, less some, and
-    no factor mentions the target variable of a pair it lacks.
+    (iii'): each factor's pairs are among the module's, and no factor's
+    target mentions the target variable of a pair it lacks.
     """
     pairs = [t[:2] for t in module.named_actions]
     for m in modules:
         own = [t[:2] for t in m.named_actions]
-        if [p for p in pairs if p in own] != own:
+        if any(p not in pairs for p in own):
             return False
-        mentioned = set(m.target_poly.pruned().vars)
-        for _, _, a in m.named_actions:
-            mentioned.update(v for r, c, _ in a.nonzeros() for v in a.entry(r, c).pruned().vars)
-        if any(v in mentioned for n, v in pairs if (n, v) not in own):
+        if any(v in m.target_poly.pruned().vars for n, v in pairs if (n, v) not in own):
             return False
     return all(verify_roby(m).ok for m in modules)
 
