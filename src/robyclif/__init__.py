@@ -22,13 +22,11 @@ from .freealg import (
     split_algebra,
 )
 from .roby import (
-    AlgebraEmbedding,
     CharMorphism,
     Filtration,
     GradedRobyModule,
     MonomialSpec,
     char_morphism,
-    induce_roby,
     monomial_charpoly_roby,
     monomial_roby,
     split_roby,
@@ -41,7 +39,6 @@ from .roby import (
 from .seeds import (
     companion_matrix,
     cyclic_cover_seed,
-    form_element_matrix,
     mf_seed,
     perturbed_split_algebra,
 )
@@ -86,7 +83,6 @@ from .report import Report, comparable_dict
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraEmbedding",
     "beta_sequence",
     "BundleNumerics",
     "cayley_hamilton_check",
@@ -103,13 +99,11 @@ __all__ = [
     "deviation_monomials",
     "ec_tensor",
     "Filtration",
-    "form_element_matrix",
     "FreeAlgebra",
     "GradedModuleP1",
     "GradedRobyModule",
     "hilbert_function",
     "HomForm",
-    "induce_roby",
     "InputError",
     "is_primitive_root",
     "is_ulrich_on_embedded_curve",

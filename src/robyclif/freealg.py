@@ -57,7 +57,6 @@ report names its first offending entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
 from .matrix import PolyMatrix, check_vanishes
@@ -257,28 +256,6 @@ class FreeAlgebra:
                 if matrices[i] * matrices[j] != image:
                     return unit_ok, (i, j)
         return unit_ok, None
-
-    def _basis_coords(self, j: int):
-        return [Poly.const(1) if k == j else Poly.zero() for k in range(self.rank)]
-
-    def product(self, u, v):
-        """Coordinates of the product of two coordinate vectors."""
-        d = self.rank
-        out = [Poly.zero() for _ in range(d)]
-        for i in range(d):
-            ui = u[i]
-            if not ui:
-                continue
-            for j in range(d):
-                vj = v[j]
-                if not vj:
-                    continue
-                uv = ui * vj
-                for k in range(d):
-                    ck = self.table[i][j][k]
-                    if ck:
-                        out[k] = out[k] + uv * ck
-        return out
 
     def element_rep(self, coords) -> PolyMatrix:
         """Matrix of multiplication by sum(coords[i] * gamma_i) in the basis."""

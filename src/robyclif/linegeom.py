@@ -168,25 +168,6 @@ class GradedModuleP1:
     def nrels(self) -> int:
         return self.relations.shape[1]
 
-    def direct_sum(self, other: "GradedModuleP1") -> "GradedModuleP1":
-        if self.vars != other.vars:
-            raise InputError("summands live over different lines")
-        n1, n2 = self.ngens, other.ngens
-        k1, k2 = self.nrels, other.nrels
-        rows = [[Poly.zero()] * (k1 + k2) for _ in range(n1 + n2)]
-        for r in range(n1):
-            for c in range(k1):
-                rows[r][c] = self.relations.entry(r, c)
-        for r in range(n2):
-            for c in range(k2):
-                rows[n1 + r][k1 + c] = other.relations.entry(r, c)
-        return GradedModuleP1(
-            self.gen_degrees + other.gen_degrees,
-            PolyMatrix.from_rows(rows) if k1 + k2 else None,
-            rel_degrees=self.rel_degrees + other.rel_degrees,
-            vars=self.vars,
-        )
-
     def __repr__(self) -> str:
         return f"GradedModuleP1(gens={list(self.gen_degrees)}, rels={list(self.rel_degrees)})"
 

@@ -469,10 +469,6 @@ class Poly:
         )
         return _new(vs, width, top, packed)
 
-    def evaluate(self, bindings):
-        """Substitute scalars for every variable and return the scalar value."""
-        return self.substitute(bindings).constant_value()
-
     # -- display -----------------------------------------------------------------
 
     def sorted_terms(self):

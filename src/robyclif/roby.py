@@ -94,7 +94,6 @@ __all__ = [
     "MonomialSpec",
     "Filtration",
     "CharMorphism",
-    "AlgebraEmbedding",
     "monomial_roby",
     "monomial_charpoly_roby",
     "split_roby",
@@ -105,7 +104,6 @@ __all__ = [
     "verify_roby",
     "verify_char_morphism",
     "verify_filtered_pseudo",
-    "induce_roby",
     "reindex_for_line",
     "in_ideal",
     "fresh_names",
@@ -856,128 +854,3 @@ def verify_filtered_pseudo(cm: CharMorphism, filtration: Filtration, *, seed=Non
     if seed is not None:
         report.meta["seed_blocks"] = certified
     return report
-
-
-# -- induction from a module over a cover ------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlgebraEmbedding:
-    """A -> B^(x n), componentwise algebra morphisms, given by B-coordinates.
-
-    components[p][m] is the coordinate vector (over the basis of B) of the
-    image of the p-th basis element of A in the m-th factor.
-    """
-
-    source: FreeAlgebra
-    target: FreeAlgebra
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(
-            tuple(tuple(as_poly(c) for c in vec) for vec in row)
-            for row in self.components
-        )
-        object.__setattr__(self, "components", comps)
-        a, b = self.source, self.target
-        if len(comps) != a.rank:
-            raise InputError("need one image per basis element of the source")
-        n = {len(row) for row in comps}
-        if len(n) != 1:
-            raise InputError("ragged component count")
-        self_n = n.pop()
-        if self_n < 1:
-            raise InputError("need at least one component")
-        for row in comps:
-            for vec in row:
-                if len(vec) != b.rank:
-                    raise InputError("coordinate vectors must have the target's rank")
-        # B acts faithfully on itself, so the laws hold on the coordinate
-        # vectors exactly when they hold on their multiplication matrices
-        for m in range(self_n):
-            unit_ok, pair = a.action_laws([b.element_rep(row[m]) for row in comps])
-            if not unit_ok:
-                raise InputError(f"component {m + 1} does not preserve the unit")
-            if pair is not None:
-                p, q = pair
-                raise InputError(
-                    f"component {m + 1} is not multiplicative on "
-                    f"({a.basis_names[p]}, {a.basis_names[q]})"
-                )
-
-    @property
-    def ncomponents(self) -> int:
-        return len(self.components[0])
-
-
-def induce_roby(
-    split_module: GradedRobyModule,
-    module_action,
-    embedding: AlgebraEmbedding,
-) -> GradedRobyModule:
-    """Restrict the split construction along A -> B^(x d) acting on a module.
-
-    ``module_action`` gives the B-module structure on a free module W, one
-    matrix per basis element of B; the axioms are checked eagerly.  The
-    output lives on k^d (x) W, T acts by the split T on the k^d factor, and
-    gamma_p acts through the split idempotent slots by the images of its
-    embedding components.  Both the Roby identity for chi_A and the
-    B-linearity of the extracted characteristic morphism are verified;
-    failure raises rather than returning a broken module.
-    """
-    a = embedding.source
-    b = embedding.target
-    d = embedding.ncomponents
-    if a.rank != d:
-        raise InputError(
-            f"embedding has {d} components but the source algebra has rank {a.rank}; "
-            "the induced module needs one component per basis element"
-        )
-    if not split_module.has_tslot or split_module.dim != d or split_module.degree != d:
-        raise InputError(f"the split module must be the rank-{d} cyclic one")
-    actions_b = [m if isinstance(m, PolyMatrix) else PolyMatrix.from_rows(m) for m in module_action]
-    if len(actions_b) != b.rank:
-        raise InputError("need one action matrix per basis element of B")
-    sizes = {m.nrows for m in actions_b} | {m.ncols for m in actions_b}
-    if len(sizes) != 1:
-        raise InputError("module action matrices must be square, equal size")
-    w = sizes.pop()
-    unit_ok, pair = b.action_laws(actions_b)
-    if not unit_ok:
-        raise InputError("module action does not send the unit of B to the identity")
-    if pair is not None:
-        i, j = pair
-        raise InputError(f"module action breaks on ({b.basis_names[i]}, {b.basis_names[j]})")
-
-    # gamma_p acts by sum_m slot_m (x) rho(component m of gamma_p), where rho
-    # sends B-coordinates to the module action
-    new_actions = [
-        PolyMatrix.combination(
-            [
-                (1, slot.kron(PolyMatrix.combination(zip(coords, actions_b), w)))
-                for slot, coords in zip(split_module.actions, row)
-            ],
-            d * w,
-        )
-        for row in embedding.components
-    ]
-    new_tslot = split_module.tslot.kron(PolyMatrix.identity(w))
-    grading = [g for g in split_module.grading for _ in range(w)]
-    module = GradedRobyModule.over(a, grading, new_actions, new_tslot)
-    report = verify_roby(module)
-    if not report.ok:
-        raise VerificationError(
-            "induced module fails the Roby identity; the embedding does not "
-            "multiply out to the characteristic polynomial",
-            report=report,
-        )
-    cm = char_morphism(module)
-    linearity = Report(title="induced morphism B-linearity")
-    for i, mb in enumerate(actions_b):
-        diag = PolyMatrix.identity(d).kron(mb)
-        for p, cmat in enumerate(cm.matrices):
-            if cmat * diag != diag * cmat:
-                detail = f"C({a.basis_names[p]}) fails to commute with {b.basis_names[i]}"
-                linearity.add("module_morphism", False, detail=detail)
-                raise VerificationError("characteristic morphism is not B-linear", report=linearity)
-    return module

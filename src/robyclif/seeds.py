@@ -19,7 +19,6 @@ from .scalars import make_root
 __all__ = [
     "companion_matrix",
     "cyclic_cover_seed",
-    "form_element_matrix",
     "mf_seed",
     "perturbed_split_algebra",
 ]
@@ -47,18 +46,6 @@ def companion_matrix(p, var: str) -> PolyMatrix:
         if c is not None and c:
             rows[k][d - 1] = -c
     return PolyMatrix.from_rows(rows)
-
-
-def form_element_matrix(module: GradedRobyModule) -> PolyMatrix:
-    """Sum of v * action(v) over the form variables themselves.
-
-    Raising the result to ``module.degree`` reproduces target * identity,
-    which makes it a matrix root of the form.  Only form modules qualify;
-    a T-slot module is linear in algebra coordinates, not in base variables.
-    """
-    if module.has_tslot:
-        raise InputError("only form modules have a form element")
-    return module.generic_matrix(module.action_names)
 
 
 def cyclic_cover_seed(

@@ -199,7 +199,7 @@ MUTANTS = (
         "the unit column replaced by the first basis vector",
         "freealg.py",
         "unit = PolyMatrix.from_rows([[c] for c in algebra.unit])",
-        "unit = PolyMatrix.from_rows([[c] for c in algebra._basis_coords(0)])",
+        "unit = PolyMatrix.from_rows([[int(k == 0)] for k in range(algebra.rank)])",
     ),
     (
         "Horner's constant term skipped on the unit column",

@@ -101,9 +101,10 @@ class TestSplittingType:
         assert splitting_type(m).twists == (0,)
 
     def test_direct_sum_is_multiset_union(self):
-        a = GradedModuleP1.free([1, -1])
-        b = coker([0, 1], [["y"], [1]])
-        s = splitting_type(a.direct_sum(b))
+        # free([1, -1]) beside coker([0, 1], [[y], [1]]), as one block presentation
+        m = coker([1, -1, 0, 1], [["0"], ["0"], ["y"], ["1"]])
+        assert m.rel_degrees == (1,)
+        s = splitting_type(m)
         assert s.twists == (1, 0, -1)
 
     def test_torsion_is_rejected(self):
@@ -229,12 +230,6 @@ class TestModuleValidation:
     def test_needs_a_generator(self):
         with pytest.raises(InputError, match="generator"):
             GradedModuleP1([])
-
-    def test_mixed_lines_do_not_sum(self):
-        a = GradedModuleP1.free([0])
-        b = GradedModuleP1.free([0], vars=("u", "v"))
-        with pytest.raises(InputError, match="different lines"):
-            a.direct_sum(b)
 
 
 class TestUlrich:

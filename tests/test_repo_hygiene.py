@@ -3,12 +3,15 @@ the matrix layout known to one module only, packed keys encoded and decoded by
 the polynomial, matrix and kernel modules only, variable contexts joined by the
 polynomial module only, the T-slot read by the Roby module and the
 file format only, no identity matrix built only to be scaled or added, no
-public function that only forwards to a method, and every exported name
-defined."""
+public function that only forwards to a method, every exported name defined,
+every exported name used by the package or the benchmark unless ``LIBRARY_ONLY``
+says why not, and every committed ``BENCH_*.json`` carrying the benchmark's
+end-to-end metrics."""
 
 import ast
 import importlib
 import io
+import json
 import re
 import shutil
 import subprocess
@@ -302,3 +305,89 @@ def test_every_exported_name_is_defined_once(module):
     names = getattr(mod, "__all__", [])
     assert [n for n in names if not hasattr(mod, n)] == []
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
+
+
+# package.name -> why it is exported though no other line of the package and
+# no benchmark script uses it; an entry goes once the name is used or gone
+LIBRARY_ONLY = {
+    "freealg.char_poly_of_matrix": "the Berkowitz oracle the charpoly tests compare against",
+    "linegeom.hilbert_function": "read by tests/test_splitting_oracle.py",
+    "linegeom.is_ulrich_on_embedded_curve": "the acceptance criterion's Ulrich test",
+    "roby.zero_roby": "builds the zero factors of the tensor tests",
+    "seeds.perturbed_split_algebra": "builds the test algebras",
+    "specfile.spec_kind": "dispatches the fuzz test's commands",
+}
+
+
+def unreached_exports(root):
+    """module.name for each name in the ``__all__`` of a module of
+    ``src/robyclif`` (``__init__.py`` only re-exports) that no line of those
+    modules outside its own def or class line and the ``__all__`` lists, and
+    no ``perfbench/*.py``, mentions as a word.
+    """
+    exports, lines = [], []
+    for path in sorted((root / "src" / "robyclif").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        first = last = 0
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__":
+                first, last = node.lineno, node.end_lineno
+                exports += [(path.stem, e.value) for e in node.value.elts]
+        lines += [line for n, line in enumerate(text.splitlines(), 1) if not first <= n <= last]
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in (root / "perfbench").glob("*.py"))
+    found = []
+    for module, name in exports:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"\s*(?:def|class)\s+{re.escape(name)}\b")
+        if not word.search(bench) and not any(
+            word.search(line) and not own.match(line) for line in lines
+        ):
+            found.append(f"{module}.{name}")
+    return found
+
+
+def test_every_exported_name_is_reached_or_listed():
+    # an exported name that nothing runs is surface to read, test and keep
+    # in step; it goes, or LIBRARY_ONLY says why it stays
+    unreached = unreached_exports(ROOT)
+    unlisted = [n for n in unreached if n not in LIBRARY_ONLY]
+    assert unlisted == [], f"exported but used by nothing; delete or list them: {unlisted}"
+    stale = [n for n in LIBRARY_ONLY if n not in unreached]
+    assert stale == [], f"used or gone now; delete their LIBRARY_ONLY entries: {stale}"
+
+
+def test_the_reach_rule_reads_what_it_names(tmp_path):
+    package = tmp_path / "src" / "robyclif"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (package / "__init__.py").write_text("from .a import *\nfrom .b import *\n")
+    (package / "a.py").write_text(
+        '__all__ = [\n    "lone",\n    "Used",\n    "benched",\n]\n\n\n'
+        "def lone():\n    return 1\n\n\nclass Used:\n    pass\n\n\n"
+        "def benched():\n    return lone_ish\n"
+    )
+    (package / "b.py").write_text('__all__ = ["told"]\n\n\ndef told():\n    return Used()\n')
+    (tmp_path / "perfbench" / "jobs.py").write_text("from robyclif import benched\n")
+    # lone_ish is another word; __init__.py, __all__ and def lines do not count
+    assert unreached_exports(tmp_path) == ["a.lone", "b.told"]
+    # a mention in a docstring counts, as any word of the package does
+    (package / "b.py").write_text('__all__ = ["told"]\n\n\ndef told():\n    """Not lone."""\n')
+    assert unreached_exports(tmp_path) == ["a.Used", "b.told"]
+
+
+def test_every_bench_record_carries_the_end_to_end_metrics():
+    # a BENCH_*.json holds the final JSON lines of untraced perfbench runs
+    # of a change and of its parent, and of a traced run of the change
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    wanted = {f"{w['name']}.{m['name']}" for w in spec["workloads"] for m in spec["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records, "no BENCH_*.json"
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        for side in ("parent", "change"):
+            run = record[side]
+            assert run["correct"] and run["failed"] == 0, (path.name, side)
+            assert wanted <= set(run["metrics"]), (path.name, side, wanted - set(run["metrics"]))
+        assert record["change_traced"]["correct"], path.name

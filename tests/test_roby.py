@@ -19,7 +19,6 @@ from robyclif.poly import MAX_EXPONENT, HomForm, Poly, parse_poly
 from robyclif.report import Report
 from robyclif.roby import (
     _graded_check,
-    AlgebraEmbedding,
     CharMorphism,
     Filtration,
     GradedRobyModule,
@@ -27,7 +26,6 @@ from robyclif.roby import (
     char_morphism,
     fresh_names,
     in_ideal,
-    induce_roby,
     monomial_charpoly_roby,
     monomial_roby,
     reindex_for_line,
@@ -639,207 +637,6 @@ class TestLineReindexing:
         spec = MonomialSpec(2, 0, ("x", "y"), (1, 2))
         with pytest.raises(InputError, match="line ideal"):
             reindex_for_line(spec, ("z2",))
-
-
-class TestInducedModules:
-    def hypersurface(self):
-        return monogenic_algebra(parse_poly("z^2 - x*y"), "z")
-
-    def sign_swap_embedding(self, alg):
-        # z -> (-z, z): the two sections of the double cover
-        return AlgebraEmbedding(
-            alg, alg,
-            (((1, 0), (1, 0)), ((0, -1), (0, 1))),
-        )
-
-    def test_factorization_module(self):
-        alg = self.hypersurface()
-        bprime = PolyMatrix.from_rows([["0", "x"], ["y", "0"]])
-        emb = self.sign_swap_embedding(alg)
-        m = induce_roby(split_roby(2), [PolyMatrix.identity(2), bprime], emb)
-        assert m.dim == 4
-        assert m.action("z") == PolyMatrix.from_rows([
-            ["0", "0", "0", "x"],
-            ["0", "0", "y", "0"],
-            ["0", "-x", "0", "0"],
-            ["-y", "0", "0", "0"],
-        ])
-        assert verify_roby(m).ok
-        cm = char_morphism(m)
-        assert cm.matrices[0] == PolyMatrix.identity(4)
-        assert cm.matrices[1] == PolyMatrix.from_rows([
-            ["0", "-x", "0", "0"],
-            ["-y", "0", "0", "0"],
-            ["0", "0", "0", "x"],
-            ["0", "0", "y", "0"],
-        ])
-        assert verify_char_morphism(cm).ok
-
-    def test_restriction_to_a_line_still_verifies(self):
-        alg = self.hypersurface()
-        bprime = PolyMatrix.from_rows([["0", "x"], ["y", "0"]])
-        m = induce_roby(
-            split_roby(2), [PolyMatrix.identity(2), bprime], self.sign_swap_embedding(alg)
-        )
-        cm = char_morphism(m).substitute_base({"y": 0})
-        assert cm.charpoly.poly == parse_poly("t^2 - 2*t*G1 + G1^2")
-        assert verify_char_morphism(cm).ok
-
-    def test_identity_embedding_fails_the_identity(self):
-        # (z, z) is componentwise a morphism but does not multiply out to chi
-        alg = self.hypersurface()
-        bprime = PolyMatrix.from_rows([["0", "x"], ["y", "0"]])
-        emb = AlgebraEmbedding(alg, alg, (((1, 0), (1, 0)), ((0, 1), (0, 1))))
-        with pytest.raises(VerificationError, match="Roby identity"):
-            induce_roby(split_roby(2), [PolyMatrix.identity(2), bprime], emb)
-
-    def test_action_axioms_are_checked(self):
-        alg = self.hypersurface()
-        emb = self.sign_swap_embedding(alg)
-        with pytest.raises(InputError, match="breaks on"):
-            induce_roby(
-                split_roby(2),
-                [PolyMatrix.identity(2), PolyMatrix.zeros(2, 2)],
-                emb,
-            )
-        with pytest.raises(InputError, match="unit"):
-            induce_roby(
-                split_roby(2),
-                [PolyMatrix.zeros(2, 2), PolyMatrix.zeros(2, 2)],
-                emb,
-            )
-
-    def test_embedding_components_must_be_morphisms(self):
-        alg = self.hypersurface()
-        with pytest.raises(InputError, match="not multiplicative"):
-            AlgebraEmbedding(alg, alg, (((1, 0), (1, 0)), ((0, 2), (0, 1))))
-        with pytest.raises(InputError, match="unit"):
-            AlgebraEmbedding(alg, alg, (((2, 0), (1, 0)), ((0, 1), (0, 1))))
-
-    def test_component_count_must_match_rank(self):
-        alg = self.hypersurface()
-        emb = AlgebraEmbedding(alg, alg, (((1, 0),), ((0, 1),)))
-        with pytest.raises(InputError, match="component"):
-            induce_roby(split_roby(2), [PolyMatrix.identity(2)], emb)
-
-    def test_embedding_laws_match_the_coordinate_loops(self):
-        def coordinate_loops(a, b, comps):
-            # the coordinate-vector check AlgebraEmbedding once ran, kept as the oracle
-            for m in range(len(comps[0])):
-                unit_image = [Poly.zero() for _ in range(b.rank)]
-                for p in range(a.rank):
-                    if a.unit[p]:
-                        for i in range(b.rank):
-                            unit_image[i] = unit_image[i] + a.unit[p] * comps[p][m][i]
-                if any(unit_image[i] != b.unit[i] for i in range(b.rank)):
-                    return f"component {m + 1} does not preserve the unit"
-                for p in range(a.rank):
-                    for q in range(a.rank):
-                        left = b.product(list(comps[p][m]), list(comps[q][m]))
-                        right = [Poly.zero() for _ in range(b.rank)]
-                        for k in range(a.rank):
-                            c = a.table[p][q][k]
-                            if c:
-                                for i in range(b.rank):
-                                    right[i] = right[i] + c * comps[k][m][i]
-                        if any(left[i] != right[i] for i in range(b.rank)):
-                            return (
-                                f"component {m + 1} is not multiplicative on "
-                                f"({a.basis_names[p]}, {a.basis_names[q]})"
-                            )
-            return None
-
-        s2, s3, s4 = split_algebra(2), split_algebra(3), split_algebra(4)
-        perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-        valid = [
-            (self.hypersurface(), self.hypersurface(), (((1, 0), (1, 0)), ((0, -1), (0, 1)))),
-            (s2, s2, (((1, 0), (0, 1)), ((0, 1), (1, 0)))),
-            (s3, s3, tuple(tuple(tuple(int(k == perm[p]) for k in range(3)) for perm in perms)
-                           for p in range(3))),
-            (s2, s4, (((1, 1, 0, 0), (0, 0, 1, 1)), ((0, 0, 1, 1), (1, 1, 0, 0)))),
-        ]
-        rng = random.Random(47)
-        verdicts = set()
-        for trial in range(200):
-            a, b, comps = rng.choice(valid)
-            comps = [[[parse_poly(str(c)) for c in vec] for vec in row] for row in comps]
-            for _ in range(rng.randrange(0, 3)):
-                vec = rng.choice(rng.choice(comps))
-                i = rng.randrange(b.rank)
-                vec[i] = vec[i] + parse_poly(rng.choice(("1", "-1", "2", "x", "1/2")))
-            want = coordinate_loops(a, b, comps)
-            try:
-                AlgebraEmbedding(a, b, comps)
-                got = None
-            except InputError as exc:
-                got = str(exc)
-            assert got == want, f"trial {trial}"
-            verdicts.add(want and ("unit" if "unit" in want else "product"))
-        assert verdicts == {None, "unit", "product"}
-
-    def test_module_action_laws_match_the_matrix_loops(self):
-        def matrix_loops(b, actions):
-            # the action check induce_roby once ran, kept as the oracle
-            w = actions[0].nrows
-            unit_action = PolyMatrix.zeros(w, w)
-            for coeff, m in zip(b.unit, actions):
-                unit_action = unit_action + m.scaled(coeff)
-            if unit_action != PolyMatrix.identity(w):
-                return "module action does not send the unit of B to the identity"
-            for i in range(b.rank):
-                for j in range(b.rank):
-                    rhs = PolyMatrix.zeros(w, w)
-                    for k in range(b.rank):
-                        c = b.table[i][j][k]
-                        if c:
-                            rhs = rhs + actions[k].scaled(c)
-                    if actions[i] * actions[j] != rhs:
-                        return f"module action breaks on ({b.basis_names[i]}, {b.basis_names[j]})"
-            return None
-
-        s2 = split_algebra(2)
-        swap = AlgebraEmbedding(s2, s2, (((1, 0), (0, 1)), ((0, 1), (1, 0))))
-        valid = [
-            (self.sign_swap_embedding(self.hypersurface()),
-             [[[1, 0], [0, 1]], [[0, "x"], ["y", 0]]]),
-            (swap, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
-            (swap, [[[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]),
-        ]
-        rng = random.Random(48)
-        verdicts = set()
-        for trial in range(120):
-            emb, rows = rng.choice(valid)
-            rows = [[list(row) for row in grid] for grid in rows]
-            for _ in range(rng.randrange(0, 3)):
-                grid = rng.choice(rows)
-                r, c = rng.randrange(len(grid)), rng.randrange(len(grid))
-                grid[r][c] = parse_poly(str(grid[r][c])) + parse_poly(rng.choice(("1", "-1", "x")))
-            actions = [PolyMatrix.from_rows(grid) for grid in rows]
-            want = matrix_loops(emb.target, actions)
-            try:
-                induce_roby(split_roby(2), actions, emb)
-                got = None
-            except InputError as exc:
-                got = str(exc)
-            except VerificationError:
-                got = None
-            assert got == want, f"trial {trial}"
-            verdicts.add(want and ("unit" if "unit" in want else "product"))
-        assert verdicts == {None, "unit", "product"}
-
-    def test_split_cover_of_the_split_algebra(self):
-        alg = split_algebra(2)
-        emb = AlgebraEmbedding(
-            alg, alg,
-            (((1, 0), (0, 1)), ((0, 1), (1, 0))),
-        )
-        actions = [
-            PolyMatrix.from_rows([[1, 0], [0, 0]]),
-            PolyMatrix.from_rows([[0, 0], [0, 1]]),
-        ]
-        m = induce_roby(split_roby(2), actions, emb)
-        assert verify_roby(m).ok
-        assert verify_char_morphism(char_morphism(m)).ok
 
 
 class TestFreshNames:

@@ -16,7 +16,6 @@ from robyclif.scalars import make_root
 from robyclif.seeds import (
     companion_matrix,
     cyclic_cover_seed,
-    form_element_matrix,
     mf_seed,
     perturbed_split_algebra,
 )
@@ -143,7 +142,7 @@ class TestCyclicCoverSeed:
         x3 = monomial_roby(HomForm(parse_poly("x^3"), 3, ("x",)))
         y3 = monomial_roby(HomForm(parse_poly("y^3"), 3, ("y",)))
         t9 = twisted_tensor(x3, y3, make_root(3))
-        z9 = form_element_matrix(t9)
+        z9 = t9.generic_matrix(t9.action_names)
         assert z9.pow(3).scalar_identity_multiple() == parse_poly("x^3 + y^3")
         seed = cyclic_cover_seed(z9, 3)
         assert seed.dim == 27
@@ -193,12 +192,9 @@ class TestCyclicCoverSeed:
 class TestFormElementMatrix:
     def test_reproduces_the_form(self):
         m = monomial_roby(HomForm(parse_poly("x^2*y"), 3, ("x", "y")))
-        z = form_element_matrix(m)
+        # the form element: each action scaled by its own form variable
+        z = m.generic_matrix(m.action_names)
         assert z.pow(3) == PolyMatrix.identity(3).scaled(parse_poly("x^2*y"))
-
-    def test_rejects_tslot_modules(self):
-        with pytest.raises(InputError, match="form"):
-            form_element_matrix(mf_seed("x", "y"))
 
 
 class TestPerturbedSplitAlgebra:
