@@ -107,6 +107,48 @@ class TestSplittingType:
         s = splitting_type(m)
         assert s.twists == (1, 0, -1)
 
+    @staticmethod
+    def block_sum(*modules):
+        # one presentation with the blocks' relations side by side
+        gens = [g for m in modules for g in m.gen_degrees]
+        rows, col = [], 0
+        for m in modules:
+            for r in range(m.ngens):
+                row = ["0"] * col + [str(m.relations.entry(r, c)) for c in range(m.nrels)]
+                rows.append(row)
+            col += m.nrels
+        rows = [row + ["0"] * (col - len(row)) for row in rows]
+        rel_degrees = [d for m in modules for d in m.rel_degrees]
+        return GradedModuleP1(gens, PolyMatrix.from_rows(rows) if col else None,
+                              rel_degrees=rel_degrees)
+
+    def test_block_sums_are_multiset_unions(self):
+        blocks = [
+            GradedModuleP1.free([1, -1]),
+            GradedModuleP1.free([0]),
+            coker([0, 1], [["y"], [1]]),
+            coker([0, 1], [["zeta3*y"], [1]]),
+            coker([2, 3], [["x"], ["1"]]),
+            coker([-1, 1], [["x^2"], ["1"]]),
+            GradedModuleP1.free([3, -2]),
+        ]
+        twists = [splitting_type(b).twists for b in blocks]
+        for i, a in enumerate(blocks):
+            for j, b in enumerate(blocks):
+                s = splitting_type(self.block_sum(a, b))
+                assert s.twists == tuple(sorted(twists[i] + twists[j], reverse=True)), (i, j)
+
+    def test_hand_built_block_sum_matches_the_blocks(self):
+        m = self.block_sum(GradedModuleP1.free([1, -1]), coker([0, 1], [["y"], [1]]))
+        assert m.gen_degrees == (1, -1, 0, 1)
+        assert m.rel_degrees == (1,)
+        assert m.relations == PolyMatrix.from_rows([["0"], ["0"], ["y"], ["1"]])
+
+    def test_torsion_in_one_block_is_rejected(self):
+        m = self.block_sum(GradedModuleP1.free([0, 2]), coker([0], [["x"]]))
+        with pytest.raises(InputError, match="torsion"):
+            splitting_type(m)
+
     def test_torsion_is_rejected(self):
         with pytest.raises(InputError, match="torsion"):
             splitting_type(coker([0], [["x"]]))

@@ -639,6 +639,117 @@ class TestLineReindexing:
             reindex_for_line(spec, ("z2",))
 
 
+class TestSplitCoverModules:
+    """Modules on k^d (x) W for a rank-d algebra A and a module W of B.
+
+    T acts by the split T on k^d and gamma_p by the sum over m of
+    slot_m (x) rho(component m of gamma_p), for d maps A -> B given on
+    B-coordinates.  The module is built by hand here, so each test asks
+    the verifiers alone whether the d maps multiply out to chi_A.
+    """
+
+    def hypersurface(self):
+        return monogenic_algebra(parse_poly("z^2 - x*y"), "z")
+
+    def cover_module(self, algebra, components, w_actions):
+        split = split_roby(algebra.rank)
+        w = w_actions[0].nrows
+        n = algebra.rank * w
+
+        def rho(coords):
+            return PolyMatrix.combination(zip(coords, w_actions), w)
+
+        actions = [
+            PolyMatrix.combination(
+                [(1, slot.kron(rho(coords))) for slot, coords in zip(split.actions, row)], n
+            )
+            for row in components
+        ]
+        grading = [g for g in split.grading for _ in range(w)]
+        return GradedRobyModule.over(
+            algebra, grading, actions, split.tslot.kron(PolyMatrix.identity(w))
+        )
+
+    def factorization_module(self, components=(((1, 0), (1, 0)), ((0, -1), (0, 1)))):
+        # default z -> (-z, z): the two sections of the double cover
+        bprime = PolyMatrix.from_rows([["0", "x"], ["y", "0"]])
+        return self.cover_module(
+            self.hypersurface(), components, [PolyMatrix.identity(2), bprime]
+        )
+
+    def test_factorization_module(self):
+        m = self.factorization_module()
+        assert m.dim == 4
+        assert m.action("z") == PolyMatrix.from_rows([
+            ["0", "0", "0", "x"],
+            ["0", "0", "y", "0"],
+            ["0", "-x", "0", "0"],
+            ["-y", "0", "0", "0"],
+        ])
+        assert verify_roby(m).ok
+        cm = char_morphism(m)
+        assert cm.matrices[0] == PolyMatrix.identity(4)
+        assert cm.matrices[1] == PolyMatrix.from_rows([
+            ["0", "-x", "0", "0"],
+            ["-y", "0", "0", "0"],
+            ["0", "0", "0", "x"],
+            ["0", "0", "y", "0"],
+        ])
+        assert verify_char_morphism(cm).ok
+
+    def test_factorization_module_has_the_mf_seed_actions(self):
+        # the same module as the matrix-factorization seed, graded one step over
+        m = self.factorization_module()
+        seed = mf_seed("x", "y")
+        assert m.named_actions == seed.named_actions
+        assert m.target_poly == seed.target_poly
+        assert m.grading == tuple((g + 1) % 2 for g in seed.grading)
+
+    def test_restriction_to_a_line_still_verifies(self):
+        cm = char_morphism(self.factorization_module()).substitute_base({"y": 0})
+        assert cm.charpoly.poly == parse_poly("t^2 - 2*t*G1 + G1^2")
+        assert verify_char_morphism(cm).ok
+
+    def test_identity_embedding_fails_the_identity(self):
+        # (z, z) is componentwise a morphism but does not multiply out to chi
+        m = self.factorization_module((((1, 0), (1, 0)), ((0, 1), (0, 1))))
+        report = verify_roby(m)
+        assert not report.ok
+        failed = [c for c in report.checks if not c.ok]
+        assert [c.name for c in failed] == ["power_identity"]
+        assert failed[0].detail == "entry (0,0): 2*s2^2*x*y"
+
+    def test_char_morphism_commutes_with_the_module_of_b(self):
+        # C(gamma_p) is B-linear: it commutes with I_d (x) rho(b) for each b
+        bprime = PolyMatrix.from_rows([["0", "x"], ["y", "0"]])
+        cm = char_morphism(self.factorization_module())
+        for mb in (PolyMatrix.identity(2), bprime):
+            diag = PolyMatrix.identity(2).kron(mb)
+            for cmat in cm.matrices:
+                assert cmat * diag == diag * cmat
+
+    def test_action_laws_of_the_module_of_b(self):
+        alg = self.hypersurface()
+        bprime = PolyMatrix.from_rows([["0", "x"], ["y", "0"]])
+        assert alg.action_laws([PolyMatrix.identity(2), bprime]) == (True, None)
+        # z acting by zero breaks z*z = x*y
+        assert alg.action_laws([PolyMatrix.identity(2), PolyMatrix.zeros(2, 2)]) == (True, (1, 1))
+        assert alg.action_laws([PolyMatrix.zeros(2, 2), PolyMatrix.zeros(2, 2)]) == (False, None)
+
+    def test_split_cover_of_the_split_algebra(self):
+        alg = split_algebra(2)
+        actions = [
+            PolyMatrix.from_rows([[1, 0], [0, 0]]),
+            PolyMatrix.from_rows([[0, 0], [0, 1]]),
+        ]
+        m = self.cover_module(alg, (((1, 0), (0, 1)), ((0, 1), (1, 0))), actions)
+        assert m.action("e1") == PolyMatrix.from_rows([
+            [0, 0, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, -1, 0, 0],
+        ])
+        assert verify_roby(m).ok
+        assert verify_char_morphism(char_morphism(m)).ok
+
+
 class TestFreshNames:
     def test_collisions_get_suffixed(self):
         assert fresh_names("s", 2, {"s1"}) == ["s1_", "s2"]

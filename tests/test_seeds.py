@@ -196,6 +196,14 @@ class TestFormElementMatrix:
         z = m.generic_matrix(m.action_names)
         assert z.pow(3) == PolyMatrix.identity(3).scaled(parse_poly("x^2*y"))
 
+    def test_tslot_modules_need_a_coefficient_for_t(self):
+        # the action names alone leave T without a coefficient
+        m = mf_seed("x", "y")
+        with pytest.raises(InputError, match="one coefficient name per action"):
+            m.generic_matrix(m.action_names)
+        g = m.generic_matrix(m.target_vars + (m.tvar,))
+        assert g.pow(2).scalar_identity_multiple() == m.target_poly
+
 
 class TestPerturbedSplitAlgebra:
     def test_char_poly_closed_form(self):
