@@ -82,6 +82,18 @@ __all__ = [
 MAX_RANK = 16
 
 
+def _is_identity(m: PolyMatrix, n: int) -> bool:
+    """m == PolyMatrix.identity(n), decided with no identity built.
+
+    The identity is n x n with the constant 1 on the diagonal, and 0 x 0
+    when n = 0; ``scalar_identity_multiple`` reads m's diagonal and finds
+    every other slot empty.
+    """
+    if m.shape != (n, n):
+        return False
+    return not n or m.scalar_identity_multiple() == 1
+
+
 def _check_rank(d: int) -> None:
     if d > MAX_RANK:
         raise InputError(f"algebra rank {d} exceeds the cap of {MAX_RANK}")
@@ -237,14 +249,15 @@ class FreeAlgebra:
         it holds no pair with i == u or j == u is multiplied: both sides are
         then matrices[j] (resp. matrices[i]) for any matrices, so the result is
         the full loop's.  A rank-d monogenic algebra thus makes (d - 1)^2
-        products instead of d^2.
+        products instead of d^2.  Either way, == I is decided by
+        ``_is_identity``, with no identity built.
         """
         n = matrices[0].nrows
         u = self.unit_index
         if u is None:
-            unit_ok = PolyMatrix.combination(zip(self.unit, matrices), n) == PolyMatrix.identity(n)
+            unit_ok = _is_identity(PolyMatrix.combination(zip(self.unit, matrices), n), n)
         else:
-            unit_ok = matrices[u] == PolyMatrix.identity(n)
+            unit_ok = _is_identity(matrices[u], n)
         skip = u if unit_ok else None
         for i in range(self.rank):
             if i == skip:

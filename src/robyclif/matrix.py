@@ -43,11 +43,12 @@ in row-major order.  What remains O(rows * cols) is allocating and copying
 the flat list.  A linear combination sum c_i * M_i is one ``combination``
 call, which reads each matrix once; a sum of D (x) M (x) I with diagonal D
 is one ``kron_sum`` call, which writes each nonzero of each M on its cells
-with no Kronecker product, and ``is_twisted_sum`` checks a finished sum
-against its factors, one strided slice per run, sharing no code with
-``kron_sum``; ``is_filtered_kron`` checks in one walk over a matrix's
-nonzeros that it keeps a coordinate filtration and that each level block
-is a seed ⊗ I; self + c * I is one ``plus_scalar`` call, which runs Python
+with no Kronecker product; a product M * N with N monomial is one
+``relabelled`` call, which moves and scales M's columns; and
+``is_twisted_sum`` checks a finished sum against its factors, one strided
+slice per run, sharing no code with ``kron_sum``; ``is_filtered_kron``
+checks in one walk over a matrix's nonzeros that it keeps a coordinate
+filtration and that each level block is a seed ⊗ I; self + c * I is one ``plus_scalar`` call, which runs Python
 code on the n diagonal slots only.  ``nnz`` counts the nonzero slots with
 one C-level count.  Entries are read-only: matrices share term maps with
 each other (``submatrix``, ``transpose``, sums with an empty side, the
@@ -454,6 +455,38 @@ class PolyMatrix:
                 data[corner + offset] = mul(block, t)
         return _make(n, m, vs, width, top, data)
 
+    def relabelled(self, pi, scales, t: "PolyMatrix", k: int) -> "PolyMatrix":
+        """self * N for the monomial N with N[pi[r], r] = scales[r], in t^k's context.
+
+        pi is a permutation and each scale a nonzero scalar.  Column r of
+        the product is scales[r] times column pi[r] of self, so one pass
+        over self's nonzeros writes it.  A term map is scaled once per
+        scale, and the result is shared where self shares the map.  For t
+        monomial with constant entries (``monomial_scalars``) t^k has t's
+        vars, so the result has the vars and width of self joined with t,
+        and the top self.top + k * t.top.  It then equals ``self * N`` key
+        for key: each entry is one product of a term map with a one-term
+        constant map, which keeps the map's key order.
+        """
+        n = self.ncols
+        top = self.top + k * t.top
+        vs, width = _context((self, t), top)
+        src = self.aligned_data(vs, width=width)
+        dest = [0] * n  # source column s lands in column pi^-1(s)
+        for r, s in enumerate(pi):
+            dest[s] = r
+        data = [{}] * (self.nrows * n)
+        done: dict = {}  # (id(map), id(scale)) -> the scaled map
+        for key in nonempty(src):
+            i, s = divmod(key, n)
+            r = dest[s]
+            terms, c = src[key], scales[r]
+            tag = (id(terms), id(c))
+            if tag not in done:
+                done[tag] = kernel.scale_terms(terms, c)
+            data[i * n + r] = done[tag]
+        return _make(self.nrows, n, vs, width, top, data)
+
     def substitute(self, bindings) -> "PolyMatrix":
         """Entrywise simultaneous substitution var -> value (``poly._substituted``).
 
@@ -573,6 +606,29 @@ class PolyMatrix:
                 count += 1
         return count == per * seed.nnz()
 
+    def monomial_scalars(self):
+        """(pi, c) when self[r, pi[r]] = c[r] is the only nonzero of row r and column pi[r].
+
+        Each c[r] must be a constant, a one-term entry whose key is the
+        constant monomial, and is returned as its scalar; otherwise, or
+        when self is not square, None.  One C-level pass finds the
+        nonzeros: n of them, ascending, one in each row r, at distinct
+        columns.
+        """
+        n, data = self.nrows, self.data
+        if n != self.ncols:
+            return None
+        slots = list(nonempty(data))
+        if len(slots) != n:
+            return None
+        pi = [k - r * n for r, k in enumerate(slots)]
+        if not all(0 <= j < n for j in pi) or len(set(pi)) != n:
+            return None
+        entries = [data[k] for k in slots]
+        if any(len(t) != 1 or 0 not in t for t in entries):
+            return None
+        return pi, [t[0] for t in entries]
+
     def first_nonzero(self):
         """(i, j, Poly) of the first nonzero entry in row-major order, or None."""
         for i, j, t in self.nonzeros():
@@ -580,14 +636,18 @@ class PolyMatrix:
         return None
 
     def scalar_identity_multiple(self):
-        """The Poly c with self == c * I, or None if there is no such c."""
+        """The Poly c with self == c * I, or None if there is no such c.
+
+        The n diagonal slots must equal the first; then no other slot is
+        nonzero exactly when ``nnz`` counts n of them, or 0 when c = 0.
+        """
         n = self.nrows
         if n != self.ncols or n == 0:
             return None
         diag = self.data[0]
         if self.data[:: n + 1].count(diag) != n:
             return None
-        if any(k % (n + 1) for k in nonempty(self.data)):
+        if self.nnz() != (n if diag else 0):
             return None
         return self._poly(diag)
 

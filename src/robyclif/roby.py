@@ -569,26 +569,74 @@ class CharMorphism:
         return vs
 
 
-def char_morphism(module: GradedRobyModule) -> CharMorphism:
-    """Extract C(gamma_i) = action(gamma_i) * (-action(T)^(d-1)).
+def _not_monic():
+    """Refuse a T-slot with T^d != I, with the report both paths give."""
+    report = Report(title="characteristic morphism extraction")
+    report.add("tslot_invertible", False, detail="action(T)^d is not the identity")
+    raise VerificationError("action(T)^d != I; target cannot be monic", report=report)
 
-    T^(d-1) is negated once, not each product.  It is T^(-1) because T^d
-    = I for a monic target; that identity is checked here rather than
-    trusted, and a module whose T-slot is not cyclic (a single-monomial
-    module, say) is rejected.
+
+def _relabelling(t: PolyMatrix, d: int):
+    """(pi, -(1/c_r) per r) for T monomial with constants and T^d = I.
+
+    None when T is not monomial with constant entries; a monomial T with
+    T^d != I fails as the product path does.  Walking d steps from each r
+    along pi is O(dim * d).  1/c_r is the product of the other d - 1
+    scalars on r's cycle, the entry T^(d-1)[pi(r), r] that ``pow`` forms,
+    so the scalar types are those of the product path.
+    """
+    form = t.monomial_scalars()
+    if form is None:
+        return None
+    pi, c = form
+    scales = []
+    for r in range(len(pi)):
+        s = pi[r]
+        inv = c[s]
+        for _ in range(d - 2):
+            s = pi[s]
+            inv = inv * c[s]
+        if pi[s] != r or c[r] * inv != 1:
+            _not_monic()
+        scales.append(-inv)
+    return pi, scales
+
+
+def char_morphism(module: GradedRobyModule) -> CharMorphism:
+    """Extract C(gamma_i) = -action(gamma_i) * action(T)^(d-1).
+
+    action(T)^(d-1) is T^(-1) because T^d = I for a monic target; that
+    identity is checked here rather than trusted, and a module whose T-slot
+    is not cyclic (a single-monomial module, say) is rejected.
+
+    The relabelling lemma.  Let T[r, pi(r)] = c_r be the only nonzero of
+    row r and of column pi(r), each c_r a constant.  Then (T^d)[r, pi^d(r)]
+    is c_r c_pi(r) ... c_(pi^(d-1)(r)) and every other entry of row r is
+    zero, so T^d = I exactly when each walk of d steps along pi returns to
+    its start with product 1; that is checked in O(dim * d).  T^(-1) then
+    has the one nonzero T^(-1)[pi(r), r] = 1/c_r in column r, and column r
+    of C(gamma) is -(1/c_r) times column pi(r) of action(gamma), which one
+    pass over the action's nonzeros writes (``PolyMatrix.relabelled``),
+    equal key for key to the product.  Every T-slot the pipeline makes is
+    such a T (T_seed ⊗ I).  Any other T takes the product path: T^(d-1) by
+    ``pow``, negated once, checked by T * T^(d-1) = I, and multiplied into
+    each action.  A failing T gives the same report on either path.
     """
     if not module.has_tslot:
         raise InputError("characteristic morphisms need a T-slot target")
     if module.source_algebra is None:
         raise InputError("attach the source algebra before extracting the morphism")
-    d = module.degree
-    t_inv = module.tslot.pow(d - 1)
-    if module.tslot * t_inv != PolyMatrix.identity(module.dim):
-        report = Report(title="characteristic morphism extraction")
-        report.add("tslot_invertible", False, detail="action(T)^d is not the identity")
-        raise VerificationError("action(T)^d != I; target cannot be monic", report=report)
-    neg_inv = -t_inv
-    matrices = [a * neg_inv for a in module.actions]
+    d, t = module.degree, module.tslot
+    relabelling = _relabelling(t, d)
+    if relabelling is not None:
+        pi, scales = relabelling
+        matrices = [a.relabelled(pi, scales, t, d - 1) for a in module.actions]
+    else:
+        t_inv = t.pow(d - 1)
+        if t * t_inv != PolyMatrix.identity(module.dim):
+            _not_monic()
+        neg_inv = -t_inv
+        matrices = [a * neg_inv for a in module.actions]
     chi = CharPoly(d, module.target_poly, module.tvar, module.target_vars)
     return CharMorphism(module.source_algebra, matrices, chi)
 

@@ -21,7 +21,11 @@ filtration's graded pieces and flag-leak scan (``roby.Filtration.quotients``,
 ``roby.verify_filtered_pseudo``), the seed-block certificate
 ``PolyMatrix.is_filtered_kron`` (its count of same-level nonzeros, its
 rho_r == rho_c test and its periodic-labels test) and the quotients' laws
-decided on the seed only when it holds, the pipeline's comparison of its
+decided on the seed only when it holds, the characteristic morphism read off
+a monomial T-slot by relabelling (``roby._relabelling``'s cycle walk and
+inverse scalars, ``PolyMatrix.relabelled`` and ``monomial_scalars``), the
+unit law decided without a built identity (``freealg._is_identity`` and
+``PolyMatrix.scalar_identity_multiple``'s count of nonzeros), the pipeline's comparison of its
 quotients with the seed restricted to the line (``pipeline.run_pipeline``),
 the splitting-type scan of ``linegeom.py`` or the CLI's one document
 renderer must make the fast test suite fail.
@@ -490,6 +494,42 @@ MUTANTS = (
         "        m.is_filtered_kron(s, labels) for m, s in zip(cm.matrices, seed)\n"
         "    )\n",
         "    certified = seed is not None\n",
+    ),
+    (
+        "the relabelling's cycle check walks one step short",
+        "roby.py",
+        "        for _ in range(d - 2):\n",
+        "        for _ in range(d - 3):\n",
+    ),
+    (
+        "the relabelling scales column r by c_r instead of 1/c_r",
+        "roby.py",
+        "        scales.append(-inv)\n",
+        "        scales.append(-c[r])\n",
+    ),
+    (
+        "the relabelling moves column s to pi(s) instead of pi^-1(s)",
+        "matrix.py",
+        "            dest[s] = r\n",
+        "            dest[r] = s\n",
+    ),
+    (
+        "the monomial form takes a non-constant one-term entry for a scalar",
+        "matrix.py",
+        "        if any(len(t) != 1 or 0 not in t for t in entries):\n",
+        "        if any(len(t) != 1 for t in entries):\n",
+    ),
+    (
+        "the scalar-identity test wants n nonzeros when the scalar is 0",
+        "matrix.py",
+        "        if self.nnz() != (n if diag else 0):\n",
+        "        if self.nnz() != n:\n",
+    ),
+    (
+        "the unit law accepts any scalar multiple of the identity",
+        "freealg.py",
+        "    return not n or m.scalar_identity_multiple() == 1\n",
+        "    return not n or m.scalar_identity_multiple() is not None\n",
     ),
     (
         "the CLI's JSON documents written with unsorted keys",

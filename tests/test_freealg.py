@@ -22,7 +22,7 @@ from robyclif.freealg import (
 )
 from robyclif.matrix import PolyMatrix
 from robyclif.poly import Poly, parse_poly
-from robyclif.scalars import make_root
+from robyclif.scalars import CycScalar, make_root
 from robyclif.seeds import cyclic_cover_seed, perturbed_split_algebra
 from robyclif.specfile import parse_algebra, render_algebra
 
@@ -632,6 +632,40 @@ class TestLaws:
                     outcomes["C(u) == I, a failing pair"] += 1
         # each branch of the check is met
         assert len(outcomes) == 4, outcomes
+
+    def test_the_unit_law_keeps_the_verdict_of_comparing_with_a_built_identity(
+        self, monkeypatch
+    ):
+        z = CycScalar(3, [1])  # 1 as a cyclotomic scalar
+        cases = {
+            "I": PolyMatrix.identity(3),
+            "I, coefficients of three types": PolyMatrix.diagonal([1, Fraction(1), z]),
+            "2 * I": PolyMatrix.diagonal([2, 2, 2]),
+            "x * I": PolyMatrix.diagonal(["x", "x", "x"]),
+            "0": PolyMatrix.zeros(3, 3),
+            "I plus an off-diagonal 1": PolyMatrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
+            "diag(1, 1, 2)": PolyMatrix.diagonal([1, 1, 2]),
+            "I of the wrong size": PolyMatrix.identity(2),
+            "3 x 2": PolyMatrix.zeros(3, 2),
+        }
+        verdicts = {name: m == PolyMatrix.identity(3) for name, m in cases.items()}
+        verdicts["0 x 0"] = PolyMatrix.zeros(0, 0) == PolyMatrix.identity(0)
+        cases["0 x 0"] = PolyMatrix.zeros(0, 0)
+        want = ["I", "I, coefficients of three types", "0 x 0"]
+        assert [name for name, ok in verdicts.items() if ok] == want
+        # gamma_2 is the unit: the action of 1 is matrices[1]; the split
+        # algebra has no unit basis element, so its unit's image is a sum
+        unit_second = FreeAlgebra(["z", "1"], [[[0, 0], [1, 0]], [[1, 0], [0, 1]]], unit=[0, 1])
+        split = split_algebra(2)
+        assert (unit_second.unit_index, split.unit_index) == (1, None)
+        monkeypatch.setattr(PolyMatrix, "identity", None)  # nothing may build one now
+        for name, m in cases.items():
+            n = 0 if name == "0 x 0" else 3
+            assert freealg._is_identity(m, n) == verdicts[name], name
+            if m.shape == (n, n):
+                zero = PolyMatrix.zeros(n, n)
+                assert unit_second.action_laws([zero, m])[0] == verdicts[name], name
+                assert split.action_laws([m, zero])[0] == verdicts[name], name  # 1 = e1 + e2
 
     def test_a_unit_basis_element_saves_its_pairs(self, monkeypatch):
         calls = Counter()
